@@ -6,7 +6,7 @@ Exit codes:
   0  success
   1  usage error (bad flags, missing/inconsistent inputs)
   2  group validation failure (identity/inverse/associativity witness)
-  3  resource limit exceeded (override with COCYCLE_MAX_TUPLES)
+  3  resource limit exceeded (override with COCYCLE_MAX_TUPLES) or out of memory
   4  cocycle or compatibility failure (NotACocycle, mismatched inputs)
   5  non-torsion value in torsion mode
   6  degree too low for the requested driver
@@ -14,7 +14,7 @@ Exit codes:
 
 All randomness flows from --seed (default 0) and is recorded in outputs;
 identical inputs and seed produce byte-identical files.  --threads is
-accepted for sweep parallelism and never affects output.
+accepted and is a no-op: every command runs single-threaded.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled verification (default 0)")
         p.add_argument("--threads", type=int, default=1,
-                       help="sweep parallelism; never affects output")
+                       help="accepted and ignored (no-op); never affects output")
 
     p = sub.add_parser("group", help="build/validate a finite group")
     src = p.add_mutually_exclusive_group(required=True)
@@ -322,6 +322,8 @@ def main(argv=None) -> int:
         return _fail(2, _describe(exc))
     except ResourceLimit as exc:
         return _fail(3, _describe(exc))
+    except MemoryError:
+        return _fail(3, f"{args.command} ran out of memory (MemoryError)")
     except _MISMATCH_ERRORS as exc:
         return _fail(4, _describe(exc))
     except NonTorsionValue as exc:

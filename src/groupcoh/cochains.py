@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .errors import DegreeMismatch, NotACocycle, ResourceLimit
+from .errors import DegreeMismatch, NotACocycle, ResourceLimit, SelfCheckFailed
 from .modules import GModule, invariants, _lattice_basis
 
 DEFAULT_MAX_ENTRIES = 10_000_000
@@ -239,7 +239,8 @@ def solve_coboundary(f: Cochain, max_entries=None):
     if x is None:
         return None
     sol = _vector_cochain(f.group, module, n - 1, dom, x)
-    assert coboundary(sol) == f
+    if coboundary(sol) != f:
+        raise SelfCheckFailed("solve_coboundary: the solution x does not satisfy delta x = f")
     return sol
 
 
@@ -258,15 +259,8 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
         return []
     dmat, _, tgt = coboundary_matrix(group, module, n, max_entries)
     # cocycle lattice: x with delta x = 0 modulo the target relations
-    aug = [row[:] for row in dmat]
-    extra = 0
-    for i, d in enumerate(d for _ in tgt for d in module.factors):
-        if d:
-            for row in aug:
-                row.append(0)
-            aug[i][dim_cur + extra] = d
-            extra += 1
-    gens = [vec[:dim_cur] for vec in la.kernel_basis(aug, cols=dim_cur + extra)]
+    moduli = [d for _ in tgt for d in module.factors]
+    gens = la.kernel_with_moduli(dmat, moduli, cols=dim_cur)
     basis = _lattice_basis(gens, dim_cur)
     kmat = [[col[i] for col in basis] for i in range(dim_cur)]
     # coboundary subgroup: image of delta_{n-1} plus the relation lattice
@@ -279,10 +273,12 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
     for i, d in enumerate(d for _ in cur for d in module.factors):
         if d:
             sub_gens.append([d if r == i else 0 for r in range(dim_cur)])
+    lattice = la.FactoredMatrix(kmat, cols=len(basis))
     coords = []
     for gen in sub_gens:
-        t = la.solve_integer(kmat, gen, cols=len(basis))
-        assert t is not None, "coboundary outside the cocycle lattice"
+        t = lattice.solve(gen)
+        if t is None:
+            raise SelfCheckFailed("cohomology: a coboundary lies outside the cocycle lattice")
         coords.append(t)
     factors, _, _ = la.cokernel_structure(coords, len(basis))
     return factors
@@ -327,7 +323,8 @@ def averaging_homotopy(f: Cochain) -> RationalCochain:
         return module.scale(sign, out)
 
     num = cochain_from_function(group, module, n - 1, total)
-    assert coboundary(num) == scale_cochain(order, f)
+    if coboundary(num) != scale_cochain(order, f):
+        raise SelfCheckFailed("averaging_homotopy: delta h differs from |G| f")
     return RationalCochain(num, order)
 
 

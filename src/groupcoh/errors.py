@@ -78,3 +78,8 @@ class ExponentMismatch(GroupcohError):
 
 class ResourceLimit(GroupcohError):
     pass
+
+
+class SelfCheckFailed(GroupcohError):
+    """An exact result failed the re-check that guards it: a defect in the
+    program, never a property of the input."""

@@ -107,10 +107,6 @@ class GModule:
         return f"GModule(factors={self.factors}, |G|={self.group.order})"
 
 
-def _congruent(module, x, y) -> bool:
-    return module.reduce(x) == module.reduce(y)
-
-
 def _validate_module(m: GModule):
     k = m.dim
     order = m.group.order
@@ -157,34 +153,17 @@ def trivial_module(group: FiniteGroup, factors) -> GModule:
     return GModule(group, factors, [ident] * group.order, _validate=False)
 
 
-def act(module, g, x):
-    return module.act(g, x)
-
-
-def add(module, x, y):
-    return module.add(x, y)
-
-
-def neg(module, x):
-    return module.neg(x)
-
-
-def scale(module, n, x):
-    return module.scale(n, x)
-
-
 # -- maps ------------------------------------------------------------------
 
 
 class ModuleMap:
     """Abelian-group homomorphism source -> target given by an integer
-    matrix on coordinates; equivariance is checked on demand."""
+    matrix on coordinates."""
 
     def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = tuple(tuple(row) for row in matrix)
-        self.equivariance_checked = False
         # relation-lattice compatibility
         for j, dj in enumerate(source.factors):
             if dj == 0:
@@ -195,16 +174,6 @@ class ModuleMap:
 
     def apply(self, x) -> tuple:
         return self.target.reduce(la.mat_vec(self.matrix, x))
-
-    def is_equivariant(self) -> bool:
-        src, tgt = self.source, self.target
-        for g in range(src.group.order):
-            for j in range(src.dim):
-                e = src.basis_vector(j)
-                if self.apply(src.act(g, e)) != tgt.act(g, self.apply(e)):
-                    return False
-        self.equivariance_checked = True
-        return True
 
 
 # -- subquotients of an ambient module ------------------------------------
@@ -220,11 +189,11 @@ class Subquotient:
         k = ambient.dim
         kmat = [[col[i] for col in basis_columns] for i in range(k)]
         self._kmat = kmat
+        self._factored = la.FactoredMatrix(kmat, cols=len(basis_columns))
         rels = []
         for i, d in enumerate(ambient.factors):
             if d:
-                rel = la.solve_integer(kmat, [d if j == i else 0 for j in range(k)],
-                                       cols=len(basis_columns))
+                rel = self._factored.solve([d if j == i else 0 for j in range(k)])
                 if rel is None:
                     raise ValueError("sublattice does not contain the relation lattice")
                 rels.append(rel)
@@ -241,7 +210,7 @@ class Subquotient:
         return self.ambient.reduce(la.mat_vec(self._kmat, t))
 
     def coords(self, ambient_vec) -> tuple:
-        t = la.solve_integer(self._kmat, list(ambient_vec), cols=len(self.basis))
+        t = self._factored.solve(list(ambient_vec))
         if t is None:
             raise ValueError("vector not in the sublattice")
         vec = la.mat_vec(self._proj, t)
@@ -271,15 +240,7 @@ def invariants(m: GModule):
         for i in range(k):
             rows.append([mat[i][j] - (1 if i == j else 0) for j in range(k)])
             moduli.append(m.factors[i])
-    aug = [row[:] for row in rows]
-    extra = 0
-    for i, md in enumerate(moduli):
-        if md:
-            for row in aug:
-                row.append(0)
-            aug[i][k + extra] = md
-            extra += 1
-    cols = [vec[:k] for vec in la.kernel_basis(aug, cols=k + extra)]
+    cols = la.kernel_with_moduli(rows, moduli, cols=k)
     # drop duplicate/zero x-parts while keeping a full generating set
     sub = Subquotient(m, _lattice_basis(cols, k))
     inv = trivial_module(m.group, sub.factors)
@@ -310,7 +271,7 @@ def _lattice_basis(columns, ambient):
     if not columns:
         return []
     mat = [[col[i] for col in columns] for i in range(ambient)]
-    u, ui, d, v, vi = la._snf_full(mat, cols=len(columns))
+    _, ui, d, _, _ = la._snf_full(mat, cols=len(columns), track=("ui",))
     rank = sum(
         1 for i in range(min(ambient, len(columns))) if d[i][i]
     )
@@ -388,17 +349,9 @@ class HomModule(GModule):
         for j in range(s):
             aj = source.factors[j]
             rows = [[aj if c == i else 0 for c in range(k)] for i in range(k)]
-            aug = [row[:] for row in rows]
-            extra = 0
-            for i, d in enumerate(target.factors):
-                if d:
-                    for row in aug:
-                        row.append(0)
-                    aug[i][k + extra] = d
-                    extra += 1
-            for vec in la.kernel_basis(aug, cols=k + extra):
+            for vec in la.kernel_with_moduli(rows, target.factors, cols=k):
                 block = [0] * (k * s)
-                block[j * k : (j + 1) * k] = vec[:k]
+                block[j * k : (j + 1) * k] = vec
                 cols.append(block)
         sub = Subquotient(ambient, _lattice_basis(cols, k * s))
         self._sub = sub

@@ -10,6 +10,7 @@ from groupcoh import (
     module_to_json,
     trivial_module,
 )
+from groupcoh import cli
 from groupcoh.cli import main
 from groupcoh.cochains import cochain_from_json
 from groupcoh.modules import GModule
@@ -119,6 +120,18 @@ def test_cohomology_resource_limit_exit_3(capsys):
         "--module", "trivial:2", "--degree", "3", "--max-entries", "100",
     )
     assert code == 3
+
+
+def test_memory_error_exit_3(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_cohomology", exhausted)
+    code, _, err = run(
+        capsys, "cohomology", "--group", "cyclic:2", "--module", "trivial:2", "--degree", "1",
+    )
+    assert code == 3
+    assert err == "error: cohomology ran out of memory (MemoryError)\n"
 
 
 def test_bad_module_spec_exit_2(capsys):

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -22,6 +26,7 @@ from groupcoh import (
     symmetric_group,
     trivial_module,
 )
+from groupcoh import intlinalg
 from groupcoh.cochains import coboundary_value, nonid_tuples
 from groupcoh.errors import DegreeMismatch, ResourceLimit
 
@@ -281,6 +286,22 @@ def test_cohomology_degree_zero_is_invariants():
     assert cohomology(z2, m, 0) == [6]
 
 
+def test_cohomology_factors_each_matrix_once(monkeypatch):
+    # kernel, lattice basis, one factorization for every coboundary
+    # generator, cokernel: one Smith normal form each
+    calls = []
+    snf = intlinalg._snf_full
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "_snf_full", counted)
+    g = cyclic_group(4)
+    assert cohomology(g, trivial_module(g, [4]), 4) == [4]
+    assert len(calls) <= 4
+
+
 def test_cohomology_trivial_group():
     g = cyclic_group(1)
     m = trivial_module(g, [4])
@@ -336,3 +357,49 @@ def test_cochain_json_rejects_identity():
     data = {"degree": 1, "values": [{"tuple": ["e"], "value": [1]}]}
     with pytest.raises(ValueError):
         cochain_from_json(data, g, m)
+
+
+# -- self-checks that survive python -O ---------------------------------------
+
+SELF_CHECK_SCRIPT = textwrap.dedent("""
+    from groupcoh import cochains, intlinalg
+    from groupcoh import coboundary, cochain_from_function, cyclic_group, trivial_module
+    from groupcoh.errors import SelfCheckFailed
+
+    if __debug__:
+        raise SystemExit("not running under -O")
+
+    def expect_failure(name, run):
+        try:
+            run()
+        except SelfCheckFailed:
+            print("caught", name)
+
+    g = cyclic_group(3)
+    z3 = trivial_module(g, [3])
+    f = coboundary(cochain_from_function(g, z3, 1, lambda t: (t[0] == 1,)))
+    solve = intlinalg.solve_with_moduli
+    intlinalg.solve_with_moduli = lambda *a, **k: [0] * len(solve(*a, **k))
+    expect_failure("solve_coboundary", lambda: cochains.solve_coboundary(f))
+    intlinalg.solve_with_moduli = solve
+
+    intlinalg.FactoredMatrix.solve = lambda self, b: None
+    expect_failure("cohomology", lambda: cochains.cohomology(g, z3, 2))
+
+    z = trivial_module(g, [0])
+    w = coboundary(cochain_from_function(g, z, 1, lambda t: (t[0],)))
+    cochains.cochain_from_function = lambda group, coeffs, degree, fn: (
+        cochains.zero_cochain(group, coeffs, degree))
+    expect_failure("averaging_homotopy", lambda: cochains.averaging_homotopy(w))
+""")
+
+
+def test_self_checks_raise_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == [
+        "caught solve_coboundary", "caught cohomology", "caught averaging_homotopy",
+    ]

@@ -10,6 +10,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from groupcoh import intlinalg as la
 
 
@@ -141,3 +143,62 @@ def test_kron():
     assert k[0] == [0, 1, 0, 2]
     assert k[1] == [1, 0, 2, 0]
     assert k[2] == [0, 3, 0, 4]
+
+
+# -- differential tests: transform selection, factored solves, sympy -------
+
+
+def random_matrices(seed, count):
+    """Seeded small matrices: square and not, some with zero rows."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rows, cols = rng.randrange(0, 6), rng.randrange(1, 6)
+        mat = [[rng.randrange(-4, 5) if rng.random() < 0.6 else 0 for _ in range(cols)]
+               for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            mat[rng.randrange(rows)] = [0] * cols
+        out.append((mat, cols))
+    return out
+
+
+def test_snf_transform_selection_matches_full_call():
+    selections = [
+        sel for k in range(len(la.TRANSFORMS) + 1)
+        for sel in itertools.combinations(la.TRANSFORMS, k)
+    ]
+    for mat, cols in random_matrices(11, 60):
+        full = la._snf_full(mat, cols=cols)
+        for sel in selections:
+            got = la._snf_full(mat, cols=cols, track=sel)
+            assert got[2] == full[2]
+            for idx, name in zip((0, 1, 3, 4), la.TRANSFORMS):
+                assert got[idx] == (full[idx] if name in sel else [])
+
+
+def test_factored_solve_matches_solve_integer():
+    rng = random.Random(12)
+    for mat, cols in random_matrices(12, 60):
+        factored = la.FactoredMatrix(mat, cols=cols)
+        for _ in range(4):
+            x0 = [rng.randrange(-3, 4) for _ in range(cols)]
+            for b in (la.mat_vec(mat, x0), [rng.randrange(-5, 6) for _ in mat]):
+                x = factored.solve(b)
+                assert x == la.solve_integer(mat, b, cols=cols)
+                if x is not None:
+                    assert la.mat_vec(mat, x) == b
+            assert factored.solve(la.mat_vec(mat, x0)) is not None
+
+
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    for mat, cols in random_matrices(13, 40):
+        if not mat:
+            continue
+        d = la._snf_full(mat, cols=cols, track=())[2]
+        ours = [d[i][i] for i in range(min(len(mat), cols)) if d[i][i]]
+        ref = smith_normal_form(sympy.Matrix(mat), domain=sympy.ZZ)
+        theirs = [abs(int(ref[i, i])) for i in range(min(ref.shape)) if ref[i, i]]
+        assert ours == theirs
