@@ -15,7 +15,14 @@ import json
 from .cochains import Cochain, cochain_from_json, cochain_to_json, first_cocycle_defect, max_entries_limit, nonid_tuples
 from .errors import KernelNotFinite, NotACocycle, ResourceLimit
 from .groups import FiniteGroup, group_from_json, group_from_table, group_to_json
-from .modules import GModule, module_from_json, module_to_json, trivial_module
+from .modules import (
+    GModule,
+    element_index,
+    index_tables,
+    module_from_json,
+    module_to_json,
+    trivial_module,
+)
 
 
 class GroupExtension:
@@ -27,32 +34,17 @@ class GroupExtension:
         limit = max_entries_limit(max_entries)
 
         self.kernel_elements = list(kernel.elements())
-        self.kernel_index = {a: i for i, a in enumerate(self.kernel_elements)}
         na, ng = len(self.kernel_elements), base.order
         self.order = na * ng
 
-        self._act = [
-            [self.kernel_index[kernel.act(g, a)] for a in self.kernel_elements]
-            for g in range(ng)
-        ]
+        self._add, self._neg, self._act = index_tables(kernel, with_add=na * na <= limit)
         self._coc = [
             [
-                self.kernel_index[cocycle.evaluate((g, h))] if g and h else 0
+                element_index(kernel, cocycle.evaluate((g, h))) if g and h else 0
                 for h in range(ng)
             ]
             for g in range(ng)
         ]
-        self._neg = [self.kernel_index[kernel.neg(a)] for a in self.kernel_elements]
-        if na * na <= limit:
-            add = kernel.add
-            idx = self.kernel_index
-            elems = self.kernel_elements
-            self._add = [
-                [idx[add(a, b)] for b in elems] for a in elems
-            ]
-        else:
-            self._add = None
-        self._inv = {}
         self._total = None
         self._labels = None
 
@@ -73,7 +65,7 @@ class GroupExtension:
         if self._add is not None:
             return self._add[i][j]
         s = self.kernel.add(self.kernel_elements[i], self.kernel_elements[j])
-        return self.kernel_index[s]
+        return element_index(self.kernel, s)
 
     def mul(self, i: int, j: int) -> int:
         ng = self.base.order
@@ -83,17 +75,11 @@ class GroupExtension:
         return a * ng + self.base.mul(g1, g2)
 
     def inv(self, i: int) -> int:
-        # table search, not the closed formula
-        j = self._inv.get(i)
-        if j is None:
-            for cand in range(self.order):
-                if self.mul(i, cand) == 0 and self.mul(cand, i) == 0:
-                    j = cand
-                    break
-            else:
-                raise KernelNotFinite("no inverse found; extension is corrupt")
-            self._inv[i] = j
-        return j
+        """(a,g)^-1 = (-g^-1.(a + c(g,g^-1)), g^-1)."""
+        a, g = divmod(i, self.base.order)
+        gi = self.base.inv(g)
+        b = self._neg[self._act[gi][self.add_kernel(a, self._coc[g][gi])]]
+        return b * self.base.order + gi
 
     def product(self, indices) -> int:
         out = 0

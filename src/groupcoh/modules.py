@@ -176,6 +176,63 @@ class ModuleMap:
         return self.target.reduce(la.mat_vec(self.matrix, x))
 
 
+# -- finite modules as index tables ----------------------------------------
+
+
+def element_index(m: GModule, x) -> int:
+    """Position of the reduced element x in m.elements(): x read as a
+    mixed-radix integer whose last coordinate is the least significant."""
+    i = 0
+    for v, d in zip(x, m.factors):
+        i = i * d + v
+    return i
+
+
+def index_tables(m: GModule, with_add=True):
+    """(add, neg, act) of a finite module on element indices (see
+    element_index): add[i][j], neg[i] and act[g][i].  Every table is built
+    digit by digit from the last coordinate with no tuple arithmetic; add
+    is None when with_add is false."""
+    if not m.is_torsion:
+        raise SourceNotTorsion("cannot index an infinite module")
+    factors = m.factors
+    k = len(factors)
+    # one shared int object per index keeps the |M|^2 add table small
+    canon = list(range(m.size()))
+
+    def linear(mat):
+        # digits[i][x] = (mat . x)_i mod d_i over all x, in index order
+        digits = [[0] for _ in factors]
+        for j in reversed(range(k)):
+            span = range(factors[j])
+            digits = [
+                [(mat[i][j] * x + u) % di for x in span for u in col]
+                for i, (col, di) in enumerate(zip(digits, factors))
+            ]
+        out = [0] * len(canon)
+        for col, d in zip(digits, factors):
+            out = [o * d + u for o, u in zip(out, col)]
+        return [canon[o] for o in out]
+
+    neg = linear([[-1 if i == j else 0 for j in range(k)] for i in range(k)])
+    act = [linear(m.action[g]) for g in range(m.group.order)]
+    if not with_add:
+        return None, neg, act
+    # the sum of x*s + r and y*s + q is ((x + y) mod d)*s + add_inner[r][q]
+    add, s = [[0]], 1
+    for d in reversed(factors):
+        shifted = [[[canon[o * s + v] for v in row] for o in range(d)] for row in add]
+        add = []
+        for x in range(d):
+            for parts in shifted:
+                row = []
+                for y in range(x, x + d):
+                    row += parts[y % d]
+                add.append(row)
+        s *= d
+    return add, neg, act
+
+
 # -- subquotients of an ambient module ------------------------------------
 
 

@@ -391,3 +391,37 @@ def test_d2_non_cocycle_exit_4(capsys, tmp_path):
 def test_verify_missing_certificate_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 1
+
+
+def _certificate(capsys, tmp_path, mode):
+    g = cyclic_group(2)
+    spec, n = ("trivial:2", 2) if mode == "torsion" else ("trivial:0", 4)
+    m = trivial_module(g, [int(spec[-1])])
+    w = Cochain(g, m, n, {(1,) * n: (1,)})
+    path = write_json(tmp_path / "w.json", cochain_to_json(w))
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys, "trivialize", "--group", "cyclic:2", "--module", spec, "--cocycle", path,
+        "--degree", str(n), "--mode", mode, "--out", str(cert_path),
+    )
+    assert code == 0
+    return cert_path
+
+
+@pytest.mark.parametrize("mode, field", [
+    ("torsion", "c"), ("torsion", "b"), ("torsion", "alpha"), ("torsion", "input"),
+    ("general", "alpha"), ("general", "stages.eta"),
+    ("general", "stages.stage1.c"), ("general", "stages.stage1.b"),
+    ("general", "stages.stage2.b"), ("general", "stages.stage2.alpha"),
+])
+def test_verify_rejects_wrong_degree_field(capsys, tmp_path, mode, field):
+    cert_path = _certificate(capsys, tmp_path, mode)
+    data = json.loads(cert_path.read_text())
+    node = data
+    for key in field.split("."):
+        node = node[key]
+    node["degree"] = 5
+    cert_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 4
+    assert f"certificate field {field}.degree is 5" in err

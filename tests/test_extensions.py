@@ -5,6 +5,7 @@ import pytest
 
 from groupcoh import (
     Cochain,
+    GModule,
     build_extension,
     builtin_group,
     coboundary,
@@ -170,3 +171,52 @@ def test_extension_json_roundtrip():
     for i in range(4):
         for j in range(4):
             assert ext2.mul(i, j) == ext.mul(i, j)
+
+
+# -- closed-form inverses ---------------------------------------------------
+
+
+def _sign_z4_extension():
+    """S3 acting on Z/4 by the sign, c = delta u for a random u."""
+    g = builtin_group("symmetric:3")
+    signs = [1 if g.element_order(i) != 2 else -1 for i in range(g.order)]
+    a = GModule(g, [4], [[[s]] for s in signs])
+    rng = random.Random(5)
+    u = Cochain(g, a, 1, {(t,): (rng.randrange(4),) for t in range(1, g.order)})
+    return build_extension(a, coboundary(u))
+
+
+def _dihedral_extension():
+    """D4 on Z/2, c(g, h) = x(g) x(h) + delta u for a nonzero x: D4 -> Z/2."""
+    g = builtin_group("dihedral:4")
+    a = trivial_module(g, [2])
+    homs = []
+    for bits in itertools.product(range(2), repeat=g.order - 1):
+        x = (0,) + bits
+        if all(x[g.mul(i, j)] == (x[i] + x[j]) % 2
+               for i in range(g.order) for j in range(g.order)):
+            homs.append(x)
+    x = homs[1]
+    rng = random.Random(8)
+    u = Cochain(g, a, 1, {(t,): (rng.randrange(2),) for t in range(1, g.order)})
+    c = Cochain(g, a, 2, {(i, j): (x[i] * x[j],) for i in range(1, g.order)
+                          for j in range(1, g.order)})
+    from groupcoh import add_cochains
+    return build_extension(a, add_cochains(c, coboundary(u)))
+
+
+def _universal_c3_extension():
+    from groupcoh import universal_kernel
+    return build_extension(*universal_kernel(cyclic_group(3), 3))
+
+
+@pytest.mark.parametrize(
+    "build", [_sign_z4_extension, _dihedral_extension, _universal_c3_extension]
+)
+def test_closed_form_inverse_matches_search(build):
+    ext = build()
+    assert any(ext.cocycle.values.values())
+    for i in range(ext.order):
+        found = [j for j in range(ext.order)
+                 if ext.mul(i, j) == 0 and ext.mul(j, i) == 0]
+        assert found == [ext.inv(i)]

@@ -232,3 +232,43 @@ def test_module_json_roundtrip():
     assert m2.factors == m.factors
     for i in range(2):
         assert m2.act(1, m.basis_vector(i)) == m.act(1, m.basis_vector(i))
+
+
+# -- index tables ----------------------------------------------------------
+
+
+def _mixed_moduli_module():
+    """Z/2 + Z/3 + Z/4 under S3: odd permutations negate every coordinate."""
+    g = symmetric_group(3)
+    mats = []
+    for i in range(g.order):
+        sign = 1 if g.element_order(i) != 2 else -1
+        mats.append([[sign if r == c else 0 for c in range(3)] for r in range(3)])
+    return GModule(g, [2, 3, 4], mats)
+
+
+def _universal_kernel_c3():
+    from groupcoh import universal_kernel
+    return universal_kernel(cyclic_group(3), 3)[0]
+
+
+@pytest.mark.parametrize("build", [_mixed_moduli_module, _universal_kernel_c3])
+def test_index_tables_match_module_arithmetic(build):
+    from groupcoh.modules import element_index, index_tables
+    m = build()
+    elems = list(m.elements())
+    assert [element_index(m, x) for x in elems] == list(range(len(elems)))
+    add, neg, act = index_tables(m)
+    assert add == [[element_index(m, m.add(x, y)) for y in elems] for x in elems]
+    assert neg == [element_index(m, m.neg(x)) for x in elems]
+    assert act == [
+        [element_index(m, m.act(g, x)) for x in elems] for g in range(m.group.order)
+    ]
+    no_add, neg2, act2 = index_tables(m, with_add=False)
+    assert no_add is None and (neg2, act2) == (neg, act)
+
+
+def test_index_tables_reject_infinite_module():
+    from groupcoh.modules import index_tables
+    with pytest.raises(SourceNotTorsion):
+        index_tables(sign_module())

@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -18,6 +22,7 @@ from groupcoh import (
     first_cocycle_defect,
     is_cocycle,
     lift_cochain,
+    restrict_cochain,
     scale_cochain,
     solve_coboundary,
     torsion_exponent,
@@ -34,7 +39,7 @@ from groupcoh.errors import (
     NonTorsionValue,
     NotACocycle,
 )
-from groupcoh.trivialize import verify_lift_primitive
+from groupcoh.trivialize import _check_restriction, verify_lift_primitive
 
 
 def z2_generator_cocycle():
@@ -391,3 +396,141 @@ def test_certificate_json_deterministic():
     d1 = json.dumps(certificate_to_json(trivialize_torsion(w)), sort_keys=True)
     d2_ = json.dumps(certificate_to_json(trivialize_torsion(w)), sort_keys=True)
     assert d1 == d2_
+
+
+# -- the verifier's checks --------------------------------------------------
+
+
+def z3_generator_cocycle():
+    g = cyclic_group(3)
+    m = trivial_module(g, [3])
+    return Cochain(g, m, 2, {(i, j): (1,) for i in (1, 2) for j in (1, 2) if i + j >= 3})
+
+
+def test_sampled_verification_note_names_the_limit():
+    cert = trivialize_torsion(z2_generator_cocycle())
+    report = verify_certificate(cert, max_entries=10, seed=5, sample_size=50)
+    check = next(c for c in report.checks if c.name == "alpha-trivializes")
+    assert check.ok
+    assert check.note == "sampled, 50 tuples; |Gamma|^2 = 16 tuples exceed the limit 10"
+    assert report.verification == cert.verification  # certificate data untouched
+
+
+def test_restriction_check_witness_is_a_delta_defect():
+    cert = trivialize_torsion(z3_generator_cocycle())
+    ext = cert.extension
+    assert _check_restriction(ext, cert.alpha, None).ok
+    m = cert.alpha.coeffs
+    a = 5  # a nonzero kernel element that is not a generator
+    vals = dict(cert.alpha.values)
+    vals[(ext.iota(a),)] = m.add(cert.alpha.evaluate((ext.iota(a),)), (1,))
+    corrupted = Cochain(ext, m, 1, vals)
+    check = _check_restriction(ext, corrupted, None)
+    assert check.ok is False and check.witness is not None
+    restricted = restrict_cochain(ext, corrupted)
+    assert not m.is_zero(coboundary_value(restricted, check.witness))
+
+
+def _restriction_cases():
+    certs = [
+        trivialize_torsion(z2_generator_cocycle()),
+        trivialize_torsion(z3_generator_cocycle()),
+        trivialize_general(h4_z2_generator()).stages["stage1"],
+    ]
+    g = cyclic_group(2)
+    m = trivial_module(g, [2])
+    certs.append(trivialize_torsion(Cochain(g, m, 3, {(1, 1, 1): (1,)})))
+    for cert in certs:
+        yield cert.extension, cert.alpha
+        m = cert.alpha.coeffs
+        for tup in itertools.islice(nonid_tuples(cert.extension.order, cert.alpha.degree), 0, 40, 7):
+            vals = dict(cert.alpha.values)
+            vals[tup] = m.add(cert.alpha.evaluate(tup), (1,) * m.dim)
+            yield cert.extension, Cochain(cert.extension, m, cert.alpha.degree, vals)
+
+
+def test_restriction_check_agrees_with_restricted_cocycle_check():
+    outcomes = set()
+    for ext, alpha in _restriction_cases():
+        check = _check_restriction(ext, alpha, None)
+        exact = first_cocycle_defect(restrict_cochain(ext, alpha)) is None
+        assert check.ok is exact
+        outcomes.add(exact)
+    assert outcomes == {True, False}
+
+
+def test_kernel_cocycle_failure_is_rejected_with_witness():
+    cert = trivialize_torsion(z3_generator_cocycle())
+    data = certificate_to_json(cert)
+    entry = data["c"]["values"][0]
+    entry["value"] = [(v + 1) % 3 for v in entry["value"]]
+    with pytest.raises(NotACocycle) as exc:
+        certificate_from_json(data)
+    assert exc.value.witness is not None and len(exc.value.witness) == 3
+
+
+# -- self-checks that survive python -O ---------------------------------------
+
+SELF_CHECK_SCRIPT = textwrap.dedent("""
+    from groupcoh import Cochain, cyclic_group, trivial_module, trivialize
+    from groupcoh.errors import SelfCheckFailed
+
+    if __debug__:
+        raise SystemExit("not running under -O")
+
+    def on_call(fn, k, corrupt):
+        # fn with its k-th result (every result when k is 0) replaced
+        calls = [0]
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            out = fn(*args, **kwargs)
+            return corrupt(out) if k in (0, calls[0]) else out
+        return wrapper
+
+    def plus_one(f):
+        tup = next(iter(trivialize.nonid_tuples(f.group.order, f.degree)))
+        vals = dict(f.values)
+        vals[tup] = f.coeffs.add(f.evaluate(tup), (1,) * f.coeffs.dim)
+        return Cochain(f.group, f.coeffs, f.degree, vals)
+
+    def zero(f):
+        return Cochain(f.group, f.coeffs, f.degree)
+
+    def failed(out):
+        return (False, (1,) * 2, out[2])
+
+    g = cyclic_group(2)
+    torsion = Cochain(g, trivial_module(g, [2]), 2, {(1, 1): (1,)})
+    general = Cochain(g, trivial_module(g, [0]), 4, {(1, 1, 1, 1): (1,)})
+    cases = [
+        ("universal_kernel", "first_cocycle_defect", 2, lambda out: (1, 1, 1), torsion),
+        ("witness-cocycle", "first_cocycle_defect", 3, lambda out: (1, 1, 1), torsion),
+        ("witness-d2", "d2", 1, zero, torsion),
+        ("solver-fallback", "verify_lift_primitive", 0, failed, torsion),
+        ("divide", "sub_cochains", 1, plus_one, general),
+        ("eta-primitive", "divide_cochain", 0, zero, general),
+        ("free-component", "sub_cochains", 2, plus_one, general),
+        ("composite", "verify_lift_primitive", 3, failed, general),
+    ]
+    for label, name, k, corrupt, omega in cases:
+        original = getattr(trivialize, name)
+        setattr(trivialize, name, on_call(original, k, corrupt))
+        run = trivialize.trivialize_torsion if omega is torsion else trivialize.trivialize_general
+        try:
+            run(omega)
+        except SelfCheckFailed as exc:
+            print("caught", label, exc)
+        finally:
+            setattr(trivialize, name, original)
+""")
+
+
+def test_trivialize_self_checks_raise_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    caught = [line.split()[1] for line in proc.stdout.splitlines()]
+    assert caught == ["universal_kernel", "witness-cocycle", "witness-d2", "solver-fallback",
+                      "divide", "eta-primitive", "free-component", "composite"], proc.stdout
