@@ -342,6 +342,9 @@ def cochain_to_json(f: Cochain) -> dict:
 
 
 def cochain_from_json(data: dict, group, coeffs: GModule) -> Cochain:
+    degree = data["degree"]
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise ValueError(f"cochain degree {degree!r} is not an integer")
     label_to_idx = {lbl: i for i, lbl in enumerate(group.elements)}
     vals = {}
     for entry in data.get("values", []):
@@ -349,7 +352,7 @@ def cochain_from_json(data: dict, group, coeffs: GModule) -> Cochain:
         if 0 in tup:
             raise ValueError(f"input tuple {entry['tuple']} contains the identity")
         vals[tup] = tuple(entry["value"])
-    return Cochain(group, coeffs, data["degree"], vals)
+    return Cochain(group, coeffs, degree, vals)
 
 
 def load_cochain(path: str, group, coeffs) -> Cochain:

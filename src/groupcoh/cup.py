@@ -4,9 +4,9 @@ differential that kills lifted cocycles."""
 
 from __future__ import annotations
 
-from .cochains import Cochain, first_cocycle_defect
+from .cochains import Cochain, first_cocycle_defect, neg_cochain
 from .errors import GroupMismatch, NotACocycle, PairingMismatch
-from .modules import GModule, HomModule, TensorModule, tensor_module
+from .modules import GModule, HomModule, tensor_module
 
 
 class Pairing:
@@ -132,7 +132,8 @@ def cup(alpha: Cochain, beta: Cochain):
 
 def d2(b: Cochain, c: Cochain) -> Cochain:
     """d2(b)(g_1..g_{r+2}) = -b_{(g_1..g_r)}((g_1...g_r) . c(g_{r+1}, g_{r+2}))
-    for b with values in Hom(A, M) and c a 2-cocycle valued in A."""
+    for b with values in Hom(A, M) and c a 2-cocycle valued in A: the
+    negated cup product of b and c under the evaluation pairing."""
     hom = b.coeffs
     if not isinstance(hom, HomModule):
         raise PairingMismatch("witness cochain must take values in a Hom-module")
@@ -143,18 +144,6 @@ def d2(b: Cochain, c: Cochain) -> Cochain:
     defect = first_cocycle_defect(c)
     if defect is not None:
         raise NotACocycle("d2 requires a 2-cocycle", witness=defect)
-    group = b.group
-    target = hom.target
-    vals = {}
-    prefixes = b.values.items() if b.degree > 0 else [((), b.evaluate(()))]
-    for prefix, fv in prefixes:
-        gprod = group.product(prefix)
-        for (g, h), cv in c.values.items():
-            a = hom.source.act(gprod, cv)
-            v = target.neg(hom.evaluate(fv, a))
-            if target.is_zero(v):
-                continue
-            tup = prefix + (g, h)
-            cur = vals.get(tup)
-            vals[tup] = v if cur is None else target.add(cur, v)
-    return Cochain(group, target, b.degree + 2, vals)
+    pairing = Pairing(hom, hom.source, hom.target,
+                      fn=lambda f, a: hom.evaluate(f, a), check=False)
+    return neg_cochain(cup_with_pairing(pairing, b, c))

@@ -19,6 +19,7 @@ from scratch.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -37,7 +38,6 @@ from .cochains import (
     first_cocycle_defect,
     max_entries_limit,
     nonid_tuples,
-    solve_coboundary,
     sub_cochains,
 )
 from .cup import d2
@@ -45,6 +45,7 @@ from .errors import (
     DegreeMismatch,
     DegreeTooLow,
     ExponentMismatch,
+    GroupMismatch,
     NonTorsionValue,
     NotACocycle,
     ResourceLimit,
@@ -53,7 +54,6 @@ from .errors import (
 from .extensions import (
     GroupExtension,
     build_extension,
-    kernel_view,
     lift_cochain,
     module_through_projection,
     restrict_cochain,
@@ -168,11 +168,11 @@ def build_witness(omega: Cochain, kernel: GModule, c: Cochain) -> Cochain:
 
 def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
                       max_entries=None) -> Cochain:
-    """Candidate primitive alpha((a_1,g_1)..(a_{n-1},g_{n-1})) =
+    """The primitive alpha((a_1,g_1)..(a_{n-1},g_{n-1})) =
     (-1)^n b_(g_1..g_{n-2})((g_1...g_{n-2}) . a_{n-1}).
 
-    Extrapolated from the degree-2 case; callers must validate
-    delta_Gamma alpha = pi^* omega before trusting it.
+    Exact: alpha = +-(pi^* b cup s) with s(a, g) = a and delta s = -pi^* c,
+    so the Leibniz rule and delta b = 0 give delta alpha = pi^* d2(b, c).
     """
     n = omega.degree
     limit = max_entries_limit(max_entries)
@@ -186,7 +186,6 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
     images_cache = {
         prefix: hom.images(v) for prefix, v in witness.values.items()
     }
-    zero_images = [module.zero()] * hom.source.dim
     vals = {}
     for tup in nonid_tuples(ext.order, n - 1):
         pairs = [divmod(i, ng) for i in tup]
@@ -214,95 +213,112 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
 # -- verification of delta_Gamma alpha = pi^* omega ------------------------
 
 
-def _project_tuple(ext: GroupExtension, tup):
-    return tuple(ext.pi(i) for i in tup)
+def _projection(ext: GroupExtension, group):
+    """pi: Gamma -> group on element indices, composed down the tower of
+    extensions from ext to group."""
+    proj, top = list(range(ext.order)), ext
+    while top is not group:
+        if not isinstance(top, GroupExtension):
+            raise GroupMismatch("the cocycle's group is not a base of the extension")
+        proj = [top.pi(i) for i in proj]
+        top = top.base
+    return proj
 
 
 def verify_lift_primitive(ext: GroupExtension, omega: Cochain, alpha: Cochain,
-                          max_entries=None, seed=0,
-                          sample_size=DEFAULT_SAMPLE_SIZE, projector=None):
-    """Check delta_Gamma alpha = pi^* omega over all Gamma^n tuples when
-    that fits the resource limit, else over seeded uniform samples.
+                          max_entries=None, seed=0, sample_size=DEFAULT_SAMPLE_SIZE):
+    """Check delta_Gamma alpha = pi^* omega, with pi projecting Gamma down
+    its tower of extensions to the group of omega, over all Gamma^n tuples
+    when that fits the resource limit, else over seeded uniform samples.
+    The exhaustive check is the indexed sweep whenever the coefficients are
+    finite and their |M|^2 addition table fits the limit too.
 
     Returns (ok, witness, info) with info = {mode, seed, checked}.
-    projector overrides pi (used for composed extensions).
     """
     n = omega.degree
     total = ext.order ** n
     limit = max_entries_limit(max_entries)
-    exhaustive = total <= limit
-    project = projector or (lambda tup: _project_tuple(ext, tup))
-
-    msize = omega.coeffs.size()
-    if (
-        exhaustive
-        and n == 2
-        and projector is None
-        and ext._add is not None
-        and msize is not None
-        and msize <= 4096
-    ):
-        ok, witness = _verify_degree2_indexed(ext, omega, alpha)
-        return ok, witness, {"mode": "exhaustive", "seed": seed, "checked": total}
-
+    proj = _projection(ext, omega.group)
+    if total <= limit:
+        info = {"mode": "exhaustive", "seed": seed, "checked": total}
+        msize = omega.coeffs.size()
+        if msize is not None and msize * msize <= limit:
+            ok, witness = _verify_degree2_indexed(ext, omega, alpha, proj)
+            return ok, witness, info
+        tuples = itertools.product(range(ext.order), repeat=n)
+    else:
+        info = {"mode": "sampled", "seed": seed, "checked": sample_size}
+        rng = random.Random(seed)
+        tuples = (tuple(rng.randrange(ext.order) for _ in range(n))
+                  for _ in range(sample_size))
     coeffs = alpha.coeffs
-
-    def check(tup):
+    for tup in tuples:
         lhs = coboundary_value(alpha, tup)
-        rhs = omega.evaluate(project(tup))
-        return coeffs.reduce(lhs) == coeffs.reduce(rhs)
-
-    if exhaustive:
-        import itertools
-
-        for tup in itertools.product(range(ext.order), repeat=n):
-            if not check(tup):
-                return False, tup, {"mode": "exhaustive", "seed": seed, "checked": total}
-        return True, None, {"mode": "exhaustive", "seed": seed, "checked": total}
-
-    rng = random.Random(seed)
-    for _ in range(sample_size):
-        tup = tuple(rng.randrange(ext.order) for _ in range(n))
-        if not check(tup):
-            return False, tup, {"mode": "sampled", "seed": seed, "checked": sample_size}
-    return True, None, {"mode": "sampled", "seed": seed, "checked": sample_size}
+        rhs = omega.evaluate(tuple(proj[i] for i in tup))
+        if coeffs.reduce(lhs) != coeffs.reduce(rhs):
+            return False, tup, info
+    return True, None, info
 
 
-def _verify_degree2_indexed(ext: GroupExtension, omega: Cochain, alpha: Cochain):
-    """Tight inner loop for the n = 2 exhaustive sweep: everything is
-    pre-indexed so the per-pair work is pure list lookups."""
-    module = omega.coeffs
-    ng = ext.base.order
-    na = len(ext.kernel_elements)
+def _verify_degree2_indexed(ext: GroupExtension, omega: Cochain, alpha: Cochain, proj):
+    """The exhaustive sweep of delta alpha = pi^* omega on element indices,
+    in every degree n >= 2 (the name predates the other degrees).  For each
+    (n-1)-prefix t, in lexicographic order, one row over the last element j
+    gathers t_1 . alpha(t_2..t_{n-1}, j), the inner merges
+    +-alpha(..t_i t_{i+1}.., j) and +-alpha(t); the product term
+    -+alpha(t_1..t_{n-2}, t_{n-1} j) comes from the kernel tables, and the
+    row is compared with pi^* omega(t, .) at once.  Prefixes that touch the
+    identity are skipped: alpha and omega are normalized, so delta alpha and
+    pi^* omega both vanish there.  Returns (ok, first failing tuple)."""
+    module, n, order, base = omega.coeffs, omega.degree, ext.order, ext.base
+    ng = base.order
     madd, mneg, mact = index_tables(module)
-    av = [element_index(module, alpha.evaluate((i,))) for i in range(ext.order)]
-    wt = [
-        [element_index(module, omega.evaluate((g1, g2))) for g2 in range(ng)]
-        for g1 in range(ng)
-    ]
-    act = ext._act
-    coc = ext._coc
-    add = ext._add
-    gt = ext.base.table
+    add = ext._add if ext._add is not None else index_tables(ext.kernel)[0]
+    act, coc = ext._act, ext._coc
+    gt = ([[base.mul(g, h) for h in range(ng)] for g in range(ng)]
+          if isinstance(base, GroupExtension) else base.table)
+    zero = [0] * order
+    rows = {}  # alpha(u, .) as element indices, per (n-2)-prefix u
+    for tup, v in alpha.values.items():
+        row = rows.get(tup[:-1])
+        if row is None:
+            row = rows[tup[:-1]] = [0] * order
+        row[tup[-1]] = element_index(module, v)
+    omega_rows = {}  # pi^* omega(t, .) per projected prefix
+    gorder = omega.group.order
+    last_u, signed = None, None
 
-    for a1 in range(na):
-        add_a1 = add[a1]
-        for g1 in range(ng):
-            i1 = a1 * ng + g1
-            av1 = av[i1]
-            act_g1 = act[g1]
-            coc_g1 = coc[g1]
-            mact_g1 = mact[g1]
-            w_g1 = wt[g1]
-            gt_g1 = gt[g1]
-            for a2 in range(na):
-                ax = add_a1[act_g1[a2]]
-                base2 = a2 * ng
-                for g2 in range(ng):
-                    prod = add[ax][coc_g1[g2]] * ng + gt_g1[g2]
-                    lhs = madd[madd[mact_g1[av[base2 + g2]]][mneg[av[prod]]]][av1]
-                    if lhs != w_g1[g2]:
-                        return False, (i1, base2 + g2)
+    for t in nonid_tuples(order, n - 1):
+        u = t[:-1]
+        row_u = rows.get(u, zero)
+        if u != last_u:
+            # the product term enters with sign (-1)^(n-1)
+            last_u, signed = u, row_u if n % 2 else [mneg[x] for x in row_u]
+        const = row_u[t[-1]]
+        add_const = madd[const if n % 2 == 0 else mneg[const]]
+        act_t = mact[proj[t[0]]]
+        acc = [add_const[act_t[x]] for x in rows.get(t[1:], zero)]
+        for i in range(1, n - 1):
+            merged = rows.get(t[:i - 1] + (ext.mul(t[i - 1], t[i]),) + t[i + 1:])
+            if merged is None:
+                continue
+            if i % 2:
+                acc = [madd[a][mneg[b]] for a, b in zip(acc, merged)]
+            else:
+                acc = [madd[a][b] for a, b in zip(acc, merged)]
+        # t_{n-1} * j for every j, in index order
+        a1, g1 = divmod(t[-1], ng)
+        add_a1, tail = add[a1], list(zip(coc[g1], gt[g1]))
+        prod = [r[c] * ng + h for r in [add[add_a1[b]] for b in act[g1]] for c, h in tail]
+        lhs = [madd[a][signed[p]] for a, p in zip(acc, prod)]
+        pt = tuple(proj[x] for x in t)
+        rhs = omega_rows.get(pt)
+        if rhs is None:
+            wg = [element_index(module, omega.evaluate(pt + (g,))) for g in range(gorder)]
+            rhs = omega_rows[pt] = [wg[x] for x in proj]
+        if lhs != rhs:
+            j = next(j for j in range(order) if lhs[j] != rhs[j])
+            return False, t + (j,)
     return True, None
 
 
@@ -342,11 +358,9 @@ class TrivializationCertificate:
 
     def project(self, tup):
         """Composite projection from the final total group down to G."""
-        if self.mode == "general":
-            e2 = self.stages["stage2"].extension
-            e1 = self.stages["stage1"].extension
-            return tuple(e1.pi(e2.pi(i)) for i in tup)
-        return _project_tuple(self.extension, tup)
+        top = self.stages["stage2"].extension if self.mode == "general" else self.extension
+        proj = _projection(top, self.group)
+        return tuple(proj[i] for i in tup)
 
 
 def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
@@ -383,29 +397,15 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
     ext = build_extension(kernel, c, max_entries)
     try:
         alpha = closed_form_alpha(ext, omega, witness, max_entries)
-        ok, bad, info = verify_lift_primitive(
-            ext, omega, alpha, max_entries, seed, sample_size
-        )
-        if not ok:
-            raise ResourceLimit("closed form failed, falling back to solver")
     except ResourceLimit:
-        alpha = None
-        try:
-            lifted = lift_cochain(ext, omega, max_entries)
-            alpha = solve_coboundary(lifted, max_entries)
-        except ResourceLimit:
-            alpha = None
-        if alpha is None:
-            return TrivializationCertificate(
-                mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
-                cocycle=c, witness=witness, extension=ext, partial=True,
-                verification={"mode": "partial", "seed": seed, "checked": 0},
-            )
-        ok, bad, info = verify_lift_primitive(
-            ext, omega, alpha, max_entries, seed, sample_size
+        return TrivializationCertificate(
+            mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
+            cocycle=c, witness=witness, extension=ext, partial=True,
+            verification={"mode": "partial", "seed": seed, "checked": 0},
         )
-        if not ok:
-            raise SelfCheckFailed(f"trivialize_torsion: solver output failed verification at {bad}")
+    ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries, seed, sample_size)
+    if not ok:
+        raise SelfCheckFailed(f"trivialize_torsion: delta alpha differs from pi^* omega at {bad}")
     return TrivializationCertificate(
         mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
         cocycle=c, witness=witness, extension=ext, alpha=alpha,
@@ -517,10 +517,7 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
         },
         alpha=alpha,
     )
-    ok, bad, info = verify_lift_primitive(
-        ext2, omega, alpha, max_entries, seed, sample_size,
-        projector=cert.project,
-    )
+    ok, bad, info = verify_lift_primitive(ext2, omega, alpha, max_entries, seed, sample_size)
     if not ok:
         raise SelfCheckFailed(f"trivialize_general: composite primitive failed verification at {bad}")
     cert.verification = info
@@ -655,12 +652,16 @@ def _verify_torsion_cert(cert, checks, max_entries, seed, sample_size, prefix=""
     checks.append(Check(prefix + "exponent-annihilates", n_ok, witness=bad,
                         note=f"N={cert.exponent}"))
 
-    defect = first_cocycle_defect(cert.cocycle)
-    checks.append(Check(prefix + "kernel-cocycle", defect is None, witness=defect))
+    c_defect = first_cocycle_defect(cert.cocycle)
+    checks.append(Check(prefix + "kernel-cocycle", c_defect is None, witness=c_defect))
     defect = first_cocycle_defect(cert.witness)
     checks.append(Check(prefix + "witness-cocycle", defect is None, witness=defect))
-    diff = _first_difference(d2(cert.witness, cert.cocycle), omega)
-    checks.append(Check(prefix + "witness-d2", diff is None, witness=diff))
+    # d2 is defined for a 2-cocycle c only
+    if c_defect is None:
+        diff = _first_difference(d2(cert.witness, cert.cocycle), omega)
+        checks.append(Check(prefix + "witness-d2", diff is None, witness=diff))
+    else:
+        checks.append(Check(prefix + "witness-d2", None, note="kernel-cocycle failed"))
 
     if cert.extension is None:
         checks.append(Check(prefix + "extension-axioms", None, note="extension absent"))
@@ -745,10 +746,8 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
         checks.append(Check("alpha-trivializes", None, note="partial certificate"))
         checks.append(Check("alpha-restriction", None, note="partial certificate"))
     else:
-        ok, bad, info = verify_lift_primitive(
-            ext2, omega, cert.alpha, max_entries, seed, sample_size,
-            projector=cert.project,
-        )
+        ok, bad, info = verify_lift_primitive(ext2, omega, cert.alpha, max_entries,
+                                              seed, sample_size)
         checks.append(_trivializes_check("alpha-trivializes", ext2, cert.alpha,
                                          ok, bad, info, max_entries))
         checks.append(_check_restriction(ext2, cert.alpha, max_entries))

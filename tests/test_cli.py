@@ -425,3 +425,14 @@ def test_verify_rejects_wrong_degree_field(capsys, tmp_path, mode, field):
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 4
     assert f"certificate field {field}.degree is 5" in err
+
+
+@pytest.mark.parametrize("degree", ["2", True, 2.5])
+def test_verify_rejects_non_integer_omega_degree_exit_1(capsys, tmp_path, degree):
+    cert_path = _certificate(capsys, tmp_path, "torsion")
+    data = json.loads(cert_path.read_text())
+    data["input"]["omega"]["degree"] = degree
+    cert_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert f"cochain degree {degree!r} is not an integer" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -39,6 +40,7 @@ from groupcoh.errors import (
     NonTorsionValue,
     NotACocycle,
 )
+from groupcoh import trivialize as trivialize_module
 from groupcoh.trivialize import _check_restriction, verify_lift_primitive
 
 
@@ -278,6 +280,17 @@ def test_sampled_verification_mode():
     assert ok and info == {"mode": "sampled", "seed": 5, "checked": 50}
 
 
+@pytest.mark.parametrize("limit", range(4, 9))
+def test_closed_form_resource_limit_gives_partial_certificate(limit):
+    # Gamma = 4 elements fit, the (|Gamma|-1)^2 = 9 alpha tuples do not
+    g = cyclic_group(2)
+    w = Cochain(g, trivial_module(g, [2]), 3, {(1, 1, 1): (1,)})
+    cert = trivialize_torsion(w, max_entries=limit)
+    assert cert.partial and cert.alpha is None
+    assert cert.verification == {"mode": "partial", "seed": 0, "checked": 0}
+    assert certificate_to_json(cert)["gamma"] == {"order": 4}
+
+
 # -- trivialize_general ----------------------------------------------------
 
 
@@ -459,6 +472,21 @@ def test_restriction_check_agrees_with_restricted_cocycle_check():
     assert outcomes == {True, False}
 
 
+def test_library_certificate_with_non_cocycle_c_fails_without_raising():
+    cert = trivialize_torsion(z3_generator_cocycle())
+    c = cert.cocycle
+    vals = dict(c.values)
+    vals[(1, 1)] = c.coeffs.add(c.evaluate((1, 1)), c.coeffs.basis_vector(0))
+    bad = dataclasses.replace(cert, cocycle=Cochain(c.group, c.coeffs, 2, vals))
+    report = verify_certificate(bad)
+    checks = {check.name: check for check in report.checks}
+    assert checks["kernel-cocycle"].ok is False
+    assert checks["kernel-cocycle"].witness is not None
+    assert checks["witness-d2"].ok is None
+    assert checks["witness-d2"].note == "kernel-cocycle failed"
+    assert not report.ok(allow_partial=True)
+
+
 def test_kernel_cocycle_failure_is_rejected_with_witness():
     cert = trivialize_torsion(z3_generator_cocycle())
     data = certificate_to_json(cert)
@@ -467,6 +495,62 @@ def test_kernel_cocycle_failure_is_rejected_with_witness():
     with pytest.raises(NotACocycle) as exc:
         certificate_from_json(data)
     assert exc.value.witness is not None and len(exc.value.witness) == 3
+
+
+# -- the indexed delta alpha = pi^* omega sweep --------------------------------
+
+
+def _brute_force_lift_check(ext, omega, alpha):
+    """delta alpha = pi^* omega one tuple at a time, lexicographically, with
+    pi composed down the tower of extensions element by element."""
+    def project(i):
+        top = ext
+        while top is not omega.group:
+            i, top = top.pi(i), top.base
+        return i
+
+    m = alpha.coeffs
+    for tup in itertools.product(range(ext.order), repeat=omega.degree):
+        lhs = coboundary_value(alpha, tup)
+        rhs = omega.evaluate(tuple(project(i) for i in tup))
+        if m.reduce(lhs) != m.reduce(rhs):
+            return False, tup
+    return True, None
+
+
+def _sweep_cases():
+    g = cyclic_group(2)
+    z2 = trivial_module(g, [2])
+    sign = GModule(g, [4], [[[1]], [[-1]]])
+    certs = [trivialize_torsion(Cochain(g, z2, n, {(1,) * n: (1,)})) for n in range(2, 6)]
+    certs.append(trivialize_torsion(Cochain(g, sign, 2, {(1, 1): (2,)})))
+    certs.append(trivialize_torsion(Cochain(g, sign, 3, {(1, 1, 1): (2,)})))
+    general = trivialize_general(Cochain(g, trivial_module(g, [4]), 4, {(1,) * 4: (1,)}))
+    assert general.stages["stage2"].extension.base is general.stages["stage1"].extension
+    for cert in certs + [general]:
+        ext = cert.stages["stage2"].extension if cert.mode == "general" else cert.extension
+        alpha = cert.alpha
+        yield ext, cert.omega, alpha
+        m = alpha.coeffs
+        step = max(1, (ext.order - 1) ** alpha.degree // 8)
+        for tup in itertools.islice(nonid_tuples(ext.order, alpha.degree), 0, None, step):
+            vals = dict(alpha.values)
+            vals[tup] = m.add(alpha.evaluate(tup), (1,) * m.dim)
+            yield ext, cert.omega, Cochain(ext, m, alpha.degree, vals)
+
+
+def test_indexed_sweep_agrees_with_brute_force(monkeypatch):
+    def per_tuple(*args):
+        raise AssertionError("the per-tuple loop ran")
+
+    monkeypatch.setattr(trivialize_module, "coboundary_value", per_tuple)
+    verdicts = set()
+    for ext, omega, alpha in _sweep_cases():
+        ok, bad, info = verify_lift_primitive(ext, omega, alpha)
+        assert info == {"mode": "exhaustive", "seed": 0, "checked": ext.order ** omega.degree}
+        assert (ok, bad) == _brute_force_lift_check(ext, omega, alpha)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 # -- self-checks that survive python -O ---------------------------------------
