@@ -341,17 +341,50 @@ def cochain_to_json(f: Cochain) -> dict:
     return {"degree": f.degree, "values": entries}
 
 
-def cochain_from_json(data: dict, group, coeffs: GModule) -> Cochain:
+def json_entries(data: dict, group):
+    """(degree, [(index tuple, entry)]) of a serialized cochain, checked
+    before use: the degree is an int, `values` a list of objects, and each
+    `tuple` a list of `degree` labels of non-identity elements; anything
+    else raises ValueError."""
     degree = data["degree"]
-    if not isinstance(degree, int) or isinstance(degree, bool):
+    if type(degree) is not int:
         raise ValueError(f"cochain degree {degree!r} is not an integer")
+    entries = data.get("values", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"cochain values {entries!r} is not a list")
     label_to_idx = {lbl: i for i, lbl in enumerate(group.elements)}
-    vals = {}
-    for entry in data.get("values", []):
-        tup = tuple(label_to_idx[lbl] for lbl in entry["tuple"])
+    out = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"cochain entry {entry!r} is not an object")
+        labels = entry["tuple"]
+        if not isinstance(labels, list) or len(labels) != degree:
+            raise ValueError(f"cochain tuple {labels!r} is not a list of {degree} labels")
+        try:
+            tup = tuple(label_to_idx[lbl] for lbl in labels)
+        except (KeyError, TypeError):
+            raise ValueError(f"cochain tuple {labels!r} names an unknown element") from None
         if 0 in tup:
-            raise ValueError(f"input tuple {entry['tuple']} contains the identity")
-        vals[tup] = tuple(entry["value"])
+            raise ValueError(f"input tuple {labels} contains the identity")
+        out.append((tup, entry))
+    return degree, out
+
+
+def json_int_vector(value, dim: int, where) -> tuple:
+    """value as a tuple, or ValueError unless it is a list of exactly dim
+    ints (bools excluded)."""
+    if not isinstance(value, list) or len(value) != dim or any(type(x) is not int for x in value):
+        raise ValueError(f"cochain value {value!r} at {where} is not a list of {dim} integers")
+    return tuple(value)
+
+
+def cochain_from_json(data: dict, group, coeffs: GModule) -> Cochain:
+    """The cochain a `cochain_to_json` dict describes; a malformed entry
+    (see `json_entries`), or a `value` that is not a list of coeffs.dim
+    ints, raises ValueError."""
+    degree, entries = json_entries(data, group)
+    vals = {tup: json_int_vector(entry["value"], coeffs.dim, entry["tuple"])
+            for tup, entry in entries}
     return Cochain(group, coeffs, degree, vals)
 
 

@@ -3,14 +3,19 @@
 Matrices are row-major lists of lists.  Entries grow without bound during
 elimination, so everything stays in arbitrary precision; no numpy here.
 
-Every routine rests on one Smith normal form elimination, `_snf_full`,
-whose ``track`` keyword builds only the transforms a caller reads:
-`kernel_basis` tracks V, `FactoredMatrix` (and so `solve_integer`) U and
-V, and `cokernel_structure` U and U^-1.  `FactoredMatrix` keeps one
-factorization for solving against many right-hand sides.
+Two eliminations serve every routine.  The integer Smith normal form
+`_snf_full` builds only the transforms a caller reads through its
+``track`` keyword: `kernel_basis` tracks V, `FactoredMatrix` (and so
+`solve_integer`) U and V, and `cokernel_structure` U and U^-1;
+`FactoredMatrix` keeps one factorization for solving against many
+right-hand sides.  `solve_with_moduli` with every row modulus nonzero
+diagonalizes over Z/N instead (`_solve_modulo`), so its entries stay
+below N; a free (0) modulus keeps the augmented integer system.
 """
 
 from __future__ import annotations
+
+import math
 
 Matrix = list  # list[list[int]]
 
@@ -253,9 +258,151 @@ def _augment_moduli(a: Matrix, moduli: list, cols: int):
     return aug, cols + len(rows)
 
 
+def _xgcd(p: int, x: int):
+    """(e, s, u) with s*p + u*x = e = gcd(p, x)."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while x:
+        q, r = divmod(p, x)
+        p, x = x, r
+        s0, s1, u0, u1 = s1, s0 - q * s1, u1, u0 - q * u1
+    return p, s0, u0
+
+
+def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
+    """Solve a @ x = b modulo per-row moduli, all nonzero, over Z/N.
+
+    Row i is scaled by N/moduli[i] (N = lcm of the moduli), so every row
+    holds modulo N, and the matrix is diagonalized over Z/N with entries
+    reduced at every step.  A pivot p clears an entry x outright when
+    gcd(p, N) | x; otherwise a unimodular 2x2 extended-gcd step on the two
+    rows (or columns) replaces p by gcd(p, x), whose gcd with N is a proper
+    divisor of gcd(p, N), so every pivot settles after finitely many steps.
+    Row operations act on b directly; only the column transform V is
+    tracked, and x = V y for the diagonal solution y.
+    """
+    big = math.lcm(*moduli)
+    d = []
+    c = []
+    for row, bi, md in zip(a, b, moduli):
+        scale = big // md
+        d.append([scale * x % big for x in row])
+        c.append(scale * bi % big)
+    m = len(d)
+    vt = identity_matrix(n)  # vt[j] is column j of V
+
+    def row_add(i, j, q):
+        # row_i += q * row_j; rows i, j >= t are zero left of column t
+        d[i][t:] = [(x + q * y) % big for x, y in zip(d[i][t:], d[j][t:])]
+        c[i] = (c[i] + q * c[j]) % big
+
+    def row_pair(i, j, s, u, w, z):
+        # (row_i, row_j) <- (s row_i + u row_j, w row_i + z row_j)
+        ri, rj = d[i][t:], d[j][t:]
+        d[i][t:] = [(s * x + u * y) % big for x, y in zip(ri, rj)]
+        d[j][t:] = [(w * x + z * y) % big for x, y in zip(ri, rj)]
+        c[i], c[j] = (s * c[i] + u * c[j]) % big, (w * c[i] + z * c[j]) % big
+
+    def col_pair(i, j, s, u, w, z):
+        # (col_i, col_j) <- (s col_i + u col_j, w col_i + z col_j); rows
+        # above t are zero in both columns
+        for row in d[t:]:
+            x, y = row[i], row[j]
+            if x or y:
+                row[i], row[j] = (s * x + u * y) % big, (w * x + z * y) % big
+        vi, vj = vt[i], vt[j]
+        vt[i] = [(s * x + u * y) % big for x, y in zip(vi, vj)]
+        vt[j] = [(w * x + z * y) % big for x, y in zip(vi, vj)]
+
+    def quotient(x, p, g):
+        # q with q * p == x (mod N), given g = gcd(p, N) dividing x
+        return x // g * pow(p // g, -1, big // g) % (big // g)
+
+    t = 0
+    while t < min(m, n):
+        # the trailing entry whose gcd with N is least; a unit cannot be
+        # beaten, so stop at the first
+        pivot = None
+        best = big
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                if row[j]:
+                    g = math.gcd(row[j], big)
+                    if g < best:
+                        best, pivot = g, (i, j)
+                        if g == 1:
+                            break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        i, j = pivot
+        d[t], d[i] = d[i], d[t]
+        c[t], c[i] = c[i], c[t]
+        if j != t:
+            for row in d:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
+        settled = False
+        while not settled:
+            p = d[t][t]
+            g = math.gcd(p, big)
+            for i in range(t + 1, m):
+                x = d[i][t]
+                if not x:
+                    continue
+                if x % g == 0:
+                    row_add(i, t, -quotient(x, p, g))
+                else:
+                    e, s, u = _xgcd(p, x)
+                    row_pair(t, i, s, u, -x // e, p // e)
+                    p = e
+                    g = math.gcd(p, big)
+            # column t is clear below the pivot, so clearing row t by a
+            # column operation changes only row t and V
+            settled = True
+            row = d[t]
+            for j in range(t + 1, n):
+                x = row[j]
+                if not x:
+                    continue
+                if x % g == 0:
+                    q = quotient(x, p, g)
+                    row[j] = 0
+                    vt[j] = [(y - q * z) % big for y, z in zip(vt[j], vt[t])]
+                else:
+                    e, s, u = _xgcd(p, x)
+                    col_pair(t, j, s, u, -x // e, p // e)
+                    settled = False
+                    break
+        t += 1
+    y = [0] * n
+    for i in range(m):
+        if i < t:
+            p = d[i][i]
+            g = math.gcd(p, big)
+            if c[i] % g:
+                return None
+            y[i] = quotient(c[i], p, g)
+        elif c[i]:
+            return None
+    x = [0] * n
+    for yj, col in zip(y, vt):
+        if yj:
+            x = [(xi + yj * vj) % big for xi, vj in zip(x, col)]
+    return x
+
+
 def solve_with_moduli(a: Matrix, b: list, moduli: list, cols: int = None):
-    """Solve a @ x = b modulo per-row moduli (0 = exact).  Returns x or None."""
+    """Solve a @ x = b modulo per-row moduli (0 = exact).  Returns x or None.
+
+    With every modulus nonzero the system is solved over Z/N by
+    `_solve_modulo`; a free (0) modulus puts the moduli into extra columns
+    and solves the augmented system over Z.
+    """
     n = len(a[0]) if a else (cols or 0)
+    if all(moduli):
+        return _solve_modulo(a, b, moduli, n)
     aug, aug_cols = _augment_moduli(a, moduli, n)
     sol = solve_integer(aug, b, cols=aug_cols)
     if sol is None:

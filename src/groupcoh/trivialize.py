@@ -36,6 +36,8 @@ from .cochains import (
     cochain_from_json,
     cochain_to_json,
     first_cocycle_defect,
+    json_entries,
+    json_int_vector,
     max_entries_limit,
     nonid_tuples,
     sub_cochains,
@@ -133,7 +135,9 @@ def universal_kernel(group, exponent: int):
 def build_witness(omega: Cochain, kernel: GModule, c: Cochain) -> Cochain:
     """The (n-2)-cochain b with values in Hom(A, M) satisfying d2(b, c) =
     omega: first the pair-symbol transporter Y_(g_1..g_{n-2})(x_{g,h}) =
-    -omega(g_1..g_{n-2},g,h), then b = (g_1...g_{n-2})^{-1} . Y."""
+    -omega(g_1..g_{n-2},g,h), then b(a) = Y(s^{-1} . a) with s =
+    g_1...g_{n-2} acting on A only (the Hom-action s . Y composed with
+    s^{-1} on M), so that b(s . x) = Y(x) as d2 needs."""
     n = omega.degree
     if n < 2:
         raise DegreeTooLow("witness construction needs degree >= 2")
@@ -157,9 +161,9 @@ def build_witness(omega: Cochain, kernel: GModule, c: Cochain) -> Cochain:
                 for h in range(1, order):
                     idx = (g - 1) * nonid + (h - 1)
                     images[idx] = module.neg(omega.evaluate(prefix + (g, h)))
-        y = hom.from_images(images)
-        t = group.inv(group.product(prefix))
-        b = hom.act(t, y)
+        s = group.product(prefix)
+        b = hom.act(s, hom.from_images(images))
+        b = hom.from_images([module.act(group.inv(s), v) for v in hom.images(b)])
         if not hom.is_zero(b):
             vals[prefix] = b
     witness = Cochain(group, hom, n - 2, vals)
@@ -770,12 +774,16 @@ def _witness_to_json(b: Cochain) -> dict:
 
 
 def _witness_from_json(data: dict, group, hom: HomModule) -> Cochain:
-    label_to_idx = {lbl: i for i, lbl in enumerate(group.elements)}
+    degree, entries = json_entries(data, group)
     vals = {}
-    for entry in data.get("values", []):
-        tup = tuple(label_to_idx[lbl] for lbl in entry["tuple"])
-        vals[tup] = hom.from_images([tuple(row) for row in entry["matrix"]])
-    return Cochain(group, hom, data["degree"], vals)
+    for tup, entry in entries:
+        rows = entry["matrix"]
+        if not isinstance(rows, list) or len(rows) != hom.source.dim:
+            raise ValueError(f"witness matrix {rows!r} at {entry['tuple']} does not have "
+                             f"{hom.source.dim} rows")
+        vals[tup] = hom.from_images(
+            [json_int_vector(row, hom.target.dim, entry["tuple"]) for row in rows])
+    return Cochain(group, hom, degree, vals)
 
 
 def certificate_to_json(cert: TrivializationCertificate, embed_group=True) -> dict:

@@ -436,3 +436,39 @@ def test_verify_rejects_non_integer_omega_degree_exit_1(capsys, tmp_path, degree
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 1
     assert f"cochain degree {degree!r} is not an integer" in err
+
+
+VALUE = ("alpha", "values", 0, "value")
+TUPLE = ("alpha", "values", 0, "tuple")
+MATRIX = ("b", "values", 0, "matrix")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (VALUE, ["1"], "is not a list of 1 integers"),
+    (VALUE, [1, 1], "is not a list of 1 integers"),
+    (VALUE, 1, "is not a list of 1 integers"),
+    (VALUE, [True], "is not a list of 1 integers"),
+    (("alpha", "values"), {"tuple": ["g"], "value": [1]}, "is not a list"),
+    (("alpha", "values", 0), ["g"], "is not an object"),
+    (TUPLE, "g", "is not a list of 1 labels"),
+    (TUPLE, ["g", "g"], "is not a list of 1 labels"),
+    (TUPLE, [["g"]], "names an unknown element"),
+    (TUPLE, ["nope"], "names an unknown element"),
+    (MATRIX, [["1"]], "is not a list of 1 integers"),
+    (MATRIX, [[1, 1]], "is not a list of 1 integers"),
+    (MATRIX, [[1], [1]], "does not have 1 rows"),
+    (MATRIX, [1], "is not a list of 1 integers"),
+])
+def test_verify_rejects_malformed_cochain_entry_exit_1(capsys, tmp_path, path, value, message):
+    # a string, a bool or an extra coordinate in a value used to end in a
+    # TypeError or pass unnoticed
+    cert_path = _certificate(capsys, tmp_path, "torsion")
+    data = json.loads(cert_path.read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cert_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert message in err

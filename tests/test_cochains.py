@@ -14,6 +14,7 @@ from groupcoh import (
     averaging_homotopy,
     builtin_group,
     coboundary,
+    cochain_from_function,
     cochain_from_json,
     cochain_to_json,
     cohomology,
@@ -300,6 +301,26 @@ def test_cohomology_factors_each_matrix_once(monkeypatch):
     g = cyclic_group(4)
     assert cohomology(g, trivial_module(g, [4]), 4) == [4]
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("factor, snf_calls", [(4, 0), (0, 1)])
+def test_solve_coboundary_snf_count(monkeypatch, factor, snf_calls):
+    # torsion coefficients are solved over Z/N with no Smith normal form;
+    # a free coefficient keeps the one augmented integer factorization
+    calls = []
+    snf = intlinalg._snf_full
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "_snf_full", counted)
+    g = cyclic_group(4)
+    m = trivial_module(g, [factor])
+    f = coboundary(cochain_from_function(g, m, 2, lambda t: (t[0] * t[1] + 1,)))
+    x = solve_coboundary(f)
+    assert x is not None and coboundary(x) == f
+    assert len(calls) == snf_calls
 
 
 def test_cohomology_trivial_group():

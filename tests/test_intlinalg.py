@@ -202,3 +202,71 @@ def test_snf_diagonal_matches_sympy():
         ref = smith_normal_form(sympy.Matrix(mat), domain=sympy.ZZ)
         theirs = [abs(int(ref[i, i])) for i in range(min(ref.shape)) if ref[i, i]]
         assert ours == theirs
+
+
+# -- solving modulo N against the augmented Smith normal form --------------
+
+MODULI = {
+    "prime": [2, 3, 5, 7],
+    "prime power": [4, 8, 9],
+    "composite": [6, 12],
+    "mixed": [2, 3, 4, 5, 6, 7, 8, 9, 12],
+}
+
+
+def congruent(a, x, b, moduli):
+    """a @ x = b modulo each row's modulus, exactly where it is 0."""
+    return all(ax == bi if md == 0 else (ax - bi) % md == 0
+               for ax, bi, md in zip(la.mat_vec(a, x), b, moduli))
+
+
+def augmented_snf_solve(a, b, moduli, cols):
+    aug, aug_cols = la._augment_moduli(a, moduli, cols)
+    sol = la.solve_integer(aug, b, cols=aug_cols)
+    return None if sol is None else sol[:cols]
+
+
+@pytest.mark.parametrize("kind", list(MODULI))
+def test_solve_modulo_matches_augmented_snf(kind):
+    rng = random.Random(21 + list(MODULI).index(kind))
+    solvable = unsolvable = 0
+    for _ in range(150):
+        rows, cols = rng.randrange(0, 7), rng.randrange(1, 7)
+        a = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
+        if kind == "mixed":
+            moduli = [rng.choice(MODULI[kind]) for _ in range(rows)]
+        else:
+            moduli = [rng.choice(MODULI[kind])] * rows
+        x0 = [rng.randrange(-9, 10) for _ in range(cols)]
+        for b in (la.mat_vec(a, x0), [rng.randrange(-9, 10) for _ in range(rows)]):
+            x = la.solve_with_moduli(a, b, moduli, cols=cols)
+            ref = augmented_snf_solve(a, b, moduli, cols)
+            assert (x is None) == (ref is None)
+            if x is None:
+                unsolvable += 1
+            else:
+                solvable += 1
+                assert len(x) == cols and congruent(a, x, b, moduli)
+    assert solvable and unsolvable
+
+
+def test_solve_modulo_dense_entries_stay_bounded():
+    # the augmented integer SNF does not finish this system within 60 s
+    rng = random.Random(1)
+    a = [[rng.randrange(-50, 51) for _ in range(8)] for _ in range(8)]
+    b = [rng.randrange(-50, 51) for _ in range(8)]
+    x = la.solve_with_moduli(a, b, [7] * 8)
+    assert x is not None and congruent(a, x, b, [7] * 8)
+
+
+def test_solve_with_free_modulus_matches_solve_integer():
+    # one free row keeps the augmented integer path: a @ x = b exactly in
+    # row 0, modulo 4 and 6 in the others
+    a = [[2, 4, -1], [3, 1, 2], [1, -2, 5]]
+    moduli = [0, 4, 6]
+    for b in ([3, 1, 2], [1, 0, 5], [0, 0, 0]):
+        x = la.solve_with_moduli(a, b, moduli)
+        aug, aug_cols = la._augment_moduli(a, moduli, 3)
+        ref = la.solve_integer(aug, b, cols=aug_cols)
+        assert x == (None if ref is None else ref[:3])
+        assert x is not None and congruent(a, x, b, moduli)

@@ -180,6 +180,43 @@ def test_witness_d2_roundtrip_degree3():
     assert d2(b, c) == w
 
 
+def test_witness_d2_roundtrip_twisted_and_noncentral_prefixes():
+    # b(a) = Y(s^-1 . a) acts on A only: acting on Hom(A, M) as a whole
+    # breaks d2(b, c) = omega once M is twisted (C2 by -1 on Z/4) or the
+    # prefix product s has order > 2 (C3)
+    rng = random.Random(4)
+    c2, c3 = cyclic_group(2), cyclic_group(3)
+    sign = GModule(c2, [4], [[[1]], [[-1]]])
+    times2 = GModule(c3, [7], [[[1]], [[2]], [[4]]])
+
+    def delta_random(m, n):
+        return coboundary(cochain_from_function(
+            m.group, m, n - 1, lambda t: (rng.randrange(m.factors[0]),)))
+
+    # a (b + c - [b + c]) / 3 generates H^3(C3; Z/3)
+    carry = cochain_from_function(c3, trivial_module(c3, [3]), 3,
+                                  lambda t: (t[0] * ((t[1] + t[2]) // 3),))
+    omegas = [Cochain(c2, sign, 3, {(1, 1, 1): (1,)}), delta_random(times2, 3),
+              delta_random(times2, 4), carry]
+    for w in omegas:
+        assert not w.is_zero() and is_cocycle(w)
+        a, c = universal_kernel(w.group, w.coeffs.exponent)
+        b = build_witness(w, a, c)
+        assert is_cocycle(b)
+        assert d2(b, c) == w
+
+
+@pytest.mark.parametrize("value", [1, 2, 3])
+def test_trivialize_sign_action_degree3(value):
+    # C2 acting by -1 on Z/4 with omega(t,t,t) = value: every class
+    # trivializes and verifies
+    g = cyclic_group(2)
+    m = GModule(g, [4], [[[1]], [[-1]]])
+    cert = trivialize_torsion(Cochain(g, m, 3, {(1, 1, 1): (value,)}))
+    assert not cert.partial
+    assert verify_certificate(cert).ok()
+
+
 # -- trivialize_torsion ----------------------------------------------------
 
 
