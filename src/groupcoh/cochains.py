@@ -120,7 +120,9 @@ def scale_cochain(n: int, f: Cochain) -> Cochain:
 
 
 def coboundary_value(f: Cochain, tup) -> tuple:
-    """(delta f)(tup) by the standard alternating-sum formula."""
+    """(delta f)(tup) by the standard alternating-sum formula, one tuple at
+    a time: the reference for the row-wise `delta_rows`, and the evaluator
+    of sampled verification."""
     g = f.group
     m = f.coeffs
     n = f.degree
@@ -136,22 +138,91 @@ def coboundary_value(f: Cochain, tup) -> tuple:
     return out
 
 
+def _plus(acc, row, mat):
+    """acc + mat . row, column by column, on coordinate-major rows; acc
+    None is zero."""
+    out = []
+    for c, mrow in enumerate(mat):
+        col = acc[c] if acc is not None else [0] * len(row[0])
+        for a, r in zip(mrow, row):
+            if a:
+                col = [x + a * y for x, y in zip(col, r)]
+        out.append(col)
+    return out
+
+
+def delta_rows(f: Cochain):
+    """(t, row) for every n-prefix t of non-identity elements (n =
+    f.degree), lexicographically, where row[c][j] is coordinate c of
+    (delta f)(t, j) for every element j: plain ints, reduced modulo each
+    torsion factor and unreduced on a free one.  The row sums
+    t_1 . f(t_2..t_n, .) (skipped when t_1 acts as the identity), the inner
+    merges (-1)^i f(..t_i t_{i+1}.., .), (-1)^n f(t_1..t_{n-1}, t_n j)
+    gathered through group.mul_row(t_n), and the constant (-1)^(n+1) f(t).
+    Degree 0 is the single row j . f() - f().  Only the prefixes in f's
+    support get a table row; rows may share lists, so callers must not
+    modify them."""
+    group, m, n = f.group, f.coeffs, f.degree
+    order, factors = group.order, m.factors
+    if n == 0:
+        v = f.evaluate(())
+        images = [m.act(j, v) for j in range(order)]
+        yield (), [[(w[c] - x) % d if d else w[c] - x for w in images]
+                   for c, (x, d) in enumerate(zip(v, factors))]
+        return
+    rows = {}  # f(u, .) per (n-1)-prefix u of the support
+    for tup, v in f.values.items():
+        row = rows.get(tup[:-1])
+        if row is None:
+            row = rows[tup[:-1]] = [[0] * order for _ in factors]
+        for r, x in zip(row, v):
+            r[tup[-1]] = x
+    ident = tuple(map(tuple, la.identity_matrix(m.dim)))
+    minus = [[-x for x in r] for r in ident]
+    zero_row, columns = [[0] * order for _ in factors], range(order)
+    last_u = head = None
+    for t in nonid_tuples(order, n):
+        acc = rows.get(t[1:])
+        if acc is not None and m.action[t[0]] != ident:
+            acc = _plus(None, acc, m.action[t[0]])
+        for i in range(1, n):
+            merged = rows.get(t[:i - 1] + (group.mul(t[i - 1], t[i]),) + t[i + 1:])
+            if merged is not None:
+                acc = _plus(acc, merged, minus if i % 2 else ident)
+        u = t[:-1]
+        if u != last_u:  # (-1)^n f(u, .), the product term's row
+            last_u, head = u, rows.get(u)
+            if head is not None and n % 2:
+                head = [[-x for x in r] for r in head]
+        if head is None:  # then f(t) = 0 too
+            if acc is None:
+                yield t, zero_row
+                continue
+            h_rows, p = zero_row, columns
+        else:
+            h_rows, p = head, group.mul_row(t[-1])
+        # the constant -(-1)^n f(t) is minus the product row at t_n
+        yield t, [[(x + h[j] - v) % d for x, j in zip(a, p)] if d
+                  else [x + h[j] - v for x, j in zip(a, p)]
+                  for a, h, v, d in zip(acc or zero_row, h_rows,
+                                        [h[t[-1]] for h in h_rows], factors)]
+
+
 def coboundary(f: Cochain) -> Cochain:
     vals = {}
-    m = f.coeffs
-    for tup in nonid_tuples(f.group.order, f.degree + 1):
-        v = coboundary_value(f, tup)
-        if not m.is_zero(v):
-            vals[tup] = v
-    return Cochain(f.group, m, f.degree + 1, vals)
+    for t, row in delta_rows(f):
+        if any(map(any, row)):
+            for j, v in enumerate(zip(*row)):
+                if any(v):
+                    vals[t + (j,)] = v
+    return Cochain(f.group, f.coeffs, f.degree + 1, vals)
 
 
 def first_cocycle_defect(f: Cochain):
     """First tuple where delta f is nonzero, or None when f is a cocycle."""
-    m = f.coeffs
-    for tup in nonid_tuples(f.group.order, f.degree + 1):
-        if not m.is_zero(coboundary_value(f, tup)):
-            return tup
+    for t, row in delta_rows(f):
+        if any(map(any, row)):
+            return t + (next(j for j, v in enumerate(zip(*row)) if any(v)),)
     return None
 
 

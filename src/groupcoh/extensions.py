@@ -74,6 +74,22 @@ class GroupExtension:
         a = self.add_kernel(self.add_kernel(a1, self._act[g1][a2]), self._coc[g1][g2])
         return a * ng + self.base.mul(g1, g2)
 
+    def mul_row(self, i: int):
+        """i * j for every element j, in index order: with (a,g) = i and
+        j = (b,h), a-major, the kernel part (a + g.b) + c(g,h) is read from
+        the addition table one h at a time, and gh from the base's row."""
+        if self._add is None:
+            return [self.mul(i, j) for j in range(self.order)]
+        add, ng = self._add, self.base.order
+        a, g = divmod(i, ng)
+        add_a = add[a]
+        shifted = [add_a[b] for b in self._act[g]]
+        out = [0] * self.order
+        for h, (c, gh) in enumerate(zip(self._coc[g], self.base.mul_row(g))):
+            col = add[c]
+            out[h::ng] = [col[x] * ng + gh for x in shifted]
+        return out
+
     def inv(self, i: int) -> int:
         """(a,g)^-1 = (-g^-1.(a + c(g,g^-1)), g^-1)."""
         a, g = divmod(i, self.base.order)

@@ -27,6 +27,10 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self.inverse[i]
 
+    def mul_row(self, g: int):
+        """g * j for every element j, in index order."""
+        return self.table[g]
+
     @property
     def is_abelian(self) -> bool:
         t = self.table
@@ -220,7 +224,19 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(data: dict) -> FiniteGroup:
-    return group_from_table(data["table"], labels=data.get("elements"))
+    """The group of a `group_to_json` dict; a table that is not a square
+    list of lists of ints (bools excluded), or elements that are not one
+    distinct string label per row, raise ValueError."""
+    table, labels = data["table"], data.get("elements")
+    if not isinstance(table, list) or not all(
+            isinstance(row, list) and len(row) == len(table)
+            and all(type(x) is int for x in row) for row in table):
+        raise ValueError(f"group table {table!r} is not a square list of lists of integers")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == len(table)
+                                   and all(isinstance(lbl, str) for lbl in labels)
+                                   and len(set(labels)) == len(labels)):
+        raise ValueError(f"group elements {labels!r} are not {len(table)} distinct labels")
+    return group_from_table(table, labels=labels)
 
 
 def load_group(path: str) -> FiniteGroup:

@@ -530,14 +530,24 @@ def module_to_json(m: GModule, embed_group=True) -> dict:
 def module_from_json(data: dict, group: FiniteGroup = None) -> GModule:
     if group is None:
         group = group_from_json(data["group"])
+    factors = data["factors"]
+    if not isinstance(factors, list) or any(type(d) is not int or d < 0 for d in factors):
+        raise ValueError(f"module factors {factors!r} are not a list of integers >= 0")
+    k = len(factors)
     label_to_idx = {lbl: i for i, lbl in enumerate(group.elements)}
-    k = len(data["factors"])
-    ident = la.identity_matrix(k)
-    action = [ident] * group.order
-    action = list(action)
-    for lbl, mat in data.get("action", {}).items():
+    action = [la.identity_matrix(k)] * group.order
+    matrices = data.get("action", {})
+    if not isinstance(matrices, dict):
+        raise ValueError(f"module action {matrices!r} is not an object of label -> matrix")
+    for lbl, mat in matrices.items():
+        if lbl not in label_to_idx:
+            raise ValueError(f"module action names an unknown element {lbl!r}")
+        if not isinstance(mat, list) or len(mat) != k or not all(
+                isinstance(row, list) and len(row) == k and all(type(x) is int for x in row)
+                for row in mat):
+            raise ValueError(f"module action of {lbl!r} is not a {k}x{k} integer matrix: {mat!r}")
         action[label_to_idx[lbl]] = mat
-    return GModule(group, data["factors"], action)
+    return GModule(group, factors, action)
 
 
 def load_module(path: str, group: FiniteGroup = None) -> GModule:

@@ -19,12 +19,12 @@ from scratch.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 
+from . import cochains
 from . import intlinalg as la
 from .cochains import (
     Cochain,
@@ -35,6 +35,7 @@ from .cochains import (
     coboundary_value,
     cochain_from_json,
     cochain_to_json,
+    delta_rows,
     first_cocycle_defect,
     json_entries,
     json_int_vector,
@@ -65,7 +66,6 @@ from .modules import (
     GModule,
     HomModule,
     element_index,
-    index_tables,
     module_from_json,
     module_to_json,
     torsion_submodule,
@@ -233,95 +233,50 @@ def verify_lift_primitive(ext: GroupExtension, omega: Cochain, alpha: Cochain,
                           max_entries=None, seed=0, sample_size=DEFAULT_SAMPLE_SIZE):
     """Check delta_Gamma alpha = pi^* omega, with pi projecting Gamma down
     its tower of extensions to the group of omega, over all Gamma^n tuples
-    when that fits the resource limit, else over seeded uniform samples.
-    The exhaustive check is the indexed sweep whenever the coefficients are
-    finite and their |M|^2 addition table fits the limit too.
+    by the row-wise sweep when |Gamma|^n fits the resource limit, for every
+    coefficient module, else over seeded uniform samples one tuple at a time.
 
     Returns (ok, witness, info) with info = {mode, seed, checked}.
     """
     n = omega.degree
     total = ext.order ** n
-    limit = max_entries_limit(max_entries)
     proj = _projection(ext, omega.group)
-    if total <= limit:
-        info = {"mode": "exhaustive", "seed": seed, "checked": total}
-        msize = omega.coeffs.size()
-        if msize is not None and msize * msize <= limit:
-            ok, witness = _verify_degree2_indexed(ext, omega, alpha, proj)
-            return ok, witness, info
-        tuples = itertools.product(range(ext.order), repeat=n)
-    else:
-        info = {"mode": "sampled", "seed": seed, "checked": sample_size}
-        rng = random.Random(seed)
-        tuples = (tuple(rng.randrange(ext.order) for _ in range(n))
-                  for _ in range(sample_size))
-    coeffs = alpha.coeffs
-    for tup in tuples:
-        lhs = coboundary_value(alpha, tup)
-        rhs = omega.evaluate(tuple(proj[i] for i in tup))
-        if coeffs.reduce(lhs) != coeffs.reduce(rhs):
-            return False, tup, info
-    return True, None, info
+    if total <= max_entries_limit(max_entries):
+        ok, witness = _verify_degree2_indexed(omega, alpha, proj)
+        return ok, witness, {"mode": "exhaustive", "seed": seed, "checked": total}
+    bad = _sampled_defect(omega, alpha, proj, seed, sample_size, coboundary_value)
+    return bad is None, bad, {"mode": "sampled", "seed": seed, "checked": sample_size}
 
 
-def _verify_degree2_indexed(ext: GroupExtension, omega: Cochain, alpha: Cochain, proj):
-    """The exhaustive sweep of delta alpha = pi^* omega on element indices,
-    in every degree n >= 2 (the name predates the other degrees).  For each
-    (n-1)-prefix t, in lexicographic order, one row over the last element j
-    gathers t_1 . alpha(t_2..t_{n-1}, j), the inner merges
-    +-alpha(..t_i t_{i+1}.., j) and +-alpha(t); the product term
-    -+alpha(t_1..t_{n-2}, t_{n-1} j) comes from the kernel tables, and the
-    row is compared with pi^* omega(t, .) at once.  Prefixes that touch the
-    identity are skipped: alpha and omega are normalized, so delta alpha and
-    pi^* omega both vanish there.  Returns (ok, first failing tuple)."""
-    module, n, order, base = omega.coeffs, omega.degree, ext.order, ext.base
-    ng = base.order
-    madd, mneg, mact = index_tables(module)
-    add = ext._add if ext._add is not None else index_tables(ext.kernel)[0]
-    act, coc = ext._act, ext._coc
-    gt = ([[base.mul(g, h) for h in range(ng)] for g in range(ng)]
-          if isinstance(base, GroupExtension) else base.table)
-    zero = [0] * order
-    rows = {}  # alpha(u, .) as element indices, per (n-2)-prefix u
-    for tup, v in alpha.values.items():
-        row = rows.get(tup[:-1])
-        if row is None:
-            row = rows[tup[:-1]] = [0] * order
-        row[tup[-1]] = element_index(module, v)
+def _sampled_defect(omega: Cochain, alpha: Cochain, proj, seed, count, delta):
+    """First of count seeded uniform Gamma^n tuples where delta(alpha, tuple)
+    differs from pi^* omega, or None."""
+    rng = random.Random(seed)
+    m = alpha.coeffs
+    for _ in range(count):
+        tup = tuple(rng.randrange(alpha.group.order) for _ in range(omega.degree))
+        if m.reduce(delta(alpha, tup)) != m.reduce(omega.evaluate(tuple(proj[i] for i in tup))):
+            return tup
+    return None
+
+
+def _verify_degree2_indexed(omega: Cochain, alpha: Cochain, proj):
+    """The exhaustive sweep of delta alpha = pi^* omega in every degree n >= 2:
+    each row of `delta_rows(alpha)` is compared with pi^* omega(t, .) at
+    once.  Prefixes that touch the identity are not swept: alpha and omega
+    are normalized, so delta alpha and pi^* omega both vanish there.  The
+    name predates the other degrees and is kept because perfbench/tracer.py
+    patches it.  Returns (ok, first failing tuple)."""
+    gorder, k = omega.group.order, omega.coeffs.dim
     omega_rows = {}  # pi^* omega(t, .) per projected prefix
-    gorder = omega.group.order
-    last_u, signed = None, None
-
-    for t in nonid_tuples(order, n - 1):
-        u = t[:-1]
-        row_u = rows.get(u, zero)
-        if u != last_u:
-            # the product term enters with sign (-1)^(n-1)
-            last_u, signed = u, row_u if n % 2 else [mneg[x] for x in row_u]
-        const = row_u[t[-1]]
-        add_const = madd[const if n % 2 == 0 else mneg[const]]
-        act_t = mact[proj[t[0]]]
-        acc = [add_const[act_t[x]] for x in rows.get(t[1:], zero)]
-        for i in range(1, n - 1):
-            merged = rows.get(t[:i - 1] + (ext.mul(t[i - 1], t[i]),) + t[i + 1:])
-            if merged is None:
-                continue
-            if i % 2:
-                acc = [madd[a][mneg[b]] for a, b in zip(acc, merged)]
-            else:
-                acc = [madd[a][b] for a, b in zip(acc, merged)]
-        # t_{n-1} * j for every j, in index order
-        a1, g1 = divmod(t[-1], ng)
-        add_a1, tail = add[a1], list(zip(coc[g1], gt[g1]))
-        prod = [r[c] * ng + h for r in [add[add_a1[b]] for b in act[g1]] for c, h in tail]
-        lhs = [madd[a][signed[p]] for a, p in zip(acc, prod)]
+    for t, row in delta_rows(alpha):
         pt = tuple(proj[x] for x in t)
         rhs = omega_rows.get(pt)
         if rhs is None:
-            wg = [element_index(module, omega.evaluate(pt + (g,))) for g in range(gorder)]
-            rhs = omega_rows[pt] = [wg[x] for x in proj]
-        if lhs != rhs:
-            j = next(j for j in range(order) if lhs[j] != rhs[j])
+            wg = [omega.evaluate(pt + (g,)) for g in range(gorder)]
+            rhs = omega_rows[pt] = [[wg[x][c] for x in proj] for c in range(k)]
+        if row != rhs:
+            j = next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*rhs))) if v != w)
             return False, t + (j,)
     return True, None
 
@@ -410,6 +365,13 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
     ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries, seed, sample_size)
     if not ok:
         raise SelfCheckFailed(f"trivialize_torsion: delta alpha differs from pi^* omega at {bad}")
+    # the textbook formula of cochains on a few tuples: a spot-check of the
+    # row-wise sweep, independent of it, on every primitive emitted
+    bad = _sampled_defect(omega, alpha, _projection(ext, group), seed, 16,
+                          cochains.coboundary_value)
+    if bad is not None:
+        raise SelfCheckFailed(f"trivialize_torsion: the textbook delta alpha differs from "
+                              f"pi^* omega at {bad}")
     return TrivializationCertificate(
         mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
         cocycle=c, witness=witness, extension=ext, alpha=alpha,
@@ -834,26 +796,51 @@ def _expect_degree(field, data, expected):
         )
 
 
+def _expect_field(field, value, expected):
+    """Reject a declared certificate field whose value (of the same type:
+    1 is not True) is not the one the rest of the certificate fixes."""
+    if type(value) is not type(expected) or value != expected:
+        raise ValueError(f"certificate field {field} is {value!r}, expected {expected!r}")
+
+
+def _load_field(field, load, *args):
+    """load(*args), with a ValueError naming the certificate field loaded."""
+    try:
+        return load(*args)
+    except ValueError as exc:
+        raise ValueError(f"certificate field {field}: {exc}") from None
+
+
 def certificate_from_json(data: dict, group=None, max_entries=None,
                           field="") -> TrivializationCertificate:
     """Rebuild a certificate.  Every degree is checked against the input
-    degree n before anything is built; field prefixes the field names in
-    that error (it names the stage of a nested certificate)."""
+    degree n before anything is built, and the declared fields `format`,
+    `partial` (true exactly when alpha is absent), `N` and `gamma.order`
+    against what they declare; field prefixes the field names in those
+    errors (it names the stage of a nested certificate)."""
+    _expect_field(field + "format", data.get("format"), "groupcoh-certificate")
     if group is None:
-        group = group_from_json(data["input"]["group"])
-    module = module_from_json(data["input"]["module"], group)
+        group = _load_field(field + "input.group", group_from_json, data["input"]["group"])
+    module = _load_field(field + "input.module", module_from_json, data["input"]["module"], group)
     omega = cochain_from_json(data["input"]["omega"], group, module)
     n = omega.degree
     _expect_degree(field + "input", data["input"], n)
     if data.get("alpha") is not None:
         _expect_degree(field + "alpha", data["alpha"], n - 1)
     partial = data.get("partial", False)
+    _expect_field(field + "partial", partial, data.get("alpha") is None)
     verification = data.get("verification", {})
 
     if data["mode"] == "torsion":
+        exponent = data["N"]
+        if type(exponent) is not int or exponent < 1:
+            raise ValueError(f"certificate field {field}N is {exponent!r}, expected an integer >= 1")
         _expect_degree(field + "c", data["c"], 2)
         _expect_degree(field + "b", data["b"], n - 2)
-        kernel = module_from_json(data["kernel"], group)
+        kernel = _load_field(field + "kernel", module_from_json, data["kernel"], group)
+        if not kernel.is_torsion:
+            raise ValueError(f"certificate field {field}kernel.factors is {list(kernel.factors)}, "
+                             "expected integers >= 1")
         c = cochain_from_json(data["c"], group, kernel)
         hom = HomModule(kernel, module)
         b = _witness_from_json(data["b"], group, hom)
@@ -861,11 +848,14 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
         alpha = None
         if data.get("gamma") is not None:
             ext = build_extension(kernel, c, max_entries)
+            gamma = data["gamma"]
+            _expect_field(field + "gamma.order",
+                          gamma.get("order") if isinstance(gamma, dict) else gamma, ext.order)
             if data.get("alpha") is not None:
                 coeffs = module_through_projection(ext, module)
                 alpha = cochain_from_json(data["alpha"], ext, coeffs)
         return TrivializationCertificate(
-            mode="torsion", omega=omega, exponent=data["N"], kernel=kernel,
+            mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
             cocycle=c, witness=b, extension=ext, alpha=alpha, partial=partial,
             verification=verification,
         )
@@ -887,6 +877,9 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
     stage1 = certificate_from_json(st["stage1"], group=group, max_entries=max_entries,
                                    field=f"{field}stages.stage1.")
     ext1 = stage1.extension
+    if ext1 is None:
+        raise ValueError(f"certificate field {field}stages.stage1.gamma is None, but the "
+                         "later stages live on the stage-1 extension")
     mfree_g = module_through_projection(ext1, mfree)
     eta = cochain_from_json(st["eta"], ext1, mfree_g)
     module_g = module_through_projection(ext1, module)

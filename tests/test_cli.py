@@ -472,3 +472,35 @@ def test_verify_rejects_malformed_cochain_entry_exit_1(capsys, tmp_path, path, v
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize("mode, path, value, message", [
+    ("torsion", ("N",), "x", "field N is 'x'"),
+    ("torsion", ("N",), None, "field N is None"),
+    ("torsion", ("kernel", "factors"), [-1], "field kernel: module factors [-1]"),
+    ("torsion", ("input", "module", "factors"), [None], "field input.module: module factors"),
+    ("torsion", ("input", "module", "action"), "x", "field input.module: module action 'x'"),
+    ("torsion", ("input", "group", "table"), "x", "field input.group: group table 'x'"),
+    ("torsion", ("input", "group", "table"), [[0, "x"], [1, 0]], "field input.group: group table"),
+    ("torsion", ("input", "group", "elements"), 5, "field input.group: group elements 5"),
+    ("torsion", ("gamma", "order"), 10 ** 6, "field gamma.order is 1000000, expected 4"),
+    ("torsion", ("partial",), "x", "field partial is 'x', expected False"),
+    ("torsion", ("partial",), True, "field partial is True, expected False"),
+    ("torsion", ("format",), "x", "field format is 'x'"),
+    ("general", ("stages", "stage1", "gamma"), None, "field stages.stage1.gamma is None"),
+])
+def test_verify_rejects_malformed_or_wrong_declared_field_exit_1(capsys, tmp_path, mode, path,
+                                                                 value, message):
+    # the N, module, group and general-mode cases used to end in a
+    # TypeError, AttributeError or SourceNotTorsion traceback, and the
+    # declared gamma.order, partial and format fields to verify with exit 0
+    cert_path = _certificate(capsys, tmp_path, mode)
+    data = json.loads(cert_path.read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cert_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert "certificate " + message in err

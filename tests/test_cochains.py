@@ -372,6 +372,80 @@ def test_cochain_json_roundtrip():
     assert f2 == f
 
 
+# -- the row-wise delta against the textbook formula ---------------------------
+
+
+def _brute_delta(f):
+    """(values of delta f, first tuple where it is nonzero), one
+    coboundary_value at a time over every (n+1)-tuple, lexicographically."""
+    m = f.coeffs
+    vals, first = {}, None
+    for tup in nonid_tuples(f.group.order, f.degree + 1):
+        v = m.reduce(coboundary_value(f, tup))
+        if not m.is_zero(v):
+            vals[tup] = v
+            first = first or tup
+    return vals, first
+
+
+def _delta_case(label):
+    """(group, module, degrees) of a named case: every kind of coefficient
+    module, on a FiniteGroup, a GroupExtension and a two-level tower."""
+    from groupcoh import build_extension, module_through_projection, trivialize_torsion
+
+    c2, c4, s3 = cyclic_group(2), cyclic_group(4), symmetric_group(3)
+    sign4 = GModule(c2, [4], [[[1]], [[-1]]])
+    z_sgn = GModule(c2, [0], [[[1]], [[-1]]])
+    z2 = trivial_module(c2, [2])
+    ext = build_extension(z2, Cochain(c2, z2, 2, {(1, 1): (1,)}))  # Z/4
+    a2 = trivial_module(ext, [2])
+    # the C2 class inflated to Z/4: an extension of order 8 over ext
+    tower = build_extension(a2, Cochain(ext, a2, 2, {t: (1,) for t in
+                                                     itertools.product((1, 3), repeat=2)}))
+    cert = trivialize_torsion(Cochain(c2, z2, 3, {(1, 1, 1): (1,)}))
+    return {
+        "trivial Z/2 on C2": (c2, z2, range(6)),
+        "C2 by -1 on Z/4": (c2, sign4, range(6)),
+        "free Z on C4": (c4, trivial_module(c4, [0]), range(5)),
+        "Z_sgn on C2": (c2, z_sgn, range(6)),
+        "Z/2 + Z on S3": (s3, trivial_module(s3, [2, 0]), range(4)),
+        "Z/4 by -1 on an extension": (ext, module_through_projection(ext, sign4), range(5)),
+        "Z_sgn on a tower": (tower, module_through_projection(
+            tower, module_through_projection(ext, z_sgn)), range(4)),
+        "Hom(A, M) witness": (c2, cert.witness.coeffs, range(4)),
+        "universal kernel": (c2, cert.cocycle.coeffs, range(5)),
+    }[label]
+
+
+@pytest.mark.parametrize("label", [
+    "trivial Z/2 on C2", "C2 by -1 on Z/4", "free Z on C4", "Z_sgn on C2", "Z/2 + Z on S3",
+    "Z/4 by -1 on an extension", "Z_sgn on a tower", "Hom(A, M) witness", "universal kernel",
+])
+def test_delta_rows_match_textbook_formula(label):
+    # coboundary and first_cocycle_defect run on delta_rows; both must give
+    # exactly what coboundary_value gives tuple by tuple, first witness
+    # included, on random cochains, on coboundaries and on ~8 corruptions
+    # of each coboundary
+    group, module, degrees = _delta_case(label)
+    rng = random.Random(label)
+    for n in degrees:
+        f = random_cochain(rng, group, module, n)
+        cases = [f]
+        if n:
+            base = coboundary(random_cochain(rng, group, module, n - 1))
+            tuples = list(nonid_tuples(group.order, n))
+            cases.append(base)
+            for tup in tuples[::max(1, len(tuples) // 8)]:
+                vals = dict(base.values)
+                vals[tup] = module.add(base.evaluate(tup), tuple(
+                    rng.randrange(1, d) if d else rng.choice((-1, 1)) for d in module.factors))
+                cases.append(Cochain(group, module, n, vals))
+        for g in cases:
+            vals, first = _brute_delta(g)
+            assert coboundary(g).values == vals, (label, n)
+            assert first_cocycle_defect(g) == first, (label, n)
+
+
 def test_cochain_json_rejects_identity():
     g = cyclic_group(2)
     m = trivial_module(g, [2])

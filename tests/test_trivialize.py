@@ -39,7 +39,9 @@ from groupcoh.errors import (
     ExponentMismatch,
     NonTorsionValue,
     NotACocycle,
+    SelfCheckFailed,
 )
+from groupcoh import cochains as cochains_module
 from groupcoh import trivialize as trivialize_module
 from groupcoh.trivialize import _check_restriction, verify_lift_primitive
 
@@ -564,7 +566,11 @@ def _sweep_cases():
     certs.append(trivialize_torsion(Cochain(g, sign, 3, {(1, 1, 1): (2,)})))
     general = trivialize_general(Cochain(g, trivial_module(g, [4]), 4, {(1,) * 4: (1,)}))
     assert general.stages["stage2"].extension.base is general.stages["stage1"].extension
-    for cert in certs + [general]:
+    # infinite coefficients: Z in degree 6 and Z_sgn in degree 7
+    z_sgn = GModule(g, [0], [[[1]], [[-1]]])
+    infinite = [trivialize_general(Cochain(g, trivial_module(g, [0]), 6, {(1,) * 6: (1,)})),
+                trivialize_general(Cochain(g, z_sgn, 7, {(1,) * 7: (1,)}))]
+    for cert in certs + [general] + infinite:
         ext = cert.stages["stage2"].extension if cert.mode == "general" else cert.extension
         alpha = cert.alpha
         yield ext, cert.omega, alpha
@@ -588,6 +594,48 @@ def test_indexed_sweep_agrees_with_brute_force(monkeypatch):
         assert (ok, bad) == _brute_force_lift_check(ext, omega, alpha)
         verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def test_exhaustive_checks_make_no_per_tuple_calls(monkeypatch):
+    # every exhaustive cocycle check and delta alpha = pi^* omega sweep runs
+    # on delta_rows, so coboundary_value is left to sampled mode
+    g = builtin_group("cyclic:2*cyclic:2")
+    bilinear = {(x, y): (((x >> 1) & 1) * (y & 1),) for x in range(1, 4) for y in range(1, 4)}
+    c2 = cyclic_group(2)
+    z_sgn = GModule(c2, [0], [[[1]], [[-1]]])
+    certs = [
+        trivialize_torsion(Cochain(g, trivial_module(g, [2]), 2, bilinear)),
+        trivialize_general(Cochain(c2, trivial_module(c2, [0]), 6, {(1,) * 6: (1,)})),
+        trivialize_general(Cochain(c2, z_sgn, 7, {(1,) * 7: (1,)})),
+    ]
+    assert certs[0].extension.order == 2048
+    calls = []
+    reference = coboundary_value
+
+    def counted(*args):
+        calls.append(1)
+        return reference(*args)
+
+    monkeypatch.setattr(cochains_module, "coboundary_value", counted)
+    monkeypatch.setattr(trivialize_module, "coboundary_value", counted)
+    for cert in certs:
+        report = verify_certificate(cert)
+        assert report.ok() and cert.verification["mode"] == "exhaustive"
+        assert all("sampled" not in check.note for check in report.checks)
+    ext = certs[0].extension
+    assert len(ext.kernel_elements) == 512
+    assert first_cocycle_defect(restrict_cochain(ext, certs[0].alpha)) is None
+    assert calls == []
+
+
+def test_trivialize_spot_checks_alpha_with_the_textbook_formula(monkeypatch):
+    # a textbook delta that disagrees with the row-wise sweep stops the build
+    def off_by_one(f, tup):
+        return f.coeffs.add(coboundary_value(f, tup), (1,) * f.coeffs.dim)
+
+    monkeypatch.setattr(cochains_module, "coboundary_value", off_by_one)
+    with pytest.raises(SelfCheckFailed, match="textbook delta alpha differs"):
+        trivialize_torsion(z2_generator_cocycle())
 
 
 # -- self-checks that survive python -O ---------------------------------------
