@@ -7,7 +7,8 @@ Exit codes:
   1  usage error (bad flags, missing/inconsistent inputs)
   2  group validation failure (identity/inverse/associativity witness)
   3  resource limit exceeded (override with COCYCLE_MAX_TUPLES) or out of memory
-  4  cocycle or compatibility failure (NotACocycle, mismatched inputs)
+  4  cocycle or compatibility failure (NotACocycle, mismatched inputs,
+     an infinite kernel)
   5  non-torsion value in torsion mode
   6  degree too low for the requested driver
   7  certificate verification failure
@@ -41,6 +42,7 @@ from .errors import (
     NotAssociative,
     PairingMismatch,
     ResourceLimit,
+    SourceNotTorsion,
     UnknownFamily,
     WitnessedError,
 )
@@ -60,6 +62,7 @@ _GROUP_ERRORS = (NoIdentity, NoInverse, NotAssociative, UnknownFamily)
 _MODULE_ERRORS = (BadIdentityAction, ActionNotHomomorphic, ActionBreaksRelations)
 _MISMATCH_ERRORS = (
     NotACocycle, GroupMismatch, PairingMismatch, DegreeMismatch, KernelNotFinite,
+    SourceNotTorsion,
 )
 
 
@@ -98,6 +101,18 @@ def _load_module_arg(spec: str, group):
             raise UnknownFamily(f"bad trivial-module spec {spec!r}")
         return trivial_module(group, factors)
     raise UnknownFamily(f"module spec {spec!r} is neither a file nor trivial:...")
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as a certificate's verification.seed
+    must be (random.Random(-s) draws what random.Random(s) does anyway)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: expected an integer >= 0")
+    return seed
 
 
 def _write_json(data, path):
@@ -242,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--max-entries", type=int, default=None,
                        help="resource limit override (also COCYCLE_MAX_TUPLES)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled verification (default 0)")
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="seed for sampled verification, >= 0 (default 0)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored (no-op); never affects output")
 

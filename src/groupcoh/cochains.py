@@ -151,7 +151,7 @@ def _plus(acc, row, mat):
     return out
 
 
-def delta_rows(f: Cochain):
+def delta_rows(f: Cochain, firsts=None):
     """(t, row) for every n-prefix t of non-identity elements (n =
     f.degree), lexicographically, where row[c][j] is coordinate c of
     (delta f)(t, j) for every element j: plain ints, reduced modulo each
@@ -159,9 +159,10 @@ def delta_rows(f: Cochain):
     t_1 . f(t_2..t_n, .) (skipped when t_1 acts as the identity), the inner
     merges (-1)^i f(..t_i t_{i+1}.., .), (-1)^n f(t_1..t_{n-1}, t_n j)
     gathered through group.mul_row(t_n), and the constant (-1)^(n+1) f(t).
-    Degree 0 is the single row j . f() - f().  Only the prefixes in f's
-    support get a table row; rows may share lists, so callers must not
-    modify them."""
+    Degree 0 is the single row j . f() - f().  With firsts (non-identity
+    indices, n >= 1) only the prefixes whose first element is in firsts
+    are yielded.  Only the prefixes in f's support get a table row; rows
+    may share lists, so callers must not modify them."""
     group, m, n = f.group, f.coeffs, f.degree
     order, factors = group.order, m.factors
     if n == 0:
@@ -181,7 +182,11 @@ def delta_rows(f: Cochain):
     minus = [[-x for x in r] for r in ident]
     zero_row, columns = [[0] * order for _ in factors], range(order)
     last_u = head = None
-    for t in nonid_tuples(order, n):
+    if firsts is None:
+        prefixes = nonid_tuples(order, n)
+    else:
+        prefixes = itertools.product(sorted(firsts), *[range(1, order)] * (n - 1))
+    for t in prefixes:
         acc = rows.get(t[1:])
         if acc is not None and m.action[t[0]] != ident:
             acc = _plus(None, acc, m.action[t[0]])

@@ -90,6 +90,20 @@ class GroupExtension:
             out[h::ng] = [col[x] * ng + gh for x in shifted]
         return out
 
+    def kernel_generators(self) -> list:
+        """Kernel indices of the basis vectors e_j of A that are nonzero (a
+        factor of 1 makes e_j zero)."""
+        kernel = self.kernel
+        gens = (element_index(kernel, kernel.reduce(kernel.basis_vector(j)))
+                for j in range(kernel.dim))
+        return [a for a in gens if a]
+
+    def generators(self) -> list:
+        """iota(e_j) for every kernel generator and (0, s) for every s in
+        base.generators(), recursing down a tower: (a, g) = (a, 1)(0, g)
+        because c is normalized, and the base generators reach every g."""
+        return [self.iota(a) for a in self.kernel_generators()] + list(self.base.generators())
+
     def inv(self, i: int) -> int:
         """(a,g)^-1 = (-g^-1.(a + c(g,g^-1)), g^-1)."""
         a, g = divmod(i, self.base.order)

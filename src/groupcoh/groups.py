@@ -31,6 +31,16 @@ class FiniteGroup:
         """g * j for every element j, in index order."""
         return self.table[g]
 
+    def generators(self) -> list:
+        """A generating set, greedily: in index order, every element outside
+        the subgroup the earlier ones generate."""
+        gens, span = [], {0}
+        for x in range(1, self.order):
+            if x not in span:
+                gens.append(x)
+                span = generated(self, gens)
+        return gens
+
     @property
     def is_abelian(self) -> bool:
         t = self.table
@@ -57,6 +67,25 @@ class FiniteGroup:
         for i in indices:
             out = self.table[out][i]
         return out
+
+
+def generated(group, gens) -> set:
+    """The subgroup gens generate, as a set of element indices: the closure
+    of {e} under left multiplication by each generator, read from
+    group.mul_row (in a finite group every element of the subgroup is a
+    positive word in the generators)."""
+    rows = [group.mul_row(s) for s in gens]
+    span, frontier = {0}, [0]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for row in rows:
+                y = row[x]
+                if y not in span:
+                    span.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return span
 
 
 def multiply(group: FiniteGroup, i: int, j: int) -> int:

@@ -61,11 +61,10 @@ from .extensions import (
     module_through_projection,
     restrict_cochain,
 )
-from .groups import group_from_json, group_to_json
+from .groups import generated, group_from_json, group_to_json
 from .modules import (
     GModule,
     HomModule,
-    element_index,
     module_from_json,
     module_to_json,
     torsion_submodule,
@@ -230,19 +229,24 @@ def _projection(ext: GroupExtension, group):
 
 
 def verify_lift_primitive(ext: GroupExtension, omega: Cochain, alpha: Cochain,
-                          max_entries=None, seed=0, sample_size=DEFAULT_SAMPLE_SIZE):
+                          max_entries=None, seed=0, sample_size=DEFAULT_SAMPLE_SIZE,
+                          decided=None):
     """Check delta_Gamma alpha = pi^* omega, with pi projecting Gamma down
     its tower of extensions to the group of omega, over all Gamma^n tuples
     by the row-wise sweep when |Gamma|^n fits the resource limit, for every
     coefficient module, else over seeded uniform samples one tuple at a time.
 
-    Returns (ok, witness, info) with info = {mode, seed, checked}.
+    Returns (ok, witness, info) with info = {mode, seed, checked}; when the
+    generator rows decide an exhaustive pass, their number is appended to
+    the list decided, if one is given.
     """
     n = omega.degree
     total = ext.order ** n
     proj = _projection(ext, omega.group)
     if total <= max_entries_limit(max_entries):
-        ok, witness = _verify_degree2_indexed(omega, alpha, proj)
+        ok, witness, rows = _verify_degree2_indexed(omega, alpha, proj)
+        if rows is not None and decided is not None:
+            decided.append(rows)
         return ok, witness, {"mode": "exhaustive", "seed": seed, "checked": total}
     bad = _sampled_defect(omega, alpha, proj, seed, sample_size, coboundary_value)
     return bad is None, bad, {"mode": "sampled", "seed": seed, "checked": sample_size}
@@ -261,24 +265,52 @@ def _sampled_defect(omega: Cochain, alpha: Cochain, proj, seed, count, delta):
 
 
 def _verify_degree2_indexed(omega: Cochain, alpha: Cochain, proj):
-    """The exhaustive sweep of delta alpha = pi^* omega in every degree n >= 2:
-    each row of `delta_rows(alpha)` is compared with pi^* omega(t, .) at
-    once.  Prefixes that touch the identity are not swept: alpha and omega
-    are normalized, so delta alpha and pi^* omega both vanish there.  The
-    name predates the other degrees and is kept because perfbench/tracer.py
-    patches it.  Returns (ok, first failing tuple)."""
-    gorder, k = omega.group.order, omega.coeffs.dim
+    """The exhaustive check of delta alpha = pi^* omega in every degree
+    n >= 2, row by row of `delta_rows(alpha)` against pi^* omega(t, .).
+
+    f = delta alpha - pi^* omega is a normalized n-cocycle of Gamma once
+    omega is one: delta alpha is, and pi is a homomorphism.  A normalized
+    cocycle that vanishes wherever the first slot lies in a generating set
+    S vanishes everywhere: delta f(s, y, ...) = 0 leaves f(sy, ...) =
+    s . f(y, ...), since every other term has s in the first slot, and
+    induction on a word in S starts from f(e, ...) = 0 (Brown, Cohomology
+    of Groups, III.1).  So when omega is a cocycle and S =
+    Gamma.generators() generates Gamma, the rows whose prefix starts in S
+    decide a pass.  Otherwise, or on any mismatch there, every row is
+    compared and the lexicographically first failing tuple is the witness.
+    Prefixes that touch the identity are not swept: alpha and omega are
+    normalized, so both sides vanish there.  The name predates the other
+    degrees and is kept because perfbench/tracer.py patches it.  Returns
+    (ok, first failing tuple, the number of generator rows that decided a
+    pass or None)."""
+    gamma, gorder, k = alpha.group, omega.group.order, omega.coeffs.dim
     omega_rows = {}  # pi^* omega(t, .) per projected prefix
-    for t, row in delta_rows(alpha):
+
+    def mismatch(t, row):
+        """The first j with (delta alpha)(t, j) != pi^* omega(t, j), or None."""
         pt = tuple(proj[x] for x in t)
         rhs = omega_rows.get(pt)
         if rhs is None:
             wg = [omega.evaluate(pt + (g,)) for g in range(gorder)]
             rhs = omega_rows[pt] = [[wg[x][c] for x in proj] for c in range(k)]
-        if row != rhs:
-            j = next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*rhs))) if v != w)
-            return False, t + (j,)
-    return True, None
+        if row == rhs:
+            return None
+        return next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*rhs))) if v != w)
+
+    gens = gamma.generators()
+    if first_cocycle_defect(omega) is None and len(generated(gamma, gens)) == gamma.order:
+        rows = 0
+        for t, row in delta_rows(alpha, firsts=gens):
+            if mismatch(t, row) is not None:
+                break
+            rows += 1
+        else:
+            return True, None, rows
+    for t, row in delta_rows(alpha):
+        j = mismatch(t, row)
+        if j is not None:
+            return False, t + (j,), None
+    return True, None, None
 
 
 # -- certificates ----------------------------------------------------------
@@ -564,7 +596,7 @@ def _additivity_defect(ext: GroupExtension, alpha: Cochain):
     m = alpha.coeffs
     na = len(ext.kernel_elements)
     vals = [alpha.evaluate((ext.iota(a),)) for a in range(na)]
-    gens = [element_index(ext.kernel, ext.kernel.basis_vector(j)) for j in range(ext.kernel.dim)]
+    gens = ext.kernel_generators()
     for a in range(na):
         for e in gens:
             if m.add(vals[a], vals[e]) != vals[ext.add_kernel(a, e)]:
@@ -579,7 +611,8 @@ def _check_restriction(ext: GroupExtension, alpha: Cochain, max_entries, prefix=
     name = prefix + "alpha-restriction"
     if alpha.degree == 1:
         defect = _additivity_defect(ext, alpha)
-        note = f"additive on {len(ext.kernel_elements)} elements x {ext.kernel.dim} generators"
+        note = (f"additive on {len(ext.kernel_elements)} elements x "
+                f"{len(ext.kernel_generators())} generators")
     else:
         try:
             defect = first_cocycle_defect(restrict_cochain(ext, alpha, max_entries))
@@ -591,10 +624,15 @@ def _check_restriction(ext: GroupExtension, alpha: Cochain, max_entries, prefix=
     return Check(name, True, note=note)
 
 
-def _trivializes_check(name, ext, alpha, ok, bad, info, max_entries):
-    """The alpha-trivializes line; a sampled run says which limit the
-    exhaustive sweep exceeded."""
+def _trivializes_check(name, ext, omega, alpha, max_entries, seed, sample_size):
+    """The alpha-trivializes line; its note says how many generator rows
+    decided an exhaustive pass, or which limit a sampled run exceeded."""
+    decided = []
+    ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries, seed, sample_size,
+                                          decided)
     note = f"{info['mode']}, {info['checked']} tuples"
+    if decided:
+        note += f"; decided on {decided[0]} generator rows"
     if info["mode"] == "sampled":
         n = alpha.degree + 1
         note += (f"; |Gamma|^{n} = {ext.order ** n} tuples exceed the limit "
@@ -642,11 +680,8 @@ def _verify_torsion_cert(cert, checks, max_entries, seed, sample_size, prefix=""
         checks.append(Check(prefix + "alpha-trivializes", None, note="partial certificate"))
         checks.append(Check(prefix + "alpha-restriction", None, note="partial certificate"))
         return
-    ok, bad, info = verify_lift_primitive(
-        cert.extension, omega, cert.alpha, max_entries, seed, sample_size
-    )
-    checks.append(_trivializes_check(prefix + "alpha-trivializes", cert.extension, cert.alpha,
-                                     ok, bad, info, max_entries))
+    checks.append(_trivializes_check(prefix + "alpha-trivializes", cert.extension, omega,
+                                     cert.alpha, max_entries, seed, sample_size))
     checks.append(_check_restriction(cert.extension, cert.alpha, max_entries, prefix))
 
 
@@ -712,10 +747,8 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
         checks.append(Check("alpha-trivializes", None, note="partial certificate"))
         checks.append(Check("alpha-restriction", None, note="partial certificate"))
     else:
-        ok, bad, info = verify_lift_primitive(ext2, omega, cert.alpha, max_entries,
-                                              seed, sample_size)
-        checks.append(_trivializes_check("alpha-trivializes", ext2, cert.alpha,
-                                         ok, bad, info, max_entries))
+        checks.append(_trivializes_check("alpha-trivializes", ext2, omega, cert.alpha,
+                                         max_entries, seed, sample_size))
         checks.append(_check_restriction(ext2, cert.alpha, max_entries))
     return VerificationReport(checks, cert.verification)
 
@@ -811,33 +844,75 @@ def _load_field(field, load, *args):
         raise ValueError(f"certificate field {field}: {exc}") from None
 
 
+def _expect_object(field, value):
+    """value, or a ValueError naming the certificate field (the whole
+    certificate when field is empty) unless it is a JSON object."""
+    if not isinstance(value, dict):
+        where = f"certificate field {field}" if field else "certificate"
+        raise ValueError(f"{where} is {value!r}, expected an object")
+    return value
+
+
+def _expect_verification(field, value, partial):
+    """The declared verification record: an object whose mode is
+    "partial" exactly when alpha is absent (else "exhaustive" or
+    "sampled"), with seed and checked integers >= 0."""
+    _expect_object(field, value)
+    mode = value.get("mode")
+    if partial:
+        _expect_field(field + ".mode", mode, "partial")
+    elif mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"certificate field {field}.mode is {mode!r}, "
+                         "expected 'exhaustive' or 'sampled'")
+    for key in ("seed", "checked"):
+        x = value.get(key)
+        if type(x) is not int or x < 0:
+            raise ValueError(f"certificate field {field}.{key} is {x!r}, "
+                             "expected an integer >= 0")
+    return value
+
+
 def certificate_from_json(data: dict, group=None, max_entries=None,
                           field="") -> TrivializationCertificate:
-    """Rebuild a certificate.  Every degree is checked against the input
-    degree n before anything is built, and the declared fields `format`,
-    `partial` (true exactly when alpha is absent), `N` and `gamma.order`
-    against what they declare; field prefixes the field names in those
-    errors (it names the stage of a nested certificate)."""
+    """Rebuild a certificate.  Every nested object is checked to be one,
+    every degree against the input degree n before anything is built, and
+    the declared fields `format`, `mode`, `partial` (true exactly when
+    alpha is absent), `verification`, `N`, `input.group.order`,
+    `gamma.order` and `stages.h.denominator` against what they declare;
+    field prefixes the field names in those errors (it names the stage of
+    a nested certificate)."""
+    _expect_object(field[:-1], data)
     _expect_field(field + "format", data.get("format"), "groupcoh-certificate")
+    inp = _expect_object(field + "input", data["input"])
     if group is None:
-        group = _load_field(field + "input.group", group_from_json, data["input"]["group"])
-    module = _load_field(field + "input.module", module_from_json, data["input"]["module"], group)
-    omega = cochain_from_json(data["input"]["omega"], group, module)
+        group_data = _expect_object(field + "input.group", inp["group"])
+        group = _load_field(field + "input.group", group_from_json, group_data)
+        _expect_field(field + "input.group.order", group_data.get("order"), group.order)
+    module = _load_field(field + "input.module", module_from_json,
+                         _expect_object(field + "input.module", inp["module"]), group)
+    omega = cochain_from_json(_expect_object(field + "input.omega", inp["omega"]), group, module)
     n = omega.degree
-    _expect_degree(field + "input", data["input"], n)
-    if data.get("alpha") is not None:
-        _expect_degree(field + "alpha", data["alpha"], n - 1)
+    _expect_degree(field + "input", inp, n)
+    alpha_data = data.get("alpha")
+    if alpha_data is not None:
+        _expect_degree(field + "alpha", _expect_object(field + "alpha", alpha_data), n - 1)
     partial = data.get("partial", False)
-    _expect_field(field + "partial", partial, data.get("alpha") is None)
-    verification = data.get("verification", {})
+    _expect_field(field + "partial", partial, alpha_data is None)
+    verification = _expect_verification(field + "verification", data.get("verification"),
+                                        alpha_data is None)
 
-    if data["mode"] == "torsion":
+    mode = data.get("mode")
+    if mode not in ("torsion", "general"):
+        raise ValueError(f"certificate field {field}mode is {mode!r}, "
+                         "expected 'torsion' or 'general'")
+    if mode == "torsion":
         exponent = data["N"]
         if type(exponent) is not int or exponent < 1:
             raise ValueError(f"certificate field {field}N is {exponent!r}, expected an integer >= 1")
-        _expect_degree(field + "c", data["c"], 2)
-        _expect_degree(field + "b", data["b"], n - 2)
-        kernel = _load_field(field + "kernel", module_from_json, data["kernel"], group)
+        _expect_degree(field + "c", _expect_object(field + "c", data["c"]), 2)
+        _expect_degree(field + "b", _expect_object(field + "b", data["b"]), n - 2)
+        kernel = _load_field(field + "kernel", module_from_json,
+                             _expect_object(field + "kernel", data["kernel"]), group)
         if not kernel.is_torsion:
             raise ValueError(f"certificate field {field}kernel.factors is {list(kernel.factors)}, "
                              "expected integers >= 1")
@@ -848,32 +923,32 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
         alpha = None
         if data.get("gamma") is not None:
             ext = build_extension(kernel, c, max_entries)
-            gamma = data["gamma"]
-            _expect_field(field + "gamma.order",
-                          gamma.get("order") if isinstance(gamma, dict) else gamma, ext.order)
-            if data.get("alpha") is not None:
+            gamma = _expect_object(field + "gamma", data["gamma"])
+            _expect_field(field + "gamma.order", gamma.get("order"), ext.order)
+            if alpha_data is not None:
                 coeffs = module_through_projection(ext, module)
-                alpha = cochain_from_json(data["alpha"], ext, coeffs)
+                alpha = cochain_from_json(alpha_data, ext, coeffs)
         return TrivializationCertificate(
             mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
             cocycle=c, witness=b, extension=ext, alpha=alpha, partial=partial,
             verification=verification,
         )
 
-    st = data["stages"]
+    st = _expect_object(field + "stages", data["stages"])
+    for name in ("h", "stage1", "stage2"):
+        _expect_object(f"{field}stages.{name}", st[name])
     for name, sub, degree in (("h.numerator", st["h"]["numerator"], n - 1),
                               ("stage1.input", st["stage1"]["input"], n - 1),
                               ("eta", st["eta"], n - 1),
                               ("eta_tilde", st["eta_tilde"], n - 1),
                               ("stage2.input", st["stage2"]["input"], n)):
-        _expect_degree(f"{field}stages.{name}", sub, degree)
+        name = f"{field}stages.{name}"
+        _expect_degree(name, _expect_object(name, sub), degree)
+    q = group.order
+    _expect_field(f"{field}stages.h.denominator", st["h"].get("denominator"), q)
     mt, jmap, pmap, smap = torsion_submodule(module)
     mfree = pmap.target
-    q = group.order
-    h = RationalCochain(
-        cochain_from_json(st["h"]["numerator"], group, mfree),
-        st["h"]["denominator"],
-    )
+    h = RationalCochain(cochain_from_json(st["h"]["numerator"], group, mfree), q)
     stage1 = certificate_from_json(st["stage1"], group=group, max_entries=max_entries,
                                    field=f"{field}stages.stage1.")
     ext1 = stage1.extension
@@ -888,9 +963,9 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
                                    field=f"{field}stages.stage2.")
     ext2 = stage2.extension
     alpha = None
-    if data.get("alpha") is not None and ext2 is not None:
+    if alpha_data is not None and ext2 is not None:
         module_g2 = module_through_projection(ext2, module_g)
-        alpha = cochain_from_json(data["alpha"], ext2, module_g2)
+        alpha = cochain_from_json(alpha_data, ext2, module_g2)
     return TrivializationCertificate(
         mode="general", omega=omega, alpha=alpha, partial=partial,
         stages={

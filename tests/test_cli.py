@@ -504,3 +504,121 @@ def test_verify_rejects_malformed_or_wrong_declared_field_exit_1(capsys, tmp_pat
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 1
     assert "certificate " + message in err
+
+
+@pytest.mark.parametrize("mode, path, value", [
+    ("torsion", ("input",), "x"),
+    ("torsion", ("input", "omega"), 3),
+    ("torsion", ("alpha",), []),
+    ("torsion", ("kernel",), 0),
+    ("torsion", ("c",), "x"),
+    ("torsion", ("b",), [1]),
+    ("torsion", ("gamma",), 4),
+    ("general", ("stages",), 5),
+    ("general", ("stages", "stage1"), 5),
+    ("general", ("stages", "stage2", "input"), "x"),
+])
+def test_verify_rejects_scalar_in_place_of_object_exit_1(capsys, tmp_path, mode, path, value):
+    # each used to end in a TypeError traceback; gamma = 4, the order of
+    # Gamma, used to verify with exit 0
+    cert_path = _certificate(capsys, tmp_path, mode)
+    data = json.loads(cert_path.read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cert_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert f"certificate field {'.'.join(path)} is {value!r}, expected an object" in err
+
+
+def test_verify_rejects_a_certificate_that_is_not_an_object_exit_1(capsys, tmp_path):
+    path = write_json(tmp_path / "cert.json", [])
+    code, _, err = run(capsys, "verify", path)
+    assert code == 1
+    assert "certificate is [], expected an object" in err
+
+
+@pytest.mark.parametrize("mode, path, value, message", [
+    ("torsion", ("verification",), 5, "field verification is 5, expected an object"),
+    ("torsion", ("verification", "mode"), "x",
+     "field verification.mode is 'x', expected 'exhaustive' or 'sampled'"),
+    ("torsion", ("verification", "mode"), "partial",
+     "field verification.mode is 'partial', expected 'exhaustive' or 'sampled'"),
+    ("torsion", ("verification", "seed"), -1, "field verification.seed is -1, expected an "
+                                              "integer >= 0"),
+    ("torsion", ("verification", "checked"), True, "field verification.checked is True, "
+                                                   "expected an integer >= 0"),
+    ("general", ("stages", "stage1", "verification", "seed"), "x",
+     "field stages.stage1.verification.seed is 'x', expected an integer >= 0"),
+    ("torsion", ("input", "group", "order"), 10 ** 6,
+     "field input.group.order is 1000000, expected 2"),
+    ("general", ("mode",), "x", "field mode is 'x', expected 'torsion' or 'general'"),
+    ("general", ("stages", "h", "denominator"), "x", "field stages.h.denominator is 'x', "
+                                                     "expected 2"),
+])
+def test_verify_rejects_wrong_declared_field_exit_1(capsys, tmp_path, mode, path, value,
+                                                    message):
+    # every one of these used to verify with exit 0
+    cert_path = _certificate(capsys, tmp_path, mode)
+    data = json.loads(cert_path.read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cert_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert "certificate " + message in err
+
+
+def test_verify_partial_certificate_declares_partial_mode(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COCYCLE_MAX_TUPLES", "3")
+    cert_path = _certificate(capsys, tmp_path, "torsion")
+    data = json.loads(cert_path.read_text())
+    assert data["alpha"] is None and data["verification"]["mode"] == "partial"
+    code, _, _ = run(capsys, "verify", str(cert_path), "--allow-partial")
+    assert code == 0
+    data["verification"]["mode"] = "exhaustive"
+    cert_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(cert_path), "--allow-partial")
+    assert code == 1
+    assert "certificate field verification.mode is 'exhaustive', expected 'partial'" in err
+
+
+def test_d2_infinite_kernel_exit_4(capsys, tmp_path):
+    # Hom(A, M) needs a finite A; this used to end in a SourceNotTorsion traceback
+    b_path = write_json(tmp_path / "b.json", {"degree": 0, "values": []})
+    c_path = write_json(tmp_path / "c.json", {"degree": 2, "values": []})
+    code, _, err = run(
+        capsys, "d2", "--group", "cyclic:2", "--module", "trivial:2",
+        "--kernel", "trivial:0", "--witness", b_path, "--cocycle", c_path,
+    )
+    assert code == 4
+    assert "torsion source" in err
+
+
+def test_negative_seed_exit_1(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["trivialize", "--group", "cyclic:2", "--module", "trivial:2", "--cocycle",
+              z2_cocycle_file(tmp_path), "--degree", "2", "--out", str(tmp_path / "c.json"),
+              "--seed", "-1"])
+    assert exc.value.code == 1
+    assert "expected an integer >= 0" in capsys.readouterr().err
+
+
+def test_verify_kernel_factor_one_fails_with_witness_exit_7(capsys, tmp_path):
+    # a factor of 1 makes the kernel basis vector zero; the degree-1
+    # restriction check used to index past the one kernel element
+    cert_path = _certificate(capsys, tmp_path, "torsion")
+    data = json.loads(cert_path.read_text())
+    data["kernel"]["factors"] = [1]
+    data["gamma"]["order"] = 2
+    for field in ("c", "b", "alpha"):
+        data[field]["values"] = []
+    cert_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 7
+    assert "witness-d2: FAIL witness=(1, 1)" in out
+    assert "alpha-restriction: pass (additive on 1 elements x 0 generators)" in out

@@ -20,6 +20,7 @@ from groupcoh import (
 )
 from groupcoh.cochains import nonid_tuples
 from groupcoh.errors import KernelNotFinite, NotACocycle
+from groupcoh.groups import generated
 
 
 def z4_extension():
@@ -220,3 +221,21 @@ def test_closed_form_inverse_matches_search(build):
         found = [j for j in range(ext.order)
                  if ext.mul(i, j) == 0 and ext.mul(j, i) == 0]
         assert found == [ext.inv(i)]
+
+
+def test_extension_generators_are_kernel_basis_and_base_generators():
+    ext = z4_extension()
+    assert ext.generators() == [ext.iota(1), 1] == [2, 1]
+    assert generated(ext, ext.generators()) == set(range(4))
+    # a tower: the stage-2 generators reach down to the base of stage 1
+    g = cyclic_group(3)
+    a = GModule(g, [3], [[[1]]] * 3)
+    ext1 = build_extension(a, Cochain(g, a, 2, {(1, 2): (1,), (2, 1): (1,), (2, 2): (1,)}))
+    b = trivial_module(ext1, [2])
+    ext2 = build_extension(b, Cochain(ext1, b, 2))
+    gens = ext2.generators()
+    assert gens == [ext2.iota(1)] + ext1.generators()
+    assert generated(ext2, gens) == set(range(ext2.order)) and ext2.order == 18
+    # a factor of 1 contributes no generator (e_j is zero there)
+    c = GModule(g, [1, 3], [[[1, 0], [0, 1]]] * 3)
+    assert build_extension(c, Cochain(g, c, 2)).generators() == [3, 1]

@@ -13,7 +13,7 @@ from groupcoh import (
     symmetric_group,
 )
 from groupcoh.errors import NoIdentity, NoInverse, NotAssociative, UnknownFamily
-from groupcoh.groups import inverse, multiply
+from groupcoh.groups import generated, inverse, multiply
 
 
 def assert_group_axioms(g):
@@ -134,3 +134,29 @@ def test_json_roundtrip():
 def test_element_order():
     g = cyclic_group(6)
     assert [g.element_order(i) for i in range(6)] == [1, 6, 3, 2, 3, 6]
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("cyclic:1", []), ("cyclic:6", [1]), ("cyclic:2*cyclic:2", [1, 2]),
+    ("cyclic:2*cyclic:2*cyclic:2", [1, 2, 4]), ("symmetric:3", None), ("dihedral:4", None),
+])
+def test_generators_are_greedy_and_generate(spec, expected):
+    g = builtin_group(spec)
+    gens = g.generators()
+    if expected is not None:
+        assert gens == expected
+    assert generated(g, gens) == set(range(g.order))
+    # greedy: each generator lies outside the subgroup of the earlier ones,
+    # and every element skipped lies inside it
+    for k, s in enumerate(gens):
+        earlier = generated(g, gens[:k])
+        assert s not in earlier
+        assert all(x in earlier for x in range(1, s))
+
+
+def test_generated_is_the_subgroup_closure():
+    g = cyclic_group(6)
+    assert generated(g, []) == {0}
+    assert generated(g, [2]) == {0, 2, 4}
+    assert generated(g, [3]) == {0, 3}
+    assert generated(g, [2, 3]) == set(range(6))

@@ -12,6 +12,7 @@ import pytest
 from groupcoh import (
     Cochain,
     GModule,
+    add_cochains,
     build_witness,
     builtin_group,
     certificate_from_json,
@@ -41,6 +42,7 @@ from groupcoh.errors import (
     NotACocycle,
     SelfCheckFailed,
 )
+from groupcoh.groups import generated
 from groupcoh import cochains as cochains_module
 from groupcoh import trivialize as trivialize_module
 from groupcoh.trivialize import _check_restriction, verify_lift_primitive
@@ -703,3 +705,135 @@ def test_trivialize_self_checks_raise_under_python_O():
     caught = [line.split()[1] for line in proc.stdout.splitlines()]
     assert caught == ["universal_kernel", "witness-cocycle", "witness-d2", "solver-fallback",
                       "divide", "eta-primitive", "free-component", "composite"], proc.stdout
+
+
+# -- generator rows decide a pass ---------------------------------------------
+
+
+def _bilinear_cert():
+    """x1 y2 on (Z/2)^2 in Z/2, trivialized over its 2048-element extension."""
+    g = builtin_group("cyclic:2*cyclic:2")
+    bilinear = {(x, y): (((x >> 1) & 1) * (y & 1),) for x in range(1, 4) for y in range(1, 4)}
+    return trivialize_torsion(Cochain(g, trivial_module(g, [2]), 2, bilinear))
+
+
+def _shifted(alpha, support):
+    """alpha + v on each (tuple, v) of support."""
+    vals = dict(alpha.values)
+    for tup, v in support.items():
+        vals[tup] = alpha.coeffs.add(alpha.evaluate(tup), v)
+    return Cochain(alpha.group, alpha.coeffs, alpha.degree, vals)
+
+
+def test_generator_rows_decide_a_pass(monkeypatch):
+    cert = _bilinear_cert()
+    ext = cert.extension
+    gens = ext.generators()
+    assert len(gens) == 11 and len(generated(ext, gens)) == ext.order == 2048
+    starts = []
+
+    def counted(f, firsts=None):
+        for t, row in cochains_module.delta_rows(f, firsts):
+            starts.append(t[0])
+            yield t, row
+
+    monkeypatch.setattr(trivialize_module, "delta_rows", counted)
+    decided = []
+    ok, bad, info = verify_lift_primitive(ext, cert.omega, cert.alpha, decided=decided)
+    assert (ok, bad) == (True, None)
+    assert info == {"mode": "exhaustive", "seed": 0, "checked": 2048 ** 2}
+    assert sorted(starts) == sorted(gens) and decided == [11]
+    monkeypatch.undo()
+    note = {c.name: c.note for c in verify_certificate(cert).checks}["alpha-trivializes"]
+    assert note == "exhaustive, 4194304 tuples; decided on 11 generator rows"
+
+
+def test_generator_rows_agree_with_brute_force_off_the_generators():
+    # C3 acts nontrivially on its universal kernel A = (Z/3)^4; corruptions
+    # at elements outside S reach the generator rows only through products
+    cert = trivialize_torsion(z3_generator_cocycle())
+    ext, omega, alpha = cert.extension, cert.omega, cert.alpha
+    assert ext.order == 243 and any(a != ext.kernel.action[0] for a in ext.kernel.action)
+    gens = set(ext.generators())
+    outside = [x for x in range(1, ext.order) if x not in gens]
+    rng = random.Random(8)
+    cases = [alpha]
+    for _ in range(6):
+        picks = rng.sample(outside, rng.choice((1, 2)))
+        cases.append(_shifted(alpha, {(x,): (rng.randrange(1, 3),) for x in picks}))
+    for case in cases:
+        ok, bad, _ = verify_lift_primitive(ext, omega, case)
+        assert (ok, bad) == _brute_force_lift_check(ext, omega, case)
+    assert not verify_lift_primitive(ext, omega, cases[1])[0]
+
+
+@pytest.mark.parametrize("subgroup", ["trivial", "kernel"])
+def test_generator_rows_need_a_generating_set(monkeypatch, subgroup):
+    # S claimed to generate only H; alpha is corrupted by a function that
+    # is zero on H and constant on each coset Hx, so every row starting in
+    # S still matches, and only the generation check sends the sweep on
+    cert = trivialize_torsion(z3_generator_cocycle())
+    ext, omega, alpha = cert.extension, cert.omega, cert.alpha
+    if subgroup == "trivial":
+        claimed, corruption = [], {(5,): (1,)}
+    else:  # H = iota(A), cosets by pi; psi(pi x) with psi(1) = 1, psi(2) = 0
+        claimed = [x for x in ext.generators() if ext.pi(x) == 0]
+        corruption = {(x,): (1,) for x in range(1, ext.order) if ext.pi(x) == 1}
+    assert len(generated(ext, claimed)) < ext.order
+    bad_alpha = _shifted(alpha, corruption)
+    monkeypatch.setattr(type(ext), "generators", lambda self: list(claimed))
+    decided = []
+    ok, bad, _ = verify_lift_primitive(ext, omega, bad_alpha, decided=decided)
+    assert not ok and decided == []
+    assert (ok, bad) == _brute_force_lift_check(ext, omega, bad_alpha)
+
+
+def test_generator_rows_need_omega_to_be_a_cocycle():
+    # on C4 the generators of Gamma project to 0 and 1, never to 2, so an
+    # error of omega' = omega + e with e supported at first slot 2 shows on
+    # no generator row; only the cocycle check of omega' sends the sweep on
+    g = cyclic_group(4)
+    m = trivial_module(g, [2])
+    carry = {(i, j): (1,) for i in range(1, 4) for j in range(1, 4) if i + j >= 4}
+    cert = trivialize_torsion(Cochain(g, m, 2, carry))
+    ext = cert.extension
+    assert all(ext.pi(s) != 2 for s in ext.generators())
+    omega = add_cochains(cert.omega, Cochain(g, m, 2, {(2, 1): (1,)}))
+    assert first_cocycle_defect(omega) is not None
+    decided = []
+    ok, bad, _ = verify_lift_primitive(ext, omega, cert.alpha, decided=decided)
+    assert (ok, bad) == _brute_force_lift_check(ext, omega, cert.alpha) == (False, (2, 1))
+    assert decided == []
+
+
+def test_verify_decides_on_generator_rows_under_python_O(tmp_path):
+    cert = _bilinear_cert()
+    ext = cert.extension
+    gens = set(ext.generators())
+    data = certificate_to_json(cert)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(data))
+    index = {label: i for i, label in enumerate(ext.elements)}
+    entry = next(e for e in data["alpha"]["values"] if index[e["tuple"][0]] not in gens)
+    entry["value"] = [(entry["value"][0] + 1) % 2]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    corrupted = certificate_from_json(data)
+    ok, witness = _brute_force_lift_check(corrupted.extension, corrupted.omega, corrupted.alpha)
+    assert not ok
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def verify(path):
+        return subprocess.run([sys.executable, "-O", "-m", "groupcoh.cli", "verify", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    proc = verify(good)
+    assert proc.returncode == 0, proc.stderr
+    assert "alpha-trivializes: pass (exhaustive, 4194304 tuples; decided on 11 generator rows)" \
+        in proc.stdout
+    proc = verify(bad)
+    assert proc.returncode == 7, proc.stderr
+    assert f"alpha-trivializes: FAIL (exhaustive, 4194304 tuples) witness={witness}" \
+        in proc.stdout.splitlines()
