@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .errors import DegreeMismatch, NotACocycle, ResourceLimit, SelfCheckFailed
-from .modules import GModule, invariants, _lattice_basis
+from .modules import GModule, invariants
 
 DEFAULT_MAX_ENTRIES = 10_000_000
 
@@ -336,8 +336,7 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
     dmat, _, tgt = coboundary_matrix(group, module, n, max_entries)
     # cocycle lattice: x with delta x = 0 modulo the target relations
     moduli = [d for _ in tgt for d in module.factors]
-    gens = la.kernel_with_moduli(dmat, moduli, cols=dim_cur)
-    basis = _lattice_basis(gens, dim_cur)
+    basis = la.kernel_with_moduli(dmat, moduli, cols=dim_cur)
     kmat = [[col[i] for col in basis] for i in range(dim_cur)]
     # coboundary subgroup: image of delta_{n-1} plus the relation lattice
     prev_mat, prev_dom, _ = coboundary_matrix(group, module, n - 1, max_entries)

@@ -411,8 +411,14 @@ def solve_with_moduli(a: Matrix, b: list, moduli: list, cols: int = None):
 
 
 def kernel_with_moduli(a: Matrix, moduli: list, cols: int = None) -> list:
-    """Generators (not necessarily independent) of the lattice of x with
-    a @ x = 0 modulo per-row moduli (0 = exact)."""
+    """A basis of the lattice of x with a @ x = 0 modulo per-row moduli
+    (0 = exact).
+
+    kernel_basis gives a basis of the kernel of the augmented matrix
+    (x, y), and (x, y) -> x is injective there: each y-column is
+    moduli[i] * e_i for a nonzero modulus, in a row of its own, so x = 0
+    forces y = 0.  The x-parts are therefore a basis, not just generators.
+    """
     n = len(a[0]) if a else (cols or 0)
     aug, aug_cols = _augment_moduli(a, moduli, n)
     return [vec[:n] for vec in kernel_basis(aug, cols=aug_cols)]

@@ -3,8 +3,7 @@
 A module is a quotient Z^k / <d_i e_i> with per-coordinate moduli
 (d_i = 0 means a free Z factor) and one k x k action matrix per group
 element.  Elements are plain integer tuples reduced into [0, d_i) on
-torsion coordinates.  All kernel/cokernel computations go through the
-Smith normal form helpers in intlinalg.
+torsion coordinates.
 """
 
 from __future__ import annotations
@@ -233,76 +232,28 @@ def index_tables(m: GModule, with_add=True):
     return add, neg, act
 
 
-# -- subquotients of an ambient module ------------------------------------
-
-
-class Subquotient:
-    """W / L presented inside Z^k / L: K is a basis of the sublattice W
-    (which must contain the relation lattice L of the ambient module)."""
-
-    def __init__(self, ambient: GModule, basis_columns):
-        self.ambient = ambient
-        self.basis = basis_columns  # list of length-k vectors
-        k = ambient.dim
-        kmat = [[col[i] for col in basis_columns] for i in range(k)]
-        self._kmat = kmat
-        self._factored = la.FactoredMatrix(kmat, cols=len(basis_columns))
-        rels = []
-        for i, d in enumerate(ambient.factors):
-            if d:
-                rel = self._factored.solve([d if j == i else 0 for j in range(k)])
-                if rel is None:
-                    raise ValueError("sublattice does not contain the relation lattice")
-                rels.append(rel)
-        self.factors, self._proj, self._lift = la.cokernel_structure(
-            rels, len(basis_columns)
-        )
-
-    @property
-    def dim(self):
-        return len(self.factors)
-
-    def embed(self, coords) -> tuple:
-        t = la.mat_vec(self._lift, coords)
-        return self.ambient.reduce(la.mat_vec(self._kmat, t))
-
-    def coords(self, ambient_vec) -> tuple:
-        t = self._factored.solve(list(ambient_vec))
-        if t is None:
-            raise ValueError("vector not in the sublattice")
-        vec = la.mat_vec(self._proj, t)
-        return tuple(x % d if d else x for x, d in zip(vec, self.factors))
-
-    def induced_action(self, ambient_matrix):
-        """Matrix of an ambient endomorphism restricted to the subquotient."""
-        cols = []
-        for j in range(self.dim):
-            e = [1 if i == j else 0 for i in range(self.dim)]
-            img = la.mat_vec(ambient_matrix, self.embed(e))
-            cols.append(self.coords(self.ambient.reduce(img)))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(len(self.factors))]
-
-
 # -- invariants / coinvariants / torsion ----------------------------------
 
 
 def invariants(m: GModule):
     """(M^G as a trivial module, inclusion map into M)."""
     k = m.dim
-    order = m.group.order
-    rows = []
-    moduli = []
-    for g in range(1, order):
-        mat = m.action[g]
-        for i in range(k):
-            rows.append([mat[i][j] - (1 if i == j else 0) for j in range(k)])
-            moduli.append(m.factors[i])
-    cols = la.kernel_with_moduli(rows, moduli, cols=k)
-    # drop duplicate/zero x-parts while keeping a full generating set
-    sub = Subquotient(m, _lattice_basis(cols, k))
-    inv = trivial_module(m.group, sub.factors)
-    incl = ModuleMap(inv, m, _embed_matrix(sub))
-    return inv, incl
+    rows = [[mat[i][j] - (i == j) for j in range(k)] for mat in m.action[1:] for i in range(k)]
+    moduli = list(m.factors) * (m.group.order - 1)
+    # M^G = W / L: W is the lattice of fixed vectors, L the relations of M
+    basis = la.kernel_with_moduli(rows, moduli, cols=k)
+    kmat = [[col[i] for col in basis] for i in range(k)]
+    lattice = la.FactoredMatrix(kmat, cols=len(basis))
+    rels = [lattice.solve([d if r == i else 0 for r in range(k)])
+            for i, d in enumerate(m.factors) if d]
+    if None in rels:
+        raise ValueError("the fixed lattice does not contain the relation lattice")
+    factors, _, lift = la.cokernel_structure(rels, len(basis))
+    inv = trivial_module(m.group, factors)
+    # inclusion: each quotient generator lifted to W, reduced in M row by row
+    incl = [[x % d if d else x for x in row]
+            for row, d in zip(la.mat_mul(kmat, lift), m.factors)]
+    return inv, ModuleMap(inv, m, incl)
 
 
 def coinvariants(m: GModule):
@@ -321,31 +272,6 @@ def coinvariants(m: GModule):
     co = trivial_module(m.group, factors)
     pmap = ModuleMap(m, co, proj)
     return co, pmap
-
-
-def _lattice_basis(columns, ambient):
-    """Reduce a generating set of columns to a lattice basis via SNF."""
-    if not columns:
-        return []
-    mat = [[col[i] for col in columns] for i in range(ambient)]
-    _, ui, d, _, _ = la._snf_full(mat, cols=len(columns), track=("ui",))
-    rank = sum(
-        1 for i in range(min(ambient, len(columns))) if d[i][i]
-    )
-    # basis = Uinv * D restricted to nonzero diagonal entries
-    basis = []
-    for j in range(rank):
-        col = [ui[i][j] * d[j][j] for i in range(ambient)]
-        basis.append(col)
-    return basis
-
-
-def _embed_matrix(sub: Subquotient):
-    cols = []
-    for j in range(sub.dim):
-        e = [1 if i == j else 0 for i in range(sub.dim)]
-        cols.append(sub.embed(e))
-    return [[cols[j][i] for j in range(sub.dim)] for i in range(sub.ambient.dim)]
 
 
 def torsion_submodule(m: GModule):
@@ -382,10 +308,12 @@ def torsion_submodule(m: GModule):
 class HomModule(GModule):
     """Hom_Ab(A, M) as a G-module, (g.f)(a) = g.f(g^{-1}.a).
 
-    A must have finite exponent.  Elements are stored in the canonical
-    coordinates of the subquotient {(m_1..m_s) : a_j m_j = 0 in M} of M^s;
-    `evaluate` and `from_images` translate to and from images of A's
-    basis vectors.
+    A must have finite exponent.  For A = sum_j Z/a_j and M = sum_i Z/d_i,
+    Hom(A, M) = sum_{j,i} Z/gcd(a_j, d_i): a map Z/a -> Z/d sends 1 to a
+    multiple of d/gcd(a, d), and Hom(Z/a, Z) = 0.  So f has one coordinate
+    x per pair (j, i) with d_i > 0 and gcd(a_j, d_i) > 1, modulus that
+    gcd, and f(e_j)_i = x * d_i/gcd(a_j, d_i); `images` and `from_images`
+    translate to and from images of A's basis vectors.
     """
 
     def __init__(self, source: GModule, target: GModule):
@@ -393,64 +321,50 @@ class HomModule(GModule):
             raise SourceNotTorsion("Hom(A, M) needs a torsion source")
         self.source = source
         self.target = target
-        s, k = source.dim, target.dim
+        # (j, i, d_i / gcd(a_j, d_i)) per coordinate
+        self._coords = [
+            (j, i, d // math.gcd(a, d))
+            for j, a in enumerate(source.factors)
+            for i, d in enumerate(target.factors)
+            if d and math.gcd(a, d) > 1
+        ]
+        factors = [target.factors[i] // step for _, i, step in self._coords]
         group = source.group
-        ambient = GModule(
-            group,
-            target.factors * s,
-            [_block_diag([mat] * s, k) for mat in target.action] if s else
-            [[] for _ in range(group.order)],
-            _validate=False,
-        )
-        cols = []
-        for j in range(s):
-            aj = source.factors[j]
-            rows = [[aj if c == i else 0 for c in range(k)] for i in range(k)]
-            for vec in la.kernel_with_moduli(rows, target.factors, cols=k):
-                block = [0] * (k * s)
-                block[j * k : (j + 1) * k] = vec
-                cols.append(block)
-        sub = Subquotient(ambient, _lattice_basis(cols, k * s))
-        self._sub = sub
+        s, k = source.dim, target.dim
         action = []
         for g in range(group.order):
-            ginv = group.inv(g)
-            amat = _hom_ambient_action(source, target, g, ginv)
-            action.append(sub.induced_action(amat))
-        super().__init__(group, sub.factors, action, _validate=True)
+            amat = _hom_ambient_action(source, target, g, group.inv(g))
+            cols = []
+            for j, i, step in self._coords:
+                flat = la.mat_vec(amat, [step if r == j * k + i else 0 for r in range(k * s)])
+                cols.append(self.from_images([flat[r * k : (r + 1) * k] for r in range(s)]))
+            action.append(list(zip(*cols)))
+        super().__init__(group, factors, action, _validate=True)
 
     def images(self, coords):
         """Images of the source basis vectors, as a list of target elements."""
-        vec = self._sub.embed(coords)
-        k = self.target.dim
-        return [
-            self.target.reduce(vec[j * k : (j + 1) * k])
-            for j in range(self.source.dim)
-        ]
+        out = [[0] * self.target.dim for _ in range(self.source.dim)]
+        for x, (j, i, step) in zip(coords, self._coords):
+            out[j][i] = x * step % self.target.factors[i]
+        return [tuple(img) for img in out]
 
     def from_images(self, images):
-        flat = []
-        for img in images:
-            flat.extend(img)
-        return self._sub.coords(flat)
+        """Coordinates of the map with the given images of A's basis
+        vectors; ValueError unless a_j * images[j] = 0 in M for every j."""
+        m = self.target
+        images = [m.reduce(img) for img in images]
+        for a, img in zip(self.source.factors, images):
+            if not m.is_zero(m.scale(a, img)):
+                raise ValueError(f"images {images} do not define a homomorphism: "
+                                 f"{a} * {img} is not 0")
+        return tuple(images[j][i] // step for j, i, step in self._coords)
 
     def evaluate(self, coords, a) -> tuple:
-        imgs = self.images(coords)
-        out = self.target.zero()
-        for aj, img in zip(a, imgs):
-            if aj:
-                out = self.target.add(out, self.target.scale(aj, img))
-        return out
-
-
-def _block_diag(mats, k):
-    s = len(mats)
-    out = la.zeros(k * s, k * s)
-    for b, mat in enumerate(mats):
-        for i in range(k):
-            for j in range(k):
-                out[b * k + i][b * k + j] = mat[i][j]
-    return out
+        """f(a) = sum_j a_j f(e_j) for the map f with these coordinates."""
+        out = [0] * self.target.dim
+        for x, (j, i, step) in zip(coords, self._coords):
+            out[i] += a[j] * x * step
+        return self.target.reduce(out)
 
 
 def _hom_ambient_action(source, target, g, ginv):
@@ -458,7 +372,7 @@ def _hom_ambient_action(source, target, g, ginv):
     s, k = source.dim, target.dim
     rho_a = source.action[ginv]
     rho_m = target.action[g]
-    out = la.zeros(k * s, k * s)
+    out = [[0] * (k * s) for _ in range(k * s)]
     for j in range(s):
         for i in range(s):
             c = rho_a[i][j]

@@ -624,19 +624,25 @@ def _check_restriction(ext: GroupExtension, alpha: Cochain, max_entries, prefix=
     return Check(name, True, note=note)
 
 
-def _trivializes_check(name, ext, omega, alpha, max_entries, seed, sample_size):
+def _trivializes_check(name, ext, omega, alpha, max_entries, seed, sample_size, declared):
     """The alpha-trivializes line; its note says how many generator rows
-    decided an exhaustive pass, or which limit a sampled run exceeded."""
+    decided an exhaustive pass, or which limit a sampled run exceeded.  It
+    also fails when the certificate's verification record (declared)
+    claims an exhaustive pass over other than all |Gamma|^n tuples."""
     decided = []
     ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries, seed, sample_size,
                                           decided)
+    n = alpha.degree + 1
     note = f"{info['mode']}, {info['checked']} tuples"
     if decided:
         note += f"; decided on {decided[0]} generator rows"
     if info["mode"] == "sampled":
-        n = alpha.degree + 1
         note += (f"; |Gamma|^{n} = {ext.order ** n} tuples exceed the limit "
                  f"{max_entries_limit(max_entries)}")
+    if declared.get("mode") == "exhaustive" and declared.get("checked") != ext.order ** n:
+        ok = False
+        note += (f"; declared verification.checked is {declared['checked']!r}, "
+                 f"expected |Gamma|^{n} = {ext.order ** n}")
     return Check(name, ok, witness=bad, note=note)
 
 
@@ -681,7 +687,8 @@ def _verify_torsion_cert(cert, checks, max_entries, seed, sample_size, prefix=""
         checks.append(Check(prefix + "alpha-restriction", None, note="partial certificate"))
         return
     checks.append(_trivializes_check(prefix + "alpha-trivializes", cert.extension, omega,
-                                     cert.alpha, max_entries, seed, sample_size))
+                                     cert.alpha, max_entries, seed, sample_size,
+                                     cert.verification))
     checks.append(_check_restriction(cert.extension, cert.alpha, max_entries, prefix))
 
 
@@ -748,7 +755,7 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
         checks.append(Check("alpha-restriction", None, note="partial certificate"))
     else:
         checks.append(_trivializes_check("alpha-trivializes", ext2, omega, cert.alpha,
-                                         max_entries, seed, sample_size))
+                                         max_entries, seed, sample_size, cert.verification))
         checks.append(_check_restriction(ext2, cert.alpha, max_entries))
     return VerificationReport(checks, cert.verification)
 
@@ -856,7 +863,9 @@ def _expect_object(field, value):
 def _expect_verification(field, value, partial):
     """The declared verification record: an object whose mode is
     "partial" exactly when alpha is absent (else "exhaustive" or
-    "sampled"), with seed and checked integers >= 0."""
+    "sampled"), with seed and checked integers >= 0, checked 0 exactly
+    when partial.  The verifier compares an exhaustive count with
+    |Gamma|^n (see _trivializes_check)."""
     _expect_object(field, value)
     mode = value.get("mode")
     if partial:
@@ -869,6 +878,11 @@ def _expect_verification(field, value, partial):
         if type(x) is not int or x < 0:
             raise ValueError(f"certificate field {field}.{key} is {x!r}, "
                              "expected an integer >= 0")
+    if partial:
+        _expect_field(field + ".checked", value["checked"], 0)
+    elif value["checked"] < 1:
+        raise ValueError(f"certificate field {field}.checked is 0, expected an integer >= 1 "
+                         f"in {mode} mode")
     return value
 
 
@@ -877,8 +891,9 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
     """Rebuild a certificate.  Every nested object is checked to be one,
     every degree against the input degree n before anything is built, and
     the declared fields `format`, `mode`, `partial` (true exactly when
-    alpha is absent), `verification`, `N`, `input.group.order`,
-    `gamma.order` and `stages.h.denominator` against what they declare;
+    alpha is absent), `verification`, `N` (the lcm of the orders of
+    omega's values), `input.group.order`, `gamma.order` and
+    `stages.h.denominator` against what they declare;
     field prefixes the field names in those errors (it names the stage of
     a nested certificate)."""
     _expect_object(field[:-1], data)
@@ -909,6 +924,10 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
         exponent = data["N"]
         if type(exponent) is not int or exponent < 1:
             raise ValueError(f"certificate field {field}N is {exponent!r}, expected an integer >= 1")
+        # N is the exponent trivialize_torsion records; a value of infinite
+        # order fails exponent-annihilates with a witness instead
+        if all(module.element_order(v) for v in omega.values.values()):
+            _expect_field(field + "N", exponent, torsion_exponent(omega))
         _expect_degree(field + "c", _expect_object(field + "c", data["c"]), 2)
         _expect_degree(field + "b", _expect_object(field + "b", data["b"]), n - 2)
         kernel = _load_field(field + "kernel", module_from_json,
@@ -918,7 +937,7 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
                              "expected integers >= 1")
         c = cochain_from_json(data["c"], group, kernel)
         hom = HomModule(kernel, module)
-        b = _witness_from_json(data["b"], group, hom)
+        b = _load_field(field + "b", _witness_from_json, data["b"], group, hom)
         ext = None
         alpha = None
         if data.get("gamma") is not None:
@@ -928,6 +947,9 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
             if alpha_data is not None:
                 coeffs = module_through_projection(ext, module)
                 alpha = cochain_from_json(alpha_data, ext, coeffs)
+        elif alpha_data is not None:
+            raise ValueError(f"certificate field {field}gamma is None, but alpha lives on "
+                             "the extension")
         return TrivializationCertificate(
             mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
             cocycle=c, witness=b, extension=ext, alpha=alpha, partial=partial,
@@ -963,7 +985,10 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
                                    field=f"{field}stages.stage2.")
     ext2 = stage2.extension
     alpha = None
-    if alpha_data is not None and ext2 is not None:
+    if alpha_data is not None:
+        if ext2 is None:
+            raise ValueError(f"certificate field {field}stages.stage2.gamma is None, but alpha "
+                             "lives on the stage-2 extension")
         module_g2 = module_through_projection(ext2, module_g)
         alpha = cochain_from_json(alpha_data, ext2, module_g2)
     return TrivializationCertificate(

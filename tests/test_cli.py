@@ -622,3 +622,92 @@ def test_verify_kernel_factor_one_fails_with_witness_exit_7(capsys, tmp_path):
     assert code == 7
     assert "witness-d2: FAIL witness=(1, 1)" in out
     assert "alpha-restriction: pass (additive on 1 elements x 0 generators)" in out
+
+
+def _mutate(cert_path, path, value):
+    data = json.loads(cert_path.read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cert_path.write_text(json.dumps(data))
+
+
+CHECKED = ("verification", "checked")
+
+
+@pytest.mark.parametrize("mode, path, value, message", [
+    ("torsion", ("N",), 10 ** 6, "field N is 1000000, expected 2"),
+    ("torsion", ("N",), 4, "field N is 4, expected 2"),
+    ("general", ("stages", "stage1", "N"), 4, "field stages.stage1.N is 4, expected 2"),
+    ("general", ("stages", "stage2", "N"), 2, "field stages.stage2.N is 2, expected 1"),
+    ("torsion", CHECKED, 0,
+     "field verification.checked is 0, expected an integer >= 1 in exhaustive mode"),
+    ("general", CHECKED, 0,
+     "field verification.checked is 0, expected an integer >= 1 in exhaustive mode"),
+    ("general", ("stages", "stage1") + CHECKED, 0,
+     "field stages.stage1.verification.checked is 0, expected an integer >= 1"),
+    ("general", ("stages", "stage2") + CHECKED, 0,
+     "field stages.stage2.verification.checked is 0, expected an integer >= 1"),
+])
+def test_verify_rejects_wrong_exponent_or_checked_count_exit_1(capsys, tmp_path, mode, path,
+                                                               value, message):
+    # every one of these used to verify with exit 0
+    cert_path = _certificate(capsys, tmp_path, mode)
+    _mutate(cert_path, path, value)
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert "certificate " + message in err
+
+
+def test_verify_rejects_checked_count_of_sampled_or_partial_exit_1(capsys, tmp_path,
+                                                                   monkeypatch):
+    cert_path = _certificate(capsys, tmp_path, "torsion")
+    _mutate(cert_path, CHECKED, 0)
+    _mutate(cert_path, ("verification", "mode"), "sampled")
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert "field verification.checked is 0, expected an integer >= 1 in sampled mode" in err
+    monkeypatch.setenv("COCYCLE_MAX_TUPLES", "3")
+    cert_path = _certificate(capsys, tmp_path, "torsion")
+    _mutate(cert_path, CHECKED, 10 ** 6)
+    code, _, err = run(capsys, "verify", str(cert_path), "--allow-partial")
+    assert code == 1
+    assert "field verification.checked is 1000000, expected 0" in err
+
+
+@pytest.mark.parametrize("mode, prefix, n, order", [
+    ("torsion", (), 2, 4),
+    ("general", (), 4, 4),
+    ("general", ("stages", "stage1"), 3, 4),
+    ("general", ("stages", "stage2"), 4, 4),
+])
+def test_verify_fails_exhaustive_count_other_than_all_tuples_exit_7(capsys, tmp_path, mode,
+                                                                    prefix, n, order):
+    cert_path = _certificate(capsys, tmp_path, mode)
+    _mutate(cert_path, prefix + CHECKED, 10 ** 6)
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 7
+    name = prefix[-1] + ":alpha-trivializes" if prefix else "alpha-trivializes"
+    line = next(line for line in out.splitlines() if line.startswith(name + ":"))
+    assert line.startswith(name + ": FAIL")
+    assert (f"declared verification.checked is 1000000, expected |Gamma|^{n} = {order ** n}"
+            in line)
+
+
+def test_verify_rejects_witness_that_is_not_a_homomorphism_exit_1(capsys, tmp_path):
+    # b takes values in Hom(Z/2, Z/4): the generator must map to 0 or 2
+    g = cyclic_group(2)
+    w = Cochain(g, trivial_module(g, [4]), 2, {(1, 1): (2,)})
+    path = write_json(tmp_path / "w.json", cochain_to_json(w))
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "trivialize", "--group", "cyclic:2", "--module", "trivial:4",
+                     "--cocycle", path, "--degree", "2", "--out", str(cert_path))
+    assert code == 0
+    assert json.loads(cert_path.read_text())["b"]["values"][0]["matrix"] == [[2]]
+    code, _, _ = run(capsys, "verify", str(cert_path))
+    assert code == 0
+    _mutate(cert_path, MATRIX, [[1]])
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert "certificate field b: images [(1,)] do not define a homomorphism" in err

@@ -270,3 +270,57 @@ def test_solve_with_free_modulus_matches_solve_integer():
         ref = la.solve_integer(aug, b, cols=aug_cols)
         assert x == (None if ref is None else ref[:3])
         assert x is not None and congruent(a, x, b, moduli)
+
+
+def rational_solve(mat, b):
+    """Gauss-Jordan over Q: (rank of mat, a solution t of mat @ t = b, or
+    None when there is none)."""
+    from fractions import Fraction
+
+    n = len(mat[0]) if mat else 0
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(mat, b)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                q = rows[i][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return len(pivots), None
+    t = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        t[c] = rows[i][-1]
+    return len(pivots), t
+
+
+def test_kernel_with_moduli_returns_a_basis():
+    # independent vectors that satisfy the congruences and generate every
+    # solution in a box and the lcm multiples of the unit vectors.  Being
+    # independent, they give each solution unique rational coordinates,
+    # which must be integers.  (FactoredMatrix.solve cannot be the oracle:
+    # the integer Smith normal form of these bases runs away on 8 of the
+    # 200 systems.)
+    rng = random.Random(31)
+    for _ in range(200):
+        rows, cols = rng.randrange(0, 6), rng.randrange(1, 6)
+        a = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
+        moduli = [rng.choice([0, 0, 2, 3, 5, 7, 4, 6, 9, 12]) for _ in range(rows)]
+        zero = [0] * rows
+        basis = la.kernel_with_moduli(a, moduli, cols=cols)
+        assert all(len(v) == cols and congruent(a, v, zero, moduli) for v in basis)
+        kmat = [[v[i] for v in basis] for i in range(cols)]
+        assert rational_solve(kmat, [0] * cols)[0] == len(basis)
+        big = math.lcm(1, *moduli)
+        tries = list(itertools.product(range(-2, 3), repeat=cols))
+        tries += [tuple(big if i == j else 0 for i in range(cols)) for j in range(cols)]
+        for x in tries:
+            if congruent(a, x, zero, moduli):
+                _, t = rational_solve(kmat, x)
+                assert t is not None and all(c.denominator == 1 for c in t)

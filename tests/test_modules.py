@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from groupcoh import (
+    Cochain,
     GModule,
     coinvariants,
     cyclic_group,
@@ -15,7 +16,10 @@ from groupcoh import (
     tensor_module,
     torsion_submodule,
     trivial_module,
+    trivialize_torsion,
+    verify_certificate,
 )
+from groupcoh import intlinalg
 from groupcoh.errors import (
     ActionNotHomomorphic,
     BadIdentityAction,
@@ -211,6 +215,101 @@ def test_hom_equivariance():
             lhs = hom.evaluate(hom.act(1, f), a.act(1, vec))
             rhs = m.act(1, hom.evaluate(f, vec))
             assert lhs == rhs
+
+
+def _cyclic_module(group, factors, gen):
+    """The module over the cyclic group whose generator acts by gen."""
+    k = len(factors)
+    powers = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    for _ in range(1, group.order):
+        prev = powers[-1]
+        powers.append([[sum(gen[i][t] * prev[t][j] for t in range(k)) for j in range(k)]
+                       for i in range(k)])
+    return GModule(group, factors, powers)
+
+
+def _hom_pairs():
+    """(A, M) pairs: twisted source and target, a mixed torsion and free
+    target, a non-diagonal action, a factor-1 source coordinate, and C4
+    acting by 2 on Z/5."""
+    c2, c3, c4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+    order3 = [[0, 1, 0], [1, 1, 0], [0, 0, 1]]  # order 3 on (Z/2)^2, fixing Z/4
+    return [
+        (_cyclic_module(c2, [4, 2], [[-1, 0], [0, 1]]),
+         _cyclic_module(c2, [8, 6], [[-1, 0], [0, -1]])),
+        (trivial_module(c2, [6, 3]),
+         _cyclic_module(c2, [2, 0, 9], [[1, 0, 0], [0, -1, 0], [0, 0, -1]])),
+        (_cyclic_module(c3, [2, 2], [[0, 1], [1, 1]]), _cyclic_module(c3, [2, 2, 4], order3)),
+        (trivial_module(c4, [1, 4]), _cyclic_module(c4, [6], [[-1]])),
+        (trivial_module(c4, [5, 10]), _cyclic_module(c4, [5], [[2]])),
+    ]
+
+
+def _brute_homs(a, m):
+    """Every tuple of images (m_j) with a_j m_j = 0 in M, free coordinates
+    searched in [-2, 2]."""
+    ranges = [range(d) if d else range(-2, 3) for d in m.factors]
+    imgs = [
+        [v for v in itertools.product(*ranges) if m.is_zero(m.scale(aj, v))]
+        for aj in a.factors
+    ]
+    return [list(t) for t in itertools.product(*imgs)]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_hom_matches_brute_force(case):
+    a, m = _hom_pairs()[case]
+    hom = hom_module(a, m)
+    homs = _brute_homs(a, m)
+    assert hom.size() == len(homs)
+    group = a.group
+    for imgs in homs:
+        f = hom.from_images(imgs)
+        assert hom.images(f) == imgs
+        for g in range(group.order):
+            # (g.f)(e_j) = g.f(g^{-1}.e_j), computed from the images
+            ginv = group.inv(g)
+            direct = []
+            for j in range(a.dim):
+                pre = a.act(ginv, a.basis_vector(j))
+                val = m.zero()
+                for x, img in zip(pre, imgs):
+                    val = m.add(val, m.scale(x, img))
+                direct.append(m.act(g, val))
+            assert hom.images(hom.act(g, f)) == direct
+
+
+def test_hom_from_images_rejects_non_homomorphisms():
+    g = cyclic_group(2)
+    hom = hom_module(trivial_module(g, [2]), trivial_module(g, [4]))
+    assert hom.images(hom.from_images([(2,)])) == [(2,)]
+    with pytest.raises(ValueError):
+        hom.from_images([(1,)])
+    a, m = _hom_pairs()[1]
+    with pytest.raises(ValueError):
+        hom_module(a, m).from_images([(0, 1, 0), (0, 0, 0)])  # a free image
+    a, m = _hom_pairs()[3]
+    with pytest.raises(ValueError):
+        hom_module(a, m).from_images([(3,), (0,)])  # Z/1 must map to 0
+
+
+def test_hom_module_makes_no_smith_normal_form(monkeypatch):
+    # Hom(A, M) is read off the factors; the certificate path solves nothing
+    calls = []
+    snf = intlinalg._snf_full
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "_snf_full", counted)
+    for a, m in _hom_pairs():
+        hom_module(a, m)
+    g = cyclic_group(2)
+    m = trivial_module(g, [2])
+    cert = trivialize_torsion(Cochain(g, m, 2, {(1, 1): (1,)}))
+    assert verify_certificate(cert).ok()
+    assert calls == []
 
 
 def test_tensor_module():
