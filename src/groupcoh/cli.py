@@ -47,7 +47,7 @@ from .errors import (
     WitnessedError,
 )
 from .extensions import build_extension, extension_to_json
-from .groups import builtin_group, group_from_json, group_to_json, load_group
+from .groups import builtin_group, group_from_json, group_to_json, json_object, load_group
 from .modules import HomModule, load_module, trivial_module
 from .trivialize import (
     _witness_from_json,
@@ -209,7 +209,7 @@ def cmd_trivialize(args) -> int:
     group = _load_group_arg(args.group)
     module = _load_module_arg(args.module, group)
     with open(args.cocycle) as fh:
-        data = json.load(fh)
+        data = json_object(json.load(fh), "cochain", ("degree",))
     if data["degree"] != args.degree:
         return _fail(1, f"--degree {args.degree} does not match cocycle file "
                         f"degree {data['degree']}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .errors import DegreeMismatch, NotACocycle, ResourceLimit, SelfCheckFailed
+from .groups import generated, json_object
 from .modules import GModule, invariants
 
 DEFAULT_MAX_ENTRIES = 10_000_000
@@ -159,10 +160,14 @@ def delta_rows(f: Cochain, firsts=None):
     t_1 . f(t_2..t_n, .) (skipped when t_1 acts as the identity), the inner
     merges (-1)^i f(..t_i t_{i+1}.., .), (-1)^n f(t_1..t_{n-1}, t_n j)
     gathered through group.mul_row(t_n), and the constant (-1)^(n+1) f(t).
-    Degree 0 is the single row j . f() - f().  With firsts (non-identity
-    indices, n >= 1) only the prefixes whose first element is in firsts
-    are yielded.  Only the prefixes in f's support get a table row; rows
-    may share lists, so callers must not modify them."""
+    Each inner merge t_{i-1} t_i is read from group.mul_row(t_{i-1}),
+    fetched once per distinct left factor and held until the generator
+    ends (for a FiniteGroup the row is the table row itself), so no merge
+    calls group.mul.  Degree 0 is the single row j . f() - f().  With
+    firsts (non-identity indices, n >= 1) only the prefixes whose first
+    element is in firsts are yielded.  Only the prefixes in f's support
+    get a table row; rows may share lists, so callers must not modify
+    them."""
     group, m, n = f.group, f.coeffs, f.degree
     order, factors = group.order, m.factors
     if n == 0:
@@ -182,6 +187,7 @@ def delta_rows(f: Cochain, firsts=None):
     minus = [[-x for x in r] for r in ident]
     zero_row, columns = [[0] * order for _ in factors], range(order)
     last_u = head = None
+    products = {}  # group.mul_row(x) per left factor x of an inner merge
     if firsts is None:
         prefixes = nonid_tuples(order, n)
     else:
@@ -191,7 +197,10 @@ def delta_rows(f: Cochain, firsts=None):
         if acc is not None and m.action[t[0]] != ident:
             acc = _plus(None, acc, m.action[t[0]])
         for i in range(1, n):
-            merged = rows.get(t[:i - 1] + (group.mul(t[i - 1], t[i]),) + t[i + 1:])
+            left = products.get(t[i - 1])
+            if left is None:
+                left = products[t[i - 1]] = group.mul_row(t[i - 1])
+            merged = rows.get(t[:i - 1] + (left[t[i]],) + t[i + 1:])
             if merged is not None:
                 acc = _plus(acc, merged, minus if i % 2 else ident)
         u = t[:-1]
@@ -224,7 +233,28 @@ def coboundary(f: Cochain) -> Cochain:
 
 
 def first_cocycle_defect(f: Cochain):
-    """First tuple where delta f is nonzero, or None when f is a cocycle."""
+    """First tuple where delta f is nonzero, or None when f is a cocycle.
+
+    The zero cochain is a cocycle.  In degree n >= 1 a pass is decided on
+    the rows of delta f whose first slot lies in S = group.generators(),
+    once `generated` confirms that S generates the group: delta f is a
+    normalized (n+1)-cocycle, and one that vanishes wherever its first slot
+    lies in S vanishes everywhere (F(sy, ...) = s . F(y, ...) by
+    delta F(s, y, ...) = 0, by induction on a word in S; Brown, Cohomology
+    of Groups, III.1).  That needs delta delta = 0, so the group must be
+    associative and the action a homomorphism; every caller has proved both
+    (tables and modules are validated at load, an extension cocycle before
+    the extension is built).  Otherwise, or on a nonzero generator row, all
+    rows are swept and the lexicographically first nonzero tuple is
+    returned."""
+    if not f.values:
+        return None
+    group = f.group
+    if f.degree >= 1:
+        gens = group.generators()
+        if len(generated(group, gens)) == group.order and not any(
+                any(map(any, row)) for _, row in delta_rows(f, firsts=gens)):
+            return None
     for t, row in delta_rows(f):
         if any(map(any, row)):
             return t + (next(j for j, v in enumerate(zip(*row)) if any(v)),)
@@ -418,10 +448,10 @@ def cochain_to_json(f: Cochain) -> dict:
 
 def json_entries(data: dict, group):
     """(degree, [(index tuple, entry)]) of a serialized cochain, checked
-    before use: the degree is an int, `values` a list of objects, and each
-    `tuple` a list of `degree` labels of non-identity elements; anything
-    else raises ValueError."""
-    degree = data["degree"]
+    before use: data is an object with an int `degree`, `values` a list of
+    objects, and each `tuple` a list of `degree` labels of non-identity
+    elements; anything else raises ValueError."""
+    degree = json_object(data, "cochain", ("degree",))["degree"]
     if type(degree) is not int:
         raise ValueError(f"cochain degree {degree!r} is not an integer")
     entries = data.get("values", [])

@@ -10,6 +10,7 @@ materialized when something downstream really needs a FiniteGroup.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .cochains import Cochain, cochain_from_json, cochain_to_json, first_cocycle_defect, max_entries_limit, nonid_tuples
@@ -170,19 +171,24 @@ def module_through_projection(ext: GroupExtension, module: GModule) -> GModule:
 
 
 def lift_cochain(ext: GroupExtension, omega: Cochain, max_entries=None) -> Cochain:
-    """pi^* omega as a cochain of the total group (materialized; gate on
-    (|Gamma|-1)^n support)."""
+    """pi^* omega as a cochain of the total group, materialized from the
+    support only: pi^* omega(t) = omega(u) for every t in the product of
+    the fibres pi^-1(u_i) = {a |G| + u_i}, for each u in omega's support.
+    The values are stored in lexicographic tuple order.  Gated on the
+    |supp omega| * |A|^n entries it allocates."""
     n = omega.degree
+    ng, na = ext.base.order, len(ext.kernel_elements)
+    count = len(omega.values) * na ** n
     limit = max_entries_limit(max_entries)
-    if (ext.order - 1) ** max(n, 1) > limit:
-        raise ResourceLimit("lifted cochain support exceeds the resource limit")
+    if count > limit:
+        raise ResourceLimit(f"lifted cochain needs {count} entries (limit {limit})")
     coeffs = module_through_projection(ext, omega.coeffs)
-    vals = {}
-    for tup in nonid_tuples(ext.order, n):
-        v = omega.evaluate(tuple(ext.pi(i) for i in tup))
-        if not omega.coeffs.is_zero(v):
-            vals[tup] = v
-    return Cochain(ext, coeffs, n, vals)
+    lifted = []
+    for u, v in omega.values.items():
+        fibres = [range(x, ext.order, ng) for x in u]
+        lifted.extend((t, v) for t in itertools.product(*fibres))
+    lifted.sort()
+    return Cochain(ext, coeffs, n, dict(lifted))
 
 
 def kernel_view(ext: GroupExtension, max_entries=None) -> FiniteGroup:

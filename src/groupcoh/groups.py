@@ -252,10 +252,23 @@ def group_to_json(group: FiniteGroup) -> dict:
     }
 
 
+def json_object(data, what: str, keys=()) -> dict:
+    """data, or a ValueError naming what was read unless it is a JSON
+    object that holds every key in keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {data!r} is not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} has no field {key!r}")
+    return data
+
+
 def group_from_json(data: dict) -> FiniteGroup:
-    """The group of a `group_to_json` dict; a table that is not a square
-    list of lists of ints (bools excluded), or elements that are not one
-    distinct string label per row, raise ValueError."""
+    """The group of a `group_to_json` dict; data that is not an object with
+    a `table`, a table that is not a square list of lists of ints (bools
+    excluded), or elements that are not one distinct string label per row,
+    raise ValueError."""
+    json_object(data, "group", ("table",))
     table, labels = data["table"], data.get("elements")
     if not isinstance(table, list) or not all(
             isinstance(row, list) and len(row) == len(table)

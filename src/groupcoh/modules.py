@@ -19,7 +19,7 @@ from .errors import (
     BadIdentityAction,
     SourceNotTorsion,
 )
-from .groups import FiniteGroup, group_from_json, group_to_json
+from .groups import FiniteGroup, generated, group_from_json, group_to_json, json_object
 
 
 class GModule:
@@ -107,15 +107,23 @@ class GModule:
 
 
 def _validate_module(m: GModule):
+    """Shape, identity action, descent to the quotient, and rho(g) rho(h) =
+    rho(gh), matrices compared as maps on M (see _same_map).  The last is
+    decided on the pairs (s, h) with s in S = group.generators() once
+    `generated` confirms that S generates G: the set of g with
+    rho(g) rho(h) = rho(gh) for every h contains e and S and is closed
+    under products (the group is associative), so it is G.  On a failure
+    there every pair is swept, so ActionNotHomomorphic names the first
+    failing (g, h) in index order."""
     k = m.dim
-    order = m.group.order
+    group = m.group
+    order = group.order
     if len(m.action) != order:
         raise ValueError("need one action matrix per group element")
     for mat in m.action:
         if len(mat) != k or any(len(row) != k for row in mat):
             raise ValueError("action matrices must be k x k")
-    ident = la.identity_matrix(k)
-    if any(m.reduce(row) != m.reduce(irow) for row, irow in zip(m.action[0], ident)):
+    if not _same_map(m, m.action[0], la.identity_matrix(k)):
         raise BadIdentityAction("identity element must act as the identity matrix")
     # columns scaled by their modulus must stay in the relation lattice
     for g in range(order):
@@ -128,18 +136,32 @@ def _validate_module(m: GModule):
                 if (v % di) if di else v:
                     raise ActionBreaksRelations(
                         "action does not descend to the quotient",
-                        witness=(m.group.elements[g], j),
+                        witness=(group.elements[g], j),
                     )
+    gens = group.generators()
+    if len(generated(group, gens)) == order and all(
+            _acts_as_product(m, s, h, gh) for s in gens
+            for h, gh in enumerate(group.mul_row(s))):
+        return
     for g in range(order):
         for h in range(order):
-            gh = m.group.mul(g, h)
-            prod = la.mat_mul(m.action[g], m.action[h])
-            for row_p, row_t in zip(prod, m.action[gh]):
-                if m.reduce(row_p) != m.reduce(row_t):
-                    raise ActionNotHomomorphic(
-                        "action is not a homomorphism",
-                        witness=(m.group.elements[g], m.group.elements[h]),
-                    )
+            if not _acts_as_product(m, g, h, group.mul(g, h)):
+                raise ActionNotHomomorphic(
+                    "action is not a homomorphism",
+                    witness=(group.elements[g], group.elements[h]),
+                )
+
+
+def _same_map(m: GModule, a, b) -> bool:
+    """Whether the integer matrices a and b induce the same map Z^k -> M:
+    row i agrees modulo d_i, the modulus of the coordinate it computes."""
+    return all(not ((x - y) % d if d else x - y)
+               for row_a, row_b, d in zip(a, b, m.factors) for x, y in zip(row_a, row_b))
+
+
+def _acts_as_product(m: GModule, g, h, gh) -> bool:
+    """rho(g) rho(h) = rho(gh) as maps on M."""
+    return _same_map(m, la.mat_mul(m.action[g], m.action[h]), m.action[gh])
 
 
 def make_module(group: FiniteGroup, factors, action) -> GModule:
@@ -336,7 +358,7 @@ class HomModule(GModule):
             amat = _hom_ambient_action(source, target, g, group.inv(g))
             cols = []
             for j, i, step in self._coords:
-                flat = la.mat_vec(amat, [step if r == j * k + i else 0 for r in range(k * s)])
+                flat = [step * row[j * k + i] for row in amat]  # amat . (step e_(j,i))
                 cols.append(self.from_images([flat[r * k : (r + 1) * k] for r in range(s)]))
             action.append(list(zip(*cols)))
         super().__init__(group, factors, action, _validate=True)
@@ -442,6 +464,11 @@ def module_to_json(m: GModule, embed_group=True) -> dict:
 
 
 def module_from_json(data: dict, group: FiniteGroup = None) -> GModule:
+    """The module of a `module_to_json` dict over group (or over its own
+    `group` when group is None); data that is not an object with
+    `factors` (and `group` when needed), or malformed factors or action
+    matrices, raise ValueError."""
+    json_object(data, "module", ("factors",) if group is not None else ("factors", "group"))
     if group is None:
         group = group_from_json(data["group"])
     factors = data["factors"]

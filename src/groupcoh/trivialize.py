@@ -468,6 +468,8 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
         raise ResourceLimit("stage-1 torsion trivialization came back partial")
     ext1 = stage1.extension
 
+    # lift omega before any sweep over ext1, so its resource gate fails first
+    pi_omega = lift_cochain(ext1, omega, max_entries)
     mfree_g = module_through_projection(ext1, mfree)
     if stage1.alpha is not None and not stage1.alpha.is_zero():
         rho_lift = Cochain(ext1, mfree_g, n - 2, stage1.alpha.values)
@@ -476,7 +478,6 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
     pi_h = Cochain(ext1, mfree_g, n - 1,
                    lift_cochain(ext1, h.numerator, max_entries).values)
     eta = divide_cochain(sub_cochains(pi_h, coboundary(rho_lift)), q)
-    pi_omega = lift_cochain(ext1, omega, max_entries)
     if coboundary(eta) != map_coefficients(pi_omega, pmap.matrix, mfree_g):
         raise SelfCheckFailed("trivialize_general: delta eta differs from the free part of pi^* omega")
 

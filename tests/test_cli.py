@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -711,3 +714,59 @@ def test_verify_rejects_witness_that_is_not_a_homomorphism_exit_1(capsys, tmp_pa
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 1
     assert "certificate field b: images [(1,)] do not define a homomorphism" in err
+
+
+# -- input files that are not objects --------------------------------------
+
+
+NOT_OBJECTS = ["x", None, [], 5]
+
+
+@pytest.mark.parametrize("value", NOT_OBJECTS)
+def test_group_table_file_not_an_object_exit_1(capsys, tmp_path, value):
+    path = write_json(tmp_path / "g.json", value)
+    code, _, err = run(capsys, "group", "--table", path)
+    assert code == 1
+    assert f"group {value!r} is not a JSON object" in err
+
+
+@pytest.mark.parametrize("value", NOT_OBJECTS)
+def test_module_file_not_an_object_exit_1(capsys, tmp_path, value):
+    path = write_json(tmp_path / "m.json", value)
+    code, _, err = run(capsys, "cohomology", "--group", "cyclic:2", "--module", path,
+                       "--degree", "2")
+    assert code == 1
+    assert f"module {value!r} is not a JSON object" in err
+
+
+@pytest.mark.parametrize("value", NOT_OBJECTS)
+def test_cochain_file_not_an_object_exit_1(capsys, tmp_path, value):
+    path = write_json(tmp_path / "omega.json", value)
+    code, _, err = run(capsys, "trivialize", "--group", "cyclic:2", "--module", "trivial:2",
+                       "--cocycle", path, "--degree", "2", "--out", str(tmp_path / "c.json"))
+    assert code == 1
+    assert f"cochain {value!r} is not a JSON object" in err
+
+
+@pytest.mark.parametrize("argv, data, field", [
+    (["group", "--table"], {"elements": ["e"]}, "group has no field 'table'"),
+    (["cohomology", "--group", "cyclic:2", "--degree", "2", "--module"], {"action": {}},
+     "module has no field 'factors'"),
+    (["extend", "--group", "cyclic:2", "--module", "trivial:2", "--cocycle"], {"values": []},
+     "cochain has no field 'degree'"),
+])
+def test_input_object_without_required_field_exit_1(capsys, tmp_path, argv, data, field):
+    code, _, err = run(capsys, *argv, write_json(tmp_path / "in.json", data))
+    assert code == 1
+    assert field in err
+
+
+def test_python_dash_m_groupcoh(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupcoh", "cohomology", "--group", "cyclic:2",
+         "--module", "trivial:2", "--degree", "2"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "H^2 invariant factors: [2]" in proc.stdout

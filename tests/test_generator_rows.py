@@ -1,0 +1,331 @@
+"""Differential tests of the checks decided on the rows of a generating
+set: the cocycle test `first_cocycle_defect`, the homomorphism test of
+module validation, the support-only `lift_cochain` and the product rows
+of `delta_rows`, each against a brute-force oracle."""
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+
+from groupcoh import (
+    Cochain,
+    GModule,
+    build_extension,
+    builtin_group,
+    coboundary,
+    cyclic_group,
+    first_cocycle_defect,
+    hom_module,
+    lift_cochain,
+    trivial_module,
+)
+from groupcoh.cochains import coboundary_value, delta_rows, nonid_tuples
+from groupcoh.errors import ActionNotHomomorphic, BadIdentityAction, ResourceLimit
+from groupcoh.extensions import GroupExtension
+from groupcoh.groups import FiniteGroup
+
+
+def _sign_character(group):
+    """A homomorphism group -> {1, -1}, nontrivial when one exists, found by
+    brute force over all sign assignments."""
+    for signs in itertools.product((1, -1), repeat=group.order - 1):
+        chi = (1,) + signs
+        if -1 in chi and all(chi[group.mul(g, h)] == chi[g] * chi[h]
+                             for g in range(group.order) for h in range(group.order)):
+            return chi
+    return (1,) * group.order
+
+
+def _modules(group):
+    """Trivial Z/2, Z/4 and Z twisted by a sign character, and
+    Hom(Z/4 twisted, Z/4 + Z/2)."""
+    chi = _sign_character(group)
+    z4_sign = GModule(group, [4], [[[s]] for s in chi])
+    return {
+        "Z/2": trivial_module(group, [2]),
+        "Z/4 sign": z4_sign,
+        "Z sign": GModule(group, [0], [[[s]] for s in chi]),
+        "Hom": hom_module(z4_sign, trivial_module(group, [4, 2])),
+    }
+
+
+def _split_c3_extension():
+    """Z/3 x C3 as the extension by the coboundary c = delta u, u(1) = 1:
+    (0, 1) generates a subgroup of order 3 without (0, 2), so index 2 is a
+    generator of the index order that is not in generators()."""
+    g = cyclic_group(3)
+    a = trivial_module(g, [3])
+    return build_extension(a, coboundary(Cochain(g, a, 1, {(1,): (1,)})))
+
+
+def _groups():
+    s3 = builtin_group("symmetric:3")
+    z2 = trivial_module(s3, [2])
+    x = _sign_character(s3)
+    # c(g, h) = x(g) x(h) with x: S3 -> Z/2 the sign, a non-split class
+    c = Cochain(s3, z2, 2, {(g, h): (1,) for g in range(1, 6) for h in range(1, 6)
+                            if x[g] == x[h] == -1})
+    c2 = cyclic_group(2)
+    a = trivial_module(c2, [2])
+    z4 = build_extension(a, Cochain(c2, a, 2, {(1, 1): (1,)}))
+    b = trivial_module(z4, [2])
+    # pi^* of the class of Z/4 -> C2, a 2-cocycle of Z/4
+    lifted = lift_cochain(z4, Cochain(c2, a, 2, {(1, 1): (1,)}))
+    tower = build_extension(b, Cochain(z4, b, 2, lifted.values))
+    return {
+        "S3": s3,
+        "D4": builtin_group("dihedral:4"),
+        "S3 ext": build_extension(z2, c),
+        "tower": tower,
+        "split C3 ext": _split_c3_extension(),
+    }
+
+
+def _brute_defect(f):
+    """The lexicographically first non-identity tuple where the textbook
+    delta f, one tuple at a time, is nonzero; None when there is none."""
+    m = f.coeffs
+    for tup in nonid_tuples(f.group.order, f.degree + 1):
+        if not m.is_zero(m.reduce(coboundary_value(f, tup))):
+            return tup
+    return None
+
+
+def _random_value(rng, m):
+    return tuple(rng.randrange(d) if d else rng.randrange(-3, 4) for d in m.factors)
+
+
+def _cocycles(rng, group, m, degree):
+    """Zero, and coboundaries of seeded cochains one degree down; in degree
+    1 with trivial coefficients also a homomorphism (the sign character)."""
+    out = [Cochain(group, m, degree)]
+    for _ in range(2):
+        u = Cochain(group, m, degree - 1,
+                    {t: _random_value(rng, m) for t in nonid_tuples(group.order, degree - 1)})
+        out.append(coboundary(u))
+    if degree == 1 and m.factors == (2,) and all(mat == ((1,),) for mat in m.action):
+        chi = _sign_character(group)
+        out.append(Cochain(group, m, 1, {(g,): (1,) for g in range(1, group.order)
+                                         if chi[g] == -1}))
+    return out
+
+
+def _corruptions(rng, f, count=8):
+    """count copies of f with one value changed by a nonzero element; every
+    other one at a tuple whose first slot is outside generators()."""
+    group, m = f.group, f.coeffs
+    gens = set(group.generators())
+    tuples = list(nonid_tuples(group.order, f.degree))
+    off = [t for t in tuples if t[0] not in gens]
+    out = []
+    for i in range(count):
+        tup = rng.choice(off if i % 2 and off else tuples)
+        delta = _random_value(rng, m)
+        while m.is_zero(m.reduce(delta)):
+            delta = _random_value(rng, m)
+        vals = dict(f.values)
+        vals[tup] = m.add(f.evaluate(tup), delta)
+        out.append(Cochain(group, m, f.degree, vals))
+    return out
+
+
+GROUPS = _groups()
+
+
+@pytest.mark.parametrize("group_name", list(GROUPS))
+def test_first_cocycle_defect_matches_brute_force(group_name):
+    group = GROUPS[group_name]
+    rng = random.Random(sum(map(ord, group_name)))
+    degrees = (1, 2, 3) if group.order <= 6 else (1, 2)
+    for name, m in _modules(group).items():
+        for degree in degrees:
+            for f in _cocycles(rng, group, m, degree):
+                assert first_cocycle_defect(f) is None, (name, degree)
+                assert _brute_defect(f) is None, (name, degree)
+                for bad in _corruptions(rng, f):
+                    want = _brute_defect(bad)
+                    assert first_cocycle_defect(bad) == want, (name, degree, bad.values)
+
+
+def test_first_cocycle_defect_witness_off_the_generators():
+    """f constant on the cosets of H = <(0, 1)>, zero on H, and 1 on the
+    coset of (0, 2): delta f vanishes on the rows starting in H but not
+    on row 2, which is not in generators(), so the full sweep alone names
+    the first defect."""
+    ext = _split_c3_extension()
+    h = {0, 1, ext.mul(1, 1)}
+    assert len(h) == 3 and 2 not in h and 2 not in ext.generators()
+    m = trivial_module(ext, [3])
+    coset2 = {ext.mul(2, x) for x in h}
+    f = Cochain(ext, m, 1, {(x,): (1,) for x in coset2})
+    want = _brute_defect(f)
+    assert want[0] == 2
+    assert first_cocycle_defect(f) == want
+
+
+@dataclasses.dataclass(frozen=True)
+class _FewGenerators(FiniteGroup):
+    """A FiniteGroup whose generators() names only element 1."""
+
+    def generators(self):
+        return [1]
+
+
+def _v4_with_few_generators():
+    g = builtin_group("cyclic:2*cyclic:2")
+    return _FewGenerators(g.order, g.elements, g.table, g.inverse)
+
+
+def test_first_cocycle_defect_needs_a_generating_set():
+    """On (Z/2)^2 with S = {1}, f = 1 on the coset {2, 3} of <1> has delta f
+    zero on every row starting in S but delta f(2, 2) = 2 in Z/4."""
+    g = _v4_with_few_generators()
+    m = trivial_module(g, [4])
+    f = Cochain(g, m, 1, {(2,): (1,), (3,): (1,)})
+    assert all(not any(map(any, row)) for _, row in delta_rows(f, firsts=[1]))
+    assert first_cocycle_defect(f) == _brute_defect(f) == (2, 2)
+
+
+def _first_non_homomorphic_pair(group, action, factors):
+    """The first (g, h) in index order with rho(g) rho(h) != rho(gh) on M."""
+    for g in range(group.order):
+        for h in range(group.order):
+            a, b, gh = action[g], action[h], action[group.mul(g, h)]
+            for i, d in enumerate(factors):
+                row = [sum(a[i][t] * b[t][j] for t in range(len(factors)))
+                       for j in range(len(factors))]
+                if any((x - y) % d if d else x - y for x, y in zip(row, gh[i])):
+                    return group.elements[g], group.elements[h]
+    return None
+
+
+def test_validate_module_witness_off_the_generators():
+    """rho = 1 on H = <(0, 1)> and -1 elsewhere on Z: the row of (0, 1)
+    passes, a generator row fails, and the first failing pair in index
+    order is (2, 2) with 2 outside generators()."""
+    ext = _split_c3_extension()
+    h = {0, 1, ext.mul(1, 1)}
+    action = [[[1]] if x in h else [[-1]] for x in range(ext.order)]
+    want = _first_non_homomorphic_pair(ext, action, [0])
+    assert want == (ext.elements[2], ext.elements[2]) and 2 not in ext.generators()
+    with pytest.raises(ActionNotHomomorphic) as info:
+        GModule(ext, [0], action)
+    assert info.value.witness == want
+
+
+def test_validate_module_needs_a_generating_set():
+    """On (Z/2)^2 with S = {1}: rho(1) = 1 and rho(2) = rho(3) = 2 on Z pass
+    the row of 1 but rho(2)^2 = 4 != rho(0)."""
+    g = _v4_with_few_generators()
+    action = [[[1]], [[1]], [[2]], [[2]]]
+    want = _first_non_homomorphic_pair(g, action, [0])
+    assert want == (g.elements[2], g.elements[2])
+    with pytest.raises(ActionNotHomomorphic) as info:
+        GModule(g, [0], action)
+    assert info.value.witness == want
+
+
+@pytest.mark.parametrize("group_name", list(GROUPS))
+def test_validate_module_matches_brute_force(group_name):
+    """Seeded actions on Z/4 + Z/2 through a sign character, plus a few
+    corrupted matrices: validation passes exactly when the brute-force
+    sweep finds no failing pair, and otherwise names the same pair."""
+    group = GROUPS[group_name]
+    rng = random.Random(len(group_name))
+    chi = _sign_character(group)
+    good = [[[s, 0], [0, 1]] for s in chi]
+    assert _first_non_homomorphic_pair(group, good, [4, 2]) is None
+    GModule(group, [4, 2], good)
+    for _ in range(4):
+        bad = [[row[:] for row in mat] for mat in good]
+        x = rng.randrange(1, group.order)
+        bad[x] = [[rng.choice([1, 3]), 2 * rng.randrange(2)], [0, 1]]
+        want = _first_non_homomorphic_pair(group, bad, [4, 2])
+        if want is None:
+            GModule(group, [4, 2], bad)
+        else:
+            with pytest.raises(ActionNotHomomorphic) as info:
+                GModule(group, [4, 2], bad)
+            assert info.value.witness == want
+
+
+# -- lifting and product rows ----------------------------------------------
+
+
+def test_lift_cochain_matches_brute_force_on_a_tower():
+    tower = GROUPS["tower"]
+    base = tower.base
+    rng = random.Random(3)
+    for name, m in _modules(base).items():
+        for degree in (0, 1, 2, 3):
+            tuples = list(nonid_tuples(base.order, degree))
+            f = Cochain(base, m, degree,
+                        {t: _random_value(rng, m) for t in rng.sample(tuples, min(3, len(tuples)))})
+            want = {}
+            for tup in nonid_tuples(tower.order, degree):
+                v = f.evaluate(tuple(tower.pi(i) for i in tup))
+                if not m.is_zero(v):
+                    want[tup] = v
+            lifted = lift_cochain(tower, f)
+            assert lifted.values == want, (name, degree)
+            assert list(lifted.values) == list(want), (name, degree)
+
+
+def test_lift_cochain_gate_counts_support_times_fibres():
+    ext = GROUPS["S3 ext"]  # |A| = 2
+    m = trivial_module(ext.base, [2])
+    f = Cochain(ext.base, m, 3, {(1, 2, 3): (1,), (2, 2, 2): (1,), (5, 4, 1): (1,)})
+    assert len(lift_cochain(ext, f, max_entries=3 * 2 ** 3).values) == 24
+    with pytest.raises(ResourceLimit, match="needs 24 entries .limit 23."):
+        lift_cochain(ext, f, max_entries=23)
+
+
+def test_delta_rows_on_an_extension_never_calls_mul(monkeypatch):
+    tower = GROUPS["tower"]
+    rng = random.Random(9)
+    m = _modules(tower)["Z/4 sign"]
+    f = Cochain(tower, m, 3, {t: _random_value(rng, m)
+                              for t in rng.sample(list(nonid_tuples(tower.order, 3)), 40)})
+    want = {t: list(zip(*row)) for t, row in delta_rows(f)}
+    for t, row in want.items():
+        assert row == [m.reduce(coboundary_value(f, t + (j,))) for j in range(tower.order)]
+
+    def forbidden(self, i, j):
+        raise AssertionError("GroupExtension.mul called")
+
+    monkeypatch.setattr(GroupExtension, "mul", forbidden)
+    assert {t: list(zip(*row)) for t, row in delta_rows(f)} == want
+    assert first_cocycle_defect(coboundary(f)) is None
+
+
+def test_action_matrices_compare_as_maps_on_the_module():
+    """Row i of an action matrix computes coordinate i, so it is compared
+    modulo d_i: on Z/4 + Z/2, [[1, 0], [2, 1]] is the identity map and
+    t = [[1, 2], [0, 1]] is not (t^2 is)."""
+    ident, t = [[1, 0], [0, 1]], [[1, 2], [0, 1]]
+    c2, c3 = cyclic_group(2), cyclic_group(3)
+    GModule(c2, [4, 2], [[[1, 0], [2, 1]], ident])
+    GModule(c3, [4, 2], [ident, [[1, 0], [2, 1]], ident])
+    GModule(c2, [4, 2], [ident, t])
+    with pytest.raises(BadIdentityAction):
+        GModule(c2, [4, 2], [t, ident])
+    with pytest.raises(ActionNotHomomorphic) as info:
+        GModule(c3, [4, 2], [ident, t, ident])
+    assert info.value.witness == ("g", "g2")
+
+
+def test_general_mode_gates_the_lift_of_omega_before_sweeping_the_extension(monkeypatch):
+    """H^4(C2; Z): with 12 entries allowed, stage 1 is built (its check
+    sampled) but pi^* omega needs 1 * 2^4 = 16 entries, which must fail
+    before any coboundary over Gamma."""
+    import groupcoh.trivialize as tz
+
+    g = cyclic_group(2)
+    omega = Cochain(g, trivial_module(g, [0]), 4, {(1, 1, 1, 1): (1,)})
+    swept = []
+    monkeypatch.setattr(tz, "coboundary", lambda f: swept.append(f.group) or coboundary(f))
+    with pytest.raises(ResourceLimit, match="lifted cochain needs 16 entries .limit 12."):
+        tz.trivialize_general(omega, max_entries=12, sample_size=100)
+    assert swept == []
