@@ -197,7 +197,7 @@ def cmd_extend(args) -> int:
     kernel = _load_module_arg(args.module, group)
     with open(args.cocycle) as fh:
         c = cochain_from_json(json.load(fh), group, kernel)
-    ext = build_extension(kernel, c, args.max_entries)
+    ext = build_extension(kernel, c)
     if args.out:
         _write_json(extension_to_json(ext), args.out)
     print(f"extension order: {ext.order} (kernel {len(ext.kernel_elements)}, "

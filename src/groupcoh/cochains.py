@@ -222,7 +222,14 @@ def delta_rows(f: Cochain, firsts=None):
                                         [h[t[-1]] for h in h_rows], factors)]
 
 
-def coboundary(f: Cochain) -> Cochain:
+def coboundary(f: Cochain, max_entries=None) -> Cochain:
+    """delta f, from the rows of `delta_rows`.  Gated on the
+    (|G|-1)^n |G| dim M entries those rows hold."""
+    order = f.group.order
+    count = (order - 1) ** f.degree * order * f.coeffs.dim
+    limit = max_entries_limit(max_entries)
+    if count > limit:
+        raise ResourceLimit(f"coboundary needs {count} entries (limit {limit})")
     vals = {}
     for t, row in delta_rows(f):
         if any(map(any, row)):

@@ -3,21 +3,24 @@ pi and inclusion iota, and cochain lifting/restriction along them.
 
 The total group indexes pairs (a, g) a-major (kernel element lexicographic,
 then base element), so the identity (0, 1) lands at index 0.  The group law
-(a,g)(b,h) = (a + g.b + c(g,h), gh) is driven by precomputed kernel
-addition/action tables, so the total multiplication table is only
-materialized when something downstream really needs a FiniteGroup.
+(a,g)(b,h) = (a + g.b + c(g,h), gh) is driven by kernel action tables and a
+kernel addition read from two small tables, one per half of A's factors,
+so nothing of size |A|^2 is built, and the total multiplication table is
+only materialized when something downstream really needs a FiniteGroup.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 
 from .cochains import Cochain, cochain_from_json, cochain_to_json, first_cocycle_defect, max_entries_limit, nonid_tuples
 from .errors import KernelNotFinite, NotACocycle, ResourceLimit
 from .groups import FiniteGroup, group_from_json, group_from_table, group_to_json
 from .modules import (
     GModule,
+    digit_sums,
     element_index,
     index_tables,
     module_from_json,
@@ -27,18 +30,31 @@ from .modules import (
 
 
 class GroupExtension:
-    def __init__(self, kernel: GModule, cocycle: Cochain, max_entries=None):
+    def __init__(self, kernel: GModule, cocycle: Cochain):
         self.kernel = kernel
         self.cocycle = cocycle
         self.base = kernel.group
         base = self.base
-        limit = max_entries_limit(max_entries)
 
         self.kernel_elements = list(kernel.elements())
         na, ng = len(self.kernel_elements), base.order
         self.order = na * ng
 
-        self._add, self._neg, self._act = index_tables(kernel, with_add=na * na <= limit)
+        _, self._neg, self._act = index_tables(kernel, with_add=False)
+        # a = hi * s + lo with s the size of the last factors; the split
+        # point keeps the two fold tables of `digit_sums` smallest
+        factors = kernel.factors
+        widths = [2 * d - 1 for d in factors]
+        folds = [math.prod(widths[:k]) + math.prod(widths[k:]) for k in range(len(factors) + 1)]
+        k = folds.index(min(folds))
+        s = math.prod(factors[k:])
+        self._spread_hi, fold_hi = digit_sums(factors[:k])
+        self._spread_lo, self._fold_lo = digit_sums(factors[k:])
+        self._fold_hi = [x * s for x in fold_hi]
+        # the spread halves of every kernel index
+        self._hi = [e for e in self._spread_hi for _ in range(s)]
+        self._lo = self._spread_lo * (na // s)
+        self._rows = {}
         self._coc = [
             [
                 element_index(kernel, cocycle.evaluate((g, h))) if g and h else 0
@@ -63,10 +79,21 @@ class GroupExtension:
         return self._labels
 
     def add_kernel(self, i: int, j: int) -> int:
-        if self._add is not None:
-            return self._add[i][j]
-        s = self.kernel.add(self.kernel_elements[i], self.kernel_elements[j])
-        return element_index(self.kernel, s)
+        """The kernel index of a_i + a_j, one half of the digits at a time
+        (see digit_sums)."""
+        hi, lo = self._hi, self._lo
+        return self._fold_hi[hi[i] + hi[j]] + self._fold_lo[lo[i] + lo[j]]
+
+    def add_row(self, i: int) -> list:
+        """a_i + a_j for every kernel index j, in index order; cached, and
+        shared between callers, who must not modify it."""
+        row = self._rows.get(i)
+        if row is None:
+            hi, lo = self._hi[i], self._lo[i]
+            fold_hi, fold_lo = self._fold_hi, self._fold_lo
+            low = [fold_lo[lo + e] for e in self._spread_lo]
+            row = self._rows[i] = [fold_hi[hi + e] + x for e in self._spread_hi for x in low]
+        return row
 
     def mul(self, i: int, j: int) -> int:
         ng = self.base.order
@@ -78,16 +105,14 @@ class GroupExtension:
     def mul_row(self, i: int):
         """i * j for every element j, in index order: with (a,g) = i and
         j = (b,h), a-major, the kernel part (a + g.b) + c(g,h) is read from
-        the addition table one h at a time, and gh from the base's row."""
-        if self._add is None:
-            return [self.mul(i, j) for j in range(self.order)]
-        add, ng = self._add, self.base.order
+        the addition rows one h at a time, and gh from the base's row."""
+        ng = self.base.order
         a, g = divmod(i, ng)
-        add_a = add[a]
+        add_a = self.add_row(a)
         shifted = [add_a[b] for b in self._act[g]]
         out = [0] * self.order
         for h, (c, gh) in enumerate(zip(self._coc[g], self.base.mul_row(g))):
-            col = add[c]
+            col = self.add_row(c)
             out[h::ng] = [col[x] * ng + gh for x in shifted]
         return out
 
@@ -148,7 +173,7 @@ class GroupExtension:
         return self._total
 
 
-def build_extension(kernel: GModule, cocycle: Cochain, max_entries=None) -> GroupExtension:
+def build_extension(kernel: GModule, cocycle: Cochain) -> GroupExtension:
     """Construct A x|_c G; fails with the associativity-violating triple
     when c is not a 2-cocycle (the two failure sets coincide)."""
     if not kernel.is_torsion:
@@ -160,7 +185,7 @@ def build_extension(kernel: GModule, cocycle: Cochain, max_entries=None) -> Grou
         raise NotACocycle(
             "extension cocycle fails the 2-cocycle condition", witness=defect
         )
-    return GroupExtension(kernel, cocycle, max_entries)
+    return GroupExtension(kernel, cocycle)
 
 
 def module_through_projection(ext: GroupExtension, module: GModule) -> GModule:
@@ -196,8 +221,8 @@ def kernel_view(ext: GroupExtension, max_entries=None) -> FiniteGroup:
     na = len(ext.kernel_elements)
     limit = max_entries_limit(max_entries)
     if na * na > limit:
-        raise ResourceLimit("kernel group table exceeds the resource limit")
-    table = [[ext.add_kernel(i, j) for j in range(na)] for i in range(na)]
+        raise ResourceLimit(f"kernel group table needs {na * na} entries (limit {limit})")
+    table = [ext.add_row(i) for i in range(na)]
     labels = [",".join(map(str, a)) or "0" for a in ext.kernel_elements]
     return group_from_table(table, labels=labels, check_associativity=False)
 
@@ -227,15 +252,15 @@ def extension_to_json(ext: GroupExtension) -> dict:
     }
 
 
-def extension_from_json(data: dict, max_entries=None) -> GroupExtension:
+def extension_from_json(data: dict) -> GroupExtension:
     """Rebuild from (base, kernel, cocycle); the total table is always
     recomputed, never trusted from input."""
     base = group_from_json(data["base"])
     kernel = module_from_json(data["kernel"], group=base)
     cocycle = cochain_from_json(data["cocycle"], base, kernel)
-    return build_extension(kernel, cocycle, max_entries)
+    return build_extension(kernel, cocycle)
 
 
-def load_extension(path: str, max_entries=None) -> GroupExtension:
+def load_extension(path: str) -> GroupExtension:
     with open(path) as fh:
-        return extension_from_json(json.load(fh), max_entries)
+        return extension_from_json(json.load(fh))

@@ -266,8 +266,9 @@ def json_object(data, what: str, keys=()) -> dict:
 def group_from_json(data: dict) -> FiniteGroup:
     """The group of a `group_to_json` dict; data that is not an object with
     a `table`, a table that is not a square list of lists of ints (bools
-    excluded), or elements that are not one distinct string label per row,
-    raise ValueError."""
+    excluded), elements that are not one distinct string label per row, or
+    an `order` (optional) that is not the int number of rows, raise
+    ValueError."""
     json_object(data, "group", ("table",))
     table, labels = data["table"], data.get("elements")
     if not isinstance(table, list) or not all(
@@ -278,6 +279,9 @@ def group_from_json(data: dict) -> FiniteGroup:
                                    and all(isinstance(lbl, str) for lbl in labels)
                                    and len(set(labels)) == len(labels)):
         raise ValueError(f"group elements {labels!r} are not {len(table)} distinct labels")
+    order = data.get("order", len(table))
+    if type(order) is not int or order != len(table):
+        raise ValueError(f"group field 'order' is {order!r}, expected {len(table)}")
     return group_from_table(table, labels=labels)
 
 

@@ -209,16 +209,33 @@ def element_index(m: GModule, x) -> int:
     return i
 
 
+def digit_sums(factors):
+    """(spread, fold) for digit-wise addition on the mixed-radix indices
+    of Z/d_1 + ... + Z/d_k (see element_index).  spread[x] re-reads the
+    digits of x with the weights prod_{j>i} (2 d_j - 1), so spread[x] +
+    spread[y] holds every digit sum x_i + y_i <= 2 d_i - 2 without a
+    carry, and fold[spread[x] + spread[y]] is the index of x + y.  spread
+    has one entry per element and fold prod (2 d_i - 1), so a single
+    factor Z/d costs 3d - 1 entries, not the d^2 of an addition table."""
+    spread, fold, weight, size = [0], [0], 1, 1
+    for d in reversed(factors):
+        spread = [x * weight + e for x in range(d) for e in spread]
+        fold = [(u % d) * size + r for u in range(2 * d - 1) for r in fold]
+        weight *= 2 * d - 1
+        size *= d
+    return spread, fold
+
+
 def index_tables(m: GModule, with_add=True):
     """(add, neg, act) of a finite module on element indices (see
     element_index): add[i][j], neg[i] and act[g][i].  Every table is built
-    digit by digit from the last coordinate with no tuple arithmetic; add
-    is None when with_add is false."""
+    digit by digit from the last coordinate with no tuple arithmetic (add
+    through `digit_sums`); add is None when with_add is false."""
     if not m.is_torsion:
         raise SourceNotTorsion("cannot index an infinite module")
     factors = m.factors
     k = len(factors)
-    # one shared int object per index keeps the |M|^2 add table small
+    # one shared int object per index keeps the tables small
     canon = list(range(m.size()))
 
     def linear(mat):
@@ -239,19 +256,8 @@ def index_tables(m: GModule, with_add=True):
     act = [linear(m.action[g]) for g in range(m.group.order)]
     if not with_add:
         return None, neg, act
-    # the sum of x*s + r and y*s + q is ((x + y) mod d)*s + add_inner[r][q]
-    add, s = [[0]], 1
-    for d in reversed(factors):
-        shifted = [[[canon[o * s + v] for v in row] for o in range(d)] for row in add]
-        add = []
-        for x in range(d):
-            for parts in shifted:
-                row = []
-                for y in range(x, x + d):
-                    row += parts[y % d]
-                add.append(row)
-        s *= d
-    return add, neg, act
+    spread, fold = digit_sums(factors)
+    return [[fold[e + f] for f in spread] for e in spread], neg, act
 
 
 # -- invariants / coinvariants / torsion ----------------------------------

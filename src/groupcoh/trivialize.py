@@ -19,6 +19,7 @@ from scratch.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -176,41 +177,43 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
 
     Exact: alpha = +-(pi^* b cup s) with s(a, g) = a and delta s = -pi^* c,
     so the Leibniz rule and delta b = 0 give delta alpha = pi^* d2(b, c).
+
+    alpha ignores a_1..a_{n-2} and g_{n-1} and is linear in a_{n-1}: for
+    each prefix gs in the support of b the homomorphism phi_gs =
+    (-1)^n b_gs o rho_A(g_1...g_{n-2}) : A -> M is tabulated once over
+    A's element indices, and every tuple of the fibre product over gs
+    reads its value from that table.  The values are emitted in
+    lexicographic tuple order.  Gated on the (|Gamma|-1)^(n-1) tuples of
+    its domain.
     """
     n = omega.degree
     limit = max_entries_limit(max_entries)
-    if (ext.order - 1) ** (n - 1) > limit:
-        raise ResourceLimit("closed-form primitive support exceeds the resource limit")
+    count = (ext.order - 1) ** (n - 1)
+    if count > limit:
+        raise ResourceLimit(f"closed-form primitive needs {count} entries (limit {limit})")
     hom: HomModule = witness.coeffs
-    module = omega.coeffs
-    coeffs = module_through_projection(ext, module)
+    module, kernel = omega.coeffs, ext.kernel
     sign = 1 if n % 2 == 0 else -1
     ng = ext.base.order
-    images_cache = {
-        prefix: hom.images(v) for prefix, v in witness.values.items()
-    }
+    tables = {}  # phi_gs as (kernel index, nonzero value) pairs
+    for gs, b in witness.values.items():
+        images = hom.images(b)
+        rho = kernel.action[ext.base.product(gs)]
+        # column j of phi: sign * sum_i rho[i][j] b(e_i)
+        cols = [[sign * sum(r[j] * img[c] for r, img in zip(rho, images))
+                 for c in range(module.dim)] for j in range(kernel.dim)]
+        values = [module.zero()]
+        for d, col in zip(kernel.factors, cols):
+            values = [[v + x * y for v, y in zip(val, col)] for val in values for x in range(d)]
+        values = [module.reduce(v) for v in values]
+        tables[gs] = [(a, v) for a, v in enumerate(values) if not module.is_zero(v)]
     vals = {}
-    for tup in nonid_tuples(ext.order, n - 1):
-        pairs = [divmod(i, ng) for i in tup]
-        gs = tuple(g for _, g in pairs[:-1])
-        if 0 in gs:
-            continue
-        images = images_cache.get(gs)
-        if images is None:
-            if gs not in witness.values and witness.evaluate(gs) == hom.zero():
-                continue
-            images = hom.images(witness.evaluate(gs))
-            images_cache[gs] = images
-        a_last = ext.kernel_elements[pairs[-1][0]]
-        a = ext.kernel.act(ext.base.product(gs), a_last)
-        out = module.zero()
-        for aj, img in zip(a, images):
-            if aj:
-                out = module.add(out, module.scale(aj, img))
-        out = module.scale(sign, out)
-        if not module.is_zero(out):
-            vals[tup] = out
-    return Cochain(ext, coeffs, n - 1, vals)
+    lifts = [t for t in range(1, ext.order) if t % ng]  # t over a g != 1
+    for prefix in itertools.product(lifts, repeat=n - 2):
+        for a, v in tables.get(tuple(t % ng for t in prefix), ()):
+            for t in range(a * ng, a * ng + ng):
+                vals[prefix + (t,)] = v
+    return Cochain(ext, module_through_projection(ext, module), n - 1, vals)
 
 
 # -- verification of delta_Gamma alpha = pi^* omega ------------------------
@@ -385,7 +388,7 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
             verification={"mode": "partial", "seed": seed, "checked": 0},
         )
 
-    ext = build_extension(kernel, c, max_entries)
+    ext = build_extension(kernel, c)
     try:
         alpha = closed_form_alpha(ext, omega, witness, max_entries)
     except ResourceLimit:
@@ -477,13 +480,13 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
         rho_lift = Cochain(ext1, mfree_g, n - 2)
     pi_h = Cochain(ext1, mfree_g, n - 1,
                    lift_cochain(ext1, h.numerator, max_entries).values)
-    eta = divide_cochain(sub_cochains(pi_h, coboundary(rho_lift)), q)
-    if coboundary(eta) != map_coefficients(pi_omega, pmap.matrix, mfree_g):
+    eta = divide_cochain(sub_cochains(pi_h, coboundary(rho_lift, max_entries)), q)
+    if coboundary(eta, max_entries) != map_coefficients(pi_omega, pmap.matrix, mfree_g):
         raise SelfCheckFailed("trivialize_general: delta eta differs from the free part of pi^* omega")
 
     module_g = module_through_projection(ext1, module)
     eta_tilde = map_coefficients(eta, smap.matrix, module_g)
-    beta_m = sub_cochains(pi_omega, coboundary(eta_tilde))
+    beta_m = sub_cochains(pi_omega, coboundary(eta_tilde, max_entries))
     # the defect lands in the torsion submodule; extract its coordinates
     jt = la.mat_transpose(jmap.matrix, cols=mt.dim)
     mt_g = module_through_projection(ext1, mt)
@@ -576,8 +579,9 @@ def _check_group_axioms(ext: GroupExtension):
     through group_from_json, module_from_json and the kernel-cocycle check
     (a Cochain stores no tuple that touches the identity)."""
     order = ext.order
+    left = ext.mul_row(0)
     for i in range(order):
-        if ext.mul(0, i) != i or ext.mul(i, 0) != i:
+        if left[i] != i or ext.mul(i, 0) != i:
             return Check("extension-identity", False, witness=i)
     for i in range(order):
         j = ext.inv(i)
@@ -598,9 +602,10 @@ def _additivity_defect(ext: GroupExtension, alpha: Cochain):
     na = len(ext.kernel_elements)
     vals = [alpha.evaluate((ext.iota(a),)) for a in range(na)]
     gens = ext.kernel_generators()
+    rows = [ext.add_row(e) for e in gens]
     for a in range(na):
-        for e in gens:
-            if m.add(vals[a], vals[e]) != vals[ext.add_kernel(a, e)]:
+        for e, row in zip(gens, rows):
+            if m.add(vals[a], vals[e]) != vals[row[a]]:
                 return (a, e)
     return None
 
@@ -717,7 +722,7 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
     h = cert.stages["h"]
     scaled = Cochain(group, mfree, omega.degree,
                      {t: mfree.scale(q, v) for t, v in p_omega.values.items()})
-    diff = _first_difference(coboundary(h.numerator), scaled)
+    diff = _first_difference(coboundary(h.numerator, max_entries), scaled)
     checks.append(Check("averaging-primitive", diff is None, witness=diff,
                         note=f"denominator {h.denominator}"))
     hbar = cert.stages["hbar"]
@@ -735,13 +740,13 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
 
     eta = cert.stages["eta"]
     pi_omega = lift_cochain(ext1, omega, max_entries)
-    diff = _first_difference(coboundary(eta),
+    diff = _first_difference(coboundary(eta, max_entries),
                              map_coefficients(pi_omega, pmap.matrix, eta.coeffs))
     checks.append(Check("eta-primitive", diff is None, witness=diff))
 
     eta_tilde = cert.stages["eta_tilde"]
     beta = cert.stages["beta"]
-    residual = sub_cochains(pi_omega, coboundary(eta_tilde))
+    residual = sub_cochains(pi_omega, coboundary(eta_tilde, max_entries))
     diff = _first_difference(map_coefficients(beta, jmap.matrix, residual.coeffs), residual)
     checks.append(Check("beta-defect", diff is None, witness=diff))
     defect = first_cocycle_defect(beta)
@@ -902,8 +907,12 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
     inp = _expect_object(field + "input", data["input"])
     if group is None:
         group_data = _expect_object(field + "input.group", inp["group"])
+        # a certificate must declare the order; group_from_json checks it
+        # only when present, under a message without the field's path
+        if isinstance(group_data.get("table"), list):
+            _expect_field(field + "input.group.order", group_data.get("order"),
+                          len(group_data["table"]))
         group = _load_field(field + "input.group", group_from_json, group_data)
-        _expect_field(field + "input.group.order", group_data.get("order"), group.order)
     module = _load_field(field + "input.module", module_from_json,
                          _expect_object(field + "input.module", inp["module"]), group)
     omega = cochain_from_json(_expect_object(field + "input.omega", inp["omega"]), group, module)
@@ -942,7 +951,7 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
         ext = None
         alpha = None
         if data.get("gamma") is not None:
-            ext = build_extension(kernel, c, max_entries)
+            ext = build_extension(kernel, c)
             gamma = _expect_object(field + "gamma", data["gamma"])
             _expect_field(field + "gamma.order", gamma.get("order"), ext.order)
             if alpha_data is not None:

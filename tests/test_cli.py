@@ -16,7 +16,7 @@ from groupcoh import (
 from groupcoh import cli
 from groupcoh.cli import main
 from groupcoh.cochains import cochain_from_json
-from groupcoh.modules import GModule
+from groupcoh.modules import GModule, load_module
 
 
 def run(capsys, *argv):
@@ -115,6 +115,29 @@ def test_cohomology_module_file(capsys, tmp_path):
         "--module", path, "--degree", "1",
     )
     assert code == 0 and "[2]" in out
+
+
+@pytest.mark.parametrize("order", [3, True, "2", None])
+def test_group_order_field_must_be_the_table_size_exit_1(capsys, tmp_path, order):
+    data = group_to_json(cyclic_group(2))
+    data["order"] = order
+    code, _, err = run(capsys, "group", "--table", write_json(tmp_path / "g.json", data))
+    assert code == 1
+    assert f"group field 'order' is {order!r}, expected 2" in err
+    # the CLI reads modules over --group; a module file's own group is read
+    # by load_module without one
+    module = dict(module_to_json(trivial_module(cyclic_group(2), [2])), group=data)
+    with pytest.raises(ValueError, match=f"group field 'order' is {order!r}, expected 2"):
+        load_module(write_json(tmp_path / "m.json", module))
+
+
+def test_group_file_without_order_loads(capsys, tmp_path):
+    data = group_to_json(cyclic_group(2))
+    del data["order"]
+    code, out, _ = run(capsys, "group", "--table", write_json(tmp_path / "g.json", data))
+    assert code == 0 and "order: 2" in out
+    module = dict(module_to_json(trivial_module(cyclic_group(2), [2])), group=data)
+    assert load_module(write_json(tmp_path / "m.json", module)).group.order == 2
 
 
 def test_cohomology_resource_limit_exit_3(capsys):

@@ -237,6 +237,15 @@ def test_resource_limit():
         cohomology(g, m, 3, max_entries=1000)
 
 
+def test_coboundary_resource_limit_names_the_count():
+    # delta of a 2-cochain of C3 in Z/3 + Z/3: (3 - 1)^2 rows of 3 * 2 entries
+    g = cyclic_group(3)
+    f = Cochain(g, trivial_module(g, [3, 3]), 2, {(1, 2): (1, 2)})
+    assert not coboundary(f, max_entries=24).is_zero()
+    with pytest.raises(ResourceLimit, match=r"^coboundary needs 24 entries \(limit 23\)$"):
+        coboundary(f, max_entries=23)
+
+
 # -- cohomology against the enumeration oracle -----------------------------
 
 

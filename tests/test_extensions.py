@@ -19,8 +19,9 @@ from groupcoh import (
     trivial_module,
 )
 from groupcoh.cochains import nonid_tuples
-from groupcoh.errors import KernelNotFinite, NotACocycle
+from groupcoh.errors import KernelNotFinite, NotACocycle, ResourceLimit
 from groupcoh.groups import generated
+from groupcoh.modules import element_index
 
 
 def z4_extension():
@@ -239,3 +240,87 @@ def test_extension_generators_are_kernel_basis_and_base_generators():
     # a factor of 1 contributes no generator (e_j is zero there)
     c = GModule(g, [1, 3], [[[1, 0], [0, 1]]] * 3)
     assert build_extension(c, Cochain(g, c, 2)).generators() == [3, 1]
+
+
+# -- kernel addition from the two half tables --------------------------------
+
+
+def _kernel_extension(factors, value, twisted=False):
+    """A = Z/d_1 + ... over C2, acting trivially (or by -1), and the
+    extension by c(t, t) = value: a normalized 2-cocycle whenever t fixes
+    value, as -2 value = 0 in the twisted case."""
+    g = cyclic_group(2)
+    ident = [[int(i == j) for j in range(len(factors))] for i in range(len(factors))]
+    t = [[-x for x in row] for row in ident] if twisted else ident
+    a = GModule(g, factors, [ident, t])
+    return build_extension(a, Cochain(g, a, 2, {(1, 1): value} if any(value) else {}))
+
+
+def _tuple_mul(ext, i, j):
+    """(a, g)(b, h) = (a + g.b + c(g, h), gh) by tuple arithmetic."""
+    k, ng = ext.kernel, ext.base.order
+    (a, g), (b, h) = divmod(i, ng), divmod(j, ng)
+    x = k.add(k.add(ext.kernel_elements[a], k.act(g, ext.kernel_elements[b])),
+              ext.cocycle.evaluate((g, h)))
+    return element_index(k, x) * ng + ext.base.mul(g, h)
+
+
+KERNEL_CASES = {
+    "2x3x4": ((2, 3, 4), (1, 2, 3), False),
+    "1x2": ((1, 2), (0, 1), False),
+    "zero": ((), (), False),
+    "6x6x6": ((6, 6, 6), (1, 5, 2), False),
+    "twisted-4": ((4,), (2,), True),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_kernel_addition_and_group_law_match_tuple_arithmetic(name):
+    factors, value, twisted = KERNEL_CASES[name]
+    ext = _kernel_extension(factors, value, twisted)
+    k, elems = ext.kernel, ext.kernel_elements
+    na = len(elems)
+    sums = [[element_index(k, k.add(x, y)) for y in elems] for x in elems]
+    assert [[ext.add_kernel(i, j) for j in range(na)] for i in range(na)] == sums
+    assert [ext.add_row(i) for i in range(na)] == sums
+    rows = sorted(random.Random(7).sample(range(ext.order), min(ext.order, 24)))
+    for i in rows:
+        expected = [_tuple_mul(ext, i, j) for j in range(ext.order)]
+        assert ext.mul_row(i) == expected
+        assert [ext.mul(i, j) for j in range(ext.order)] == expected
+    for i in range(ext.order):
+        assert _tuple_mul(ext, i, ext.inv(i)) == 0 == _tuple_mul(ext, ext.inv(i), i)
+
+
+@pytest.mark.parametrize("factors, folds", [
+    ((2, 3, 4), (15, 7)),  # (2, 3) | (4,): 3 * 5 and 7 entries
+    ((2,) * 9, (81, 243)),  # (Z/2)^4 | (Z/2)^5
+    ((5000,), (1, 9999)),  # one factor: no 5000^2 table
+])
+def test_kernel_addition_tables_stay_linear_in_the_kernel(factors, folds):
+    ext = _kernel_extension(factors, (0,) * len(factors))
+    assert (len(ext._fold_hi), len(ext._fold_lo)) == folds
+    k, last = ext.kernel, ext.kernel_elements[-1]
+    assert ext.add_kernel(len(ext.kernel_elements) - 1, 2) == element_index(
+        k, k.add(last, ext.kernel_elements[2]))
+
+
+def test_extension_of_512_elements_builds_below_the_square_of_its_kernel(monkeypatch):
+    """(Z/2)^9 over (Z/2)^2: nothing is gated on |A|^2 = 262144 any more."""
+    from groupcoh import universal_kernel
+    monkeypatch.setenv("COCYCLE_MAX_TUPLES", "1000")
+    kernel, c = universal_kernel(builtin_group("cyclic:2*cyclic:2"), 2)
+    ext = build_extension(kernel, c)
+    assert len(ext.kernel_elements) == 512 and ext.order == 2048
+    rng = random.Random(3)
+    for i in rng.sample(range(ext.order), 4):
+        assert ext.mul_row(i) == [_tuple_mul(ext, i, j) for j in range(ext.order)]
+    for _ in range(500):
+        i, j = rng.randrange(ext.order), rng.randrange(ext.order)
+        assert ext.mul(i, j) == _tuple_mul(ext, i, j)
+        assert _tuple_mul(ext, i, ext.inv(i)) == 0
+
+
+def test_kernel_view_resource_limit_names_the_count():
+    with pytest.raises(ResourceLimit, match=r"^kernel group table needs 4 entries \(limit 3\)$"):
+        kernel_view(z4_extension(), max_entries=3)

@@ -40,6 +40,7 @@ from groupcoh.errors import (
     ExponentMismatch,
     NonTorsionValue,
     NotACocycle,
+    ResourceLimit,
     SelfCheckFailed,
 )
 from groupcoh.groups import generated
@@ -364,6 +365,19 @@ def test_general_h4_z():
         lhs = coboundary_value(cert.alpha, tup)
         rhs = w.evaluate(cert.project(tup))
         assert cert.alpha.coeffs.reduce(lhs) == cert.alpha.coeffs.reduce(rhs)
+
+
+def test_general_mode_gates_every_coboundary_on_its_entries():
+    """H^4(C2; Z): with 20 entries allowed, stage 1 (|Gamma| = 4) and the
+    lifts fit, but delta of its degree-2 primitive needs 3^2 * 4 = 36; the
+    verifier's delta eta (degree 3) needs 3^3 * 4 = 108."""
+    w = h4_z2_generator()
+    with pytest.raises(ResourceLimit, match=r"^coboundary needs 36 entries \(limit 20\)$"):
+        trivialize_general(w, max_entries=20, sample_size=100)
+    cert = trivialize_general(w)
+    with pytest.raises(ResourceLimit, match=r"^coboundary needs 108 entries \(limit 100\)$"):
+        verify_certificate(cert, max_entries=100, sample_size=100)
+    assert verify_certificate(cert, max_entries=108, sample_size=100).ok()
 
 
 def test_general_torsion_module_degenerates():
@@ -837,3 +851,102 @@ def test_verify_decides_on_generator_rows_under_python_O(tmp_path):
     assert proc.returncode == 7, proc.stderr
     assert f"alpha-trivializes: FAIL (exhaustive, 4194304 tuples) witness={witness}" \
         in proc.stdout.splitlines()
+
+
+# -- the closed-form primitive by linearity ----------------------------------
+
+
+def _per_tuple_alpha(ext, omega, witness, tuples=None):
+    """The primitive one tuple at a time, as closed_form_alpha computed it
+    before it tabulated phi_gs: b_gs((g_1...g_{n-2}) . a_{n-1}) by module
+    arithmetic on every tuple of tuples (by default every non-identity
+    (n-1)-tuple of Gamma)."""
+    n = omega.degree
+    hom, module = witness.coeffs, omega.coeffs
+    sign = 1 if n % 2 == 0 else -1
+    ng = ext.base.order
+    vals = {}
+    for tup in tuples or nonid_tuples(ext.order, n - 1):
+        pairs = [divmod(i, ng) for i in tup]
+        gs = tuple(g for _, g in pairs[:-1])
+        if 0 in gs or gs not in witness.values:
+            continue
+        images = hom.images(witness.values[gs])
+        a = ext.kernel.act(ext.base.product(gs), ext.kernel_elements[pairs[-1][0]])
+        out = module.zero()
+        for aj, img in zip(a, images):
+            if aj:
+                out = module.add(out, module.scale(aj, img))
+        out = module.scale(sign, out)
+        if not module.is_zero(out):
+            vals[tup] = out
+    return vals
+
+
+def _alpha_inputs(omega):
+    kernel, c = universal_kernel(omega.group, torsion_exponent(omega))
+    witness = build_witness(omega, kernel, c)
+    return trivialize_module.build_extension(kernel, c), witness
+
+
+def _bilinear_plus_delta(variant):
+    """x1 y2 + delta(beta) on (Z/2)^2, beta read from the bits of variant."""
+    g = builtin_group("cyclic:2*cyclic:2")
+    m = trivial_module(g, [2])
+    bilinear = cochain_from_function(g, m, 2, lambda t: (((t[0] >> 1) & 1) * (t[1] & 1),))
+    beta = Cochain(g, m, 1, {(i,): ((variant >> (i - 1)) & 1,) for i in range(1, 4)})
+    return add_cochains(bilinear, coboundary(beta))
+
+
+def _sign_module_z4():
+    g = cyclic_group(2)
+    return GModule(g, [4], [[[1]], [[-1]]])
+
+
+def _carry_cocycle(group_spec, d):
+    """x cup e on C_n in trivial Z/d: (a, b, c) -> a * floor((b + c) / n)."""
+    g = builtin_group(group_spec)
+    return cochain_from_function(g, trivial_module(g, [d]), 3,
+                                 lambda t: (t[0] * ((t[1] + t[2]) // g.order),))
+
+
+ALPHA_CASES = (
+    [(f"z2xz2-deg2-beta{v}", lambda v=v: _bilinear_plus_delta(v)) for v in range(8)]
+    + [("c2-z2-deg7", lambda: Cochain(cyclic_group(2), trivial_module(cyclic_group(2), [2]),
+                                      7, {(1,) * 7: (1,)}))]
+    + [(f"c2-sign-z4-deg3-w{v}", lambda v=v: Cochain(cyclic_group(2), _sign_module_z4(), 3,
+                                                     {(1, 1, 1): (v,)})) for v in (1, 2, 3)]
+    + [("c3-z3-deg3", lambda: _carry_cocycle("cyclic:3", 3))]
+)
+
+
+@pytest.mark.parametrize("name, build", ALPHA_CASES, ids=[c[0] for c in ALPHA_CASES])
+def test_closed_form_alpha_matches_the_per_tuple_formula(name, build):
+    omega = build()
+    ext, witness = _alpha_inputs(omega)
+    alpha = trivialize_module.closed_form_alpha(ext, omega, witness)
+    expected = _per_tuple_alpha(ext, omega, witness)
+    assert expected, name
+    assert alpha.values == expected
+    assert list(alpha.values) == sorted(alpha.values)
+
+
+def test_closed_form_alpha_matches_the_per_tuple_formula_on_c4_rows():
+    """C4 in Z/2, degree 3: |Gamma| = 2048, and the per-tuple formula over
+    all 2047^2 tuples takes about a minute, so it is compared on the full
+    rows of 10 seeded first entries."""
+    omega = _carry_cocycle("cyclic:4", 2)
+    ext, witness = _alpha_inputs(omega)
+    alpha = trivialize_module.closed_form_alpha(ext, omega, witness)
+    firsts = sorted(random.Random(12).sample(range(1, ext.order), 10))
+    rows = [(t,) + rest for t in firsts for rest in nonid_tuples(ext.order, 1)]
+    expected = _per_tuple_alpha(ext, omega, witness, rows)
+    assert expected
+    assert {t: v for t, v in alpha.values.items() if t[0] in firsts} == expected
+
+
+def test_closed_form_alpha_resource_limit_names_the_count():
+    omega = Cochain(cyclic_group(2), trivial_module(cyclic_group(2), [2]), 3, {(1, 1, 1): (1,)})
+    ext, witness = _alpha_inputs(omega)
+    with pytest.raises(ResourceLimit, match=r"^closed-form primitive needs 9 entries \(limit 8\)$"):
+        trivialize_module.closed_form_alpha(ext, omega, witness, max_entries=8)
