@@ -48,7 +48,7 @@ from .errors import (
 )
 from .extensions import build_extension, extension_to_json
 from .groups import builtin_group, group_from_json, group_to_json, json_object, load_group
-from .modules import HomModule, load_module, trivial_module
+from .modules import HomModule, module_from_json, trivial_module
 from .trivialize import (
     _witness_from_json,
     certificate_from_json,
@@ -91,9 +91,18 @@ def _load_group_arg(spec: str):
 
 def _load_module_arg(spec: str, group):
     """A module is either a JSON file or an inline "trivial:d1,d2,..."
-    spec (0 denotes a free Z factor)."""
+    spec (0 denotes a free Z factor).  A file read over group may embed
+    a `group` of its own only when that group has the same table."""
     if os.path.exists(spec):
-        return load_module(spec, group)
+        with open(spec) as fh:
+            data = json_object(json.load(fh), "module")
+        if "group" in data:
+            table = group_from_json(data["group"]).table
+            if table != group.table:
+                raise ValueError(
+                    f"module field 'group' holds a {len(table)}-element table that is not "
+                    f"the table of --group ({group.order} elements)")
+        return module_from_json(data, group)
     if spec.startswith("trivial:"):
         try:
             factors = [int(x) for x in spec[len("trivial:"):].split(",") if x != ""]

@@ -1,6 +1,6 @@
-"""Normalized cochains, the coboundary operator, cohomology via Smith
-normal form, the coboundary-equation solver, and the rational averaging
-homotopy.
+"""Normalized cochains, the coboundary operator, cohomology as cocycles
+modulo coboundaries (over Z/N when the coefficients are finite), the
+coboundary-equation solver, and the rational averaging homotopy.
 
 A degree-n cochain stores a sparse mapping from n-tuples of non-identity
 element indices to coefficient-module elements; tuples touching the
@@ -358,41 +358,34 @@ def solve_coboundary(f: Cochain, max_entries=None):
 
 
 def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
-    """Invariant factors of H^n(G; M) (0 denotes a free summand)."""
+    """Invariant factors of H^n(G; M) (0 denotes a free summand): the
+    cocycle lattice modulo the image of delta_{n-1} and the relations of
+    C^n, by `intlinalg.kernel_quotient`, which works over Z/N when every
+    factor of M is finite."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
         inv, _ = invariants(module)
         return list(inv.factors)
     k = module.dim
-    dom = [()] if n - 1 == 0 else list(nonid_tuples(group.order, n - 1))
     cur = list(nonid_tuples(group.order, n))
     dim_cur = len(cur) * k
     if dim_cur == 0:
         return []
     dmat, _, tgt = coboundary_matrix(group, module, n, max_entries)
-    # cocycle lattice: x with delta x = 0 modulo the target relations
-    moduli = [d for _ in tgt for d in module.factors]
-    basis = la.kernel_with_moduli(dmat, moduli, cols=dim_cur)
-    kmat = [[col[i] for col in basis] for i in range(dim_cur)]
-    # coboundary subgroup: image of delta_{n-1} plus the relation lattice
+    # cocycles: x with delta x = 0 modulo the target relations; coboundaries:
+    # the image of delta_{n-1} plus the relations of C^n
     prev_mat, prev_dom, _ = coboundary_matrix(group, module, n - 1, max_entries)
-    sub_gens = []
+    images = []
     for j in range(len(prev_dom) * k):
         col = [prev_mat[i][j] for i in range(dim_cur)]
         if any(col):
-            sub_gens.append(col)
-    for i, d in enumerate(d for _ in cur for d in module.factors):
-        if d:
-            sub_gens.append([d if r == i else 0 for r in range(dim_cur)])
-    lattice = la.FactoredMatrix(kmat, cols=len(basis))
-    coords = []
-    for gen in sub_gens:
-        t = lattice.solve(gen)
-        if t is None:
-            raise SelfCheckFailed("cohomology: a coboundary lies outside the cocycle lattice")
-        coords.append(t)
-    factors, _, _ = la.cokernel_structure(coords, len(basis))
+            images.append(col)
+    quotient = la.kernel_quotient(dmat, [d for _ in tgt for d in module.factors], images,
+                                  [d for _ in cur for d in module.factors])
+    if quotient is None:
+        raise SelfCheckFailed("cohomology: a coboundary lies outside the cocycle lattice")
+    factors, _ = quotient
     return factors
 
 

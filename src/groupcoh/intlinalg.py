@@ -1,16 +1,21 @@
 """Exact integer linear algebra on plain Python ints.
 
-Matrices are row-major lists of lists.  Entries grow without bound during
-elimination, so everything stays in arbitrary precision; no numpy here.
+Matrices are row-major lists of lists, in arbitrary precision; no numpy
+here.
 
-Two eliminations serve every routine.  The integer Smith normal form
-`_snf_full` builds only the transforms a caller reads through its
+Two eliminations serve every routine.  With every row modulus nonzero,
+one local Smith form over Z/N (`_diagonalize_modulo`, N the lcm of the
+moduli, every entry below N) serves `solve_with_moduli`,
+`kernel_with_moduli` (whose generators reduce to a triangular Hermite
+basis modulo N) and `cokernel_modulo`; `kernel_quotient` joins them by
+back substitution into the quotient W / R that cohomology and invariants
+read.  Where a modulus is free (0) the integer Smith normal form
+`_snf_full` serves instead, whose entries grow without bound on dense
+inputs.  It builds only the transforms a caller reads through its
 ``track`` keyword: `kernel_basis` tracks V, `FactoredMatrix` (and so
 `solve_integer`) U and V, and `cokernel_structure` U and U^-1;
 `FactoredMatrix` keeps one factorization for solving against many
-right-hand sides.  `solve_with_moduli` with every row modulus nonzero
-diagonalizes over Z/N instead (`_solve_modulo`), so its entries stay
-below N; a free (0) modulus keeps the augmented integer system.
+right-hand sides.
 """
 
 from __future__ import annotations
@@ -268,8 +273,14 @@ def _xgcd(p: int, x: int):
     return p, s0, u0
 
 
-def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
-    """Solve a @ x = b modulo per-row moduli, all nonzero, over Z/N.
+def _quotient(x, p, g, big):
+    """q with q * p == x (mod big), given g = gcd(p, big) dividing x."""
+    return x // g * pow(p // g, -1, big // g) % (big // g)
+
+
+def _diagonalize_modulo(a: Matrix, moduli: list, n: int):
+    """The local Smith form of the first n columns of a modulo per-row
+    moduli, all nonzero.
 
     Row i is scaled by N/moduli[i] (N = lcm of the moduli), so every row
     holds modulo N, and the matrix is diagonalized over Z/N with entries
@@ -277,30 +288,30 @@ def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
     gcd(p, N) | x; otherwise a unimodular 2x2 extended-gcd step on the two
     rows (or columns) replaces p by gcd(p, x), whose gcd with N is a proper
     divisor of gcd(p, N), so every pivot settles after finitely many steps.
-    Row operations act on b directly; only the column transform V is
-    tracked, and x = V y for the diagonal solution y.
+    A settled pivot whose gcd with N does not divide some trailing entry
+    takes that entry's row in and settles again, so gcd(d_i, N) divides
+    gcd(d_{i+1}, N).  Columns of a past the n-th (right-hand sides) take
+    part in the row operations only.
+
+    Returns (d, vt, N): d is the reduced matrix, whose first n columns are
+    zero but for d[i][i] != 0 with i below the rank; vt[j] is column j of
+    the column transform V, and U a V = d modulo N for a row transform U
+    invertible modulo N that is not tracked.
     """
     big = math.lcm(*moduli)
-    d = []
-    c = []
-    for row, bi, md in zip(a, b, moduli):
-        scale = big // md
-        d.append([scale * x % big for x in row])
-        c.append(scale * bi % big)
+    d = [[big // md * x % big for x in row] for row, md in zip(a, moduli)]
     m = len(d)
-    vt = identity_matrix(n)  # vt[j] is column j of V
+    vt = identity_matrix(n)
 
     def row_add(i, j, q):
         # row_i += q * row_j; rows i, j >= t are zero left of column t
         d[i][t:] = [(x + q * y) % big for x, y in zip(d[i][t:], d[j][t:])]
-        c[i] = (c[i] + q * c[j]) % big
 
     def row_pair(i, j, s, u, w, z):
         # (row_i, row_j) <- (s row_i + u row_j, w row_i + z row_j)
         ri, rj = d[i][t:], d[j][t:]
         d[i][t:] = [(s * x + u * y) % big for x, y in zip(ri, rj)]
         d[j][t:] = [(w * x + z * y) % big for x, y in zip(ri, rj)]
-        c[i], c[j] = (s * c[i] + u * c[j]) % big, (w * c[i] + z * c[j]) % big
 
     def col_pair(i, j, s, u, w, z):
         # (col_i, col_j) <- (s col_i + u col_j, w col_i + z col_j); rows
@@ -312,10 +323,6 @@ def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
         vi, vj = vt[i], vt[j]
         vt[i] = [(s * x + u * y) % big for x, y in zip(vi, vj)]
         vt[j] = [(w * x + z * y) % big for x, y in zip(vi, vj)]
-
-    def quotient(x, p, g):
-        # q with q * p == x (mod N), given g = gcd(p, N) dividing x
-        return x // g * pow(p // g, -1, big // g) % (big // g)
 
     t = 0
     while t < min(m, n):
@@ -338,7 +345,6 @@ def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
             break
         i, j = pivot
         d[t], d[i] = d[i], d[t]
-        c[t], c[i] = c[i], c[t]
         if j != t:
             for row in d:
                 row[t], row[j] = row[j], row[t]
@@ -352,7 +358,7 @@ def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
                 if not x:
                     continue
                 if x % g == 0:
-                    row_add(i, t, -quotient(x, p, g))
+                    row_add(i, t, -_quotient(x, p, g, big))
                 else:
                     e, s, u = _xgcd(p, x)
                     row_pair(t, i, s, u, -x // e, p // e)
@@ -367,7 +373,7 @@ def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
                 if not x:
                     continue
                 if x % g == 0:
-                    q = quotient(x, p, g)
+                    q = _quotient(x, p, g, big)
                     row[j] = 0
                     vt[j] = [(y - q * z) % big for y, z in zip(vt[j], vt[t])]
                 else:
@@ -375,21 +381,35 @@ def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
                     col_pair(t, j, s, u, -x // e, p // e)
                     settled = False
                     break
+            if settled and g > 1:
+                bad = next((i for i in range(t + 1, m)
+                            if any(x % g for x in d[i][t + 1:n])), None)
+                if bad is not None:
+                    row_add(t, bad, 1)
+                    settled = False
         t += 1
-    y = [0] * n
-    for i in range(m):
-        if i < t:
-            p = d[i][i]
-            g = math.gcd(p, big)
-            if c[i] % g:
-                return None
-            y[i] = quotient(c[i], p, g)
-        elif c[i]:
-            return None
+    return d, vt, big
+
+
+def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
+    """Solve a @ x = b modulo per-row moduli, all nonzero: b rides along
+    as column n of the local Smith form U a V = D, y_i solves
+    d_i y_i = (U b)_i modulo N (solvable iff gcd(d_i, N) divides it; rows
+    past the rank need (U b)_i = 0), and x = V y."""
+    d, vt, big = _diagonalize_modulo([row + [bi] for row, bi in zip(a, b)], moduli, n)
     x = [0] * n
-    for yj, col in zip(y, vt):
-        if yj:
-            x = [(xi + yj * vj) % big for xi, vj in zip(x, col)]
+    for i, row in enumerate(d):
+        p, c = (row[i] if i < n else 0), row[n]
+        if not p:
+            if c:
+                return None
+            continue
+        g = math.gcd(p, big)
+        if c % g:
+            return None
+        y = _quotient(c, p, g, big)
+        if y:
+            x = [(xi + y * vj) % big for xi, vj in zip(x, vt[i])]
     return x
 
 
@@ -410,18 +430,106 @@ def solve_with_moduli(a: Matrix, b: list, moduli: list, cols: int = None):
     return sol[:n]
 
 
+def _hnf_modulo(gens: list, n: int, big: int) -> list:
+    """The Hermite normal form of the lattice spanned by gens and big*Z^n:
+    n column vectors, w_j with its last nonzero entry h_j = w_j[j]
+    dividing big, and w_k[j] in [0, h_j) for k > j.  This is Cohen's HNF
+    modulo D (GTM 138, Alg. 2.4.8) for a lattice that contains big*Z^n,
+    where big need not be a multiple of the determinant.
+
+    From the last coordinate j down, big*e_j meets every generator with a
+    nonzero entry j in unimodular extended-gcd steps.  They leave one
+    vector w_j with entry h_j = gcd(big, those entries) at j and clear
+    entry j of the others, which carry on to the coordinates left of j.
+    As big*e_j takes part as a whole vector, no generator is lost; the
+    entries left of j stay reduced modulo big, since big*Z^n lies in the
+    lattice.
+    """
+    basis = []
+    for j in reversed(range(n)):
+        piv, h = [0] * j, big  # w_j left of j, and its entry at j
+        rest = []
+        for g in gens:
+            x, g = g[j], g[:j]
+            if x % h == 0:
+                q = x // h
+                if q:
+                    g = [(z - q * y) % big for y, z in zip(piv, g)]
+            else:
+                e, s, u = _xgcd(h, x)
+                piv, g = ([(s * y + u * z) % big for y, z in zip(piv, g)],
+                          [(h // e * z - x // e * y) % big for y, z in zip(piv, g)])
+                h = e
+            if any(g):
+                rest.append(g)
+        gens = rest
+        basis.append(piv + [h] + [0] * (n - 1 - j))
+    basis.reverse()
+    for k, w in enumerate(basis):
+        for j in reversed(range(k)):
+            q = w[j] // basis[j][j]
+            if q:
+                w[:j + 1] = [x - q * y for x, y in zip(w[:j + 1], basis[j])]
+    return basis
+
+
 def kernel_with_moduli(a: Matrix, moduli: list, cols: int = None) -> list:
-    """A basis of the lattice of x with a @ x = 0 modulo per-row moduli
+    """A basis of the lattice L of x with a @ x = 0 modulo per-row moduli
     (0 = exact).
 
-    kernel_basis gives a basis of the kernel of the augmented matrix
-    (x, y), and (x, y) -> x is injective there: each y-column is
-    moduli[i] * e_i for a nonzero modulus, in a row of its own, so x = 0
-    forces y = 0.  The x-parts are therefore a basis, not just generators.
+    With every modulus nonzero, L contains N*Z^n (N = lcm of the moduli)
+    and the local Smith form U a V = D of `_diagonalize_modulo` spans it
+    modulo N: column j of V times N/gcd(d_j, N), with d_j = 0 past the
+    rank.  V is invertible only modulo N, so these are generators, not a
+    basis ([2] modulo 5 spans 2Z); with N*Z^n they reduce to the Hermite
+    normal form, an upper-triangular basis (vector j ends in entry j)
+    whose diagonal product is [Z^n : L].
+
+    A free modulus takes kernel_basis of the augmented matrix (x, y), and
+    (x, y) -> x is injective there: each y-column is moduli[i] * e_i for a
+    nonzero modulus, in a row of its own, so x = 0 forces y = 0.  The
+    x-parts are therefore a basis, not just generators.
     """
     n = len(a[0]) if a else (cols or 0)
+    if all(moduli):
+        d, vt, big = _diagonalize_modulo(a, moduli, n)
+        gens = []
+        for j, col in enumerate(vt):
+            scale = big // math.gcd(d[j][j] if j < len(d) else 0, big)
+            if scale < big:
+                gens.append([scale * x % big for x in col])
+        return _hnf_modulo(gens, n, big)
     aug, aug_cols = _augment_moduli(a, moduli, n)
     return [vec[:n] for vec in kernel_basis(aug, cols=aug_cols)]
+
+
+def _triangular_coordinates(basis: list, vecs: list):
+    """The integer coordinates in basis of each vector of vecs, by back
+    substitution, or None when one of them lies outside the lattice.  The
+    basis vectors end (have their last nonzero entry, the pivot) in
+    distinct coordinates, as `kernel_with_moduli` returns them."""
+    steps = []
+    for j, w in enumerate(basis):
+        p = max(i for i, x in enumerate(w) if x)
+        steps.append((p, j, w[p], [(i, x) for i, x in enumerate(w[:p]) if x]))
+    steps.sort(reverse=True)
+    out = []
+    for vec in vecs:
+        r = list(vec)
+        t = [0] * len(basis)
+        for p, j, h, above in steps:
+            q, rem = divmod(r[p], h)
+            if rem:
+                return None
+            if q:
+                t[j] = q
+                r[p] = 0
+                for i, x in above:
+                    r[i] -= q * x
+        if any(r):
+            return None
+        out.append(t)
+    return out
 
 
 def cokernel_structure(gens: list, ambient: int):
@@ -440,3 +548,65 @@ def cokernel_structure(gens: list, ambient: int):
     proj = [u[i] for i in keep]
     lift = [[ui[i][j] for j in keep] for i in range(ambient)]
     return factors, proj, lift
+
+
+def cokernel_modulo(gens: list, ambient: int, big: int):
+    """Structure of Z^ambient / (<gens> + big*Z^ambient), as
+    cokernel_structure returns it (here every factor divides big).
+
+    With the gens as the rows of G, one local Smith form U G V = D over
+    Z/big makes x -> V^T x map the quotient onto the sum of Z/gcd(d_i, big),
+    a divisibility chain (a coordinate past the rank is Z/big).  proj keeps
+    the rows of V^T whose factor is not 1, and lift column i solves
+    proj @ x = e_i modulo the factors, which V^T invertible modulo big
+    makes solvable.
+    """
+    d, vt, _ = _diagonalize_modulo(gens, [big] * len(gens), ambient)
+    moduli = [math.gcd(d[i][i] if i < len(d) else 0, big) for i in range(ambient)]
+    keep = [i for i, md in enumerate(moduli) if md != 1]
+    factors = [moduli[i] for i in keep]
+    proj = [vt[i] for i in keep]
+    cols = []
+    for i in range(len(keep)):
+        x = _solve_modulo(proj, [int(r == i) for r in range(len(keep))], factors, ambient)
+        if x is None:
+            raise ArithmeticError("cokernel_modulo: the projection is not onto the quotient")
+        cols.append(x)
+    lift = [[col[r] for col in cols] for r in range(ambient)]
+    return factors, proj, lift
+
+
+def kernel_quotient(a: Matrix, moduli: list, gens: list, rel_moduli: list):
+    """W / R for the lattice W of x in Z^k with a @ x = 0 modulo per-row
+    moduli (0 = exact), and R spanned by the column vectors gens and by
+    rel_moduli[i] * e_i (k = len(rel_moduli), 0 = no relation).
+
+    Returns (factors, incl): the invariant factors of W / R in
+    cokernel_structure's order, and the k x len(factors) matrix that
+    sends each quotient generator to a vector of W; or None when a
+    generator of R lies outside W.
+
+    With every modulus and every relation nonzero, W has the triangular
+    basis of `kernel_with_moduli`, R contains N*W (N = lcm of rel_moduli),
+    and so the generators' coordinates, found by back substitution, give
+    W / R by `cokernel_modulo` over Z/N.  Otherwise W's basis is factored
+    once by the integer Smith normal form, every generator is solved
+    against it, and `cokernel_structure` reads the quotient.
+    """
+    k = len(rel_moduli)
+    gens = list(gens) + [[d if r == i else 0 for r in range(k)]
+                         for i, d in enumerate(rel_moduli) if d]
+    basis = kernel_with_moduli(a, moduli, cols=k)
+    kmat = [[col[i] for col in basis] for i in range(k)]
+    if all(moduli) and all(rel_moduli):
+        coords = _triangular_coordinates(basis, gens)
+        if coords is None:
+            return None
+        factors, _, lift = cokernel_modulo(coords, len(basis), math.lcm(*rel_moduli))
+    else:
+        lattice = FactoredMatrix(kmat, cols=len(basis))
+        coords = [lattice.solve(gen) for gen in gens]
+        if None in coords:
+            return None
+        factors, _, lift = cokernel_structure(coords, len(basis))
+    return factors, mat_mul(kmat, lift)

@@ -269,18 +269,13 @@ def invariants(m: GModule):
     rows = [[mat[i][j] - (i == j) for j in range(k)] for mat in m.action[1:] for i in range(k)]
     moduli = list(m.factors) * (m.group.order - 1)
     # M^G = W / L: W is the lattice of fixed vectors, L the relations of M
-    basis = la.kernel_with_moduli(rows, moduli, cols=k)
-    kmat = [[col[i] for col in basis] for i in range(k)]
-    lattice = la.FactoredMatrix(kmat, cols=len(basis))
-    rels = [lattice.solve([d if r == i else 0 for r in range(k)])
-            for i, d in enumerate(m.factors) if d]
-    if None in rels:
+    quotient = la.kernel_quotient(rows, moduli, [], m.factors)
+    if quotient is None:
         raise ValueError("the fixed lattice does not contain the relation lattice")
-    factors, _, lift = la.cokernel_structure(rels, len(basis))
+    factors, incl = quotient
     inv = trivial_module(m.group, factors)
     # inclusion: each quotient generator lifted to W, reduced in M row by row
-    incl = [[x % d if d else x for x in row]
-            for row, d in zip(la.mat_mul(kmat, lift), m.factors)]
+    incl = [[x % d if d else x for x in row] for row, d in zip(incl, m.factors)]
     return inv, ModuleMap(inv, m, incl)
 
 

@@ -117,6 +117,29 @@ def test_cohomology_module_file(capsys, tmp_path):
     assert code == 0 and "[2]" in out
 
 
+def test_module_file_group_must_be_the_group_of_the_command(capsys, tmp_path):
+    # a module file read over --group may embed no group, or the same table
+    module = module_to_json(trivial_module(cyclic_group(2), [2]), embed_group=False)
+    argv = ("cohomology", "--group", "cyclic:2", "--degree", "1", "--module")
+    for data in (module, dict(module, group=group_to_json(cyclic_group(2)))):
+        code, out, _ = run(capsys, *argv, write_json(tmp_path / "m.json", data))
+        assert code == 0 and "H^1 invariant factors: [2]" in out
+    other = dict(module, group=group_to_json(cyclic_group(3)))
+    code, out, err = run(capsys, *argv, write_json(tmp_path / "m.json", other))
+    assert code == 1 and out == ""
+    assert "module field 'group' holds a 3-element table that is not the table of --group" in err
+
+
+def test_module_file_group_that_is_no_group_exit_1(capsys, tmp_path):
+    # the embedded group is read in full: a C3 table that claims order 7
+    data = dict(module_to_json(trivial_module(cyclic_group(2), [2])),
+                group=dict(group_to_json(cyclic_group(3)), order=7))
+    code, out, err = run(capsys, "cohomology", "--group", "cyclic:2", "--degree", "1",
+                         "--module", write_json(tmp_path / "m.json", data))
+    assert code == 1 and out == ""
+    assert "group field 'order' is 7, expected 3" in err
+
+
 @pytest.mark.parametrize("order", [3, True, "2", None])
 def test_group_order_field_must_be_the_table_size_exit_1(capsys, tmp_path, order):
     data = group_to_json(cyclic_group(2))

@@ -297,8 +297,8 @@ def test_cohomology_degree_zero_is_invariants():
 
 
 def test_cohomology_factors_each_matrix_once(monkeypatch):
-    # kernel, lattice basis, one factorization for every coboundary
-    # generator, cokernel: one Smith normal form each
+    # at most one Smith normal form per matrix; finite coefficients take
+    # none (tests/test_modular_lattice.py counts them exactly)
     calls = []
     snf = intlinalg._snf_full
 
@@ -487,8 +487,13 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
     expect_failure("solve_coboundary", lambda: cochains.solve_coboundary(f))
     intlinalg.solve_with_moduli = solve
 
-    intlinalg.FactoredMatrix.solve = lambda self, b: None
+    # a cocycle basis missing one generator leaves a relation outside it
+    kernel = intlinalg.kernel_with_moduli
+    intlinalg.kernel_with_moduli = lambda *a, **k: kernel(*a, **k)[1:]
     expect_failure("cohomology", lambda: cochains.cohomology(g, z3, 2))
+    intlinalg.kernel_with_moduli = kernel
+    intlinalg.FactoredMatrix.solve = lambda self, b: None
+    expect_failure("cohomology over Z", lambda: cochains.cohomology(g, trivial_module(g, [0]), 2))
 
     z = trivial_module(g, [0])
     w = coboundary(cochain_from_function(g, z, 1, lambda t: (t[0],)))
@@ -504,6 +509,7 @@ def test_self_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == [
-        "caught solve_coboundary", "caught cohomology", "caught averaging_homotopy",
+    assert proc.stdout.split("\n")[:4] == [
+        "caught solve_coboundary", "caught cohomology", "caught cohomology over Z",
+        "caught averaging_homotopy",
     ]
