@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -358,10 +359,13 @@ def solve_coboundary(f: Cochain, max_entries=None):
 
 
 def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
-    """Invariant factors of H^n(G; M) (0 denotes a free summand): the
-    cocycle lattice modulo the image of delta_{n-1} and the relations of
-    C^n, by `intlinalg.kernel_quotient`, which works over Z/N when every
-    factor of M is finite."""
+    """Invariant factors of H^n(G; M) (0 denotes a free summand).
+
+    On a lattice M (every factor 0) and n >= 1 they are read off one local
+    Smith form of delta_{n-1} alone (`_lattice_cohomology`).  Otherwise
+    H^n is the cocycle lattice modulo the image of delta_{n-1} and the
+    relations of C^n, by `intlinalg.kernel_quotient`, which works over Z/N
+    when every factor of M is finite."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
@@ -372,6 +376,8 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
     dim_cur = len(cur) * k
     if dim_cur == 0:
         return []
+    if not any(module.factors):
+        return _lattice_cohomology(group, module, n, max_entries)
     dmat, _, tgt = coboundary_matrix(group, module, n, max_entries)
     # cocycles: x with delta x = 0 modulo the target relations; coboundaries:
     # the image of delta_{n-1} plus the relations of C^n
@@ -386,6 +392,46 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
     if quotient is None:
         raise SelfCheckFailed("cohomology: a coboundary lies outside the cocycle lattice")
     factors, _ = quotient
+    return factors
+
+
+def _rational_rank(module: GModule, n: int) -> int:
+    """|G| times the rank of delta_n over Q, independent of any Smith
+    form: rank delta_0 = k - r_0 with r_0 = sum_g tr rho(g) / |G| the rank
+    of M^G (the character formula), and rank delta_j = dim C^j -
+    rank delta_{j-1}, as the rational complex is exact in degrees >= 1.
+    Kept multiplied by |G|, so no division is taken on trust."""
+    order, k = module.group.order, module.dim
+    rank = k * order - sum(mat[i][i] for mat in module.action for i in range(k))
+    for j in range(1, n + 1):
+        rank = k * (order - 1) ** j * order - rank
+    return rank
+
+
+def _lattice_cohomology(group, module: GModule, n: int, max_entries=None) -> list:
+    """H^n(G; M) for a lattice M and n >= 1, from delta_{n-1} alone.
+
+    C^n / Z^n embeds in C^{n+1}, so it is free, and H^n = Z^n / B^n is
+    finite, killed by |G| (Brown, Cohomology of Groups, III.10).  So H^n is
+    the torsion of coker delta_{n-1}: the invariant factors d_i of
+    delta_{n-1} that are neither 0 nor 1, each dividing |G|.  Over Z/m
+    with m = |G|^2, the local Smith form gives gcd(d_i, m), which is d_i
+    itself for those and m for a zero factor past the rank.  Two checks
+    guard the result: every kept factor divides |G|, and the number of
+    pivots below m is the rank of delta_{n-1} over Q."""
+    order = group.order
+    big = order * order
+    mat, dom, _ = coboundary_matrix(group, module, n - 1, max_entries)
+    cols = len(dom) * module.dim
+    d, _, _ = la._diagonalize_modulo(mat, [big] * len(mat), cols)
+    pivots = [math.gcd(d[i][i], big) for i in range(min(len(mat), cols))]
+    if sum(p < big for p in pivots) * order != _rational_rank(module, n - 1):
+        raise SelfCheckFailed(f"cohomology: the local Smith form of delta_{n - 1} modulo "
+                              f"{big} misses its rational rank")
+    factors = [p for p in pivots if 1 < p < big]
+    if any(order % p for p in factors):
+        raise SelfCheckFailed(f"cohomology: an invariant factor of {factors} does not "
+                              f"divide |G| = {order}")
     return factors
 
 

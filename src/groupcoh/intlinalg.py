@@ -9,13 +9,14 @@ moduli, every entry below N) serves `solve_with_moduli`,
 `kernel_with_moduli` (whose generators reduce to a triangular Hermite
 basis modulo N) and `cokernel_modulo`; `kernel_quotient` joins them by
 back substitution into the quotient W / R that cohomology and invariants
-read.  Where a modulus is free (0) the integer Smith normal form
-`_snf_full` serves instead, whose entries grow without bound on dense
-inputs.  It builds only the transforms a caller reads through its
-``track`` keyword: `kernel_basis` tracks V, `FactoredMatrix` (and so
-`solve_integer`) U and V, and `cokernel_structure` U and U^-1;
-`FactoredMatrix` keeps one factorization for solving against many
-right-hand sides.
+read.  Cohomology with lattice coefficients calls the local Smith form
+directly, on delta_{n-1} over Z/|G|^2.  Where a modulus is free (0)
+otherwise, the integer Smith normal form `_snf_full` serves instead,
+whose entries grow without bound on dense inputs.  It builds only the
+transforms a caller reads through its ``track`` keyword: `kernel_basis`
+tracks V, `FactoredMatrix` (and so `solve_integer`) U and V, and
+`cokernel_structure` U and U^-1; `FactoredMatrix` keeps one
+factorization for solving against many right-hand sides.
 """
 
 from __future__ import annotations

@@ -332,6 +332,9 @@ class TrivializationCertificate:
     partial: bool = False
     stages: dict = None
     verification: dict = field(default_factory=dict)
+    # why a partial certificate stopped: the estimate and the limit (not
+    # serialized, so certificate bytes do not depend on it)
+    reason: str = None
 
     @property
     def group(self):
@@ -380,22 +383,24 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
         raise SelfCheckFailed("trivialize_torsion: d2(b, c) differs from omega")
 
     limit = max_entries_limit(max_entries)
-    kernel_size = kernel.size()
-    if kernel_size * group.order > limit:
+    count = kernel.size() * group.order
+    if count > limit:
         return TrivializationCertificate(
             mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
             cocycle=c, witness=witness, partial=True,
             verification={"mode": "partial", "seed": seed, "checked": 0},
+            reason=f"extension table needs |A||G| = {count} entries (limit {limit})",
         )
 
     ext = build_extension(kernel, c)
     try:
         alpha = closed_form_alpha(ext, omega, witness, max_entries)
-    except ResourceLimit:
+    except ResourceLimit as exc:
         return TrivializationCertificate(
             mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
             cocycle=c, witness=witness, extension=ext, partial=True,
             verification={"mode": "partial", "seed": seed, "checked": 0},
+            reason=str(exc),
         )
     ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries, seed, sample_size)
     if not ok:
@@ -468,7 +473,8 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
 
     stage1 = trivialize_torsion(hbar, max_entries, seed, sample_size)
     if stage1.partial:
-        raise ResourceLimit("stage-1 torsion trivialization came back partial")
+        raise ResourceLimit(f"stage-1 torsion trivialization came back partial: "
+                            f"{stage1.reason}")
     ext1 = stage1.extension
 
     # lift omega before any sweep over ext1, so its resource gate fails first
@@ -498,7 +504,8 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
 
     stage2 = trivialize_torsion(beta, max_entries, seed, sample_size)
     if stage2.partial:
-        raise ResourceLimit("stage-2 torsion trivialization came back partial")
+        raise ResourceLimit(f"stage-2 torsion trivialization came back partial: "
+                            f"{stage2.reason}")
     ext2 = stage2.extension
 
     eta_tilde_m = Cochain(ext1, module_g, n - 1, eta_tilde.values)

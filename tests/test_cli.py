@@ -171,6 +171,15 @@ def test_cohomology_resource_limit_exit_3(capsys):
     assert code == 3
 
 
+def test_lattice_cohomology_gates_on_delta_n_minus_1(capsys):
+    # H^2(C4; Z) builds delta_1 (27 entries) and never delta_2 (243)
+    args = ("cohomology", "--group", "cyclic:4", "--module", "trivial:0", "--degree", "2")
+    code, out, _ = run(capsys, *args, "--max-entries", "100")
+    assert code == 0 and out.strip() == "H^2 invariant factors: [4]"
+    code, _, err = run(capsys, *args, "--max-entries", "20")
+    assert code == 3 and "coboundary matrix needs 27 entries (limit 20)" in err
+
+
 def test_memory_error_exit_3(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError

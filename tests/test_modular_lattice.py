@@ -16,10 +16,11 @@ import time
 
 import pytest
 
-from groupcoh import GModule, builtin_group, cohomology, cyclic_group, invariants
+from groupcoh import (GModule, builtin_group, cohomology, cyclic_group, invariants,
+                      trivial_module)
 from groupcoh import intlinalg as la
 from groupcoh.cochains import coboundary_matrix, nonid_tuples
-from groupcoh.errors import SelfCheckFailed
+from groupcoh.errors import ResourceLimit, SelfCheckFailed
 
 
 def congruent_zero(a, x, moduli):
@@ -303,15 +304,156 @@ def test_invariants_are_the_fixed_points(build):
     assert len(images) == math.prod(inv.factors)
 
 
+# -- cohomology with lattice coefficients ----------------------------------
+
+LATTICE_GROUPS = ["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
+                  "cyclic:2*cyclic:2", "symmetric:3", "dihedral:4"]
+
+
+def sign_module(group):
+    """Z on which G acts through its first nontrivial homomorphism to
+    {1, -1} (signs chosen on the generators), or None when G has none."""
+    gens = group.generators()
+    for mask in range(1, 2 ** len(gens)):
+        sign = {0: 1}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for i, s in enumerate(gens):
+                y = group.mul(s, x)
+                if y not in sign:
+                    sign[y] = -sign[x] if mask >> i & 1 else sign[x]
+                    frontier.append(y)
+        if all(sign[group.mul(a, b)] == sign[a] * sign[b]
+               for a in range(group.order) for b in range(group.order)):
+            return GModule(group, [0], [[[sign[g]]] for g in range(group.order)])
+    return None
+
+
+def permutation_module(group, cosets):
+    """Z[G/H] for the left cosets listed as sets of element indices."""
+    where = {x: c for c, coset in enumerate(cosets) for x in coset}
+    reps = [min(coset) for coset in cosets]
+    k = len(cosets)
+    return GModule(group, [0] * k, [[[int(r == where[group.mul(g, reps[c])]) for c in range(k)]
+                                     for r in range(k)] for g in range(group.order)])
+
+
+def regular_module(group):
+    return permutation_module(group, [{g} for g in range(group.order)])
+
+
+def lattice_modules(group):
+    mods = {"Z": trivial_module(group, [0]), "Z^2": trivial_module(group, [0, 0]),
+            "Z_sgn": sign_module(group), "Z[G]": regular_module(group)}
+    return {name: m for name, m in mods.items() if m is not None}
+
+
+def lattice_cases(max_entries):
+    """(group, module name, module, n) for n = 1..3 wherever delta_n, which
+    the integer route factors, has at most max_entries entries."""
+    for gspec in LATTICE_GROUPS:
+        group = builtin_group(gspec)
+        for name, module in lattice_modules(group).items():
+            for n in (1, 2, 3):
+                if module.dim ** 2 * (group.order - 1) ** (2 * n + 1) <= max_entries:
+                    yield gspec, name, module, n
+
+
+def test_lattice_cohomology_matches_the_integer_route():
+    # beyond 25,000 entries the integer Smith normal forms take 0.05 s to
+    # more than 1 s a case; 69 of the 90 cases fit
+    cases = list(lattice_cases(25_000))
+    assert len(cases) == 69
+    for gspec, name, module, n in cases:
+        got = cohomology(module.group, module, n)
+        assert got == integer_route_cohomology(module.group, module, n), (gspec, name, n)
+        assert all(module.group.order % f == 0 for f in got)
+
+
+@pytest.mark.parametrize("gspec, degrees", [
+    ("cyclic:2", 3), ("cyclic:3", 3), ("cyclic:4", 3), ("cyclic:5", 3), ("cyclic:6", 2),
+    ("cyclic:2*cyclic:2", 3), ("symmetric:3", 3), ("dihedral:4", 2),
+])
+def test_shapiro_regular_module_is_acyclic(gspec, degrees):
+    # H^n(G; Z[G]) = H^n(1; Z) = 0 for n >= 1 (Brown III.6)
+    group = builtin_group(gspec)
+    module = regular_module(group)
+    assert [cohomology(group, module, n) for n in range(1, degrees + 1)] == [[]] * degrees
+
+
+def test_shapiro_s3_on_cosets_of_c3():
+    # H^n(S3; Z[S3/C3]) = H^n(C3; Z): Z/3 in even degrees, 0 in odd ones
+    # (degree 4 adds 0.6 s)
+    s3 = builtin_group("symmetric:3")
+    c3 = {g for g in range(6) if s3.mul(g, s3.mul(g, g)) == 0}
+    module = permutation_module(s3, [c3, set(range(6)) - c3])
+    c3_group = cyclic_group(3)
+    for n in range(1, 4):
+        got = cohomology(s3, module, n)
+        assert got == cohomology(c3_group, trivial_module(c3_group, [0]), n)
+        assert got == ([3] if n % 2 == 0 else [])
+
+
+def conjugated(module, p, p_inv):
+    """The module with every rho(g) replaced by P rho(g) P^-1."""
+    assert la.mat_mul(p, p_inv) == la.identity_matrix(len(p))
+    return GModule(module.group, module.factors,
+                   [la.mat_mul(la.mat_mul(p, mat), p_inv) for mat in module.action])
+
+
+def test_lattice_cohomology_is_invariant_under_a_change_of_basis():
+    c4, c3 = cyclic_group(4), cyclic_group(3)
+    rotation = GModule(c4, [0, 0], [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]],
+                                    [[0, 1], [-1, 0]]])
+    s3 = builtin_group("symmetric:3")
+    cases = [
+        (rotation, [[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
+        (regular_module(c3), [[1, 2, -1], [0, 1, 3], [0, 0, 1]],
+         [[1, -2, 7], [0, 1, -3], [0, 0, 1]]),
+        (trivial_module(s3, [0, 0]), [[3, 2], [1, 1]], [[1, -2], [-1, 3]]),
+        (GModule(s3, [0, 0], [[[m[0][0], 0], [0, 1]] for m in sign_module(s3).action]),
+         [[1, 1], [0, 1]], [[1, -1], [0, 1]]),
+    ]
+    for module, p, p_inv in cases:
+        other = conjugated(module, p, p_inv)
+        for n in (1, 2, 3):
+            assert cohomology(module.group, other, n) == cohomology(module.group, module, n)
+    # C4 acting on Z[i] by i fixes nothing and has norm 1 + i + i^2 + i^3 = 0:
+    # H^odd = Z[i] / (i - 1) = Z/2 and H^even = 0
+    assert [cohomology(c4, rotation, n) for n in (1, 2, 3)] == [[2], [], [2]]
+
+
+@pytest.mark.parametrize("gspec, n, want", [
+    ("symmetric:3", 4, [6]), ("cyclic:2*cyclic:2", 4, [2, 2, 2]), ("cyclic:5", 4, [5]),
+    ("dihedral:4", 3, [2]),
+])
+def test_lattice_cohomology_literature_values(gspec, n, want):
+    # H^4(D4; Z) = (Z/2)^2 + Z/4 takes 3 s and is left out
+    group = builtin_group(gspec)
+    assert cohomology(group, trivial_module(group, [0]), n) == want
+
+
+def test_lattice_cohomology_gates_on_delta_n_minus_1_only():
+    # delta_1 of C4 is 9 x 3 = 27 entries; delta_2 (243) is never built
+    c4 = cyclic_group(4)
+    assert cohomology(c4, trivial_module(c4, [0]), 2, max_entries=27) == [4]
+    with pytest.raises(ResourceLimit,
+                       match=r"^coboundary matrix needs 27 entries \(limit 20\)$"):
+        cohomology(c4, trivial_module(c4, [0]), 2, max_entries=20)
+
+
 # -- no Smith normal form on finite coefficients ---------------------------
 
 
 @pytest.mark.parametrize("gspec, coeffs, n, snf_calls", [
     ("cyclic:4", 4, 4, 0), ("dihedral:4", 2, 2, 0), ("cyclic:3", 3, 0, 0),
-    ("cyclic:4", 0, 2, 3),
+    ("cyclic:4", 0, 2, 0), pytest.param("cyclic:4", [0, 2], 2, 3, id="cyclic:4-0+2-2-3"),
 ])
 def test_snf_calls(monkeypatch, gspec, coeffs, n, snf_calls):
-    # a free factor keeps kernel_basis, FactoredMatrix and cokernel_structure
+    # a lattice in degree >= 1 takes one local Smith form; a mixed
+    # free-plus-torsion module keeps kernel_basis, FactoredMatrix and
+    # cokernel_structure
     calls = []
     snf = la._snf_full
 
@@ -321,7 +463,8 @@ def test_snf_calls(monkeypatch, gspec, coeffs, n, snf_calls):
 
     monkeypatch.setattr(la, "_snf_full", counted)
     group = builtin_group(gspec)
-    cohomology(group, table_module(group, coeffs), n)
+    factors = coeffs if isinstance(coeffs, list) else [coeffs]
+    cohomology(group, trivial_module(group, factors), n)
     assert len(calls) == snf_calls
 
 

@@ -380,6 +380,34 @@ def test_general_mode_gates_every_coboundary_on_its_entries():
     assert verify_certificate(cert, max_entries=108, sample_size=100).ok()
 
 
+@pytest.mark.parametrize("factors, degree, value, limit, message", [
+    ([0], 4, (1,), 3, "stage-1 torsion trivialization came back partial: "
+                      "extension table needs |A||G| = 4 entries (limit 3)"),
+    ([0], 4, (1,), 8, "stage-1 torsion trivialization came back partial: "
+                      "closed-form primitive needs 9 entries (limit 8)"),
+    ([0, 2], 4, (1, 1), 250, "stage-2 torsion trivialization came back partial: "
+                             "extension table needs |A||G| = 2048 entries (limit 250)"),
+    ([0, 2], 3, (0, 1), 8, "stage-2 torsion trivialization came back partial: "
+                           "closed-form primitive needs 9 entries (limit 8)"),
+])
+def test_partial_stage_names_its_estimate_and_limit(factors, degree, value, limit, message):
+    g = cyclic_group(2)
+    w = Cochain(g, trivial_module(g, factors), degree, {(1,) * degree: value})
+    with pytest.raises(ResourceLimit) as info:
+        trivialize_general(w, max_entries=limit, sample_size=10)
+    assert str(info.value) == message
+
+
+def test_partial_reason_stays_off_the_certificate_bytes():
+    w = Cochain(cyclic_group(2), trivial_module(cyclic_group(2), [2]), 7, {(1,) * 7: (1,)})
+    partial = trivialize_torsion(w, max_entries=8)
+    assert partial.partial
+    assert partial.reason == "closed-form primitive needs 729 entries (limit 8)"
+    data = certificate_to_json(partial)
+    assert "reason" not in json.dumps(data)
+    assert certificate_from_json(data).reason is None
+
+
 def test_general_torsion_module_degenerates():
     # M pure torsion: free stage is vacuous, stage 2 does all the work
     g = cyclic_group(2)
