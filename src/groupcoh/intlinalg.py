@@ -7,7 +7,13 @@ Two eliminations serve every routine.  With every row modulus nonzero,
 one local Smith form over Z/N (`_diagonalize_modulo`, N the lcm of the
 moduli, every entry below N) serves `solve_with_moduli`,
 `kernel_with_moduli` (whose generators reduce to a triangular Hermite
-basis modulo N) and `cokernel_modulo`; `kernel_quotient` joins them by
+basis modulo N) and `cokernel_modulo` (all its lift columns in one
+call).  It is sparse: each row is a dict of its nonzero entries, a
+column index lists the rows of each column, and the pivot is a unit in
+the first column that has entries, in the row of fewest entries, so
+clearing a coboundary matrix (at most n + 2 nonzero blocks a row) costs
+about its nonzeros, not its rows times its columns (Dumas, Saunders and
+Villard, JSC 2001).  `kernel_quotient` joins them by
 back substitution into the quotient W / R that cohomology and invariants
 read.  Cohomology with lattice coefficients calls the local Smith form
 directly, on delta_{n-1} over Z/|G|^2.  Where a modulus is free (0)
@@ -22,6 +28,7 @@ factorization for solving against many right-hand sides.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 Matrix = list  # list[list[int]]
 
@@ -274,25 +281,29 @@ def _xgcd(p: int, x: int):
     return p, s0, u0
 
 
-def _quotient(x, p, g, big):
-    """q with q * p == x (mod big), given g = gcd(p, big) dividing x."""
-    return x // g * pow(p // g, -1, big // g) % (big // g)
-
-
 def _diagonalize_modulo(a: Matrix, moduli: list, n: int):
     """The local Smith form of the first n columns of a modulo per-row
-    moduli, all nonzero.
+    moduli, all nonzero, by sparse elimination.
 
     Row i is scaled by N/moduli[i] (N = lcm of the moduli), so every row
-    holds modulo N, and the matrix is diagonalized over Z/N with entries
-    reduced at every step.  A pivot p clears an entry x outright when
-    gcd(p, N) | x; otherwise a unimodular 2x2 extended-gcd step on the two
-    rows (or columns) replaces p by gcd(p, x), whose gcd with N is a proper
-    divisor of gcd(p, N), so every pivot settles after finitely many steps.
-    A settled pivot whose gcd with N does not divide some trailing entry
-    takes that entry's row in and settles again, so gcd(d_i, N) divides
-    gcd(d_{i+1}, N).  Columns of a past the n-th (right-hand sides) take
-    part in the row operations only.
+    holds modulo N, and kept as a {column: entry} dict of its nonzero
+    entries modulo N; an index maps each of the first n columns to its
+    rows.  Nothing is swapped: pivots are recorded as (row, column) and d
+    and V laid out in pivot order at the end.  The pivot is the unit, in
+    the first column that has entries, whose row has the fewest entries;
+    if that column holds no unit, a scan of all entries takes the least
+    gcd with N, ties to the row of fewest entries.  Either way no entry
+    left has a smaller gcd with N.  A pivot p clears an entry x of its
+    column or row by a sparse axpy over the pivot row (or a column of V)
+    when gcd(p, N) | x; otherwise a unimodular 2x2 extended-gcd step on
+    the two rows (or columns) makes p = gcd(p, x), whose gcd with N
+    properly divides gcd(p, N), so every pivot settles.  A settled pivot
+    whose gcd with N does not divide some entry left takes that entry's
+    row in and settles again.  So gcd(d_i, N) divides every entry left
+    after step i, and operations modulo N keep that, as it divides N:
+    gcd(d_i, N) divides gcd(d_{i+1}, N).  Columns of a past the n-th
+    (right-hand sides) take part in the row operations only; no pivot or
+    operation reads them, so they change nothing else.
 
     Returns (d, vt, N): d is the reduced matrix, whose first n columns are
     zero but for d[i][i] != 0 with i below the rank; vt[j] is column j of
@@ -300,118 +311,175 @@ def _diagonalize_modulo(a: Matrix, moduli: list, n: int):
     invertible modulo N that is not tracked.
     """
     big = math.lcm(*moduli)
-    d = [[big // md * x % big for x in row] for row, md in zip(a, moduli)]
-    m = len(d)
-    vt = identity_matrix(n)
+    rows, tails = [], []
+    for row, md in zip(a, moduli):
+        s = big // md
+        entries = {j: y for j in compress(range(len(row)), row) if (y := s * row[j] % big)}
+        tails.append({j: entries.pop(j) for j in [j for j in entries if j >= n]})
+        rows.append(entries)
+    index = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            index[j].add(i)
+    vt = [{j: 1} for j in range(n)]
+
+    def pair(x, y, s, u, w, z):
+        # (s x + u y, w x + z y) for sparse vectors x and y
+        out_x, out_y = {}, {}
+        for k in x.keys() | y.keys():
+            xk, yk = x.get(k, 0), y.get(k, 0)
+            if e := (s * xk + u * yk) % big:
+                out_x[k] = e
+            if e := (w * xk + z * yk) % big:
+                out_y[k] = e
+        return out_x, out_y
+
+    def axpy(x, y, q):
+        # x += q y in place, for sparse vectors
+        for k, yk in y.items():
+            if e := (x.get(k, 0) + q * yk) % big:
+                x[k] = e
+            else:
+                x.pop(k, None)
 
     def row_add(i, j, q):
-        # row_i += q * row_j; rows i, j >= t are zero left of column t
-        d[i][t:] = [(x + q * y) % big for x, y in zip(d[i][t:], d[j][t:])]
+        # row_i += q row_j, over the entries of row_j only
+        row = rows[i]
+        for k, yk in rows[j].items():
+            if k in row:
+                if e := (row[k] + q * yk) % big:
+                    row[k] = e
+                else:
+                    del row[k]
+                    index[k].discard(i)
+            elif e := q * yk % big:
+                row[k] = e
+                index[k].add(i)
+        if tails[j]:
+            axpy(tails[i], tails[j], q)
 
-    def row_pair(i, j, s, u, w, z):
-        # (row_i, row_j) <- (s row_i + u row_j, w row_i + z row_j)
-        ri, rj = d[i][t:], d[j][t:]
-        d[i][t:] = [(s * x + u * y) % big for x, y in zip(ri, rj)]
-        d[j][t:] = [(w * x + z * y) % big for x, y in zip(ri, rj)]
+    def row_pair(i, j, *coeffs):
+        for r in (i, j):
+            for k in rows[r]:
+                index[k].discard(r)
+        rows[i], rows[j] = pair(rows[i], rows[j], *coeffs)
+        tails[i], tails[j] = pair(tails[i], tails[j], *coeffs)
+        for r in (i, j):
+            for k in rows[r]:
+                index[k].add(r)
 
     def col_pair(i, j, s, u, w, z):
-        # (col_i, col_j) <- (s col_i + u col_j, w col_i + z col_j); rows
-        # above t are zero in both columns
-        for row in d[t:]:
-            x, y = row[i], row[j]
-            if x or y:
-                row[i], row[j] = (s * x + u * y) % big, (w * x + z * y) % big
-        vi, vj = vt[i], vt[j]
-        vt[i] = [(s * x + u * y) % big for x, y in zip(vi, vj)]
-        vt[j] = [(w * x + z * y) % big for x, y in zip(vi, vj)]
+        for r in index[i] | index[j]:
+            row = rows[r]
+            x, y = row.get(i, 0), row.get(j, 0)
+            for k, e in ((i, (s * x + u * y) % big), (j, (w * x + z * y) % big)):
+                if e:
+                    row[k] = e
+                    index[k].add(r)
+                else:
+                    row.pop(k, None)
+                    index[k].discard(r)
+        vt[i], vt[j] = pair(vt[i], vt[j], s, u, w, z)
 
-    t = 0
-    while t < min(m, n):
-        # the trailing entry whose gcd with N is least; a unit cannot be
-        # beaten, so stop at the first
-        pivot = None
-        best = big
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                if row[j]:
-                    g = math.gcd(row[j], big)
-                    if g < best:
-                        best, pivot = g, (i, j)
-                        if g == 1:
-                            break
-            if best == 1:
+    pivots = []
+    first = 0
+    while True:
+        while first < n and not index[first]:
+            first += 1
+        c = first
+        units = [i for i in index[c] if math.gcd(rows[i][c], big) == 1] if c < n else []
+        if units:
+            r = min(units, key=lambda i: (len(rows[i]), i))
+        else:
+            best = min(((math.gcd(x, big), len(row), i, j) for i, row in enumerate(rows)
+                        for j, x in row.items()), default=None)
+            if best is None:
                 break
-        if pivot is None:
-            break
-        i, j = pivot
-        d[t], d[i] = d[i], d[t]
-        if j != t:
-            for row in d:
-                row[t], row[j] = row[j], row[t]
-            vt[t], vt[j] = vt[j], vt[t]
+            _, _, r, c = best
         settled = False
         while not settled:
-            p = d[t][t]
+            p = rows[r][c]
             g = math.gcd(p, big)
-            for i in range(t + 1, m):
-                x = d[i][t]
-                if not x:
+            unit = pow(p // g, -1, big // g)  # x // g * unit * p == x (mod N)
+            for i in list(index[c]):
+                if i == r:
                     continue
+                x = rows[i][c]
                 if x % g == 0:
-                    row_add(i, t, -_quotient(x, p, g, big))
+                    row_add(i, r, -(x // g) * unit)
                 else:
                     e, s, u = _xgcd(p, x)
-                    row_pair(t, i, s, u, -x // e, p // e)
+                    row_pair(r, i, s, u, -x // e, p // e)
                     p = e
                     g = math.gcd(p, big)
-            # column t is clear below the pivot, so clearing row t by a
-            # column operation changes only row t and V
+                    unit = pow(p // g, -1, big // g)
+            # column c is clear but for the pivot, so clearing row r by a
+            # column operation changes only row r and V
             settled = True
-            row = d[t]
-            for j in range(t + 1, n):
-                x = row[j]
-                if not x:
+            row = rows[r]
+            for j, x in list(row.items()):
+                if j == c:
                     continue
                 if x % g == 0:
-                    q = _quotient(x, p, g, big)
-                    row[j] = 0
-                    vt[j] = [(y - q * z) % big for y, z in zip(vt[j], vt[t])]
+                    del row[j]
+                    index[j].discard(r)
+                    axpy(vt[j], vt[c], -(x // g) * unit)
                 else:
                     e, s, u = _xgcd(p, x)
-                    col_pair(t, j, s, u, -x // e, p // e)
+                    col_pair(c, j, s, u, -x // e, p // e)
                     settled = False
                     break
             if settled and g > 1:
-                bad = next((i for i in range(t + 1, m)
-                            if any(x % g for x in d[i][t + 1:n])), None)
+                bad = next((i for i, row in enumerate(rows)
+                            if any(x % g for x in row.values())), None)
                 if bad is not None:
-                    row_add(t, bad, 1)
+                    row_add(r, bad, 1)
                     settled = False
-        t += 1
-    return d, vt, big
+        pivots.append((r, c, rows[r][c]))
+        rows[r] = {}
+        index[c].clear()
+
+    order = [r for r, _, _ in pivots]
+    order += sorted(set(range(len(a))) - set(order))
+    perm = [c for _, c, _ in pivots]
+    perm += sorted(set(range(n)) - set(perm))
+    d = [[0] * (len(a[0]) if a else n) for _ in order]
+    for t, (_, _, p) in enumerate(pivots):
+        d[t][t] = p
+    for row, r in zip(d, order):
+        for j, x in tails[r].items():
+            row[j] = x
+    cols = [[0] * n for _ in perm]
+    for col, c in zip(cols, perm):
+        for k, x in vt[c].items():
+            col[k] = x
+    return d, cols, big
 
 
-def _solve_modulo(a: Matrix, b: list, moduli: list, n: int):
-    """Solve a @ x = b modulo per-row moduli, all nonzero: b rides along
-    as column n of the local Smith form U a V = D, y_i solves
-    d_i y_i = (U b)_i modulo N (solvable iff gcd(d_i, N) divides it; rows
-    past the rank need (U b)_i = 0), and x = V y."""
-    d, vt, big = _diagonalize_modulo([row + [bi] for row, bi in zip(a, b)], moduli, n)
-    x = [0] * n
-    for i, row in enumerate(d):
-        p, c = (row[i] if i < n else 0), row[n]
-        if not p:
-            if c:
-                return None
-            continue
-        g = math.gcd(p, big)
-        if c % g:
-            return None
-        y = _quotient(c, p, g, big)
-        if y:
-            x = [(xi + y * vj) % big for xi, vj in zip(x, vt[i])]
-    return x
+def _solve_modulo(a: Matrix, rhs: list, moduli: list, n: int):
+    """Solve a @ x = b modulo per-row moduli, all nonzero, for every
+    column b of rhs (a list of columns), returning one x or None for each.
+    The right-hand sides ride along as columns n, n + 1, ... of one local
+    Smith form U a V = D; y_i solves d_i y_i = (U b)_i modulo N (solvable
+    iff gcd(d_i, N) divides it; rows past the rank need (U b)_i = 0), and
+    x = V y."""
+    d, vt, big = _diagonalize_modulo([row + [b[i] for b in rhs] for i, row in enumerate(a)],
+                                     moduli, n)
+    out = []
+    for c in range(n, n + len(rhs)):
+        x = [0] * n
+        for i, row in enumerate(d):
+            # a zero pivot has gcd N with N, which divides b only if b = 0
+            p, b = (row[i] if i < n else 0), row[c]
+            g = math.gcd(p, big)
+            if b % g:
+                x = None
+                break
+            y = b // g * pow(p // g, -1, big // g) % (big // g) if p else 0
+            if y:
+                x = [(xi + y * vj) % big for xi, vj in zip(x, vt[i])]
+        out.append(x)
+    return out
 
 
 def solve_with_moduli(a: Matrix, b: list, moduli: list, cols: int = None):
@@ -423,7 +491,7 @@ def solve_with_moduli(a: Matrix, b: list, moduli: list, cols: int = None):
     """
     n = len(a[0]) if a else (cols or 0)
     if all(moduli):
-        return _solve_modulo(a, b, moduli, n)
+        return _solve_modulo(a, [b], moduli, n)[0]
     aug, aug_cols = _augment_moduli(a, moduli, n)
     sol = solve_integer(aug, b, cols=aug_cols)
     if sol is None:
@@ -560,19 +628,16 @@ def cokernel_modulo(gens: list, ambient: int, big: int):
     a divisibility chain (a coordinate past the rank is Z/big).  proj keeps
     the rows of V^T whose factor is not 1, and lift column i solves
     proj @ x = e_i modulo the factors, which V^T invertible modulo big
-    makes solvable.
+    makes solvable; every e_i rides along in one local Smith form of proj.
     """
     d, vt, _ = _diagonalize_modulo(gens, [big] * len(gens), ambient)
     moduli = [math.gcd(d[i][i] if i < len(d) else 0, big) for i in range(ambient)]
     keep = [i for i, md in enumerate(moduli) if md != 1]
     factors = [moduli[i] for i in keep]
     proj = [vt[i] for i in keep]
-    cols = []
-    for i in range(len(keep)):
-        x = _solve_modulo(proj, [int(r == i) for r in range(len(keep))], factors, ambient)
-        if x is None:
-            raise ArithmeticError("cokernel_modulo: the projection is not onto the quotient")
-        cols.append(x)
+    cols = _solve_modulo(proj, identity_matrix(len(keep)), factors, ambient)
+    if None in cols:
+        raise ArithmeticError("cokernel_modulo: the projection is not onto the quotient")
     lift = [[col[r] for col in cols] for r in range(ambient)]
     return factors, proj, lift
 
