@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import intlinalg as la
 from .errors import DegreeMismatch, NotACocycle, ResourceLimit, SelfCheckFailed
 from .groups import generated, json_object
-from .modules import GModule, invariants
+from .modules import GModule, invariants, torsion_submodule
 
 DEFAULT_MAX_ENTRIES = 10_000_000
 
@@ -119,6 +119,28 @@ def sub_cochains(f: Cochain, g: Cochain) -> Cochain:
 def scale_cochain(n: int, f: Cochain) -> Cochain:
     m = f.coeffs
     return Cochain(f.group, m, f.degree, {t: m.scale(n, v) for t, v in f.values.items()})
+
+
+def map_coefficients(f: Cochain, matrix, target: GModule) -> Cochain:
+    vals = {}
+    for tup, v in f.values.items():
+        w = target.reduce(la.mat_vec(matrix, v))
+        if not target.is_zero(w):
+            vals[tup] = w
+    return Cochain(f.group, target, f.degree, vals)
+
+
+def divide_cochain(f: Cochain, q: int) -> Cochain:
+    vals = {}
+    for tup, v in f.values.items():
+        out = []
+        for x in v:
+            d, r = divmod(x, q)
+            if r:
+                raise SelfCheckFailed(f"divide_cochain: value at {tup} is not divisible by {q}")
+            out.append(d)
+        vals[tup] = tuple(out)
+    return Cochain(f.group, f.coeffs, f.degree, vals)
 
 
 def coboundary_value(f: Cochain, tup) -> tuple:
@@ -341,18 +363,39 @@ def _vector_cochain(group, module, degree, tuples, vec) -> Cochain:
 
 def solve_coboundary(f: Cochain, max_entries=None):
     """A cochain x with delta x = f exactly, or None when f is not a
-    coboundary (decided constructively over the tuple basis)."""
+    coboundary (decided constructively over the tuple basis).
+
+    Let e be the exponent of the torsion submodule M_T and N = |G| e.
+    One solve over M/NM (each free factor taken modulo N) gives y with
+    delta y = f modulo NM, or proves f no coboundary.  On a torsion module
+    NM = 0 and x = y.  Otherwise f - delta y = N s(u), s the
+    basis-aligned section of M -> M/M_T, and as e s and N s are G-maps
+    (e kills M_T), delta f = N s(delta u): u is a cocycle of the lattice
+    M/M_T exactly when f is a cocycle.  The averaging homotopy then gives
+    delta h = |G| u, and x = y + e s(h) has delta x = delta y + N s(u) =
+    f."""
     n = f.degree
     if n < 1:
         raise ValueError("cannot solve below degree 1")
-    module = f.coeffs
-    mat, dom, tgt = coboundary_matrix(f.group, module, n - 1, max_entries)
-    b = _cochain_vector(f, tgt)
-    moduli = [d for _ in tgt for d in module.factors]
-    x = la.solve_with_moduli(mat, b, moduli, cols=len(dom) * module.dim)
+    group, module = f.group, f.coeffs
+    mat, dom, tgt = coboundary_matrix(group, module, n - 1, max_entries)
+    exponent = math.lcm(*filter(None, module.factors))
+    big = group.order * exponent
+    moduli = [d or big for _ in tgt for d in module.factors]
+    x = la.solve_with_moduli(mat, _cochain_vector(f, tgt), moduli, cols=len(dom) * module.dim)
     if x is None:
         return None
-    sol = _vector_cochain(f.group, module, n - 1, dom, x)
+    sol = _vector_cochain(group, module, n - 1, dom, x)
+    if not module.is_torsion:
+        _, _, pmap, smap = torsion_submodule(module)
+        u = divide_cochain(map_coefficients(sub_cochains(f, coboundary(sol)), pmap.matrix,
+                                            pmap.target), big)
+        try:
+            h = averaging_homotopy(u).numerator
+        except NotACocycle:
+            return None
+        sol = add_cochains(sol, map_coefficients(scale_cochain(exponent, h), smap.matrix,
+                                                 module))
     if coboundary(sol) != f:
         raise SelfCheckFailed("solve_coboundary: the solution x does not satisfy delta x = f")
     return sol

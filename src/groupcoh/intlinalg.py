@@ -16,13 +16,15 @@ about its nonzeros, not its rows times its columns (Dumas, Saunders and
 Villard, JSC 2001).  `kernel_quotient` joins them by
 back substitution into the quotient W / R that cohomology and invariants
 read.  Cohomology with lattice coefficients calls the local Smith form
-directly, on delta_{n-1} over Z/|G|^2.  Where a modulus is free (0)
-otherwise, the integer Smith normal form `_snf_full` serves instead,
-whose entries grow without bound on dense inputs.  It builds only the
-transforms a caller reads through its ``track`` keyword: `kernel_basis`
-tracks V, `FactoredMatrix` (and so `solve_integer`) U and V, and
-`cokernel_structure` U and U^-1; `FactoredMatrix` keeps one
-factorization for solving against many right-hand sides.
+directly, on delta_{n-1} over Z/|G|^2, and every coboundary equation is
+solved over Z/N.  The integer Smith normal form `_snf_full`, whose
+entries grow without bound on dense inputs, serves only the rest of the
+free (0) moduli: `kernel_quotient` for the invariants of a module with
+a free factor and the cohomology of one with both free and finite
+factors, and the coinvariants.  It builds only the transforms a caller
+reads through its ``track`` keyword: `kernel_basis` tracks V,
+`solve_integer` U and V (one factorization for all its right-hand
+sides), and `cokernel_structure` U and U^-1.
 """
 
 from __future__ import annotations
@@ -203,46 +205,27 @@ def _snf_full(a: Matrix, cols: int = None, track=TRANSFORMS):
     return u, ui, d, v, vi
 
 
-def smith_normal_form(a: Matrix, cols: int = None):
-    """U*a*V = D with D = diag(d1,...,dr,0,...), d1 | d2 | ... ; U, V unimodular."""
+def solve_integer(a: Matrix, rhs: list, cols: int = None) -> list:
+    """Solve a @ x = b over Z for every column b of rhs (a list of
+    columns), returning one integer x or None for each.  One Smith normal
+    form U a V = D serves them all: y_i solves d_i y_i = (U b)_i (rows
+    past the rank need (U b)_i = 0), and x = V y."""
+    n = len(a[0]) if a else (cols or 0)
+    if not a:
+        return [[0] * n for _ in rhs]
     u, _, d, v, _ = _snf_full(a, cols, track=("u", "v"))
-    return u, d, v
-
-
-class FactoredMatrix:
-    """The Smith normal form U*a*V = D of one matrix, computed once (with
-    only U and V tracked) and kept for solving a @ x = b against many
-    right-hand sides b."""
-
-    def __init__(self, a: Matrix, cols: int = None):
-        self.rows = len(a)
-        self.cols = len(a[0]) if self.rows else (cols or 0)
-        self._u = self._v = self._diag = []
-        if self.rows:
-            self._u, _, d, self._v, _ = _snf_full(a, cols, track=("u", "v"))
-            self._diag = [d[i][i] if i < self.cols else 0 for i in range(self.rows)]
-
-    def solve(self, b: list):
-        """One integer solution x of a @ x = b, or None; the same x that
-        solve_integer(a, b) returns."""
-        if self.rows == 0:
-            return [0] * self.cols
-        y = [0] * self.cols
-        for i, (di, ubi) in enumerate(zip(self._diag, mat_vec(self._u, b))):
-            if di == 0:
-                if ubi != 0:
-                    return None
-            else:
-                q, r = divmod(ubi, di)
-                if r:
-                    return None
-                y[i] = q
-        return mat_vec(self._v, y)
-
-
-def solve_integer(a: Matrix, b: list, cols: int = None):
-    """One integer solution x of a @ x = b, or None."""
-    return FactoredMatrix(a, cols).solve(b)
+    out = []
+    for b in rhs:
+        y = [0] * n
+        for i, ub in enumerate(mat_vec(u, b)):
+            di = d[i][i] if i < n else 0
+            if di:
+                y[i], ub = divmod(ub, di)
+            if ub:
+                y = None
+                break
+        out.append(None if y is None else mat_vec(v, y))
+    return out
 
 
 def kernel_basis(a: Matrix, cols: int = None) -> list:
@@ -483,20 +466,12 @@ def _solve_modulo(a: Matrix, rhs: list, moduli: list, n: int):
 
 
 def solve_with_moduli(a: Matrix, b: list, moduli: list, cols: int = None):
-    """Solve a @ x = b modulo per-row moduli (0 = exact).  Returns x or None.
-
-    With every modulus nonzero the system is solved over Z/N by
-    `_solve_modulo`; a free (0) modulus puts the moduli into extra columns
-    and solves the augmented system over Z.
-    """
-    n = len(a[0]) if a else (cols or 0)
-    if all(moduli):
-        return _solve_modulo(a, [b], moduli, n)[0]
-    aug, aug_cols = _augment_moduli(a, moduli, n)
-    sol = solve_integer(aug, b, cols=aug_cols)
-    if sol is None:
-        return None
-    return sol[:n]
+    """Solve a @ x = b modulo per-row moduli over Z/N by `_solve_modulo`.
+    Returns x or None.  Every modulus must be nonzero; a free (0) one
+    raises ValueError."""
+    if not all(moduli):
+        raise ValueError("solve_with_moduli needs nonzero moduli")
+    return _solve_modulo(a, [b], moduli, len(a[0]) if a else (cols or 0))[0]
 
 
 def _hnf_modulo(gens: list, n: int, big: int) -> list:
@@ -655,9 +630,9 @@ def kernel_quotient(a: Matrix, moduli: list, gens: list, rel_moduli: list):
     With every modulus and every relation nonzero, W has the triangular
     basis of `kernel_with_moduli`, R contains N*W (N = lcm of rel_moduli),
     and so the generators' coordinates, found by back substitution, give
-    W / R by `cokernel_modulo` over Z/N.  Otherwise W's basis is factored
-    once by the integer Smith normal form, every generator is solved
-    against it, and `cokernel_structure` reads the quotient.
+    W / R by `cokernel_modulo` over Z/N.  Otherwise every generator is
+    solved against W's basis by one integer Smith normal form
+    (`solve_integer`), and `cokernel_structure` reads the quotient.
     """
     k = len(rel_moduli)
     gens = list(gens) + [[d if r == i else 0 for r in range(k)]
@@ -670,8 +645,7 @@ def kernel_quotient(a: Matrix, moduli: list, gens: list, rel_moduli: list):
             return None
         factors, _, lift = cokernel_modulo(coords, len(basis), math.lcm(*rel_moduli))
     else:
-        lattice = FactoredMatrix(kmat, cols=len(basis))
-        coords = [lattice.solve(gen) for gen in gens]
+        coords = solve_integer(kmat, gens, cols=len(basis))
         if None in coords:
             return None
         factors, _, lift = cokernel_structure(coords, len(basis))

@@ -37,9 +37,11 @@ from .cochains import (
     cochain_from_json,
     cochain_to_json,
     delta_rows,
+    divide_cochain,
     first_cocycle_defect,
     json_entries,
     json_int_vector,
+    map_coefficients,
     max_entries_limit,
     nonid_tuples,
     sub_cochains,
@@ -417,28 +419,6 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
         cocycle=c, witness=witness, extension=ext, alpha=alpha,
         verification=info,
     )
-
-
-def map_coefficients(f: Cochain, matrix, target: GModule) -> Cochain:
-    vals = {}
-    for tup, v in f.values.items():
-        w = target.reduce(la.mat_vec(matrix, v))
-        if not target.is_zero(w):
-            vals[tup] = w
-    return Cochain(f.group, target, f.degree, vals)
-
-
-def divide_cochain(f: Cochain, q: int) -> Cochain:
-    vals = {}
-    for tup, v in f.values.items():
-        out = []
-        for x in v:
-            d, r = divmod(x, q)
-            if r:
-                raise SelfCheckFailed(f"divide_cochain: value at {tup} is not divisible by {q}")
-            out.append(d)
-        vals[tup] = tuple(out)
-    return Cochain(f.group, f.coeffs, f.degree, vals)
 
 
 def trivialize_general(omega: Cochain, max_entries=None, seed=0,

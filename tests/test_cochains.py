@@ -312,24 +312,36 @@ def test_cohomology_factors_each_matrix_once(monkeypatch):
     assert len(calls) <= 4
 
 
-@pytest.mark.parametrize("factor, snf_calls", [(4, 0), (0, 1)])
-def test_solve_coboundary_snf_count(monkeypatch, factor, snf_calls):
-    # torsion coefficients are solved over Z/N with no Smith normal form;
-    # a free coefficient keeps the one augmented integer factorization
-    calls = []
-    snf = intlinalg._snf_full
+def sign_on_z(group):
+    """Z on which the elements of order 2 act by -1: the sign of C2 or S3."""
+    return GModule(group, [0], [[[-1 if g and group.mul(g, g) == 0 else 1]]
+                                for g in range(group.order)])
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return snf(*args, **kwargs)
 
-    monkeypatch.setattr(intlinalg, "_snf_full", counted)
-    g = cyclic_group(4)
-    m = trivial_module(g, [factor])
-    f = coboundary(cochain_from_function(g, m, 2, lambda t: (t[0] * t[1] + 1,)))
-    x = solve_coboundary(f)
-    assert x is not None and coboundary(x) == f
-    assert len(calls) == snf_calls
+def test_solve_coboundary_runs_no_integer_snf(monkeypatch):
+    # every module is solved over Z/N, a free factor then by the averaging
+    # homotopy: no integer Smith normal form on any of them
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_coboundary ran an integer Smith normal form")
+
+    monkeypatch.setattr(intlinalg, "_snf_full", refuse)
+    c2, c3, c4, s3 = cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group(3)
+    glued = GModule(c2, [2, 0], [[[1, 0], [0, 1]], [[1, 1], [0, 1]]])
+    cases = [trivial_module(c4, [0]), trivial_module(s3, [0]), sign_on_z(c2), sign_on_z(s3),
+             trivial_module(s3, [0, 3]), glued, trivial_module(c4, [4])]
+    rng = random.Random(16)
+    for module in cases:
+        for n in (1, 2, 3):
+            f = coboundary(random_cochain(rng, module.group, module, n - 1))
+            x = solve_coboundary(f)
+            assert x is not None and coboundary(x) == f, (module.factors, n)
+    z = trivial_module(c3, [0])
+    # the generator of H^2(C3; Z) = Z/3
+    carry = cochain_from_function(c3, z, 2, lambda t: ((t[0] + t[1]) // 3,))
+    assert is_cocycle(carry) and solve_coboundary(carry) is None
+    # delta f is 9 at (1, 2), so f is no cocycle, yet delta f vanishes modulo N = 3
+    f = Cochain(c3, z, 1, {(1,): (3,), (2,): (6,)})
+    assert not is_cocycle(f) and solve_coboundary(f) is None
 
 
 def test_cohomology_trivial_group():
@@ -515,6 +527,15 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
 
     z = trivial_module(g, [0])
     w = coboundary(cochain_from_function(g, z, 1, lambda t: (t[0],)))
+    # solved modulo N = 3, delta x for x = 5 at g and 0 at g2 leaves a rest
+    # that only the averaging homotopy accounts for
+    v = coboundary(cochain_from_function(g, z, 1, lambda t: (5 * (t[0] == 1),)))
+    averaging = cochains.averaging_homotopy
+    cochains.averaging_homotopy = lambda f: cochains.RationalCochain(
+        cochains.zero_cochain(f.group, f.coeffs, f.degree - 1), g.order)
+    expect_failure("solve_coboundary over Z", lambda: cochains.solve_coboundary(v))
+    cochains.averaging_homotopy = averaging
+
     cochains.cochain_from_function = lambda group, coeffs, degree, fn: (
         cochains.zero_cochain(group, coeffs, degree))
     expect_failure("averaging_homotopy", lambda: cochains.averaging_homotopy(w))
@@ -527,7 +548,8 @@ def test_self_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:5] == [
+    assert proc.stdout.split("\n")[:6] == [
         "caught solve_coboundary", "caught cohomology", "caught cohomology over Z: rank",
-        "caught cohomology over Z: divisor", "caught averaging_homotopy",
+        "caught cohomology over Z: divisor", "caught solve_coboundary over Z",
+        "caught averaging_homotopy",
     ]

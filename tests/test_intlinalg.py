@@ -74,7 +74,7 @@ def test_snf_2x2_dense():
 
 
 def test_snf_zero_matrix():
-    u, d, v = la.smith_normal_form([[0, 0], [0, 0]])
+    u, _, d, v, _ = la._snf_full([[0, 0], [0, 0]], track=("u", "v"))
     assert d == [[0, 0], [0, 0]]
 
 
@@ -89,10 +89,10 @@ def test_snf_random_matrices():
 
 def test_solve_integer():
     a = [[2, 4], [6, 8]]
-    x = la.solve_integer(a, [6, 14])
+    [x] = la.solve_integer(a, [[6, 14]])
     assert la.mat_vec(a, x) == [6, 14]
-    assert la.solve_integer([[2]], [3]) is None
-    assert la.solve_integer([[2, 0], [0, 3]], [4, -9]) == [2, -3]
+    assert la.solve_integer([[2]], [[3]]) == [None]
+    assert la.solve_integer([[2, 0], [0, 3]], [[4, -9]]) == [[2, -3]]
 
 
 def test_kernel_basis():
@@ -116,6 +116,11 @@ def test_solve_with_moduli():
     x = la.solve_with_moduli([[3]], [1], [5])
     assert x is not None and (3 * x[0] - 1) % 5 == 0
     assert la.solve_with_moduli([[2]], [1], [4]) is None
+
+
+def test_solve_with_moduli_rejects_a_free_modulus():
+    with pytest.raises(ValueError, match="nonzero moduli"):
+        la.solve_with_moduli([[2, 4, -1], [3, 1, 2]], [3, 1], [0, 4])
 
 
 def test_cokernel_structure():
@@ -145,7 +150,7 @@ def test_kron():
     assert k[2] == [0, 3, 0, 4]
 
 
-# -- differential tests: transform selection, factored solves, sympy -------
+# -- differential tests: transform selection, many right-hand sides, sympy --
 
 
 def random_matrices(seed, count):
@@ -176,18 +181,21 @@ def test_snf_transform_selection_matches_full_call():
                 assert got[idx] == (full[idx] if name in sel else [])
 
 
-def test_factored_solve_matches_solve_integer():
+def test_solve_integer_columns_match_single_solves():
+    # one factorization for all right-hand sides gives what one call per
+    # column gives; consistent columns are solved, and every x solves
     rng = random.Random(12)
     for mat, cols in random_matrices(12, 60):
-        factored = la.FactoredMatrix(mat, cols=cols)
+        rhs = []
         for _ in range(4):
             x0 = [rng.randrange(-3, 4) for _ in range(cols)]
-            for b in (la.mat_vec(mat, x0), [rng.randrange(-5, 6) for _ in mat]):
-                x = factored.solve(b)
-                assert x == la.solve_integer(mat, b, cols=cols)
-                if x is not None:
-                    assert la.mat_vec(mat, x) == b
-            assert factored.solve(la.mat_vec(mat, x0)) is not None
+            rhs += [la.mat_vec(mat, x0), [rng.randrange(-5, 6) for _ in mat]]
+        xs = la.solve_integer(mat, rhs, cols=cols)
+        assert xs == [la.solve_integer(mat, [b], cols=cols)[0] for b in rhs]
+        assert None not in xs[::2]
+        for x, b in zip(xs, rhs):
+            if x is not None:
+                assert la.mat_vec(mat, x) == b
 
 
 def test_snf_diagonal_matches_sympy():
@@ -222,7 +230,7 @@ def congruent(a, x, b, moduli):
 
 def augmented_snf_solve(a, b, moduli, cols):
     aug, aug_cols = la._augment_moduli(a, moduli, cols)
-    sol = la.solve_integer(aug, b, cols=aug_cols)
+    [sol] = la.solve_integer(aug, [b], cols=aug_cols)
     return None if sol is None else sol[:cols]
 
 
@@ -259,19 +267,6 @@ def test_solve_modulo_dense_entries_stay_bounded():
     assert x is not None and congruent(a, x, b, [7] * 8)
 
 
-def test_solve_with_free_modulus_matches_solve_integer():
-    # one free row keeps the augmented integer path: a @ x = b exactly in
-    # row 0, modulo 4 and 6 in the others
-    a = [[2, 4, -1], [3, 1, 2], [1, -2, 5]]
-    moduli = [0, 4, 6]
-    for b in ([3, 1, 2], [1, 0, 5], [0, 0, 0]):
-        x = la.solve_with_moduli(a, b, moduli)
-        aug, aug_cols = la._augment_moduli(a, moduli, 3)
-        ref = la.solve_integer(aug, b, cols=aug_cols)
-        assert x == (None if ref is None else ref[:3])
-        assert x is not None and congruent(a, x, b, moduli)
-
-
 def rational_solve(mat, b):
     """Gauss-Jordan over Q: (rank of mat, a solution t of mat @ t = b, or
     None when there is none)."""
@@ -304,7 +299,7 @@ def test_kernel_with_moduli_returns_a_basis():
     # independent vectors that satisfy the congruences and generate every
     # solution in a box and the lcm multiples of the unit vectors.  Being
     # independent, they give each solution unique rational coordinates,
-    # which must be integers.  (FactoredMatrix.solve cannot be the oracle:
+    # which must be integers.  (solve_integer cannot be the oracle:
     # the integer Smith normal form of these bases runs away on 8 of the
     # 200 systems.)
     rng = random.Random(31)

@@ -4,7 +4,7 @@ the local Smith form that serve torsion cohomology and invariants.
 The oracles are independent of that path: the index of a kernel lattice
 is counted from the solutions modulo N, cohomology and invariants are
 compared with the integer route (kernel_basis of the moduli-augmented
-matrix, FactoredMatrix, cokernel_structure) where that route finishes,
+matrix, solve_integer, cokernel_structure) where that route finishes,
 and with dimensions from ranks over F_p where its Smith normal form runs
 away.
 """
@@ -17,7 +17,7 @@ import time
 import pytest
 
 from groupcoh import (GModule, builtin_group, cohomology, cyclic_group, invariants,
-                      trivial_module)
+                      torsion_submodule, trivial_module)
 from groupcoh import intlinalg as la
 from groupcoh.cochains import coboundary_matrix, nonid_tuples
 from groupcoh.errors import ResourceLimit, SelfCheckFailed
@@ -133,14 +133,14 @@ def test_runaway_5x5_basis_modulo_9_and_6():
 def integer_route(a, moduli, gens, rel_moduli):
     """Invariant factors of W / R as cohomology and invariants computed them
     before the modular path: kernel_basis of the moduli-augmented matrix,
-    FactoredMatrix of the basis, cokernel_structure of the coordinates."""
+    solve_integer against the basis, cokernel_structure of the coordinates."""
     k = len(rel_moduli)
     aug, aug_cols = la._augment_moduli(a, moduli, k)
     basis = [vec[:k] for vec in la.kernel_basis(aug, cols=aug_cols)]
-    lattice = la.FactoredMatrix([[col[i] for col in basis] for i in range(k)], cols=len(basis))
     gens = list(gens) + [[d if r == i else 0 for r in range(k)]
                          for i, d in enumerate(rel_moduli) if d]
-    coords = [lattice.solve(gen) for gen in gens]
+    coords = la.solve_integer([[col[i] for col in basis] for i in range(k)], gens,
+                              cols=len(basis))
     assert None not in coords
     return la.cokernel_structure(coords, len(basis))[0]
 
@@ -443,6 +443,44 @@ def test_lattice_cohomology_gates_on_delta_n_minus_1_only():
         cohomology(c4, trivial_module(c4, [0]), 2, max_entries=20)
 
 
+# -- mixed modules: the order identity of M/M_T -> M -> M/NM --------------
+
+
+def mixed_module(label):
+    c2, c4, s3 = cyclic_group(2), cyclic_group(4), builtin_group("symmetric:3")
+    return {
+        "S3 on Z": trivial_module(s3, [0]),
+        "S3 on Z_sgn": sign_module(s3),
+        "S3 on Z + Z/3": trivial_module(s3, [0, 3]),
+        "C2 gluing Z onto Z/2": GModule(c2, [2, 0], [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]),
+        "C4 on Z/2 + Z_sgn": GModule(c4, [2, 0], [[[1, 0], [0, m[0][0]]]
+                                                  for m in sign_module(c4).action]),
+    }[label]
+
+
+@pytest.mark.parametrize("label, n", [
+    (label, n) for label in ("S3 on Z", "S3 on Z_sgn", "S3 on Z + Z/3", "C2 gluing Z onto Z/2",
+                             "C4 on Z/2 + Z_sgn")
+    # H^3(S3; Z + Z/3) takes about 20 s on the integer route
+    for n in ((1, 2) if label == "S3 on Z + Z/3" else (1, 2, 3))
+])
+def test_order_identity_on_mixed_modules(label, n):
+    # with e the exponent of M_T, N = |G| e and s the basis-aligned section
+    # of M -> M/M_T, N s is an injective G-map onto NM, as e kills M_T.  So
+    # 0 -> M/M_T -> M -> M/NM -> 0 is exact, and as |G| kills H^n and
+    # H^{n+1} of M/M_T for n >= 1, 0 -> H^n(M) -> H^n(M/NM) ->
+    # H^{n+1}(M/M_T) -> 0 is exact too
+    module = mixed_module(label)
+    group = module.group
+    big = group.order * math.lcm(*filter(None, module.factors))
+    reduced = GModule(group, [d or big for d in module.factors], module.action)
+    free = torsion_submodule(module)[2].target
+    orders = [cohomology(group, reduced, n), cohomology(group, module, n),
+              cohomology(group, free, n + 1)]
+    assert 0 not in sum(orders, [])
+    assert math.prod(orders[0]) == math.prod(orders[1]) * math.prod(orders[2])
+
+
 # -- no Smith normal form on finite coefficients ---------------------------
 
 
@@ -452,7 +490,7 @@ def test_lattice_cohomology_gates_on_delta_n_minus_1_only():
 ])
 def test_snf_calls(monkeypatch, gspec, coeffs, n, snf_calls):
     # a lattice in degree >= 1 takes one local Smith form; a mixed
-    # free-plus-torsion module keeps kernel_basis, FactoredMatrix and
+    # free-plus-torsion module keeps kernel_basis, solve_integer and
     # cokernel_structure
     calls = []
     snf = la._snf_full
