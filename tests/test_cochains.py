@@ -344,6 +344,26 @@ def test_solve_coboundary_runs_no_integer_snf(monkeypatch):
     assert not is_cocycle(f) and solve_coboundary(f) is None
 
 
+@pytest.mark.parametrize("factor, snf_calls", [(4, 0), (0, 0)])
+def test_solve_coboundary_snf_count(monkeypatch, factor, snf_calls):
+    # torsion coefficients are solved over Z/N, a free coefficient over Z/N
+    # then by the averaging homotopy: neither runs a Smith normal form
+    calls = []
+    snf = intlinalg._snf_full
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "_snf_full", counted)
+    g = cyclic_group(4)
+    m = trivial_module(g, [factor])
+    f = coboundary(cochain_from_function(g, m, 2, lambda t: (t[0] * t[1] + 1,)))
+    x = solve_coboundary(f)
+    assert x is not None and coboundary(x) == f
+    assert len(calls) == snf_calls
+
+
 def test_cohomology_trivial_group():
     g = cyclic_group(1)
     m = trivial_module(g, [4])
