@@ -406,9 +406,17 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
 
     On a lattice M (every factor 0) and n >= 1 they are read off one local
     Smith form of delta_{n-1} alone (`_lattice_cohomology`).  Otherwise
-    H^n is the cocycle lattice modulo the image of delta_{n-1} and the
-    relations of C^n, by `intlinalg.kernel_quotient`, which works over Z/N
-    when every factor of M is finite."""
+    H^n = W / R over Z/N by `intlinalg.kernel_quotient`, with e the exponent
+    of the torsion part M_T, N = |G| e, m = |G| N, C_F the free coordinates
+    of C^n, W the x with delta_n x = 0 modulo d_i on torsion rows and m on
+    free ones, plus N C_F, and R = im delta_{n-1} + N C_F + the relations
+    d_i e_i; on a torsion module C_F is empty.  With s the basis-aligned
+    section of M -> L = M/M_T, e s is a G-map.  A cocycle b + N s(c) has
+    delta_L c = 0, so |G| c = delta_L h (Brown, Cohomology of Groups,
+    III.10) and N s(c) = delta(e s(h)): H^n = (Z^n + N C^n) / (B^n + N C^n).
+    If delta x = m s(v), then |G| v = delta_L h and x - N s(h) is a
+    cocycle, so Z^n + N C^n = W; and N C^n = N C_F.  For n >= 1, |G| kills
+    H^n, so every factor is checked to divide |G|."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
@@ -416,25 +424,24 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
         return list(inv.factors)
     k = module.dim
     cur = list(nonid_tuples(group.order, n))
-    dim_cur = len(cur) * k
-    if dim_cur == 0:
+    if not cur or not k:
         return []
     if not any(module.factors):
-        return _lattice_cohomology(group, module, n, max_entries)
-    dmat, _, tgt = coboundary_matrix(group, module, n, max_entries)
-    # cocycles: x with delta x = 0 modulo the target relations; coboundaries:
-    # the image of delta_{n-1} plus the relations of C^n
-    prev_mat, prev_dom, _ = coboundary_matrix(group, module, n - 1, max_entries)
-    images = []
-    for j in range(len(prev_dom) * k):
-        col = [prev_mat[i][j] for i in range(dim_cur)]
-        if any(col):
-            images.append(col)
-    quotient = la.kernel_quotient(dmat, [d for _ in tgt for d in module.factors], images,
-                                  [d for _ in cur for d in module.factors])
-    if quotient is None:
-        raise SelfCheckFailed("cohomology: a coboundary lies outside the cocycle lattice")
-    factors, _ = quotient
+        factors = _lattice_cohomology(group, module, n, max_entries)
+    else:
+        big = group.order * math.lcm(*filter(None, module.factors))
+        dmat, _, tgt = coboundary_matrix(group, module, n, max_entries)
+        prev_mat, _, _ = coboundary_matrix(group, module, n - 1, max_entries)
+        images = [list(col) for col in zip(*prev_mat) if any(col)]
+        quotient = la.kernel_quotient(
+            dmat, [d or group.order * big for _ in tgt for d in module.factors], images,
+            [d or big for _ in cur for d in module.factors])
+        if quotient is None:
+            raise SelfCheckFailed("cohomology: a coboundary lies outside the cocycle lattice")
+        factors, _ = quotient
+    if any(not p or group.order % p for p in factors):
+        raise SelfCheckFailed(f"cohomology: an invariant factor of {factors} does not "
+                              f"divide |G| = {group.order}")
     return factors
 
 
@@ -459,9 +466,9 @@ def _lattice_cohomology(group, module: GModule, n: int, max_entries=None) -> lis
     the torsion of coker delta_{n-1}: the invariant factors d_i of
     delta_{n-1} that are neither 0 nor 1, each dividing |G|.  Over Z/m
     with m = |G|^2, the local Smith form gives gcd(d_i, m), which is d_i
-    itself for those and m for a zero factor past the rank.  Two checks
-    guard the result: every kept factor divides |G|, and the number of
-    pivots below m is the rank of delta_{n-1} over Q."""
+    itself for those and m for a zero factor past the rank.  The number of
+    pivots below m must be the rank of delta_{n-1} over Q; `cohomology`
+    checks that every kept factor divides |G|."""
     order = group.order
     big = order * order
     mat, dom, _ = coboundary_matrix(group, module, n - 1, max_entries)
@@ -471,11 +478,7 @@ def _lattice_cohomology(group, module: GModule, n: int, max_entries=None) -> lis
     if sum(p < big for p in pivots) * order != _rational_rank(module, n - 1):
         raise SelfCheckFailed(f"cohomology: the local Smith form of delta_{n - 1} modulo "
                               f"{big} misses its rational rank")
-    factors = [p for p in pivots if 1 < p < big]
-    if any(order % p for p in factors):
-        raise SelfCheckFailed(f"cohomology: an invariant factor of {factors} does not "
-                              f"divide |G| = {order}")
-    return factors
+    return [p for p in pivots if 1 < p < big]
 
 
 # -- rational cochains and the averaging homotopy --------------------------

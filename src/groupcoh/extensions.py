@@ -40,7 +40,7 @@ class GroupExtension:
         na, ng = len(self.kernel_elements), base.order
         self.order = na * ng
 
-        _, self._neg, self._act = index_tables(kernel, with_add=False)
+        self._neg, self._act = index_tables(kernel)
         # a = hi * s + lo with s the size of the last factors; the split
         # point keeps the two fold tables of `digit_sums` smallest
         factors = kernel.factors
@@ -150,10 +150,6 @@ class GroupExtension:
 
     def iota(self, a_idx: int) -> int:
         return a_idx * self.base.order
-
-    def pair(self, i: int):
-        """(kernel index, base index) of a total element."""
-        return divmod(i, self.base.order)
 
     def total_group(self, max_entries=None) -> FiniteGroup:
         """The total group as a validated FiniteGroup (associativity is

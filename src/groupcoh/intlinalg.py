@@ -14,14 +14,14 @@ the first column that has entries, in the row of fewest entries, so
 clearing a coboundary matrix (at most n + 2 nonzero blocks a row) costs
 about its nonzeros, not its rows times its columns (Dumas, Saunders and
 Villard, JSC 2001).  `kernel_quotient` joins them by
-back substitution into the quotient W / R that cohomology and invariants
-read.  Cohomology with lattice coefficients calls the local Smith form
-directly, on delta_{n-1} over Z/|G|^2, and every coboundary equation is
-solved over Z/N.  The integer Smith normal form `_snf_full`, whose
-entries grow without bound on dense inputs, serves only the rest of the
-free (0) moduli: `kernel_quotient` for the invariants of a module with
-a free factor and the cohomology of one with both free and finite
-factors, and the coinvariants.  It builds only the transforms a caller
+back substitution into the quotient W / R that invariants and the
+cohomology of a module with a finite factor read.  Cohomology with
+lattice coefficients calls the local Smith form directly, on delta_{n-1}
+over Z/|G|^2, and every coboundary equation is solved over Z/N.  The
+integer Smith normal form `_snf_full`, whose entries grow without bound
+on dense inputs, serves only module-sized systems with a free (0)
+modulus: `kernel_quotient` for the invariants of a module with a free
+factor, and the coinvariants.  It builds only the transforms a caller
 reads through its ``track`` keyword: `kernel_basis` tracks V,
 `solve_integer` U and V (one factorization for all its right-hand
 sides), and `cokernel_structure` U and U^-1.
@@ -627,26 +627,30 @@ def kernel_quotient(a: Matrix, moduli: list, gens: list, rel_moduli: list):
     sends each quotient generator to a vector of W; or None when a
     generator of R lies outside W.
 
-    With every modulus and every relation nonzero, W has the triangular
-    basis of `kernel_with_moduli`, R contains N*W (N = lcm of rel_moduli),
-    and so the generators' coordinates, found by back substitution, give
-    W / R by `cokernel_modulo` over Z/N.  Otherwise every generator is
-    solved against W's basis by one integer Smith normal form
-    (`solve_integer`), and `cokernel_structure` reads the quotient.
+    With every modulus and every relation nonzero, R contains N*Z^k (N =
+    lcm of rel_moduli), W is taken with N*Z^k added (the triangular basis
+    of `kernel_with_moduli` reduced modulo N, if N*Z^k is not in W), and
+    the generators' coordinates, found by back substitution, give W / R by
+    `cokernel_modulo` over Z/N.  Otherwise (the invariants of a module with
+    a free factor) every generator is solved against W's basis by one
+    integer Smith normal form (`solve_integer`), and `cokernel_structure`
+    reads the quotient.
     """
     k = len(rel_moduli)
     gens = list(gens) + [[d if r == i else 0 for r in range(k)]
                          for i, d in enumerate(rel_moduli) if d]
     basis = kernel_with_moduli(a, moduli, cols=k)
-    kmat = [[col[i] for col in basis] for i in range(k)]
     if all(moduli) and all(rel_moduli):
+        big = math.lcm(*rel_moduli)
+        if big % math.lcm(*moduli):
+            basis = _hnf_modulo(basis, k, big)
         coords = _triangular_coordinates(basis, gens)
         if coords is None:
             return None
-        factors, _, lift = cokernel_modulo(coords, len(basis), math.lcm(*rel_moduli))
+        factors, _, lift = cokernel_modulo(coords, len(basis), big)
     else:
-        coords = solve_integer(kmat, gens, cols=len(basis))
+        coords = solve_integer(mat_transpose(basis, k), gens, cols=len(basis))
         if None in coords:
             return None
         factors, _, lift = cokernel_structure(coords, len(basis))
-    return factors, mat_mul(kmat, lift)
+    return factors, mat_mul(mat_transpose(basis, k), lift)

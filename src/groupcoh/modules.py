@@ -226,11 +226,11 @@ def digit_sums(factors):
     return spread, fold
 
 
-def index_tables(m: GModule, with_add=True):
-    """(add, neg, act) of a finite module on element indices (see
-    element_index): add[i][j], neg[i] and act[g][i].  Every table is built
-    digit by digit from the last coordinate with no tuple arithmetic (add
-    through `digit_sums`); add is None when with_add is false."""
+def index_tables(m: GModule):
+    """(neg, act) of a finite module on element indices (see
+    element_index): neg[i] and act[g][i].  Both tables are built digit by
+    digit from the last coordinate with no tuple arithmetic; addition goes
+    through `digit_sums`."""
     if not m.is_torsion:
         raise SourceNotTorsion("cannot index an infinite module")
     factors = m.factors
@@ -254,10 +254,7 @@ def index_tables(m: GModule, with_add=True):
 
     neg = linear([[-1 if i == j else 0 for j in range(k)] for i in range(k)])
     act = [linear(m.action[g]) for g in range(m.group.order)]
-    if not with_add:
-        return None, neg, act
-    spread, fold = digit_sums(factors)
-    return [[fold[e + f] for f in spread] for e in spread], neg, act
+    return neg, act
 
 
 # -- invariants / coinvariants / torsion ----------------------------------

@@ -545,6 +545,18 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
                    lambda: cochains.cohomology(c4, trivial_module(c4, [0]), 2))
     intlinalg._diagonalize_modulo = diagonalize
 
+    # H^2(C3; Z + Z/3) = (Z/3)^2 read as (Z/6)^2: factors that do not divide |G|
+    cokernel = intlinalg.cokernel_modulo
+
+    def doubled(*a, **k):
+        factors, proj, lift = cokernel(*a, **k)
+        return [2 * f for f in factors], proj, lift
+
+    intlinalg.cokernel_modulo = doubled
+    expect_failure("cohomology over Z + Z/3: divisor",
+                   lambda: cochains.cohomology(g, trivial_module(g, [0, 3]), 2))
+    intlinalg.cokernel_modulo = cokernel
+
     z = trivial_module(g, [0])
     w = coboundary(cochain_from_function(g, z, 1, lambda t: (t[0],)))
     # solved modulo N = 3, delta x for x = 5 at g and 0 at g2 leaves a rest
@@ -568,8 +580,8 @@ def test_self_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:6] == [
+    assert proc.stdout.split("\n")[:7] == [
         "caught solve_coboundary", "caught cohomology", "caught cohomology over Z: rank",
-        "caught cohomology over Z: divisor", "caught solve_coboundary over Z",
-        "caught averaging_homotopy",
+        "caught cohomology over Z: divisor", "caught cohomology over Z + Z/3: divisor",
+        "caught solve_coboundary over Z", "caught averaging_homotopy",
     ]

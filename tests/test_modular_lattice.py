@@ -1,5 +1,6 @@
 """Lattices modulo N: the triangular kernel basis, back substitution and
-the local Smith form that serve torsion cohomology and invariants.
+the local Smith form that serve cohomology and the invariants of finite
+modules.
 
 The oracles are independent of that path: the index of a kernel lattice
 is counted from the solutions modulo N, cohomology and invariants are
@@ -16,8 +17,9 @@ import time
 
 import pytest
 
-from groupcoh import (GModule, builtin_group, cohomology, cyclic_group, invariants,
-                      torsion_submodule, trivial_module)
+from groupcoh import (GModule, builtin_group, coboundary, cochain_from_function, cohomology,
+                      cyclic_group, invariants, solve_coboundary, torsion_submodule,
+                      trivial_module)
 from groupcoh import intlinalg as la
 from groupcoh.cochains import coboundary_matrix, nonid_tuples
 from groupcoh.errors import ResourceLimit, SelfCheckFailed
@@ -458,12 +460,10 @@ def mixed_module(label):
     }[label]
 
 
-@pytest.mark.parametrize("label, n", [
-    (label, n) for label in ("S3 on Z", "S3 on Z_sgn", "S3 on Z + Z/3", "C2 gluing Z onto Z/2",
-                             "C4 on Z/2 + Z_sgn")
-    # H^3(S3; Z + Z/3) takes about 20 s on the integer route
-    for n in ((1, 2) if label == "S3 on Z + Z/3" else (1, 2, 3))
-])
+MIXED = ("S3 on Z", "S3 on Z_sgn", "S3 on Z + Z/3", "C2 gluing Z onto Z/2", "C4 on Z/2 + Z_sgn")
+
+
+@pytest.mark.parametrize("label, n", [(label, n) for label in MIXED for n in (1, 2, 3)])
 def test_order_identity_on_mixed_modules(label, n):
     # with e the exponent of M_T, N = |G| e and s the basis-aligned section
     # of M -> M/M_T, N s is an injective G-map onto NM, as e kills M_T.  So
@@ -481,17 +481,24 @@ def test_order_identity_on_mixed_modules(label, n):
     assert math.prod(orders[0]) == math.prod(orders[1]) * math.prod(orders[2])
 
 
+@pytest.mark.parametrize("label", MIXED)
+def test_mixed_cohomology_matches_the_integer_route(label):
+    module = mixed_module(label)
+    for n in (1, 2):
+        got = cohomology(module.group, module, n)
+        assert got == integer_route_cohomology(module.group, module, n), n
+
+
 # -- no Smith normal form on finite coefficients ---------------------------
 
 
 @pytest.mark.parametrize("gspec, coeffs, n, snf_calls", [
     ("cyclic:4", 4, 4, 0), ("dihedral:4", 2, 2, 0), ("cyclic:3", 3, 0, 0),
-    ("cyclic:4", 0, 2, 0), pytest.param("cyclic:4", [0, 2], 2, 3, id="cyclic:4-0+2-2-3"),
+    ("cyclic:4", 0, 2, 0), pytest.param("cyclic:4", [0, 2], 2, 0, id="cyclic:4-0+2-2-0"),
 ])
 def test_snf_calls(monkeypatch, gspec, coeffs, n, snf_calls):
-    # a lattice in degree >= 1 takes one local Smith form; a mixed
-    # free-plus-torsion module keeps kernel_basis, solve_integer and
-    # cokernel_structure
+    # a lattice in degree >= 1 takes one local Smith form, and a mixed
+    # free-plus-torsion module is read over Z/N like a torsion one
     calls = []
     snf = la._snf_full
 
@@ -504,6 +511,33 @@ def test_snf_calls(monkeypatch, gspec, coeffs, n, snf_calls):
     factors = coeffs if isinstance(coeffs, list) else [coeffs]
     cohomology(group, trivial_module(group, factors), n)
     assert len(calls) == snf_calls
+
+
+def test_integer_smith_forms_stay_module_sized(monkeypatch):
+    # cohomology in degrees 0-3 and solve_coboundary in degrees 1-3 factor
+    # no matrix of more than dim M |G| rows: only the invariants of a
+    # module with a free factor reach the integer Smith normal form
+    snf = la._snf_full
+    limit = [0]
+
+    def module_sized(a, *args, **kwargs):
+        assert len(a) <= limit[0], f"a Smith normal form of {len(a)} rows"
+        return snf(a, *args, **kwargs)
+
+    monkeypatch.setattr(la, "_snf_full", module_sized)
+    rotation = GModule(cyclic_group(4), [0, 0], [[[1, 0], [0, 1]], [[0, -1], [1, 0]],
+                                                 [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]])
+    rng = random.Random(17)
+    for module in [mixed_module(label) for label in MIXED] + [rotation, s3_sign_on_z6()]:
+        group, k = module.group, module.dim
+        limit[0] = k * group.order
+        for n in range(4):
+            cohomology(group, module, n)
+        for n in (1, 2, 3):
+            f = coboundary(cochain_from_function(
+                group, module, n - 1, lambda t: [rng.randrange(-3, 4) for _ in range(k)]))
+            x = solve_coboundary(f)
+            assert x is not None and coboundary(x) == f
 
 
 @pytest.mark.parametrize("drop", [0, 5, -1])

@@ -357,14 +357,11 @@ def test_index_tables_match_module_arithmetic(build):
     m = build()
     elems = list(m.elements())
     assert [element_index(m, x) for x in elems] == list(range(len(elems)))
-    add, neg, act = index_tables(m)
-    assert add == [[element_index(m, m.add(x, y)) for y in elems] for x in elems]
+    neg, act = index_tables(m)
     assert neg == [element_index(m, m.neg(x)) for x in elems]
     assert act == [
         [element_index(m, m.act(g, x)) for x in elems] for g in range(m.group.order)
     ]
-    no_add, neg2, act2 = index_tables(m, with_add=False)
-    assert no_add is None and (neg2, act2) == (neg, act)
 
 
 def test_index_tables_reject_infinite_module():
