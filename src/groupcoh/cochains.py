@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .errors import DegreeMismatch, NotACocycle, ResourceLimit, SelfCheckFailed
-from .groups import generated, json_object
+from .groups import checked_generators, json_object
 from .modules import GModule, invariants, torsion_submodule
 
 DEFAULT_MAX_ENTRIES = 10_000_000
@@ -33,9 +33,13 @@ def max_entries_limit(override=None) -> int:
     return int(env) if env else DEFAULT_MAX_ENTRIES
 
 
-def nonid_tuples(order: int, n: int):
-    """All n-tuples of non-identity element indices, lexicographic."""
-    return itertools.product(range(1, order), repeat=n)
+def nonid_tuples(order: int, n: int, firsts=None):
+    """All n-tuples of non-identity element indices, lexicographic; with
+    firsts (non-identity indices, n >= 1) only those whose first element is
+    in firsts."""
+    if firsts is None:
+        return itertools.product(range(1, order), repeat=n)
+    return itertools.product(sorted(firsts), *[range(1, order)] * (n - 1))
 
 
 class Cochain:
@@ -211,11 +215,7 @@ def delta_rows(f: Cochain, firsts=None):
     zero_row, columns = [[0] * order for _ in factors], range(order)
     last_u = head = None
     products = {}  # group.mul_row(x) per left factor x of an inner merge
-    if firsts is None:
-        prefixes = nonid_tuples(order, n)
-    else:
-        prefixes = itertools.product(sorted(firsts), *[range(1, order)] * (n - 1))
-    for t in prefixes:
+    for t in nonid_tuples(order, n, firsts):
         acc = rows.get(t[1:])
         if acc is not None and m.action[t[0]] != ident:
             acc = _plus(None, acc, m.action[t[0]])
@@ -267,22 +267,22 @@ def first_cocycle_defect(f: Cochain):
 
     The zero cochain is a cocycle.  In degree n >= 1 a pass is decided on
     the rows of delta f whose first slot lies in S = group.generators(),
-    once `generated` confirms that S generates the group: delta f is a
-    normalized (n+1)-cocycle, and one that vanishes wherever its first slot
-    lies in S vanishes everywhere (F(sy, ...) = s . F(y, ...) by
-    delta F(s, y, ...) = 0, by induction on a word in S; Brown, Cohomology
-    of Groups, III.1).  That needs delta delta = 0, so the group must be
-    associative and the action a homomorphism; every caller has proved both
-    (tables and modules are validated at load, an extension cocycle before
-    the extension is built).  Otherwise, or on a nonzero generator row, all
-    rows are swept and the lexicographically first nonzero tuple is
-    returned."""
+    once `generated` confirms that S generates the group
+    (`checked_generators`): delta f is a normalized (n+1)-cocycle, and one
+    that vanishes wherever its first slot lies in S vanishes everywhere
+    (F(sy, ...) = s . F(y, ...) by delta F(s, y, ...) = 0, by induction on
+    a word in S; Brown, Cohomology of Groups, III.1).  That needs delta
+    delta = 0, so the group must be associative and the action a
+    homomorphism; every caller has proved both (tables and modules are
+    validated at load, an extension cocycle before the extension is
+    built).  Otherwise, or on a nonzero generator row, all rows are swept
+    and the lexicographically first nonzero tuple is returned."""
     if not f.values:
         return None
     group = f.group
     if f.degree >= 1:
-        gens = group.generators()
-        if len(generated(group, gens)) == group.order and not any(
+        gens = checked_generators(group)
+        if gens is not None and not any(
                 any(map(any, row)) for _, row in delta_rows(f, firsts=gens)):
             return None
     for t, row in delta_rows(f):
@@ -298,16 +298,18 @@ def is_cocycle(f: Cochain) -> bool:
 # -- tuple-indexed linear algebra -----------------------------------------
 
 
-def coboundary_matrix(group, module: GModule, n: int, max_entries=None):
+def coboundary_matrix(group, module: GModule, n: int, max_entries=None, firsts=None):
     """Integer matrix of delta_n : C^n -> C^{n+1} over the tuple basis.
 
     Returns (matrix, domain_tuples, target_tuples); rows and columns are
-    blocked by tuple then coefficient coordinate.
+    blocked by tuple then coefficient coordinate.  With firsts, only the
+    rows of the target tuples whose first element is in firsts are built
+    (`nonid_tuples`), and the resource gate counts those rows.
     """
     k = module.dim
     order = group.order
     dom = [()] if n == 0 else list(nonid_tuples(order, n))
-    tgt = list(nonid_tuples(order, n + 1))
+    tgt = list(nonid_tuples(order, n + 1, firsts))
     rows, cols = len(tgt) * k, len(dom) * k
     limit = max_entries_limit(max_entries)
     if rows * cols > limit:
@@ -365,20 +367,29 @@ def solve_coboundary(f: Cochain, max_entries=None):
     """A cochain x with delta x = f exactly, or None when f is not a
     coboundary (decided constructively over the tuple basis).
 
-    Let e be the exponent of the torsion submodule M_T and N = |G| e.
-    One solve over M/NM (each free factor taken modulo N) gives y with
-    delta y = f modulo NM, or proves f no coboundary.  On a torsion module
-    NM = 0 and x = y.  Otherwise f - delta y = N s(u), s the
-    basis-aligned section of M -> M/M_T, and as e s and N s are G-maps
-    (e kills M_T), delta f = N s(delta u): u is a cocycle of the lattice
-    M/M_T exactly when f is a cocycle.  The averaging homotopy then gives
-    delta h = |G| u, and x = y + e s(h) has delta x = delta y + N s(u) =
-    f."""
+    A cochain that is no cocycle (`first_cocycle_defect`) is no coboundary.
+    For a cocycle f, let e be the exponent of the torsion submodule M_T and
+    N = |G| e.  One solve over M/NM (each free factor taken modulo N) gives
+    y with delta y = f modulo NM, or proves f no coboundary.  It runs on
+    the rows of delta_{n-1} whose first slot lies in S from
+    `checked_generators` (on every row when S does not generate G):
+    delta y - f modulo N is a normalized cocycle of M/NM, and one that
+    vanishes on those rows is zero (see `first_cocycle_defect`).  So
+    |S| (|G|-1)^(n-1) dim M rows decide what all (|G|-1)^n dim M rows
+    would.  On a torsion module NM = 0 and x = y.  Otherwise f - delta y =
+    N s(u), s the basis-aligned section of M -> M/M_T, and as e s and N s
+    are G-maps (e kills M_T), delta f = N s(delta u): u is a cocycle of the
+    lattice M/M_T, since f is a cocycle.  The averaging homotopy then gives
+    delta h = |G| u, and x = y + e s(h) has delta x = delta y + N s(u) = f,
+    which is checked on every tuple."""
     n = f.degree
     if n < 1:
         raise ValueError("cannot solve below degree 1")
+    if first_cocycle_defect(f) is not None:
+        return None
     group, module = f.group, f.coeffs
-    mat, dom, tgt = coboundary_matrix(group, module, n - 1, max_entries)
+    mat, dom, tgt = coboundary_matrix(group, module, n - 1, max_entries,
+                                      firsts=checked_generators(group))
     exponent = math.lcm(*filter(None, module.factors))
     big = group.order * exponent
     moduli = [d or big for _ in tgt for d in module.factors]
@@ -392,8 +403,9 @@ def solve_coboundary(f: Cochain, max_entries=None):
                                             pmap.target), big)
         try:
             h = averaging_homotopy(u).numerator
-        except NotACocycle:
-            return None
+        except NotACocycle as exc:
+            raise SelfCheckFailed("solve_coboundary: (f - delta y) / N is no cocycle of "
+                                  "M/M_T, though f is a cocycle") from exc
         sol = add_cochains(sol, map_coefficients(scale_cochain(exponent, h), smap.matrix,
                                                  module))
     if coboundary(sol) != f:

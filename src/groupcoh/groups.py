@@ -88,6 +88,14 @@ def generated(group, gens) -> set:
     return span
 
 
+def checked_generators(group):
+    """S = group.generators() when `generated` confirms that S generates
+    the group, else None: the first slots that every generator-row check
+    may restrict to."""
+    gens = group.generators()
+    return gens if len(generated(group, gens)) == group.order else None
+
+
 def multiply(group: FiniteGroup, i: int, j: int) -> int:
     if not (0 <= i < group.order and 0 <= j < group.order):
         raise IndexError((i, j))

@@ -19,7 +19,7 @@ from .errors import (
     BadIdentityAction,
     SourceNotTorsion,
 )
-from .groups import FiniteGroup, generated, group_from_json, group_to_json, json_object
+from .groups import FiniteGroup, checked_generators, group_from_json, group_to_json, json_object
 
 
 class GModule:
@@ -138,8 +138,8 @@ def _validate_module(m: GModule):
                         "action does not descend to the quotient",
                         witness=(group.elements[g], j),
                     )
-    gens = group.generators()
-    if len(generated(group, gens)) == order and all(
+    gens = checked_generators(group)
+    if gens is not None and all(
             _acts_as_product(m, s, h, gh) for s in gens
             for h, gh in enumerate(group.mul_row(s))):
         return

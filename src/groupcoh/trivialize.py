@@ -64,7 +64,7 @@ from .extensions import (
     module_through_projection,
     restrict_cochain,
 )
-from .groups import generated, group_from_json, group_to_json
+from .groups import checked_generators, group_from_json, group_to_json
 from .modules import (
     GModule,
     HomModule,
@@ -302,8 +302,8 @@ def _verify_degree2_indexed(omega: Cochain, alpha: Cochain, proj):
             return None
         return next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*rhs))) if v != w)
 
-    gens = gamma.generators()
-    if first_cocycle_defect(omega) is None and len(generated(gamma, gens)) == gamma.order:
+    gens = checked_generators(gamma)
+    if first_cocycle_defect(omega) is None and gens is not None:
         rows = 0
         for t, row in delta_rows(alpha, firsts=gens):
             if mismatch(t, row) is not None:

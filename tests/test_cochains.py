@@ -568,6 +568,16 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
     expect_failure("solve_coboundary over Z", lambda: cochains.solve_coboundary(v))
     cochains.averaging_homotopy = averaging
 
+    # f = w + 3 c with c no cocycle passes a cocycle test that is blind
+    # once: solved modulo N = 3, (f - delta y) / 3 is then no cocycle
+    check = cochains.first_cocycle_defect
+    blind = [None]
+    cochains.first_cocycle_defect = lambda f: blind.pop() if blind else check(f)
+    c = cochain_from_function(g, z, 2, lambda t: (t == (1, 1),))
+    expect_failure("solve_coboundary: no cocycle", lambda: cochains.solve_coboundary(
+        cochains.add_cochains(w, cochains.scale_cochain(3, c))))
+    cochains.first_cocycle_defect = check
+
     cochains.cochain_from_function = lambda group, coeffs, degree, fn: (
         cochains.zero_cochain(group, coeffs, degree))
     expect_failure("averaging_homotopy", lambda: cochains.averaging_homotopy(w))
@@ -580,8 +590,9 @@ def test_self_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:7] == [
+    assert proc.stdout.split("\n")[:8] == [
         "caught solve_coboundary", "caught cohomology", "caught cohomology over Z: rank",
         "caught cohomology over Z: divisor", "caught cohomology over Z + Z/3: divisor",
-        "caught solve_coboundary over Z", "caught averaging_homotopy",
+        "caught solve_coboundary over Z", "caught solve_coboundary: no cocycle",
+        "caught averaging_homotopy",
     ]

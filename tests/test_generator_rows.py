@@ -1,17 +1,24 @@
 """Differential tests of the checks decided on the rows of a generating
 set: the cocycle test `first_cocycle_defect`, the homomorphism test of
 module validation, the support-only `lift_cochain` and the product rows
-of `delta_rows`, each against a brute-force oracle."""
+of `delta_rows`, each against a brute-force oracle; and `solve_coboundary`
+on the generator rows of delta against the solve on every row."""
 
 import dataclasses
 import itertools
+import math
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
 from groupcoh import (
     Cochain,
     GModule,
+    add_cochains,
     build_extension,
     builtin_group,
     coboundary,
@@ -19,12 +26,17 @@ from groupcoh import (
     first_cocycle_defect,
     hom_module,
     lift_cochain,
+    scale_cochain,
+    solve_coboundary,
     trivial_module,
 )
-from groupcoh.cochains import coboundary_value, delta_rows, nonid_tuples
+from groupcoh import intlinalg as la
+from groupcoh.cochains import (coboundary_matrix, coboundary_value, delta_rows, divide_cochain,
+                               map_coefficients, nonid_tuples)
 from groupcoh.errors import ActionNotHomomorphic, BadIdentityAction, ResourceLimit
 from groupcoh.extensions import GroupExtension
-from groupcoh.groups import FiniteGroup
+from groupcoh.groups import FiniteGroup, checked_generators
+from groupcoh.modules import torsion_submodule
 
 
 def _sign_character(group):
@@ -329,3 +341,170 @@ def test_general_mode_gates_the_lift_of_omega_before_sweeping_the_extension(monk
     with pytest.raises(ResourceLimit, match="lifted cochain needs 16 entries .limit 12."):
         tz.trivialize_general(omega, max_entries=12, sample_size=100)
     assert swept == []
+
+
+# -- coboundary solving on generator rows ----------------------------------
+
+
+def _solve_modules(group):
+    """The coefficients of the solve differential: trivial Z/2, Z/4, Z/6,
+    Z and Z + Z/3, Z twisted by a sign character, and on C2 the module
+    gluing Z onto Z/2 (g acts by e_2 -> e_1 + e_2)."""
+    chi = _sign_character(group)
+    out = {f"Z/{d}": trivial_module(group, [d]) for d in (2, 4, 6)}
+    out.update({"Z": trivial_module(group, [0]), "Z + Z/3": trivial_module(group, [0, 3]),
+                "Z_sgn": GModule(group, [0], [[[s]] for s in chi])})
+    if group.order == 2:
+        out["glued"] = GModule(group, [2, 0], [[[1, 0], [0, 1]], [[1, 1], [0, 1]]])
+    return out
+
+
+def _cocycle_basis(module, n):
+    """Integer vectors over the tuple basis spanning the n-cocycles of a
+    finite module: the kernel of all of delta_n over Z/N."""
+    mat, _, tgt = coboundary_matrix(module.group, module, n)
+    return la.kernel_with_moduli(mat, [d for _ in tgt for d in module.factors])
+
+
+def _random_cocycle(rng, module, n):
+    """A seeded n-cocycle of M: j(z_T) + e s(z_L), with z_T a random cocycle
+    of the torsion part M_T, e its exponent, s the basis-aligned section of
+    M -> L = M/M_T (e s is a G-map, as e kills M_T), and z_L = delta c / |G|
+    the Bockstein of a random (n-1)-cocycle c of L / |G| L."""
+    group = module.group
+    mt, jmap, _, smap = torsion_submodule(module)
+    lattice = smap.source
+
+    def combination(basis, m, degree):
+        coeffs = [rng.randrange(4) for _ in basis]
+        vec = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis)]
+        dom = [()] if degree == 0 else nonid_tuples(group.order, degree)
+        return Cochain(group, m, degree, {t: tuple(vec[i * m.dim:(i + 1) * m.dim])
+                                          for i, t in enumerate(dom)})
+
+    out = Cochain(group, module, n)
+    if mt.dim:
+        z_t = combination(_cocycle_basis(mt, n), mt, n)
+        out = add_cochains(out, map_coefficients(z_t, jmap.matrix, module))
+    if lattice.dim:
+        reduced = GModule(group, [group.order] * lattice.dim, lattice.action)
+        c = combination(_cocycle_basis(reduced, n - 1), lattice, n - 1)
+        z_l = divide_cochain(coboundary(c), group.order)
+        exponent = math.lcm(1, *mt.factors)
+        out = add_cochains(out, map_coefficients(scale_cochain(exponent, z_l), smap.matrix,
+                                                 module))
+    return out
+
+
+def _full_row_solvable(f):
+    """Whether delta x = f has a solution modulo N = |G| e on every row of
+    delta_{n-1}: the oracle for the generator-row solve."""
+    group, module, n = f.group, f.coeffs, f.degree
+    mat, dom, tgt = coboundary_matrix(group, module, n - 1)
+    big = group.order * math.lcm(*filter(None, module.factors))
+    rhs = [x for t in tgt for x in f.evaluate(t)]
+    moduli = [d or big for _ in tgt for d in module.factors]
+    return la.solve_with_moduli(mat, rhs, moduli, cols=len(dom) * module.dim) is not None
+
+
+SOLVE_GROUPS = {"C2": 4, "C3": 4, "C4": 4, "V4": 4, "S3": 3, "D4": 3}
+
+
+@pytest.mark.parametrize("group_name", list(SOLVE_GROUPS))
+def test_generator_row_solve_matches_the_full_row_solve(group_name):
+    group = builtin_group({"C2": "cyclic:2", "C3": "cyclic:3", "C4": "cyclic:4",
+                           "V4": "cyclic:2*cyclic:2", "S3": "symmetric:3",
+                           "D4": "dihedral:4"}[group_name])
+    gens = checked_generators(group)
+    rng = random.Random(sum(map(ord, group_name)) + 18)
+    unsolvable = 0
+    for name, module in _solve_modules(group).items():
+        for n in range(1, SOLVE_GROUPS[group_name] + 1):
+            # the generator rows are the full rows whose first slot is in S
+            full, dom, tgt = coboundary_matrix(group, module, n - 1)
+            rows, dom_s, tgt_s = coboundary_matrix(group, module, n - 1, firsts=gens)
+            k = module.dim
+            assert dom_s == dom and tgt_s == [t for t in tgt if t[0] in gens]
+            assert rows == [full[i * k + c] for i, t in enumerate(tgt) if t[0] in gens
+                            for c in range(k)]
+            shift = coboundary(Cochain(group, module, n - 1, {
+                t: _random_value(rng, module) for t in nonid_tuples(group.order, n - 1)}))
+            cocycle = add_cochains(_random_cocycle(rng, module, n), shift)
+            assert first_cocycle_defect(cocycle) is None
+            for f in (shift, cocycle):
+                want = _full_row_solvable(f)
+                assert want or f is cocycle, (name, n)
+                x = solve_coboundary(f)
+                assert (x is not None) == want, (name, n, f.values)
+                assert x is None or coboundary(x) == f, (name, n)
+                unsolvable += not want
+    assert unsolvable
+
+
+def test_solve_coboundary_checks_the_cocycle_before_the_generator_rows():
+    """On S3 with Z/2, f = delta x + 1 at (a, 1) with a outside S is no
+    cocycle, yet it agrees with the coboundary delta x on every generator
+    row: only the cocycle test before the solve tells them apart."""
+    group = builtin_group("symmetric:3")
+    m = trivial_module(group, [2])
+    gens = checked_generators(group)
+    a = next(x for x in range(1, group.order) if x not in gens)
+    rng = random.Random(5)
+    f = coboundary(Cochain(group, m, 1, {(g,): (rng.randrange(2),) for g in range(1, 6)}))
+    bad = Cochain(group, m, 2, {**f.values, (a, 1): m.add(f.evaluate((a, 1)), (1,))})
+    assert first_cocycle_defect(bad) is not None
+    assert solve_coboundary(bad) is None
+
+
+def test_solve_coboundary_needs_a_generating_set():
+    """On (Z/2)^2 with S = {1}, x y (the cup product of the two coordinate
+    homomorphisms to Z/2) is a cocycle and no coboundary: every row must be
+    solved, since the rows starting in S alone have a solution."""
+    group = _v4_with_few_generators()
+    m = trivial_module(group, [2])
+    homs = [h for h in itertools.product((0, 1), repeat=4)
+            if h[0] == 0 and any(h) and all(h[group.mul(g, k)] == (h[g] + h[k]) % 2
+                                            for g in range(4) for k in range(4))]
+    x, y = homs[:2]
+    f = Cochain(group, m, 2, {(g, k): (x[g] * y[k],) for g in range(1, 4) for k in range(1, 4)})
+    assert checked_generators(group) is None and first_cocycle_defect(f) is None
+    rows, _, tgt = coboundary_matrix(group, m, 1, firsts=[1])
+    rhs = [v for t in tgt for v in f.evaluate(t)]
+    assert la.solve_with_moduli(rows, rhs, [2] * len(rows)) is not None
+    assert solve_coboundary(f) is None
+
+
+S4_SOLVE_SCRIPT = """
+import random, resource, time
+from groupcoh import Cochain, builtin_group, coboundary, solve_coboundary, trivial_module
+from groupcoh.cochains import nonid_tuples
+group = builtin_group("symmetric:4")
+m = trivial_module(group, [2])
+rng = random.Random(4)
+f = coboundary(Cochain(group, m, 2, {t: (rng.randrange(2),) for t in nonid_tuples(24, 2)}))
+start = time.perf_counter()
+x = solve_coboundary(f, max_entries=1_000_000)
+print(coboundary(x) == f, time.perf_counter() - start,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
+
+def test_reach_of_the_solve_in_c3_of_s4_within_1_gb():
+    """A delta x round trip in C^3(S4; Z/2): all of delta_2 would be
+    12167 x 529 = 6,436,343 entries, its rows on S = generators() (3
+    elements) 3 * 23^2 x 23^2 = 839,523."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", S4_SOLVE_SCRIPT], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+                         timeout=120, check=True).stdout.split()
+    assert out[0] == "True"
+    assert float(out[1]) < 5.0 and int(out[2]) < 120
+    group = builtin_group("symmetric:4")
+    m = trivial_module(group, [2])
+    assert len(checked_generators(group)) == 3
+    f = coboundary(Cochain(group, m, 2, {(1, 1): (1,)}))
+    with pytest.raises(ResourceLimit, match="needs 839523 entries .limit 839522."):
+        solve_coboundary(f, max_entries=839_522)
