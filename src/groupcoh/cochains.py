@@ -187,14 +187,14 @@ def delta_rows(f: Cochain, firsts=None):
     t_1 . f(t_2..t_n, .) (skipped when t_1 acts as the identity), the inner
     merges (-1)^i f(..t_i t_{i+1}.., .), (-1)^n f(t_1..t_{n-1}, t_n j)
     gathered through group.mul_row(t_n), and the constant (-1)^(n+1) f(t).
-    Each inner merge t_{i-1} t_i is read from group.mul_row(t_{i-1}),
-    fetched once per distinct left factor and held until the generator
-    ends (for a FiniteGroup the row is the table row itself), so no merge
-    calls group.mul.  Degree 0 is the single row j . f() - f().  With
-    firsts (non-identity indices, n >= 1) only the prefixes whose first
-    element is in firsts are yielded.  Only the prefixes in f's support
-    get a table row; rows may share lists, so callers must not modify
-    them."""
+    Each inner merge t_{i-1} t_i is read from group.mul_row(t_{i-1}); that
+    row, like the product term's, is fetched once per distinct left factor
+    and held until the generator ends (for a FiniteGroup the row is the
+    table row itself), so no merge calls group.mul.  Degree 0 is the
+    single row j . f() - f().  With firsts (non-identity indices, n >= 1)
+    only the prefixes whose first element is in firsts are yielded.  Only
+    the prefixes in f's support get a table row; rows may share lists, so
+    callers must not modify them."""
     group, m, n = f.group, f.coeffs, f.degree
     order, factors = group.order, m.factors
     if n == 0:
@@ -214,7 +214,7 @@ def delta_rows(f: Cochain, firsts=None):
     minus = [[-x for x in r] for r in ident]
     zero_row, columns = [[0] * order for _ in factors], range(order)
     last_u = head = None
-    products = {}  # group.mul_row(x) per left factor x of an inner merge
+    products = {}  # group.mul_row(x) per left factor x of a product
     for t in nonid_tuples(order, n, firsts):
         acc = rows.get(t[1:])
         if acc is not None and m.action[t[0]] != ident:
@@ -237,7 +237,9 @@ def delta_rows(f: Cochain, firsts=None):
                 continue
             h_rows, p = zero_row, columns
         else:
-            h_rows, p = head, group.mul_row(t[-1])
+            h_rows, p = head, products.get(t[-1])
+            if p is None:
+                p = products[t[-1]] = group.mul_row(t[-1])
         # the constant -(-1)^n f(t) is minus the product row at t_n
         yield t, [[(x + h[j] - v) % d for x, j in zip(a, p)] if d
                   else [x + h[j] - v for x, j in zip(a, p)]
@@ -367,26 +369,33 @@ def solve_coboundary(f: Cochain, max_entries=None):
     """A cochain x with delta x = f exactly, or None when f is not a
     coboundary (decided constructively over the tuple basis).
 
-    A cochain that is no cocycle (`first_cocycle_defect`) is no coboundary.
-    For a cocycle f, let e be the exponent of the torsion submodule M_T and
-    N = |G| e.  One solve over M/NM (each free factor taken modulo N) gives
-    y with delta y = f modulo NM, or proves f no coboundary.  It runs on
-    the rows of delta_{n-1} whose first slot lies in S from
-    `checked_generators` (on every row when S does not generate G):
-    delta y - f modulo N is a normalized cocycle of M/NM, and one that
-    vanishes on those rows is zero (see `first_cocycle_defect`).  So
-    |S| (|G|-1)^(n-1) dim M rows decide what all (|G|-1)^n dim M rows
-    would.  On a torsion module NM = 0 and x = y.  Otherwise f - delta y =
-    N s(u), s the basis-aligned section of M -> M/M_T, and as e s and N s
-    are G-maps (e kills M_T), delta f = N s(delta u): u is a cocycle of the
-    lattice M/M_T, since f is a cocycle.  The averaging homotopy then gives
-    delta h = |G| u, and x = y + e s(h) has delta x = delta y + N s(u) = f,
-    which is checked on every tuple."""
+    Let e be the exponent of the torsion submodule M_T and N = |G| e.  The
+    solve comes first: one solve over M/NM (each free factor taken modulo
+    N) on the rows of delta_{n-1} whose first slot lies in S from
+    `checked_generators` (on every row when S does not generate G).  A
+    coboundary f = delta x solves every row, so an unsolvable system
+    proves f no coboundary, cocycle or not.  Otherwise it gives y with
+    delta y = f modulo NM on those rows.  When f is a cocycle, delta y - f
+    modulo N is a normalized cocycle of M/NM that vanishes on those rows,
+    hence zero (see `first_cocycle_defect`), so |S| (|G|-1)^(n-1) dim M
+    rows decide what all (|G|-1)^n dim M rows would.
+
+    On a torsion module NM = 0 and x = y, accepted by the check delta x =
+    f on every tuple alone.  Only when that check fails is f tested for
+    the cocycle condition: a non-cocycle is no coboundary (None), while on
+    a cocycle delta x - f would be a cocycle vanishing on the S-rows, so
+    the solver is at fault (SelfCheckFailed).
+
+    On a module with a free factor f must be a cocycle before the lattice
+    correction (a non-cocycle gives None): f - delta y = N s(u), s the
+    basis-aligned section of M -> M/M_T, and as e s and N s are G-maps (e
+    kills M_T), delta f = N s(delta u), so u is a cocycle of the lattice
+    M/M_T.  The averaging homotopy then gives delta h = |G| u, and x = y +
+    e s(h) has delta x = delta y + N s(u) = f, which is checked on every
+    tuple."""
     n = f.degree
     if n < 1:
         raise ValueError("cannot solve below degree 1")
-    if first_cocycle_defect(f) is not None:
-        return None
     group, module = f.group, f.coeffs
     mat, dom, tgt = coboundary_matrix(group, module, n - 1, max_entries,
                                       firsts=checked_generators(group))
@@ -398,6 +407,8 @@ def solve_coboundary(f: Cochain, max_entries=None):
         return None
     sol = _vector_cochain(group, module, n - 1, dom, x)
     if not module.is_torsion:
+        if first_cocycle_defect(f) is not None:
+            return None
         _, _, pmap, smap = torsion_submodule(module)
         u = divide_cochain(map_coefficients(sub_cochains(f, coboundary(sol)), pmap.matrix,
                                             pmap.target), big)
@@ -409,6 +420,8 @@ def solve_coboundary(f: Cochain, max_entries=None):
         sol = add_cochains(sol, map_coefficients(scale_cochain(exponent, h), smap.matrix,
                                                  module))
     if coboundary(sol) != f:
+        if module.is_torsion and first_cocycle_defect(f) is not None:
+            return None
         raise SelfCheckFailed("solve_coboundary: the solution x does not satisfy delta x = f")
     return sol
 

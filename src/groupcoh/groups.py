@@ -32,14 +32,8 @@ class FiniteGroup:
         return self.table[g]
 
     def generators(self) -> list:
-        """A generating set, greedily: in index order, every element outside
-        the subgroup the earlier ones generate."""
-        gens, span = [], {0}
-        for x in range(1, self.order):
-            if x not in span:
-                gens.append(x)
-                span = generated(self, gens)
-        return gens
+        """A generating set: `greedy_generators`."""
+        return greedy_generators(self)
 
     @property
     def is_abelian(self) -> bool:
@@ -88,10 +82,26 @@ def generated(group, gens) -> set:
     return span
 
 
+def greedy_generators(group) -> list:
+    """A generating set of any group-protocol object, greedily: in index
+    order, every element outside the subgroup the earlier ones generate,
+    until they generate the whole group.  No element is redundant when it
+    is taken, so the set has at most log2 |G| elements."""
+    gens, span = [], {0}
+    for x in range(1, group.order):
+        if len(span) == group.order:
+            break
+        if x not in span:
+            gens.append(x)
+            span = generated(group, gens)
+    return gens
+
+
 def checked_generators(group):
     """S = group.generators() when `generated` confirms that S generates
     the group, else None: the first slots that every generator-row check
-    may restrict to."""
+    may restrict to.  `greedy_generators` always generates; the check
+    keeps the contract for any other generators() a group may supply."""
     gens = group.generators()
     return gens if len(generated(group, gens)) == group.order else None
 

@@ -514,6 +514,8 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
     g = cyclic_group(3)
     z3 = trivial_module(g, [3])
     f = coboundary(cochain_from_function(g, z3, 1, lambda t: (t[0] == 1,)))
+    # a zeroed solution fails delta x = f, and f passes the cocycle check
+    # that runs only then: the solver is at fault
     solve = intlinalg.solve_with_moduli
     intlinalg.solve_with_moduli = lambda *a, **k: [0] * len(solve(*a, **k))
     expect_failure("solve_coboundary", lambda: cochains.solve_coboundary(f))

@@ -20,7 +20,8 @@ from groupcoh import (
 )
 from groupcoh.cochains import nonid_tuples
 from groupcoh.errors import KernelNotFinite, NotACocycle, ResourceLimit
-from groupcoh.groups import generated
+from groupcoh.extensions import GroupExtension
+from groupcoh.groups import generated, greedy_generators
 from groupcoh.modules import element_index
 
 
@@ -224,22 +225,40 @@ def test_closed_form_inverse_matches_search(build):
         assert found == [ext.inv(i)]
 
 
-def test_extension_generators_are_kernel_basis_and_base_generators():
+def _kernel_plus_base(ext):
+    """The generating set extensions once used: iota(e_j) for every
+    nonzero kernel basis vector plus the base's generators, recursively
+    down a tower."""
+    base = ext.base
+    below = _kernel_plus_base(base) if isinstance(base, GroupExtension) else base.generators()
+    return [ext.iota(a) for a in ext.kernel_generators()] + list(below)
+
+
+def test_extension_generators_are_the_greedy_set():
+    # Z/4 = Z/2 by C2 with c(t, t) = 1 is cyclic: the lift (0, t) alone
     ext = z4_extension()
-    assert ext.generators() == [ext.iota(1), 1] == [2, 1]
-    assert generated(ext, ext.generators()) == set(range(4))
-    # a tower: the stage-2 generators reach down to the base of stage 1
+    assert ext.generators() == [1] and generated(ext, [1]) == set(range(4))
+    assert _kernel_plus_base(ext) == [2, 1]
+    # a tower: Z/9 by C3 is cyclic again, and the split Z/2 on top of it
+    # is reached only by the greedy going on into the kernel coset
     g = cyclic_group(3)
     a = GModule(g, [3], [[[1]]] * 3)
     ext1 = build_extension(a, Cochain(g, a, 2, {(1, 2): (1,), (2, 1): (1,), (2, 2): (1,)}))
     b = trivial_module(ext1, [2])
     ext2 = build_extension(b, Cochain(ext1, b, 2))
+    assert ext1.generators() == [1]
     gens = ext2.generators()
-    assert gens == [ext2.iota(1)] + ext1.generators()
-    assert generated(ext2, gens) == set(range(ext2.order)) and ext2.order == 18
-    # a factor of 1 contributes no generator (e_j is zero there)
+    assert gens == [1, ext2.iota(1)] and ext2.order == 18
+    assert generated(ext2, gens) == set(range(ext2.order))
+    assert len(_kernel_plus_base(ext2)) == 3
+    # a factor of 1 leaves one kernel coordinate; c = 0 splits, so the
+    # greedy takes (0, g) and then iota of the kernel generator
     c = GModule(g, [1, 3], [[[1, 0], [0, 1]]] * 3)
-    assert build_extension(c, Cochain(g, c, 2)).generators() == [3, 1]
+    split = build_extension(c, Cochain(g, c, 2))
+    assert split.generators() == [1, split.iota(1)] == [1, 3]
+    # one greedy for every group: the same set as the total group's table
+    for e in (ext, ext1, ext2, split):
+        assert e.generators() == e.total_group().generators() == greedy_generators(e)
 
 
 # -- kernel addition from the two half tables --------------------------------

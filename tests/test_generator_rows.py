@@ -2,7 +2,8 @@
 set: the cocycle test `first_cocycle_defect`, the homomorphism test of
 module validation, the support-only `lift_cochain` and the product rows
 of `delta_rows`, each against a brute-force oracle; and `solve_coboundary`
-on the generator rows of delta against the solve on every row."""
+on the generator rows of delta against the solve on every row, with the
+cocycle check it runs only after the solve."""
 
 import dataclasses
 import itertools
@@ -30,12 +31,13 @@ from groupcoh import (
     solve_coboundary,
     trivial_module,
 )
+from groupcoh import cochains as cochains_module
 from groupcoh import intlinalg as la
 from groupcoh.cochains import (coboundary_matrix, coboundary_value, delta_rows, divide_cochain,
                                map_coefficients, nonid_tuples)
 from groupcoh.errors import ActionNotHomomorphic, BadIdentityAction, ResourceLimit
 from groupcoh.extensions import GroupExtension
-from groupcoh.groups import FiniteGroup, checked_generators
+from groupcoh.groups import FiniteGroup, checked_generators, generated
 from groupcoh.modules import torsion_submodule
 
 
@@ -65,11 +67,20 @@ def _modules(group):
 
 def _split_c3_extension():
     """Z/3 x C3 as the extension by the coboundary c = delta u, u(1) = 1:
-    (0, 1) generates a subgroup of order 3 without (0, 2), so index 2 is a
-    generator of the index order that is not in generators()."""
+    (0, 1) generates a subgroup H of order 3 without (0, 2), so the greedy
+    generators() are (0, 1) and (0, 2)."""
     g = cyclic_group(3)
     a = trivial_module(g, [3])
     return build_extension(a, coboundary(Cochain(g, a, 1, {(1,): (1,)})))
+
+
+def _off_two_generators(ext):
+    """A generating set of the split extension that leaves out (0, 2):
+    (0, 1) and the first element outside H after index 2."""
+    h = {0, 1, ext.mul(1, 1)}
+    other = [1, next(x for x in range(3, ext.order) if x not in h)]
+    assert 2 not in other and len(generated(ext, other)) == ext.order
+    return other
 
 
 def _groups():
@@ -161,19 +172,26 @@ def test_first_cocycle_defect_matches_brute_force(group_name):
                     assert first_cocycle_defect(bad) == want, (name, degree, bad.values)
 
 
-def test_first_cocycle_defect_witness_off_the_generators():
+def test_first_cocycle_defect_witness_off_the_generators(monkeypatch):
     """f constant on the cosets of H = <(0, 1)>, zero on H, and 1 on the
-    coset of (0, 2): delta f vanishes on the rows starting in H but not
-    on row 2, which is not in generators(), so the full sweep alone names
-    the first defect."""
+    coset of (0, 2): delta f vanishes on the rows starting in H but not on
+    row 2.  Under the greedy S the lexicographically first defect always
+    has its first slot in S (each earlier element lies in the subgroup of
+    the earlier generators, whose rows vanish), so 2 is a generator here.
+    Under a generating set that leaves 2 out, a generator row still fails,
+    and the full sweep alone names the first defect."""
     ext = _split_c3_extension()
     h = {0, 1, ext.mul(1, 1)}
-    assert len(h) == 3 and 2 not in h and 2 not in ext.generators()
+    assert len(h) == 3 and 2 not in h and ext.generators() == [1, 2]
     m = trivial_module(ext, [3])
     coset2 = {ext.mul(2, x) for x in h}
     f = Cochain(ext, m, 1, {(x,): (1,) for x in coset2})
     want = _brute_defect(f)
     assert want[0] == 2
+    assert first_cocycle_defect(f) == want
+    other = _off_two_generators(ext)
+    assert any(any(map(any, row)) for _, row in delta_rows(f, firsts=other))
+    monkeypatch.setattr(type(ext), "generators", lambda self: list(other))
     assert first_cocycle_defect(f) == want
 
 
@@ -213,15 +231,22 @@ def _first_non_homomorphic_pair(group, action, factors):
     return None
 
 
-def test_validate_module_witness_off_the_generators():
+def test_validate_module_witness_off_the_generators(monkeypatch):
     """rho = 1 on H = <(0, 1)> and -1 elsewhere on Z: the row of (0, 1)
-    passes, a generator row fails, and the first failing pair in index
-    order is (2, 2) with 2 outside generators()."""
+    passes, the row of (0, 2) fails, and the first failing pair in index
+    order is (2, 2).  2 is a greedy generator (the first failing g always
+    is one, as the passing g form a subgroup); under a generating set that
+    leaves 2 out, the sweep still names (2, 2)."""
     ext = _split_c3_extension()
     h = {0, 1, ext.mul(1, 1)}
     action = [[[1]] if x in h else [[-1]] for x in range(ext.order)]
     want = _first_non_homomorphic_pair(ext, action, [0])
-    assert want == (ext.elements[2], ext.elements[2]) and 2 not in ext.generators()
+    assert want == (ext.elements[2], ext.elements[2]) and 2 in ext.generators()
+    with pytest.raises(ActionNotHomomorphic) as info:
+        GModule(ext, [0], action)
+    assert info.value.witness == want
+    other = _off_two_generators(ext)
+    monkeypatch.setattr(type(ext), "generators", lambda self: list(other))
     with pytest.raises(ActionNotHomomorphic) as info:
         GModule(ext, [0], action)
     assert info.value.witness == want
@@ -441,10 +466,53 @@ def test_generator_row_solve_matches_the_full_row_solve(group_name):
     assert unsolvable
 
 
-def test_solve_coboundary_checks_the_cocycle_before_the_generator_rows():
+def _solve_events(monkeypatch):
+    """The steps `solve_coboundary` takes, in call order: "solve" for the
+    solve modulo N, "delta" for a full coboundary, and "cocycle" for a
+    cocycle check."""
+    events = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(la, "solve_with_moduli", logged("solve", la.solve_with_moduli))
+    for name, attr in (("delta", "coboundary"), ("cocycle", "first_cocycle_defect")):
+        monkeypatch.setattr(cochains_module, attr, logged(name, getattr(cochains_module, attr)))
+    return events
+
+
+def test_solve_coboundary_runs_no_cocycle_check_on_its_answers(monkeypatch):
+    """The solve comes first: a delta x in C^3(D4; Z/2) is accepted by the
+    full delta x = f check alone, and the non-coboundary x^3 + delta y of
+    the benchmark (x a nonzero homomorphism D4 -> Z/2) fails the generator-row
+    solve at once; neither runs a cocycle check."""
+    group = builtin_group("dihedral:4")
+    m = trivial_module(group, [2])
+    rng = random.Random(19)
+    f = coboundary(Cochain(group, m, 2, {t: (rng.randrange(2),)
+                                         for t in nonid_tuples(group.order, 2)}))
+    refl = [x // 4 for x in range(group.order)]
+    cube = add_cochains(Cochain(group, m, 3, {t: (refl[t[0]] * refl[t[1]] * refl[t[2]],)
+                                              for t in nonid_tuples(group.order, 3)}),
+                        coboundary(Cochain(group, m, 2, {t: (rng.randrange(2),)
+                                                         for t in nonid_tuples(8, 2)})))
+    assert first_cocycle_defect(cube) is None
+    events = _solve_events(monkeypatch)
+    x = solve_coboundary(f)
+    assert events == ["solve", "delta"] and coboundary(x) == f
+    events.clear()
+    assert solve_coboundary(cube) is None
+    assert events == ["solve"]
+
+
+def test_solve_coboundary_tells_a_non_cocycle_by_the_post_check(monkeypatch):
     """On S3 with Z/2, f = delta x + 1 at (a, 1) with a outside S is no
     cocycle, yet it agrees with the coboundary delta x on every generator
-    row: only the cocycle test before the solve tells them apart."""
+    row, so the generator-row solve succeeds: the full delta y = f check
+    fails, and the cocycle test that runs only then tells f apart."""
     group = builtin_group("symmetric:3")
     m = trivial_module(group, [2])
     gens = checked_generators(group)
@@ -453,7 +521,32 @@ def test_solve_coboundary_checks_the_cocycle_before_the_generator_rows():
     f = coboundary(Cochain(group, m, 1, {(g,): (rng.randrange(2),) for g in range(1, 6)}))
     bad = Cochain(group, m, 2, {**f.values, (a, 1): m.add(f.evaluate((a, 1)), (1,))})
     assert first_cocycle_defect(bad) is not None
+    events = _solve_events(monkeypatch)
     assert solve_coboundary(bad) is None
+    assert events == ["solve", "delta", "cocycle"]
+
+
+def test_solve_coboundary_checks_the_cocycle_before_the_lattice_correction(monkeypatch):
+    """Over Z + Z/3 on S3, f = delta x + (1, 0) at (a, 1) with a outside S
+    solves on the generator rows; the cocycle check after the solve returns
+    None before the lattice correction splits off the torsion."""
+    group = builtin_group("symmetric:3")
+    m = trivial_module(group, [0, 3])
+    gens = checked_generators(group)
+    a = next(x for x in range(1, group.order) if x not in gens)
+    rng = random.Random(6)
+    f = coboundary(Cochain(group, m, 1, {(g,): (rng.randrange(-4, 5), rng.randrange(3))
+                                         for g in range(1, 6)}))
+    bad = Cochain(group, m, 2, {**f.values, (a, 1): m.add(f.evaluate((a, 1)), (1, 0))})
+    assert first_cocycle_defect(bad) is not None
+    events = _solve_events(monkeypatch)
+
+    def no_split(module):
+        raise AssertionError("the lattice correction ran on a non-cocycle")
+
+    monkeypatch.setattr(cochains_module, "torsion_submodule", no_split)
+    assert solve_coboundary(bad) is None
+    assert events == ["solve", "cocycle"]
 
 
 def test_solve_coboundary_needs_a_generating_set():

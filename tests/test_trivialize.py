@@ -13,6 +13,7 @@ from groupcoh import (
     Cochain,
     GModule,
     add_cochains,
+    build_extension,
     build_witness,
     builtin_group,
     certificate_from_json,
@@ -24,6 +25,7 @@ from groupcoh import (
     first_cocycle_defect,
     is_cocycle,
     lift_cochain,
+    module_through_projection,
     restrict_cochain,
     scale_cochain,
     solve_coboundary,
@@ -43,7 +45,7 @@ from groupcoh.errors import (
     ResourceLimit,
     SelfCheckFailed,
 )
-from groupcoh.groups import generated
+from groupcoh.groups import checked_generators, generated
 from groupcoh import cochains as cochains_module
 from groupcoh import trivialize as trivialize_module
 from groupcoh.trivialize import _check_restriction, verify_lift_primitive
@@ -555,6 +557,79 @@ def test_restriction_check_agrees_with_restricted_cocycle_check():
     assert outcomes == {True, False}
 
 
+def _restriction_calls(monkeypatch):
+    """The names of the restriction checks `verify_certificate` computes."""
+    calls, check = [], _check_restriction
+
+    def counted(ext, alpha, max_entries, prefix=""):
+        calls.append(prefix + "alpha-restriction")
+        return check(ext, alpha, max_entries, prefix)
+
+    monkeypatch.setattr(trivialize_module, "_check_restriction", counted)
+    return calls
+
+
+def test_restriction_is_implied_by_an_exhaustive_pass(monkeypatch):
+    g = cyclic_group(2)
+    certs = [trivialize_torsion(z2_generator_cocycle()),
+             trivialize_torsion(z3_generator_cocycle()),
+             trivialize_torsion(Cochain(g, trivial_module(g, [2]), 3, {(1, 1, 1): (1,)})),
+             trivialize_general(h4_z2_generator())]
+    calls = _restriction_calls(monkeypatch)
+    for cert in certs:
+        report = verify_certificate(cert)
+        assert report.ok()
+        lines = {c.name: c.line() for c in report.checks if c.name.endswith("alpha-restriction")}
+        names = (["stage1:alpha-restriction", "stage2:alpha-restriction", "alpha-restriction"]
+                 if cert.mode == "general" else ["alpha-restriction"])
+        assert list(lines) == names
+        assert all(line.split(": ", 1)[1].startswith("pass (implied: ")
+                   for line in lines.values()), lines
+    assert calls == []
+
+
+def test_restriction_is_computed_after_a_failure_or_in_sampled_mode(monkeypatch):
+    cert = trivialize_torsion(z3_generator_cocycle())
+    ext, m = cert.extension, cert.alpha.coeffs
+    vals = dict(cert.alpha.values)
+    vals[(ext.iota(5),)] = m.add(cert.alpha.evaluate((ext.iota(5),)), (1,))
+    corrupted = dataclasses.replace(cert, alpha=Cochain(ext, m, 1, vals))
+    calls = _restriction_calls(monkeypatch)
+    checks = {c.name: c for c in verify_certificate(corrupted).checks}
+    assert checks["alpha-trivializes"].ok is False
+    restriction = checks["alpha-restriction"]
+    assert restriction.ok is False and restriction.witness is not None
+    restricted = restrict_cochain(ext, corrupted.alpha)
+    assert not m.is_zero(coboundary_value(restricted, restriction.witness))
+    assert calls == ["alpha-restriction"]
+    # sampled under a tiny limit: the pass covers 50 tuples, not all 16
+    calls.clear()
+    checks = {c.name: c for c in verify_certificate(trivialize_torsion(z2_generator_cocycle()),
+                                                    max_entries=10, sample_size=50).checks}
+    assert checks["alpha-trivializes"].note.startswith("sampled")
+    assert checks["alpha-restriction"].line() == \
+        "alpha-restriction: pass (additive on 2 elements x 1 generators)"
+    assert calls == ["alpha-restriction"]
+
+
+def test_sampled_declared_count_is_named_but_not_judged():
+    cert = trivialize_torsion(z2_generator_cocycle(), max_entries=10, sample_size=50)
+    assert cert.verification == {"mode": "sampled", "seed": 0, "checked": 50}
+    data = certificate_to_json(cert)
+
+    def trivializes(checked):
+        data["verification"]["checked"] = checked
+        report = verify_certificate(certificate_from_json(data), max_entries=10, sample_size=50)
+        return report.ok(), next(c for c in report.checks if c.name == "alpha-trivializes")
+
+    ok, check = trivializes(50)
+    assert ok and check.note == "sampled, 50 tuples; |Gamma|^2 = 16 tuples exceed the limit 10"
+    ok, check = trivializes(7)
+    assert ok and check.ok
+    assert check.note == ("sampled, 50 tuples; |Gamma|^2 = 16 tuples exceed the limit 10; "
+                          "declared verification.checked is 7, verify sampled 50")
+
+
 def test_library_certificate_with_non_cocycle_c_fails_without_raising():
     cert = trivialize_torsion(z3_generator_cocycle())
     c = cert.cocycle
@@ -771,7 +846,8 @@ def test_generator_rows_decide_a_pass(monkeypatch):
     cert = _bilinear_cert()
     ext = cert.extension
     gens = ext.generators()
-    assert len(gens) == 11 and len(generated(ext, gens)) == ext.order == 2048
+    # the lifts of the three non-identity elements of (Z/2)^2 generate Gamma
+    assert gens == [1, 2, 3] and len(generated(ext, gens)) == ext.order == 2048
     starts = []
 
     def counted(f, firsts=None):
@@ -784,10 +860,10 @@ def test_generator_rows_decide_a_pass(monkeypatch):
     ok, bad, info = verify_lift_primitive(ext, cert.omega, cert.alpha, decided=decided)
     assert (ok, bad) == (True, None)
     assert info == {"mode": "exhaustive", "seed": 0, "checked": 2048 ** 2}
-    assert sorted(starts) == sorted(gens) and decided == [11]
+    assert sorted(starts) == sorted(gens) and decided == [3]
     monkeypatch.undo()
     note = {c.name: c.note for c in verify_certificate(cert).checks}["alpha-trivializes"]
-    assert note == "exhaustive, 4194304 tuples; decided on 11 generator rows"
+    assert note == "exhaustive, 4194304 tuples; decided on 3 generator rows"
 
 
 def test_generator_rows_agree_with_brute_force_off_the_generators():
@@ -831,21 +907,65 @@ def test_generator_rows_need_a_generating_set(monkeypatch, subgroup):
 
 
 def test_generator_rows_need_omega_to_be_a_cocycle():
-    # on C4 the generators of Gamma project to 0 and 1, never to 2, so an
-    # error of omega' = omega + e with e supported at first slot 2 shows on
-    # no generator row; only the cocycle check of omega' sends the sweep on
+    # Z/8 as the extension of C4 by Z/2 through the carry cocycle c: the
+    # greedy generators are (0, 1) alone, which projects to 1, never to 2,
+    # so an error of omega' = c + e with e supported at first slot 2 shows
+    # on no generator row; only the cocycle check of omega' sends the sweep
+    # on.  alpha(a, g) = a has delta alpha = -pi^* c = pi^* c in Z/2.
     g = cyclic_group(4)
     m = trivial_module(g, [2])
-    carry = {(i, j): (1,) for i in range(1, 4) for j in range(1, 4) if i + j >= 4}
-    cert = trivialize_torsion(Cochain(g, m, 2, carry))
-    ext = cert.extension
-    assert all(ext.pi(s) != 2 for s in ext.generators())
-    omega = add_cochains(cert.omega, Cochain(g, m, 2, {(2, 1): (1,)}))
+    carry = Cochain(g, m, 2, {(i, j): (1,) for i in range(1, 4) for j in range(1, 4)
+                              if i + j >= 4})
+    ext = build_extension(m, carry)
+    assert ext.generators() == [1] and ext.pi(1) == 1
+    alpha = Cochain(ext, module_through_projection(ext, m), 1,
+                    {(x,): (1,) for x in range(4, ext.order)})
+    assert verify_lift_primitive(ext, carry, alpha)[:2] == (True, None)
+    omega = add_cochains(carry, Cochain(g, m, 2, {(2, 1): (1,)}))
     assert first_cocycle_defect(omega) is not None
     decided = []
-    ok, bad, _ = verify_lift_primitive(ext, omega, cert.alpha, decided=decided)
-    assert (ok, bad) == _brute_force_lift_check(ext, omega, cert.alpha) == (False, (2, 1))
+    ok, bad, _ = verify_lift_primitive(ext, omega, alpha, decided=decided)
+    assert (ok, bad) == _brute_force_lift_check(ext, omega, alpha) == (False, (2, 1))
     assert decided == []
+
+
+def _certificate_extensions():
+    """(name, extension) of certificates built in these tests and the
+    acceptance suite, every stage of the general ones included."""
+    g = cyclic_group(2)
+    z2 = trivial_module(g, [2])
+    z_sgn = GModule(g, [0], [[[1]], [[-1]]])
+    c4 = cyclic_group(4)
+    carry = {(i, j): (1,) for i in range(1, 4) for j in range(1, 4) if i + j >= 4}
+    certs = [("c2-z2-deg2", trivialize_torsion(z2_generator_cocycle())),
+             ("c3-z3-deg2", trivialize_torsion(z3_generator_cocycle())),
+             ("c2-z2-deg3", trivialize_torsion(Cochain(g, z2, 3, {(1, 1, 1): (1,)}))),
+             ("c2-sign-z4-deg3", trivialize_torsion(Cochain(g, _sign_module_z4(), 3,
+                                                            {(1, 1, 1): (2,)}))),
+             ("c4-carry", trivialize_torsion(Cochain(c4, trivial_module(c4, [2]), 2, carry))),
+             ("c2-z-deg4", trivialize_general(h4_z2_generator())),
+             ("c2-z4-deg4", trivialize_general(Cochain(g, trivial_module(g, [4]), 4,
+                                                       {(1,) * 4: (1,)}))),
+             ("c2-zsgn-deg7", trivialize_general(Cochain(g, z_sgn, 7, {(1,) * 7: (1,)})))]
+    certs += [(f"z2xz2-beta{v}", trivialize_torsion(_bilinear_plus_delta(v))) for v in (0, 5)]
+    for name, cert in certs:
+        if cert.mode == "general":
+            yield name + ":stage1", cert.stages["stage1"].extension
+            yield name + ":stage2", cert.stages["stage2"].extension
+        else:
+            yield name, cert.extension
+
+
+def test_greedy_generators_of_certificate_extensions():
+    from test_extensions import _kernel_plus_base
+
+    towers = 0
+    for name, ext in _certificate_extensions():
+        gens = checked_generators(ext)
+        assert gens is not None and len(generated(ext, gens)) == ext.order, name
+        assert len(gens) <= len(_kernel_plus_base(ext)), name
+        towers += isinstance(ext.base, type(ext))
+    assert towers == 3
 
 
 def test_verify_decides_on_generator_rows_under_python_O(tmp_path):
@@ -873,12 +993,18 @@ def test_verify_decides_on_generator_rows_under_python_O(tmp_path):
 
     proc = verify(good)
     assert proc.returncode == 0, proc.stderr
-    assert "alpha-trivializes: pass (exhaustive, 4194304 tuples; decided on 11 generator rows)" \
+    assert "alpha-trivializes: pass (exhaustive, 4194304 tuples; decided on 3 generator rows)" \
         in proc.stdout
+    assert "alpha-restriction: pass (implied: " in proc.stdout
     proc = verify(bad)
     assert proc.returncode == 7, proc.stderr
     assert f"alpha-trivializes: FAIL (exhaustive, 4194304 tuples) witness={witness}" \
         in proc.stdout.splitlines()
+    # the failure sends the restriction to be computed; the corrupted
+    # entry lies on a kernel element, so it fails with a witness too
+    restriction = _check_restriction(corrupted.extension, corrupted.alpha, None)
+    assert restriction.ok is False and restriction.witness is not None
+    assert restriction.line() in proc.stdout.splitlines()
 
 
 # -- the closed-form primitive by linearity ----------------------------------
