@@ -16,6 +16,9 @@ Exit codes:
 All randomness flows from --seed (default 0) and is recorded in outputs;
 identical inputs and seed produce byte-identical files.  --threads is
 accepted and is a no-op: every command runs single-threaded.
+
+The argument parser is built once per process, on the first call of main,
+and reused by every later call.
 """
 
 from __future__ import annotations
@@ -277,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--table", help="JSON multiplication-table file")
     p.add_argument("--out", help="write normalized group JSON here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("cohomology", help="invariant factors of H^n(G; M)")
     p.add_argument("--group", required=True)
@@ -285,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--json", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("cup", help="cup product of two cochains")
     p.add_argument("--group", required=True)
@@ -295,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True, help="right cochain JSON file")
     p.add_argument("--out")
     common(p)
-    p.set_defaults(func=cmd_cup)
 
     p = sub.add_parser("d2", help="apply the witness differential to (b, c)")
     p.add_argument("--group", required=True)
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cocycle", required=True, help="2-cocycle c JSON file")
     p.add_argument("--out")
     common(p)
-    p.set_defaults(func=cmd_d2)
 
     p = sub.add_parser("extend", help="build the extension of a 2-cocycle")
     p.add_argument("--group", required=True)
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cocycle", required=True)
     p.add_argument("--out")
     common(p)
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("trivialize", help="trivialize a cocycle in an extension")
     p.add_argument("--group", required=True)
@@ -323,23 +321,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["torsion", "general"], default="torsion")
     p.add_argument("--out", required=True, help="certificate output path")
     common(p)
-    p.set_defaults(func=cmd_trivialize)
 
     p = sub.add_parser("verify", help="independently re-check a certificate")
     p.add_argument("certificate")
     p.add_argument("--allow-partial", action="store_true",
                    help="exit 0 even when the primitive is absent")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The parser is built on the first call and reused;
+    parsing never changes it.  cmd_<command> is looked up when the command
+    runs, not bound into the parser, so a replaced cmd_* takes effect."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _GROUP_ERRORS as exc:
         return _fail(2, _describe(exc))
     except _MODULE_ERRORS as exc:

@@ -17,6 +17,7 @@ from .errors import (
     ActionBreaksRelations,
     ActionNotHomomorphic,
     BadIdentityAction,
+    SelfCheckFailed,
     SourceNotTorsion,
 )
 from .groups import FiniteGroup, checked_generators, group_from_json, group_to_json, json_object
@@ -334,6 +335,18 @@ class HomModule(GModule):
     x per pair (j, i) with d_i > 0 and gcd(a_j, d_i) > 1, modulus that
     gcd, and f(e_j)_i = x * d_i/gcd(a_j, d_i); `images` and `from_images`
     translate to and from images of A's basis vectors.
+
+    The action is written down in closed form.  With
+    (g.f)(e_j) = rho_M(g) sum_j0 rho_A(g^{-1})[j0][j] f(e_j0), coordinate
+    (j0, i0, step0) sends e_j to rho_A(g^{-1})[j0][j] * step0 *
+    rho_M(g)[:, i0], so the matrix entry at row (j, r, step) is that value
+    reduced modulo d_r and divided by step; only the nonzeros of row j0 of
+    rho_A(g^{-1}) contribute.  The division is exact: g.f is a
+    homomorphism A -> M, since rho_A(g^{-1}) respects A's relations and
+    rho_M(g) respects M's, so a_j (g.f)(e_j) = 0, which says that the
+    image is a multiple of step at each coordinate (j, r) and 0 where Hom
+    has none.  A and M are validated modules, so a failure of that check
+    is a defect and raises SelfCheckFailed.
     """
 
     def __init__(self, source: GModule, target: GModule):
@@ -341,23 +354,37 @@ class HomModule(GModule):
             raise SourceNotTorsion("Hom(A, M) needs a torsion source")
         self.source = source
         self.target = target
-        # (j, i, d_i / gcd(a_j, d_i)) per coordinate
-        self._coords = [
-            (j, i, d // math.gcd(a, d))
-            for j, a in enumerate(source.factors)
-            for i, d in enumerate(target.factors)
-            if d and math.gcd(a, d) > 1
-        ]
+        self._coords = _hom_coords(source, target)
         factors = [target.factors[i] // step for _, i, step in self._coords]
+        position = {(j, i): (n, step) for n, (j, i, step) in enumerate(self._coords)}
+        # per source coordinate j: (r, d_r, Hom coordinate or None, its step)
+        slots = [[(r, d) + position.get((j, r), (None, None))
+                  for r, d in enumerate(target.factors)]
+                 for j in range(source.dim)]
         group = source.group
-        s, k = source.dim, target.dim
         action = []
         for g in range(group.order):
-            amat = _hom_ambient_action(source, target, g, group.inv(g))
+            rho_a = source.action[group.inv(g)]
+            m_cols = list(zip(*target.action[g]))
             cols = []
-            for j, i, step in self._coords:
-                flat = [step * row[j * k + i] for row in amat]  # amat . (step e_(j,i))
-                cols.append(self.from_images([flat[r * k : (r + 1) * k] for r in range(s)]))
+            for j0, i0, step0 in self._coords:
+                col = [0] * len(factors)
+                m_col = m_cols[i0]
+                for j, c in enumerate(rho_a[j0]):
+                    if not c:
+                        continue
+                    for r, d, n, step in slots[j]:
+                        v = c * step0 * m_col[r]
+                        if d:
+                            v %= d
+                        if n is not None and not v % step:
+                            col[n] = v // step
+                        elif v:
+                            raise SelfCheckFailed(
+                                f"Hom action of {group.elements[g]} sends coordinate "
+                                f"{(j0, i0)} to {v} at {(j, r)}, which Hom(A, M) "
+                                f"cannot hold")
+                cols.append(col)
             action.append(list(zip(*cols)))
         super().__init__(group, factors, action, _validate=True)
 
@@ -387,20 +414,14 @@ class HomModule(GModule):
         return self.target.reduce(out)
 
 
-def _hom_ambient_action(source, target, g, ginv):
-    """(g.f)(e_j) = rho_M(g) sum_i rho_A(g^{-1})[i][j] f(e_i) on stacked images."""
-    s, k = source.dim, target.dim
-    rho_a = source.action[ginv]
-    rho_m = target.action[g]
-    out = [[0] * (k * s) for _ in range(k * s)]
-    for j in range(s):
-        for i in range(s):
-            c = rho_a[i][j]
-            if c:
-                for r in range(k):
-                    for t in range(k):
-                        out[j * k + r][i * k + t] = c * rho_m[r][t]
-    return out
+def _hom_coords(source: GModule, target: GModule):
+    """(j, i, d_i / gcd(a_j, d_i)) per coordinate of Hom(A, M)."""
+    return [
+        (j, i, d // math.gcd(a, d))
+        for j, a in enumerate(source.factors)
+        for i, d in enumerate(target.factors)
+        if d and math.gcd(a, d) > 1
+    ]
 
 
 def hom_module(source: GModule, target: GModule) -> HomModule:

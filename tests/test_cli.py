@@ -192,6 +192,45 @@ def test_memory_error_exit_3(capsys, monkeypatch):
     assert err == "error: cohomology ran out of memory (MemoryError)\n"
 
 
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch, tmp_path):
+    # one parser serves every call, with the outputs a fresh parser gives
+    cert = tmp_path / "cert.json"
+    argvs = [
+        ["trivialize", "--group", "cyclic:2", "--module", "trivial:2",
+         "--cocycle", z2_cocycle_file(tmp_path), "--degree", "2", "--out", str(cert)],
+        ["verify", str(cert)],
+        ["trivialize", "--group", "cyclic:2"],  # usage error: required flags missing
+        ["cohomology", "--group", "cyclic:2", "--module", "trivial:2", "--degree", "2"],
+    ]
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+
+    def outcomes(fresh):
+        out = []
+        for argv in argvs:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", None)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out.append((code,) + tuple(capsys.readouterr()) + (cert.read_bytes(),))
+        return out
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    cached = outcomes(fresh=False)
+    assert len(built) == 1
+    assert [o[0] for o in cached] == [0, 0, ("exit", 1), 0]
+    assert outcomes(fresh=True) == cached
+    assert len(built) == 5
+
+
 def test_bad_module_spec_exit_2(capsys):
     code, _, err = run(
         capsys, "cohomology", "--group", "cyclic:2",

@@ -583,6 +583,17 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
     cochains.cochain_from_function = lambda group, coeffs, degree, fn: (
         cochains.zero_cochain(group, coeffs, degree))
     expect_failure("averaging_homotopy", lambda: cochains.averaging_homotopy(w))
+
+    # Hom((Z/2)^2, Z/4) with C2 swapping the summands: a coordinate step
+    # corrupted from 2 to 1 sends that coordinate to an odd image at e_1
+    from groupcoh import GModule, modules
+    coords = modules._hom_coords
+    modules._hom_coords = lambda a, m: [
+        (j, i, 1 if n == 0 else step) for n, (j, i, step) in enumerate(coords(a, m))]
+    c2 = cyclic_group(2)
+    swap = GModule(c2, [2, 2], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    expect_failure("HomModule", lambda: modules.HomModule(swap, trivial_module(c2, [4])))
+    modules._hom_coords = coords
 """)
 
 
@@ -592,9 +603,9 @@ def test_self_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:8] == [
+    assert proc.stdout.split("\n")[:9] == [
         "caught solve_coboundary", "caught cohomology", "caught cohomology over Z: rank",
         "caught cohomology over Z: divisor", "caught cohomology over Z + Z/3: divisor",
         "caught solve_coboundary over Z", "caught solve_coboundary: no cocycle",
-        "caught averaging_homotopy",
+        "caught averaging_homotopy", "caught HomModule",
     ]

@@ -1,12 +1,16 @@
 import itertools
+import math
 
 import pytest
 
 from groupcoh import (
     Cochain,
     GModule,
+    HomModule,
     coinvariants,
     cyclic_group,
+    dihedral_group,
+    direct_product,
     hom_module,
     invariants,
     make_module,
@@ -17,6 +21,7 @@ from groupcoh import (
     torsion_submodule,
     trivial_module,
     trivialize_torsion,
+    universal_kernel,
     verify_certificate,
 )
 from groupcoh import intlinalg
@@ -291,6 +296,82 @@ def test_hom_from_images_rejects_non_homomorphisms():
     a, m = _hom_pairs()[3]
     with pytest.raises(ValueError):
         hom_module(a, m).from_images([(3,), (0,)])  # Z/1 must map to 0
+
+
+def _hom_by_ambient_matrix(hom):
+    """(factors, action) of Hom(A, M) by the route the closed form
+    replaced, kept here as its oracle: the ks x ks matrix of
+    (g.f)(e_j) = rho_M(g) sum_i rho_A(g^{-1})[i][j] f(e_i) on stacked
+    images, applied to step * e_(j, i) for each coordinate, and each
+    column read back through `from_images`.  The factors come from the
+    gcds, independently of the coordinates hom keeps."""
+    a, m = hom.source, hom.target
+    coords = [(j, i, d // math.gcd(aj, d)) for j, aj in enumerate(a.factors)
+              for i, d in enumerate(m.factors) if d and math.gcd(aj, d) > 1]
+    group, s, k = a.group, a.dim, m.dim
+    action = []
+    for g in range(group.order):
+        rho_a, rho_m = a.action[group.inv(g)], m.action[g]
+        amat = [[rho_a[i][j] * rho_m[r][t] for i in range(s) for t in range(k)]
+                for j in range(s) for r in range(k)]
+        cols = []
+        for j0, i0, step0 in coords:
+            flat = [step0 * row[j0 * k + i0] for row in amat]
+            cols.append(hom.from_images([flat[j * k:(j + 1) * k] for j in range(s)]))
+        action.append(tuple(zip(*cols)))
+    return tuple(m.factors[i] // step for _, i, step in coords), tuple(action)
+
+
+def _sign_character(group):
+    """A homomorphism G -> {1, -1}, nontrivial when G has one."""
+    n = group.order
+    for signs in itertools.product((1, -1), repeat=n - 1):
+        chi = (1,) + signs
+        if -1 in chi and all(chi[group.mul(g, h)] == chi[g] * chi[h]
+                             for g in range(n) for h in range(n)):
+            return chi
+    return (1,) * n
+
+
+_DIFFERENTIAL_GROUPS = {
+    "C2": lambda: cyclic_group(2), "C3": lambda: cyclic_group(3),
+    "C4": lambda: cyclic_group(4),
+    "V4": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+    "S3": lambda: symmetric_group(3), "D4": lambda: dihedral_group(4),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_GROUPS))
+def test_hom_closed_form_matches_ambient_matrix(name, n):
+    group = _DIFFERENTIAL_GROUPS[name]()
+    kernel = universal_kernel(group, n)[0]
+    chi = _sign_character(group)
+    signed = [GModule(group, [d], [[[x]] for x in chi]) for d in (0, 4, 6)]
+    trivial = [trivial_module(group, f) for f in ([n], [0], [0, 2], [3, 4], [1, 6])]
+    pairs = [(kernel, m) for m in trivial + signed]
+    pairs += [(m, kernel) for m in trivial + signed if m.is_torsion]
+    assert len(pairs) == 13
+    for a, m in pairs:
+        hom = hom_module(a, m)
+        assert (hom.factors, hom.action) == _hom_by_ambient_matrix(hom)
+
+
+def test_hom_module_builds_its_action_without_from_images(monkeypatch):
+    calls = []
+    from_images = HomModule.from_images
+
+    def counted(self, images):
+        calls.append(1)
+        return from_images(self, images)
+
+    monkeypatch.setattr(HomModule, "from_images", counted)
+    group = symmetric_group(3)
+    hom = hom_module(universal_kernel(group, 6)[0], trivial_module(group, [6]))
+    assert hom.dim == 25
+    for a, m in _hom_pairs():
+        hom_module(a, m)
+    assert calls == []
 
 
 def test_hom_module_makes_no_smith_normal_form(monkeypatch):
