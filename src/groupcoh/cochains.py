@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .errors import DegreeMismatch, NotACocycle, ResourceLimit, SelfCheckFailed
-from .groups import checked_generators, json_object
+from .groups import greedy_generators, json_object
 from .modules import GModule, invariants, torsion_submodule
 
 DEFAULT_MAX_ENTRIES = 10_000_000
@@ -265,29 +265,23 @@ def coboundary(f: Cochain, max_entries=None) -> Cochain:
 
 
 def first_cocycle_defect(f: Cochain):
-    """First tuple where delta f is nonzero, or None when f is a cocycle.
+    """The lexicographically first tuple where delta f is nonzero, or None
+    when f is a cocycle.
 
-    The zero cochain is a cocycle.  In degree n >= 1 a pass is decided on
-    the rows of delta f whose first slot lies in S = group.generators(),
-    once `generated` confirms that S generates the group
-    (`checked_generators`): delta f is a normalized (n+1)-cocycle, and one
-    that vanishes wherever its first slot lies in S vanishes everywhere
-    (F(sy, ...) = s . F(y, ...) by delta F(s, y, ...) = 0, by induction on
-    a word in S; Brown, Cohomology of Groups, III.1).  That needs delta
+    The zero cochain is a cocycle.  Degree 0 has the single row of delta f.
+    In degree n >= 1 only the rows of delta f whose first slot lies in S =
+    `greedy_generators` are swept, and the first nonzero entry there is
+    returned: delta f is a normalized (n+1)-cocycle, so the g with
+    delta f(g, ...) = 0 on every tuple form a subgroup, and the first row
+    outside it is a generator (see `greedy_generators`).  That needs delta
     delta = 0, so the group must be associative and the action a
     homomorphism; every caller has proved both (tables and modules are
     validated at load, an extension cocycle before the extension is
-    built).  Otherwise, or on a nonzero generator row, all rows are swept
-    and the lexicographically first nonzero tuple is returned."""
+    built)."""
     if not f.values:
         return None
-    group = f.group
-    if f.degree >= 1:
-        gens = checked_generators(group)
-        if gens is not None and not any(
-                any(map(any, row)) for _, row in delta_rows(f, firsts=gens)):
-            return None
-    for t, row in delta_rows(f):
+    firsts = greedy_generators(f.group) if f.degree >= 1 else None
+    for t, row in delta_rows(f, firsts=firsts):
         if any(map(any, row)):
             return t + (next(j for j, v in enumerate(zip(*row)) if any(v)),)
     return None
@@ -371,14 +365,14 @@ def solve_coboundary(f: Cochain, max_entries=None):
 
     Let e be the exponent of the torsion submodule M_T and N = |G| e.  The
     solve comes first: one solve over M/NM (each free factor taken modulo
-    N) on the rows of delta_{n-1} whose first slot lies in S from
-    `checked_generators` (on every row when S does not generate G).  A
-    coboundary f = delta x solves every row, so an unsolvable system
-    proves f no coboundary, cocycle or not.  Otherwise it gives y with
-    delta y = f modulo NM on those rows.  When f is a cocycle, delta y - f
-    modulo N is a normalized cocycle of M/NM that vanishes on those rows,
-    hence zero (see `first_cocycle_defect`), so |S| (|G|-1)^(n-1) dim M
-    rows decide what all (|G|-1)^n dim M rows would.
+    N) on the rows of delta_{n-1} whose first slot lies in S =
+    `greedy_generators`.  A coboundary f = delta x solves every row, so an
+    unsolvable system proves f no coboundary, cocycle or not.  Otherwise
+    it gives y with delta y = f modulo NM on those rows.  When f is a
+    cocycle, delta y - f modulo N is a normalized cocycle of M/NM that
+    vanishes on those rows, hence zero (see `greedy_generators`), so
+    |S| (|G|-1)^(n-1) dim M rows decide what all (|G|-1)^n dim M rows
+    would.
 
     On a torsion module NM = 0 and x = y, accepted by the check delta x =
     f on every tuple alone.  Only when that check fails is f tested for
@@ -398,7 +392,7 @@ def solve_coboundary(f: Cochain, max_entries=None):
         raise ValueError("cannot solve below degree 1")
     group, module = f.group, f.coeffs
     mat, dom, tgt = coboundary_matrix(group, module, n - 1, max_entries,
-                                      firsts=checked_generators(group))
+                                      firsts=greedy_generators(group))
     exponent = math.lcm(*filter(None, module.factors))
     big = group.order * exponent
     moduli = [d or big for _ in tgt for d in module.factors]

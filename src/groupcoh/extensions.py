@@ -17,7 +17,7 @@ import math
 
 from .cochains import Cochain, cochain_from_json, cochain_to_json, first_cocycle_defect, max_entries_limit, nonid_tuples
 from .errors import KernelNotFinite, NotACocycle, ResourceLimit
-from .groups import FiniteGroup, greedy_generators, group_from_json, group_from_table, group_to_json
+from .groups import FiniteGroup, group_from_json, group_from_table, group_to_json
 from .modules import (
     GModule,
     digit_sums,
@@ -123,17 +123,6 @@ class GroupExtension:
         gens = (element_index(kernel, kernel.reduce(kernel.basis_vector(j)))
                 for j in range(kernel.dim))
         return [a for a in gens if a]
-
-    def generators(self) -> list:
-        """A generating set: `greedy_generators`, the same index-order
-        greedy as for a FiniteGroup.  The lifts (0, g) come first in index
-        order; they reach every g, and (0, g)(0, h) = (c(g, h), gh) puts
-        every value of c in the subgroup they generate, conjugation by them
-        acting on A as G does.  So they generate Gamma whenever the values
-        of c generate A as a G-module, as they do for the universal kernel
-        (3 generators for the 2048-element Gamma of (Z/2)^2); otherwise
-        the greedy goes on into the kernel cosets."""
-        return greedy_generators(self)
 
     def inv(self, i: int) -> int:
         """(a,g)^-1 = (-g^-1.(a + c(g,g^-1)), g^-1)."""

@@ -11,7 +11,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .errors import NoIdentity, NoInverse, NotAssociative, UnknownFamily
+from .errors import NoIdentity, NoInverse, NotAssociative, SelfCheckFailed, UnknownFamily
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class FiniteGroup:
     def mul_row(self, g: int):
         """g * j for every element j, in index order."""
         return self.table[g]
-
-    def generators(self) -> list:
-        """A generating set: `greedy_generators`."""
-        return greedy_generators(self)
 
     @property
     def is_abelian(self) -> bool:
@@ -83,10 +79,33 @@ def generated(group, gens) -> set:
 
 
 def greedy_generators(group) -> list:
-    """A generating set of any group-protocol object, greedily: in index
-    order, every element outside the subgroup the earlier ones generate,
-    until they generate the whole group.  No element is redundant when it
-    is taken, so the set has at most log2 |G| elements."""
+    """S, the generating set that every generator-row check restricts its
+    first slot to, for any group-protocol object: in index order, every
+    element outside the subgroup the earlier ones generate, until they
+    generate the whole group.  No element is redundant when it is taken,
+    so |S| <= log2 |G|.
+
+    The first failing row is a generator.  Let a check pass on the rows of
+    a subgroup H (the g where a normalized cocycle F has F(g, ...) = 0 on
+    every tuple, as dF(s, y, ...) = 0 gives F(sy, ...) = s . F(y, ...) for
+    s in H; or the g with rho(g) rho(h) = rho(gh) for every h), and let r
+    be its first failing row in index order.  Every element before r lies
+    in H, so the generators taken before r span a subgroup of H, which
+    misses r; so the greedy takes r.  The check therefore passes on the
+    rows of S exactly when it passes everywhere, and its first failing row
+    in S holds its lexicographically first witness (Brown, Cohomology of
+    Groups, III.1).
+
+    On an extension the lifts (0, g) come first in index order.  They
+    reach every g, and (0, g)(0, h) = (c(g, h), gh) puts every value of c
+    in the subgroup they generate, conjugation by them acting on A as G
+    does.  So they generate Gamma whenever the values of c generate A as a
+    G-module, as they do for the universal kernel (3 generators for the
+    2048-element Gamma of (Z/2)^2); otherwise the greedy goes on into the
+    kernel cosets.
+
+    The span is at hand, so a set that does not span the group (a fault in
+    `generated`) raises SelfCheckFailed, also under python -O."""
     gens, span = [], {0}
     for x in range(1, group.order):
         if len(span) == group.order:
@@ -94,16 +113,10 @@ def greedy_generators(group) -> list:
         if x not in span:
             gens.append(x)
             span = generated(group, gens)
+    if len(span) != group.order:
+        raise SelfCheckFailed(f"greedy_generators: {gens} span {len(span)} of "
+                              f"{group.order} elements")
     return gens
-
-
-def checked_generators(group):
-    """S = group.generators() when `generated` confirms that S generates
-    the group, else None: the first slots that every generator-row check
-    may restrict to.  `greedy_generators` always generates; the check
-    keeps the contract for any other generators() a group may supply."""
-    gens = group.generators()
-    return gens if len(generated(group, gens)) == group.order else None
 
 
 def multiply(group: FiniteGroup, i: int, j: int) -> int:

@@ -20,7 +20,7 @@ from .errors import (
     SelfCheckFailed,
     SourceNotTorsion,
 )
-from .groups import FiniteGroup, checked_generators, group_from_json, group_to_json, json_object
+from .groups import FiniteGroup, greedy_generators, group_from_json, group_to_json, json_object
 
 
 class GModule:
@@ -110,12 +110,13 @@ class GModule:
 def _validate_module(m: GModule):
     """Shape, identity action, descent to the quotient, and rho(g) rho(h) =
     rho(gh), matrices compared as maps on M (see _same_map).  The last is
-    decided on the pairs (s, h) with s in S = group.generators() once
-    `generated` confirms that S generates G: the set of g with
-    rho(g) rho(h) = rho(gh) for every h contains e and S and is closed
-    under products (the group is associative), so it is G.  On a failure
-    there every pair is swept, so ActionNotHomomorphic names the first
-    failing (g, h) in index order."""
+    checked on the pairs (s, h) with s in S = `greedy_generators` and every
+    h.  The g with rho(g) rho(h) = rho(gh) for every h form a subgroup: e
+    acts as the identity, each rho(g) is a map on M, and for g1, g2 in it
+    rho(g1 g2) rho(h) = rho(g1) rho(g2) rho(h) = rho(g1) rho(g2 h) =
+    rho(g1 g2 h).  So the first failing g in index order is a generator
+    (see `greedy_generators`), and ActionNotHomomorphic names the first
+    failing (s, h), which is the first failing pair in index order."""
     k = m.dim
     group = m.group
     order = group.order
@@ -139,17 +140,12 @@ def _validate_module(m: GModule):
                         "action does not descend to the quotient",
                         witness=(group.elements[g], j),
                     )
-    gens = checked_generators(group)
-    if gens is not None and all(
-            _acts_as_product(m, s, h, gh) for s in gens
-            for h, gh in enumerate(group.mul_row(s))):
-        return
-    for g in range(order):
-        for h in range(order):
-            if not _acts_as_product(m, g, h, group.mul(g, h)):
+    for s in greedy_generators(group):
+        for h, sh in enumerate(group.mul_row(s)):
+            if not _acts_as_product(m, s, h, sh):
                 raise ActionNotHomomorphic(
                     "action is not a homomorphism",
-                    witness=(group.elements[g], group.elements[h]),
+                    witness=(group.elements[s], group.elements[h]),
                 )
 
 

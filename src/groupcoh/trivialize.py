@@ -33,7 +33,7 @@ from .cochains import (
     add_cochains,
     averaging_homotopy,
     coboundary,
-    coboundary_value,
+    coboundary_value,  # unused here; kept bound for perfbench/tracer.py and its test
     cochain_from_json,
     cochain_to_json,
     delta_rows,
@@ -64,7 +64,7 @@ from .extensions import (
     module_through_projection,
     restrict_cochain,
 )
-from .groups import checked_generators, group_from_json, group_to_json
+from .groups import greedy_generators, group_from_json, group_to_json
 from .modules import (
     GModule,
     HomModule,
@@ -253,69 +253,58 @@ def verify_lift_primitive(ext: GroupExtension, omega: Cochain, alpha: Cochain,
         if rows is not None and decided is not None:
             decided.append(rows)
         return ok, witness, {"mode": "exhaustive", "seed": seed, "checked": total}
-    bad = _sampled_defect(omega, alpha, proj, seed, sample_size, coboundary_value)
+    bad = _sampled_defect(omega, alpha, proj, seed, sample_size)
     return bad is None, bad, {"mode": "sampled", "seed": seed, "checked": sample_size}
 
 
-def _sampled_defect(omega: Cochain, alpha: Cochain, proj, seed, count, delta):
-    """First of count seeded uniform Gamma^n tuples where delta(alpha, tuple)
-    differs from pi^* omega, or None."""
+def _sampled_defect(omega: Cochain, alpha: Cochain, proj, seed, count):
+    """First of count seeded uniform Gamma^n tuples where the textbook
+    delta alpha (`coboundary_value`, one tuple at a time) differs from
+    pi^* omega, or None."""
     rng = random.Random(seed)
     m = alpha.coeffs
     for _ in range(count):
         tup = tuple(rng.randrange(alpha.group.order) for _ in range(omega.degree))
-        if m.reduce(delta(alpha, tup)) != m.reduce(omega.evaluate(tuple(proj[i] for i in tup))):
+        if m.reduce(cochains.coboundary_value(alpha, tup)) != m.reduce(
+                omega.evaluate(tuple(proj[i] for i in tup))):
             return tup
     return None
 
 
 def _verify_degree2_indexed(omega: Cochain, alpha: Cochain, proj):
     """The exhaustive check of delta alpha = pi^* omega in every degree
-    n >= 2, row by row of `delta_rows(alpha)` against pi^* omega(t, .).
+    n >= 2, row by row of `delta_rows(alpha)` against pi^* omega(t, .), in
+    one loop that returns the first failing tuple.
 
-    f = delta alpha - pi^* omega is a normalized n-cocycle of Gamma once
-    omega is one: delta alpha is, and pi is a homomorphism.  A normalized
-    cocycle that vanishes wherever the first slot lies in a generating set
-    S vanishes everywhere: delta f(s, y, ...) = 0 leaves f(sy, ...) =
-    s . f(y, ...), since every other term has s in the first slot, and
-    induction on a word in S starts from f(e, ...) = 0 (Brown, Cohomology
-    of Groups, III.1).  So when omega is a cocycle and S =
-    Gamma.generators() generates Gamma, the rows whose prefix starts in S
-    decide a pass.  Otherwise, or on any mismatch there, every row is
-    compared and the lexicographically first failing tuple is the witness.
-    Prefixes that touch the identity are not swept: alpha and omega are
-    normalized, so both sides vanish there.  The name predates the other
-    degrees and is kept because perfbench/tracer.py patches it.  Returns
-    (ok, first failing tuple, the number of generator rows that decided a
-    pass or None)."""
+    When omega is a cocycle, f = delta alpha - pi^* omega is a normalized
+    n-cocycle of Gamma (delta alpha is one, and pi is a homomorphism), so
+    the loop walks only the rows whose prefix starts in S =
+    `greedy_generators(Gamma)`: the g with f(g, ...) = 0 on every tuple
+    form a subgroup, and the first failing row is a generator (see
+    `greedy_generators`).  So a pass there is a pass everywhere, and the
+    first failing tuple there is the lexicographically first one.  When
+    omega is no cocycle every row is walked; that check never passes, as
+    pi^* omega = delta alpha would make pi^* omega, hence omega (pi^* is
+    injective and commutes with delta), a cocycle.  Prefixes that touch
+    the identity are not swept: alpha and omega are normalized, so both
+    sides vanish there.  The name predates the other degrees and is kept
+    because perfbench/tracer.py patches it.  Returns (ok, first failing
+    tuple, the number of generator rows that decided a pass)."""
     gamma, gorder, k = alpha.group, omega.group.order, omega.coeffs.dim
     omega_rows = {}  # pi^* omega(t, .) per projected prefix
-
-    def mismatch(t, row):
-        """The first j with (delta alpha)(t, j) != pi^* omega(t, j), or None."""
+    firsts = greedy_generators(gamma) if first_cocycle_defect(omega) is None else None
+    rows = 0
+    for t, row in delta_rows(alpha, firsts=firsts):
         pt = tuple(proj[x] for x in t)
         rhs = omega_rows.get(pt)
         if rhs is None:
             wg = [omega.evaluate(pt + (g,)) for g in range(gorder)]
             rhs = omega_rows[pt] = [[wg[x][c] for x in proj] for c in range(k)]
-        if row == rhs:
-            return None
-        return next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*rhs))) if v != w)
-
-    gens = checked_generators(gamma)
-    if first_cocycle_defect(omega) is None and gens is not None:
-        rows = 0
-        for t, row in delta_rows(alpha, firsts=gens):
-            if mismatch(t, row) is not None:
-                break
-            rows += 1
-        else:
-            return True, None, rows
-    for t, row in delta_rows(alpha):
-        j = mismatch(t, row)
-        if j is not None:
+        if row != rhs:
+            j = next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*rhs))) if v != w)
             return False, t + (j,), None
-    return True, None, None
+        rows += 1
+    return True, None, rows
 
 
 # -- certificates ----------------------------------------------------------
@@ -409,8 +398,7 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
         raise SelfCheckFailed(f"trivialize_torsion: delta alpha differs from pi^* omega at {bad}")
     # the textbook formula of cochains on a few tuples: a spot-check of the
     # row-wise sweep, independent of it, on every primitive emitted
-    bad = _sampled_defect(omega, alpha, _projection(ext, group), seed, 16,
-                          cochains.coboundary_value)
+    bad = _sampled_defect(omega, alpha, _projection(ext, group), seed, 16)
     if bad is not None:
         raise SelfCheckFailed(f"trivialize_torsion: the textbook delta alpha differs from "
                               f"pi^* omega at {bad}")

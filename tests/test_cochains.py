@@ -594,6 +594,14 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
     swap = GModule(c2, [2, 2], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     expect_failure("HomModule", lambda: modules.HomModule(swap, trivial_module(c2, [4])))
     modules._hom_coords = coords
+
+    # a subgroup closure that drops an element never spans the group, so
+    # the greedy ends on a set that does not generate it
+    from groupcoh import groups
+    closure = groups.generated
+    groups.generated = lambda group, gens: closure(group, gens) - {group.order - 1}
+    expect_failure("greedy_generators", lambda: groups.greedy_generators(g))
+    groups.generated = closure
 """)
 
 
@@ -603,9 +611,9 @@ def test_self_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:9] == [
+    assert proc.stdout.split("\n")[:10] == [
         "caught solve_coboundary", "caught cohomology", "caught cohomology over Z: rank",
         "caught cohomology over Z: divisor", "caught cohomology over Z + Z/3: divisor",
         "caught solve_coboundary over Z", "caught solve_coboundary: no cocycle",
-        "caught averaging_homotopy", "caught HomModule",
+        "caught averaging_homotopy", "caught HomModule", "caught greedy_generators",
     ]

@@ -5,7 +5,6 @@ of `delta_rows`, each against a brute-force oracle; and `solve_coboundary`
 on the generator rows of delta against the solve on every row, with the
 cocycle check it runs only after the solve."""
 
-import dataclasses
 import itertools
 import math
 import os
@@ -37,7 +36,7 @@ from groupcoh.cochains import (coboundary_matrix, coboundary_value, delta_rows, 
                                map_coefficients, nonid_tuples)
 from groupcoh.errors import ActionNotHomomorphic, BadIdentityAction, ResourceLimit
 from groupcoh.extensions import GroupExtension
-from groupcoh.groups import FiniteGroup, checked_generators, generated
+from groupcoh.groups import generated, greedy_generators
 from groupcoh.modules import torsion_submodule
 
 
@@ -68,7 +67,7 @@ def _modules(group):
 def _split_c3_extension():
     """Z/3 x C3 as the extension by the coboundary c = delta u, u(1) = 1:
     (0, 1) generates a subgroup H of order 3 without (0, 2), so the greedy
-    generators() are (0, 1) and (0, 2)."""
+    generators are (0, 1) and (0, 2)."""
     g = cyclic_group(3)
     a = trivial_module(g, [3])
     return build_extension(a, coboundary(Cochain(g, a, 1, {(1,): (1,)})))
@@ -137,9 +136,9 @@ def _cocycles(rng, group, m, degree):
 
 def _corruptions(rng, f, count=8):
     """count copies of f with one value changed by a nonzero element; every
-    other one at a tuple whose first slot is outside generators()."""
+    other one at a tuple whose first slot is outside the greedy generators."""
     group, m = f.group, f.coeffs
-    gens = set(group.generators())
+    gens = set(greedy_generators(group))
     tuples = list(nonid_tuples(group.order, f.degree))
     off = [t for t in tuples if t[0] not in gens]
     out = []
@@ -172,50 +171,26 @@ def test_first_cocycle_defect_matches_brute_force(group_name):
                     assert first_cocycle_defect(bad) == want, (name, degree, bad.values)
 
 
-def test_first_cocycle_defect_witness_off_the_generators(monkeypatch):
+def test_first_cocycle_defect_witness_off_the_generators():
     """f constant on the cosets of H = <(0, 1)>, zero on H, and 1 on the
     coset of (0, 2): delta f vanishes on the rows starting in H but not on
     row 2.  Under the greedy S the lexicographically first defect always
     has its first slot in S (each earlier element lies in the subgroup of
-    the earlier generators, whose rows vanish), so 2 is a generator here.
-    Under a generating set that leaves 2 out, a generator row still fails,
-    and the full sweep alone names the first defect."""
+    the earlier generators, whose rows vanish), so 2 is a generator here."""
     ext = _split_c3_extension()
     h = {0, 1, ext.mul(1, 1)}
-    assert len(h) == 3 and 2 not in h and ext.generators() == [1, 2]
-    m = trivial_module(ext, [3])
-    coset2 = {ext.mul(2, x) for x in h}
-    f = Cochain(ext, m, 1, {(x,): (1,) for x in coset2})
+    assert len(h) == 3 and 2 not in h and greedy_generators(ext) == [1, 2]
+    f = _coset_cochain(ext, trivial_module(ext, [3]))
     want = _brute_defect(f)
     assert want[0] == 2
     assert first_cocycle_defect(f) == want
-    other = _off_two_generators(ext)
-    assert any(any(map(any, row)) for _, row in delta_rows(f, firsts=other))
-    monkeypatch.setattr(type(ext), "generators", lambda self: list(other))
-    assert first_cocycle_defect(f) == want
 
 
-@dataclasses.dataclass(frozen=True)
-class _FewGenerators(FiniteGroup):
-    """A FiniteGroup whose generators() names only element 1."""
-
-    def generators(self):
-        return [1]
-
-
-def _v4_with_few_generators():
-    g = builtin_group("cyclic:2*cyclic:2")
-    return _FewGenerators(g.order, g.elements, g.table, g.inverse)
-
-
-def test_first_cocycle_defect_needs_a_generating_set():
-    """On (Z/2)^2 with S = {1}, f = 1 on the coset {2, 3} of <1> has delta f
-    zero on every row starting in S but delta f(2, 2) = 2 in Z/4."""
-    g = _v4_with_few_generators()
-    m = trivial_module(g, [4])
-    f = Cochain(g, m, 1, {(2,): (1,), (3,): (1,)})
-    assert all(not any(map(any, row)) for _, row in delta_rows(f, firsts=[1]))
-    assert first_cocycle_defect(f) == _brute_defect(f) == (2, 2)
+def _coset_cochain(ext, m):
+    """The 1-cochain of the split C3 extension that is 1 on the coset of
+    (0, 2) modulo H = <(0, 1)> and 0 elsewhere."""
+    h = {0, 1, ext.mul(1, 1)}
+    return Cochain(ext, m, 1, {(ext.mul(2, x),): (1,) for x in h})
 
 
 def _first_non_homomorphic_pair(group, action, factors):
@@ -231,37 +206,60 @@ def _first_non_homomorphic_pair(group, action, factors):
     return None
 
 
-def test_validate_module_witness_off_the_generators(monkeypatch):
+def test_validate_module_witness_off_the_generators():
     """rho = 1 on H = <(0, 1)> and -1 elsewhere on Z: the row of (0, 1)
     passes, the row of (0, 2) fails, and the first failing pair in index
     order is (2, 2).  2 is a greedy generator (the first failing g always
-    is one, as the passing g form a subgroup); under a generating set that
-    leaves 2 out, the sweep still names (2, 2)."""
+    is one, as the passing g form a subgroup)."""
     ext = _split_c3_extension()
-    h = {0, 1, ext.mul(1, 1)}
-    action = [[[1]] if x in h else [[-1]] for x in range(ext.order)]
+    action = _coset_action(ext)
     want = _first_non_homomorphic_pair(ext, action, [0])
-    assert want == (ext.elements[2], ext.elements[2]) and 2 in ext.generators()
+    assert want == (ext.elements[2], ext.elements[2]) and 2 in greedy_generators(ext)
     with pytest.raises(ActionNotHomomorphic) as info:
         GModule(ext, [0], action)
     assert info.value.witness == want
+
+
+def _coset_action(ext):
+    """rho = 1 on H = <(0, 1)> and -1 elsewhere, on Z: no action."""
+    h = {0, 1, ext.mul(1, 1)}
+    return [[[1]] if x in h else [[-1]] for x in range(ext.order)]
+
+
+def test_brute_force_tests_catch_a_generating_set_that_is_not_greedy(monkeypatch):
+    """A mutation check of the brute-force comparisons: with
+    greedy_generators replaced, at its bindings in cochains, modules and
+    trivialize, by a generating set of the split C3 extension that leaves
+    out (0, 2), each check still fails, but names a witness on another
+    generator row than the brute-force sweep's first failing one."""
+    import groupcoh.modules as modules_module
+    import groupcoh.trivialize as tz
+    from groupcoh.extensions import module_through_projection
+
+    ext = _split_c3_extension()
     other = _off_two_generators(ext)
-    monkeypatch.setattr(type(ext), "generators", lambda self: list(other))
-    with pytest.raises(ActionNotHomomorphic) as info:
-        GModule(ext, [0], action)
-    assert info.value.witness == want
+    greedy = greedy_generators
+    m = trivial_module(ext.base, [3])
+    omega = Cochain(ext.base, m, 2)
+    f = _coset_cochain(ext, trivial_module(ext, [3]))
+    alpha = _coset_cochain(ext, module_through_projection(ext, m))
+    action = _coset_action(ext)
 
+    def witnesses():
+        with pytest.raises(ActionNotHomomorphic) as info:
+            GModule(ext, [0], action)
+        ok, bad, _ = tz.verify_lift_primitive(ext, omega, alpha)
+        assert not ok
+        return first_cocycle_defect(f), info.value.witness, bad
 
-def test_validate_module_needs_a_generating_set():
-    """On (Z/2)^2 with S = {1}: rho(1) = 1 and rho(2) = rho(3) = 2 on Z pass
-    the row of 1 but rho(2)^2 = 4 != rho(0)."""
-    g = _v4_with_few_generators()
-    action = [[[1]], [[1]], [[2]], [[2]]]
-    want = _first_non_homomorphic_pair(g, action, [0])
-    assert want == (g.elements[2], g.elements[2])
-    with pytest.raises(ActionNotHomomorphic) as info:
-        GModule(g, [0], action)
-    assert info.value.witness == want
+    want = (_brute_defect(f), _first_non_homomorphic_pair(ext, action, [0]), _brute_defect(alpha))
+    assert witnesses() == want
+    for module in (cochains_module, modules_module, tz):
+        monkeypatch.setattr(module, "greedy_generators",
+                            lambda group: list(other) if group is ext else greedy(group))
+    got = witnesses()
+    assert all(g != w for g, w in zip(got, want)), (got, want)
+    assert got[0][0] == got[2][0] == other[1] and got[1][0] == ext.elements[other[1]]
 
 
 @pytest.mark.parametrize("group_name", list(GROUPS))
@@ -440,7 +438,7 @@ def test_generator_row_solve_matches_the_full_row_solve(group_name):
     group = builtin_group({"C2": "cyclic:2", "C3": "cyclic:3", "C4": "cyclic:4",
                            "V4": "cyclic:2*cyclic:2", "S3": "symmetric:3",
                            "D4": "dihedral:4"}[group_name])
-    gens = checked_generators(group)
+    gens = greedy_generators(group)
     rng = random.Random(sum(map(ord, group_name)) + 18)
     unsolvable = 0
     for name, module in _solve_modules(group).items():
@@ -515,7 +513,7 @@ def test_solve_coboundary_tells_a_non_cocycle_by_the_post_check(monkeypatch):
     fails, and the cocycle test that runs only then tells f apart."""
     group = builtin_group("symmetric:3")
     m = trivial_module(group, [2])
-    gens = checked_generators(group)
+    gens = greedy_generators(group)
     a = next(x for x in range(1, group.order) if x not in gens)
     rng = random.Random(5)
     f = coboundary(Cochain(group, m, 1, {(g,): (rng.randrange(2),) for g in range(1, 6)}))
@@ -532,7 +530,7 @@ def test_solve_coboundary_checks_the_cocycle_before_the_lattice_correction(monke
     None before the lattice correction splits off the torsion."""
     group = builtin_group("symmetric:3")
     m = trivial_module(group, [0, 3])
-    gens = checked_generators(group)
+    gens = greedy_generators(group)
     a = next(x for x in range(1, group.order) if x not in gens)
     rng = random.Random(6)
     f = coboundary(Cochain(group, m, 1, {(g,): (rng.randrange(-4, 5), rng.randrange(3))
@@ -547,24 +545,6 @@ def test_solve_coboundary_checks_the_cocycle_before_the_lattice_correction(monke
     monkeypatch.setattr(cochains_module, "torsion_submodule", no_split)
     assert solve_coboundary(bad) is None
     assert events == ["solve", "cocycle"]
-
-
-def test_solve_coboundary_needs_a_generating_set():
-    """On (Z/2)^2 with S = {1}, x y (the cup product of the two coordinate
-    homomorphisms to Z/2) is a cocycle and no coboundary: every row must be
-    solved, since the rows starting in S alone have a solution."""
-    group = _v4_with_few_generators()
-    m = trivial_module(group, [2])
-    homs = [h for h in itertools.product((0, 1), repeat=4)
-            if h[0] == 0 and any(h) and all(h[group.mul(g, k)] == (h[g] + h[k]) % 2
-                                            for g in range(4) for k in range(4))]
-    x, y = homs[:2]
-    f = Cochain(group, m, 2, {(g, k): (x[g] * y[k],) for g in range(1, 4) for k in range(1, 4)})
-    assert checked_generators(group) is None and first_cocycle_defect(f) is None
-    rows, _, tgt = coboundary_matrix(group, m, 1, firsts=[1])
-    rhs = [v for t in tgt for v in f.evaluate(t)]
-    assert la.solve_with_moduli(rows, rhs, [2] * len(rows)) is not None
-    assert solve_coboundary(f) is None
 
 
 S4_SOLVE_SCRIPT = """
@@ -584,7 +564,7 @@ print(coboundary(x) == f, time.perf_counter() - start,
 
 def test_reach_of_the_solve_in_c3_of_s4_within_1_gb():
     """A delta x round trip in C^3(S4; Z/2): all of delta_2 would be
-    12167 x 529 = 6,436,343 entries, its rows on S = generators() (3
+    12167 x 529 = 6,436,343 entries, its rows on S = greedy_generators (3
     elements) 3 * 23^2 x 23^2 = 839,523."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -597,7 +577,7 @@ def test_reach_of_the_solve_in_c3_of_s4_within_1_gb():
     assert float(out[1]) < 5.0 and int(out[2]) < 120
     group = builtin_group("symmetric:4")
     m = trivial_module(group, [2])
-    assert len(checked_generators(group)) == 3
+    assert len(greedy_generators(group)) == 3
     f = coboundary(Cochain(group, m, 2, {(1, 1): (1,)}))
     with pytest.raises(ResourceLimit, match="needs 839523 entries .limit 839522."):
         solve_coboundary(f, max_entries=839_522)

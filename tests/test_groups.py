@@ -13,7 +13,7 @@ from groupcoh import (
     symmetric_group,
 )
 from groupcoh.errors import NoIdentity, NoInverse, NotAssociative, UnknownFamily
-from groupcoh.groups import generated, inverse, multiply
+from groupcoh.groups import generated, greedy_generators, inverse, multiply
 
 
 def assert_group_axioms(g):
@@ -142,7 +142,7 @@ def test_element_order():
 ])
 def test_generators_are_greedy_and_generate(spec, expected):
     g = builtin_group(spec)
-    gens = g.generators()
+    gens = greedy_generators(g)
     if expected is not None:
         assert gens == expected
     assert generated(g, gens) == set(range(g.order))

@@ -23,6 +23,7 @@ from groupcoh import (GModule, builtin_group, coboundary, cochain_from_function,
 from groupcoh import intlinalg as la
 from groupcoh.cochains import coboundary_matrix, nonid_tuples
 from groupcoh.errors import ResourceLimit, SelfCheckFailed
+from groupcoh.groups import greedy_generators
 
 
 def congruent_zero(a, x, moduli):
@@ -315,7 +316,7 @@ LATTICE_GROUPS = ["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
 def sign_module(group):
     """Z on which G acts through its first nontrivial homomorphism to
     {1, -1} (signs chosen on the generators), or None when G has none."""
-    gens = group.generators()
+    gens = greedy_generators(group)
     for mask in range(1, 2 ** len(gens)):
         sign = {0: 1}
         frontier = [0]

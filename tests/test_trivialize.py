@@ -45,7 +45,7 @@ from groupcoh.errors import (
     ResourceLimit,
     SelfCheckFailed,
 )
-from groupcoh.groups import checked_generators, generated
+from groupcoh.groups import generated, greedy_generators
 from groupcoh import cochains as cochains_module
 from groupcoh import trivialize as trivialize_module
 from groupcoh.trivialize import _check_restriction, verify_lift_primitive
@@ -845,7 +845,7 @@ def _shifted(alpha, support):
 def test_generator_rows_decide_a_pass(monkeypatch):
     cert = _bilinear_cert()
     ext = cert.extension
-    gens = ext.generators()
+    gens = greedy_generators(ext)
     # the lifts of the three non-identity elements of (Z/2)^2 generate Gamma
     assert gens == [1, 2, 3] and len(generated(ext, gens)) == ext.order == 2048
     starts = []
@@ -872,7 +872,7 @@ def test_generator_rows_agree_with_brute_force_off_the_generators():
     cert = trivialize_torsion(z3_generator_cocycle())
     ext, omega, alpha = cert.extension, cert.omega, cert.alpha
     assert ext.order == 243 and any(a != ext.kernel.action[0] for a in ext.kernel.action)
-    gens = set(ext.generators())
+    gens = set(greedy_generators(ext))
     outside = [x for x in range(1, ext.order) if x not in gens]
     rng = random.Random(8)
     cases = [alpha]
@@ -883,27 +883,6 @@ def test_generator_rows_agree_with_brute_force_off_the_generators():
         ok, bad, _ = verify_lift_primitive(ext, omega, case)
         assert (ok, bad) == _brute_force_lift_check(ext, omega, case)
     assert not verify_lift_primitive(ext, omega, cases[1])[0]
-
-
-@pytest.mark.parametrize("subgroup", ["trivial", "kernel"])
-def test_generator_rows_need_a_generating_set(monkeypatch, subgroup):
-    # S claimed to generate only H; alpha is corrupted by a function that
-    # is zero on H and constant on each coset Hx, so every row starting in
-    # S still matches, and only the generation check sends the sweep on
-    cert = trivialize_torsion(z3_generator_cocycle())
-    ext, omega, alpha = cert.extension, cert.omega, cert.alpha
-    if subgroup == "trivial":
-        claimed, corruption = [], {(5,): (1,)}
-    else:  # H = iota(A), cosets by pi; psi(pi x) with psi(1) = 1, psi(2) = 0
-        claimed = [x for x in ext.generators() if ext.pi(x) == 0]
-        corruption = {(x,): (1,) for x in range(1, ext.order) if ext.pi(x) == 1}
-    assert len(generated(ext, claimed)) < ext.order
-    bad_alpha = _shifted(alpha, corruption)
-    monkeypatch.setattr(type(ext), "generators", lambda self: list(claimed))
-    decided = []
-    ok, bad, _ = verify_lift_primitive(ext, omega, bad_alpha, decided=decided)
-    assert not ok and decided == []
-    assert (ok, bad) == _brute_force_lift_check(ext, omega, bad_alpha)
 
 
 def test_generator_rows_need_omega_to_be_a_cocycle():
@@ -917,7 +896,7 @@ def test_generator_rows_need_omega_to_be_a_cocycle():
     carry = Cochain(g, m, 2, {(i, j): (1,) for i in range(1, 4) for j in range(1, 4)
                               if i + j >= 4})
     ext = build_extension(m, carry)
-    assert ext.generators() == [1] and ext.pi(1) == 1
+    assert greedy_generators(ext) == [1] and ext.pi(1) == 1
     alpha = Cochain(ext, module_through_projection(ext, m), 1,
                     {(x,): (1,) for x in range(4, ext.order)})
     assert verify_lift_primitive(ext, carry, alpha)[:2] == (True, None)
@@ -961,17 +940,46 @@ def test_greedy_generators_of_certificate_extensions():
 
     towers = 0
     for name, ext in _certificate_extensions():
-        gens = checked_generators(ext)
-        assert gens is not None and len(generated(ext, gens)) == ext.order, name
+        gens = greedy_generators(ext)
+        assert len(generated(ext, gens)) == ext.order, name
         assert len(gens) <= len(_kernel_plus_base(ext)), name
         towers += isinstance(ext.base, type(ext))
     assert towers == 3
 
 
+def test_ladder_reject_witness_is_the_first_failing_tuple():
+    """The corrupted certificate of the benchmark's ladder: x^7 on C2 with
+    Z/2, |Gamma| = 4, so 4^7 = 16,384 tuples.  Each of 8 seeded alpha
+    entries, flipped as perfbench/workloads.py `reject_op` flips one,
+    fails alpha-trivializes with the lexicographically first failing tuple
+    as its witness, which lies on a generator row."""
+    g = cyclic_group(2)
+    cert = trivialize_torsion(Cochain(g, trivial_module(g, [2]), 7, {(1,) * 7: (1,)}))
+    assert cert.extension.order ** 7 == 16384
+    data = json.dumps(certificate_to_json(cert))
+    rng = random.Random(21)
+    witnesses = set()
+    for _ in range(8):
+        bad = json.loads(data)
+        entries = bad["alpha"]["values"]
+        entry = entries[int(rng.random() * len(entries))]
+        entry["value"] = [(entry["value"][0] + 1) % 2]
+        corrupted = certificate_from_json(bad)
+        check = next(c for c in verify_certificate(corrupted).checks
+                     if c.name == "alpha-trivializes")
+        ok, want = _brute_force_lift_check(corrupted.extension, corrupted.omega,
+                                           corrupted.alpha)
+        assert check.ok is False and not ok
+        assert check.witness == want
+        assert want[0] in greedy_generators(corrupted.extension)
+        witnesses.add(want)
+    assert len(witnesses) > 1
+
+
 def test_verify_decides_on_generator_rows_under_python_O(tmp_path):
     cert = _bilinear_cert()
     ext = cert.extension
-    gens = set(ext.generators())
+    gens = set(greedy_generators(ext))
     data = certificate_to_json(cert)
     good = tmp_path / "good.json"
     good.write_text(json.dumps(data))
