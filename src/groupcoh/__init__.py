@@ -56,7 +56,6 @@ from .modules import (
     HomModule,
     ModuleMap,
     TensorModule,
-    coinvariants,
     hom_module,
     invariants,
     load_module,

@@ -14,8 +14,7 @@ Exit codes:
   7  certificate verification failure
 
 All randomness flows from --seed (default 0) and is recorded in outputs;
-identical inputs and seed produce byte-identical files.  --threads is
-accepted and is a no-op: every command runs single-threaded.
+identical inputs and seed produce byte-identical files.
 
 The argument parser is built once per process, on the first call of main,
 and reused by every later call.
@@ -271,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resource limit override (also COCYCLE_MAX_TUPLES)")
         p.add_argument("--seed", type=_seed, default=0,
                        help="seed for sampled verification, >= 0 (default 0)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored (no-op); never affects output")
 
     p = sub.add_parser("group", help="build/validate a finite group")
     src = p.add_mutually_exclusive_group(required=True)

@@ -424,23 +424,39 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
     """Invariant factors of H^n(G; M) (0 denotes a free summand).
 
     On a lattice M (every factor 0) and n >= 1 they are read off one local
-    Smith form of delta_{n-1} alone (`_lattice_cohomology`).  Otherwise
-    H^n = W / R over Z/N by `intlinalg.kernel_quotient`, with e the exponent
-    of the torsion part M_T, N = |G| e, m = |G| N, C_F the free coordinates
-    of C^n, W the x with delta_n x = 0 modulo d_i on torsion rows and m on
-    free ones, plus N C_F, and R = im delta_{n-1} + N C_F + the relations
-    d_i e_i; on a torsion module C_F is empty.  With s the basis-aligned
-    section of M -> L = M/M_T, e s is a G-map.  A cocycle b + N s(c) has
-    delta_L c = 0, so |G| c = delta_L h (Brown, Cohomology of Groups,
-    III.10) and N s(c) = delta(e s(h)): H^n = (Z^n + N C^n) / (B^n + N C^n).
-    If delta x = m s(v), then |G| v = delta_L h and x - N s(h) is a
-    cocycle, so Z^n + N C^n = W; and N C^n = N C_F.  For n >= 1, |G| kills
-    H^n, so every factor is checked to divide |G|."""
+    Smith form of delta_{n-1} alone (`_lattice_cohomology`).  Otherwise, for
+    n >= 1, H^n = W / R over Z/N by `intlinalg.kernel_quotient`, with e the
+    exponent of the torsion part M_T, N = |G| e, m = |G| N, C_F the free
+    coordinates of C^n, W the x with delta_n x = 0 modulo d_i on torsion
+    rows and m on free ones, plus N C_F, and R = im delta_{n-1} + N C_F +
+    the relations d_i e_i; on a torsion module C_F is empty.  With s the
+    basis-aligned section of M -> L = M/M_T, e s is a G-map.  A cocycle b +
+    N s(c) has delta_L c = 0, so |G| c = delta_L h (Brown, Cohomology of
+    Groups, III.10) and N s(c) = delta(e s(h)): H^n = (Z^n + N C^n) /
+    (B^n + N C^n).  If delta x = m s(v), then |G| v = delta_L h and
+    x - N s(h) is a cocycle, so Z^n + N C^n = W; and N C^n = N C_F.  For
+    n >= 1, |G| kills H^n, so every factor is checked to divide |G|.
+
+    H^0 = M^G takes no elimination over Z.  M^G is finitely generated, its
+    torsion subgroup is M^G meet M_T = (M_T)^G, and its rank is
+    dim_Q (M (x) Q)^G = dim_Q ((M/M_T) (x) Q)^G = r_0 = sum_g tr rho_F(g) /
+    |G| (the character formula; Serre, Linear Representations of Finite
+    Groups, 2.3), where rho_F is the free block of the action: the torsion
+    columns have zero free rows, so rho_F is the action on M/M_T.  Hence
+    M^G = Z^{r_0} + (M_T)^G, and (M_T)^G is read over Z/N by `invariants`.
+    |G| must divide the trace sum and 0 <= r_0 <= dim M/M_T."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
-        inv, _ = invariants(module)
-        return list(inv.factors)
+        torsion, _, pmap, _ = torsion_submodule(module)
+        free = pmap.target
+        trace = _trace_sum(free)
+        rank = trace // group.order
+        if trace != rank * group.order or not 0 <= rank <= free.dim:
+            raise SelfCheckFailed(f"cohomology: the character sum {trace} of M/M_T is not "
+                                  f"|G| = {group.order} times a rank in [0, {free.dim}]")
+        inv, _ = invariants(torsion)
+        return list(inv.factors) + [0] * rank
     k = module.dim
     cur = list(nonid_tuples(group.order, n))
     if not cur or not k:
@@ -464,14 +480,20 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
     return factors
 
 
+def _trace_sum(module: GModule) -> int:
+    """sum_g tr rho(g): |G| times the rank of M^G over Q (the character
+    formula)."""
+    return sum(mat[i][i] for mat in module.action for i in range(module.dim))
+
+
 def _rational_rank(module: GModule, n: int) -> int:
     """|G| times the rank of delta_n over Q, independent of any Smith
-    form: rank delta_0 = k - r_0 with r_0 = sum_g tr rho(g) / |G| the rank
-    of M^G (the character formula), and rank delta_j = dim C^j -
-    rank delta_{j-1}, as the rational complex is exact in degrees >= 1.
-    Kept multiplied by |G|, so no division is taken on trust."""
+    form: rank delta_0 = k - r_0 with r_0 = `_trace_sum` / |G| the rank of
+    M^G, and rank delta_j = dim C^j - rank delta_{j-1}, as the rational
+    complex is exact in degrees >= 1.  Kept multiplied by |G|, so no
+    division is taken on trust."""
     order, k = module.group.order, module.dim
-    rank = k * order - sum(mat[i][i] for mat in module.action for i in range(k))
+    rank = k * order - _trace_sum(module)
     for j in range(1, n + 1):
         rank = k * (order - 1) ** j * order - rank
     return rank

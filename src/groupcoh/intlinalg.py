@@ -3,9 +3,9 @@
 Matrices are row-major lists of lists, in arbitrary precision; no numpy
 here.
 
-Two eliminations serve every routine.  With every row modulus nonzero,
-one local Smith form over Z/N (`_diagonalize_modulo`, N the lcm of the
-moduli, every entry below N) serves `solve_with_moduli`,
+One elimination serves the runtime: the local Smith form over Z/N
+(`_diagonalize_modulo`, N the lcm of the row moduli, every modulus
+nonzero and every entry below N), behind `solve_with_moduli`,
 `kernel_with_moduli` (whose generators reduce to a triangular Hermite
 basis modulo N) and `cokernel_modulo` (all its lift columns in one
 call).  It is sparse: each row is a dict of its nonzero entries, a
@@ -13,18 +13,18 @@ column index lists the rows of each column, and the pivot is a unit in
 the first column that has entries, in the row of fewest entries, so
 clearing a coboundary matrix (at most n + 2 nonzero blocks a row) costs
 about its nonzeros, not its rows times its columns (Dumas, Saunders and
-Villard, JSC 2001).  `kernel_quotient` joins them by
-back substitution into the quotient W / R that invariants and the
+Villard, JSC 2001).  `kernel_quotient` joins them by back substitution
+into the quotient W / R that the invariants of a finite module and the
 cohomology of a module with a finite factor read.  Cohomology with
 lattice coefficients calls the local Smith form directly, on delta_{n-1}
-over Z/|G|^2, and every coboundary equation is solved over Z/N.  The
+over Z/|G|^2, and every coboundary equation is solved over Z/N.  Each
+runtime routine refuses a free (0) modulus with ValueError.
+
+The last section is the integer reference, with no runtime caller: the
 integer Smith normal form `_snf_full`, whose entries grow without bound
-on dense inputs, serves only module-sized systems with a free (0)
-modulus: `kernel_quotient` for the invariants of a module with a free
-factor, and the coinvariants.  It builds only the transforms a caller
-reads through its ``track`` keyword: `kernel_basis` tracks V,
-`solve_integer` U and V (one factorization for all its right-hand
-sides), and `cokernel_structure` U and U^-1.
+on dense inputs, and `solve_integer`, `kernel_basis` and
+`cokernel_structure` over it.  The tests compare the runtime against
+them.
 """
 
 from __future__ import annotations
@@ -84,174 +84,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 row.extend(aij * b[k][l] for l in range(bm))
             out.append(row)
     return out
-
-
-TRANSFORMS = ("u", "ui", "v", "vi")
-
-
-def _snf_full(a: Matrix, cols: int = None, track=TRANSFORMS):
-    """Return (U, Uinv, D, V, Vinv) with U*a*V = D, D diagonal with a
-    divisibility chain, U and V unimodular (inverses tracked exactly).
-
-    ``track`` names the transforms to build, out of "u", "ui", "v" and
-    "vi"; an untracked one comes back as [].  The pivot sequence depends
-    on D alone, so D and every tracked transform are the same entry for
-    entry whatever the selection, and tracking less only saves work.
-    """
-    if not set(track) <= set(TRANSFORMS):
-        raise ValueError(f"unknown transforms {sorted(set(track) - set(TRANSFORMS))}")
-    m = len(a)
-    n = len(a[0]) if m else (cols or 0)
-    d = [row[:] for row in a]
-    u = identity_matrix(m) if "u" in track else []
-    ui = identity_matrix(m) if "ui" in track else []
-    v = identity_matrix(n) if "v" in track else []
-    vi = identity_matrix(n) if "vi" in track else []
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        if u:
-            u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        if vi:
-            vi[i], vi[j] = vi[j], vi[i]
-
-    def row_add(i, j, q):
-        # row_i += q * row_j ; inverse: col_j of Uinv -= q * col_i.  Rows
-        # i, j >= t are zero left of column t, so only columns t.. change.
-        d[i][t:] = [x + q * y for x, y in zip(d[i][t:], d[j][t:])]
-        if u:
-            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in ui:
-            if r[i]:
-                r[j] -= q * r[i]
-
-    def col_add(j, i, q):
-        # col_j += q * col_i ; inverse: row_i of Vinv -= q * row_j
-        for r in d:
-            if r[i]:
-                r[j] += q * r[i]
-        for r in v:
-            if r[i]:
-                r[j] += q * r[i]
-        if vi:
-            vi[i] = [x - q * y for x, y in zip(vi[i], vi[j])]
-
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        if u:
-            u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
-
-    t = 0
-    while t < min(m, n):
-        # locate the first entry (row-major) of least nonzero magnitude in
-        # the trailing block; a unit cannot be beaten, so stop at the first
-        pivot = None
-        best = None
-        for i in range(t, m):
-            row = d[i][t:]
-            if not any(row):
-                continue
-            low = min(map(abs, filter(None, row)))
-            if best is None or low < best:
-                best = low
-                pivot = (i, t + next(j for j, x in enumerate(row) if abs(x) == low))
-                if best == 1:
-                    break
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        while True:
-            stable = True
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_add(i, t, -q)
-                    if d[i][t]:
-                        row_swap(t, i)
-                        stable = False
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_add(j, t, -q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        stable = False
-            if not stable:
-                continue
-            # pivot must divide every remaining entry for the chain d_i | d_{i+1};
-            # a unit divides everything
-            p = d[t][t]
-            if abs(p) == 1:
-                break
-            rem = p.__rmod__  # rem(x) == x % p
-            bad = next((i for i in range(t + 1, m) if any(map(rem, d[i][t + 1:]))), None)
-            if bad is None:
-                break
-            row_add(t, bad, 1)
-        if d[t][t] < 0:
-            row_negate(t)
-        t += 1
-    return u, ui, d, v, vi
-
-
-def solve_integer(a: Matrix, rhs: list, cols: int = None) -> list:
-    """Solve a @ x = b over Z for every column b of rhs (a list of
-    columns), returning one integer x or None for each.  One Smith normal
-    form U a V = D serves them all: y_i solves d_i y_i = (U b)_i (rows
-    past the rank need (U b)_i = 0), and x = V y."""
-    n = len(a[0]) if a else (cols or 0)
-    if not a:
-        return [[0] * n for _ in rhs]
-    u, _, d, v, _ = _snf_full(a, cols, track=("u", "v"))
-    out = []
-    for b in rhs:
-        y = [0] * n
-        for i, ub in enumerate(mat_vec(u, b)):
-            di = d[i][i] if i < n else 0
-            if di:
-                y[i], ub = divmod(ub, di)
-            if ub:
-                y = None
-                break
-        out.append(None if y is None else mat_vec(v, y))
-    return out
-
-
-def kernel_basis(a: Matrix, cols: int = None) -> list:
-    """Basis (as a list of column vectors) of the saturated integer kernel."""
-    m = len(a)
-    n = len(a[0]) if m else (cols or 0)
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    _, _, d, v, _ = _snf_full(a, cols, track=("v",))
-    out = []
-    for j in range(n):
-        dj = d[j][j] if j < m else 0
-        if dj == 0:
-            out.append([v[i][j] for i in range(n)])
-    return out
-
-
-def _augment_moduli(a: Matrix, moduli: list, cols: int):
-    """(aug, aug_cols): a (with cols columns) followed by one column
-    moduli[i] * e_i per nonzero modulus, so that a @ x = b modulo the
-    per-row moduli exactly when aug @ (x, y) = b for some integer y."""
-    rows = [i for i, md in enumerate(moduli) if md]
-    aug = [row + [0] * len(rows) for row in a]
-    for c, i in enumerate(rows):
-        aug[i][cols + c] = moduli[i]
-    return aug, cols + len(rows)
 
 
 def _xgcd(p: int, x: int):
@@ -518,33 +350,27 @@ def _hnf_modulo(gens: list, n: int, big: int) -> list:
 
 
 def kernel_with_moduli(a: Matrix, moduli: list, cols: int = None) -> list:
-    """A basis of the lattice L of x with a @ x = 0 modulo per-row moduli
-    (0 = exact).
+    """A basis of the lattice L of x with a @ x = 0 modulo per-row moduli.
+    Every modulus must be nonzero; a free (0) one raises ValueError.
 
-    With every modulus nonzero, L contains N*Z^n (N = lcm of the moduli)
-    and the local Smith form U a V = D of `_diagonalize_modulo` spans it
-    modulo N: column j of V times N/gcd(d_j, N), with d_j = 0 past the
-    rank.  V is invertible only modulo N, so these are generators, not a
-    basis ([2] modulo 5 spans 2Z); with N*Z^n they reduce to the Hermite
-    normal form, an upper-triangular basis (vector j ends in entry j)
-    whose diagonal product is [Z^n : L].
-
-    A free modulus takes kernel_basis of the augmented matrix (x, y), and
-    (x, y) -> x is injective there: each y-column is moduli[i] * e_i for a
-    nonzero modulus, in a row of its own, so x = 0 forces y = 0.  The
-    x-parts are therefore a basis, not just generators.
+    L contains N*Z^n (N = lcm of the moduli), and the local Smith form
+    U a V = D of `_diagonalize_modulo` spans it modulo N: column j of V
+    times N/gcd(d_j, N), with d_j = 0 past the rank.  V is invertible only
+    modulo N, so these are generators, not a basis ([2] modulo 5 spans
+    2Z); with N*Z^n they reduce to the Hermite normal form, an
+    upper-triangular basis (vector j ends in entry j) whose diagonal
+    product is [Z^n : L].
     """
+    if not all(moduli):
+        raise ValueError("kernel_with_moduli needs nonzero moduli")
     n = len(a[0]) if a else (cols or 0)
-    if all(moduli):
-        d, vt, big = _diagonalize_modulo(a, moduli, n)
-        gens = []
-        for j, col in enumerate(vt):
-            scale = big // math.gcd(d[j][j] if j < len(d) else 0, big)
-            if scale < big:
-                gens.append([scale * x % big for x in col])
-        return _hnf_modulo(gens, n, big)
-    aug, aug_cols = _augment_moduli(a, moduli, n)
-    return [vec[:n] for vec in kernel_basis(aug, cols=aug_cols)]
+    d, vt, big = _diagonalize_modulo(a, moduli, n)
+    gens = []
+    for j, col in enumerate(vt):
+        scale = big // math.gcd(d[j][j] if j < len(d) else 0, big)
+        if scale < big:
+            gens.append([scale * x % big for x in col])
+    return _hnf_modulo(gens, n, big)
 
 
 def _triangular_coordinates(basis: list, vecs: list):
@@ -576,24 +402,6 @@ def _triangular_coordinates(basis: list, vecs: list):
     return out
 
 
-def cokernel_structure(gens: list, ambient: int):
-    """Structure of Z^ambient / <gens> (gens are column vectors).
-
-    Returns (factors, proj, lift): coordinate moduli in invariant-factor
-    order (torsion ascending, then 0 for free), with modulus-1 coordinates
-    dropped; proj maps ambient coords to quotient coords, lift is a section.
-    """
-    r = len(gens)
-    mat = [[gens[j][i] for j in range(r)] for i in range(ambient)]
-    u, ui, d, _, _ = _snf_full(mat, cols=r, track=("u", "ui"))
-    moduli = [d[i][i] if i < r else 0 for i in range(ambient)]
-    keep = [i for i, md in enumerate(moduli) if md != 1]
-    factors = [moduli[i] for i in keep]
-    proj = [u[i] for i in keep]
-    lift = [[ui[i][j] for j in keep] for i in range(ambient)]
-    return factors, proj, lift
-
-
 def cokernel_modulo(gens: list, ambient: int, big: int):
     """Structure of Z^ambient / (<gens> + big*Z^ambient), as
     cokernel_structure returns it (here every factor divides big).
@@ -619,38 +427,207 @@ def cokernel_modulo(gens: list, ambient: int, big: int):
 
 def kernel_quotient(a: Matrix, moduli: list, gens: list, rel_moduli: list):
     """W / R for the lattice W of x in Z^k with a @ x = 0 modulo per-row
-    moduli (0 = exact), and R spanned by the column vectors gens and by
-    rel_moduli[i] * e_i (k = len(rel_moduli), 0 = no relation).
+    moduli, and R spanned by the column vectors gens and by rel_moduli[i] *
+    e_i (k = len(rel_moduli)).  Every modulus and every relation must be
+    nonzero; a free (0) one raises ValueError.
 
-    Returns (factors, incl): the invariant factors of W / R in
-    cokernel_structure's order, and the k x len(factors) matrix that
-    sends each quotient generator to a vector of W; or None when a
-    generator of R lies outside W.
+    Returns (factors, incl): the invariant factors of W / R, a divisibility
+    chain, and the k x len(factors) matrix that sends each quotient
+    generator to a vector of W; or None when a generator of R lies outside
+    W.
 
-    With every modulus and every relation nonzero, R contains N*Z^k (N =
-    lcm of rel_moduli), W is taken with N*Z^k added (the triangular basis
-    of `kernel_with_moduli` reduced modulo N, if N*Z^k is not in W), and
-    the generators' coordinates, found by back substitution, give W / R by
-    `cokernel_modulo` over Z/N.  Otherwise (the invariants of a module with
-    a free factor) every generator is solved against W's basis by one
-    integer Smith normal form (`solve_integer`), and `cokernel_structure`
-    reads the quotient.
+    R contains N*Z^k (N = lcm of rel_moduli), W is taken with N*Z^k added
+    (the triangular basis of `kernel_with_moduli` reduced modulo N, if
+    N*Z^k is not in W), and the generators' coordinates, found by back
+    substitution, give W / R by `cokernel_modulo` over Z/N.
     """
+    if not (all(moduli) and all(rel_moduli)):
+        raise ValueError("kernel_quotient needs nonzero moduli and relations")
     k = len(rel_moduli)
-    gens = list(gens) + [[d if r == i else 0 for r in range(k)]
-                         for i, d in enumerate(rel_moduli) if d]
+    gens = list(gens) + [[d if r == i else 0 for r in range(k)] for i, d in enumerate(rel_moduli)]
     basis = kernel_with_moduli(a, moduli, cols=k)
-    if all(moduli) and all(rel_moduli):
-        big = math.lcm(*rel_moduli)
-        if big % math.lcm(*moduli):
-            basis = _hnf_modulo(basis, k, big)
-        coords = _triangular_coordinates(basis, gens)
-        if coords is None:
-            return None
-        factors, _, lift = cokernel_modulo(coords, len(basis), big)
-    else:
-        coords = solve_integer(mat_transpose(basis, k), gens, cols=len(basis))
-        if None in coords:
-            return None
-        factors, _, lift = cokernel_structure(coords, len(basis))
+    big = math.lcm(*rel_moduli)
+    if big % math.lcm(*moduli):
+        basis = _hnf_modulo(basis, k, big)
+    coords = _triangular_coordinates(basis, gens)
+    if coords is None:
+        return None
+    factors, _, lift = cokernel_modulo(coords, len(basis), big)
     return factors, mat_mul(mat_transpose(basis, k), lift)
+
+
+# -- integer reference: no runtime caller ---------------------------------
+
+TRANSFORMS = ("u", "ui", "v", "vi")
+
+
+def _snf_full(a: Matrix, cols: int = None, track=TRANSFORMS):
+    """Return (U, Uinv, D, V, Vinv) with U*a*V = D, D diagonal with a
+    divisibility chain, U and V unimodular (inverses tracked exactly).
+
+    ``track`` names the transforms to build, out of "u", "ui", "v" and
+    "vi"; an untracked one comes back as [].  The pivot sequence depends
+    on D alone, so D and every tracked transform are the same entry for
+    entry whatever the selection, and tracking less only saves work.
+    """
+    if not set(track) <= set(TRANSFORMS):
+        raise ValueError(f"unknown transforms {sorted(set(track) - set(TRANSFORMS))}")
+    m = len(a)
+    n = len(a[0]) if m else (cols or 0)
+    d = [row[:] for row in a]
+    u = identity_matrix(m) if "u" in track else []
+    ui = identity_matrix(m) if "ui" in track else []
+    v = identity_matrix(n) if "v" in track else []
+    vi = identity_matrix(n) if "vi" in track else []
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        if u:
+            u[i], u[j] = u[j], u[i]
+        for r in ui:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+        if vi:
+            vi[i], vi[j] = vi[j], vi[i]
+
+    def row_add(i, j, q):
+        # row_i += q * row_j ; inverse: col_j of Uinv -= q * col_i.  Rows
+        # i, j >= t are zero left of column t, so only columns t.. change.
+        d[i][t:] = [x + q * y for x, y in zip(d[i][t:], d[j][t:])]
+        if u:
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        for r in ui:
+            if r[i]:
+                r[j] -= q * r[i]
+
+    def col_add(j, i, q):
+        # col_j += q * col_i ; inverse: row_i of Vinv -= q * row_j
+        for r in d:
+            if r[i]:
+                r[j] += q * r[i]
+        for r in v:
+            if r[i]:
+                r[j] += q * r[i]
+        if vi:
+            vi[i] = [x - q * y for x, y in zip(vi[i], vi[j])]
+
+    def row_negate(i):
+        d[i] = [-x for x in d[i]]
+        if u:
+            u[i] = [-x for x in u[i]]
+        for r in ui:
+            r[i] = -r[i]
+
+    t = 0
+    while t < min(m, n):
+        # locate the first entry (row-major) of least nonzero magnitude in
+        # the trailing block; a unit cannot be beaten, so stop at the first
+        pivot = None
+        best = None
+        for i in range(t, m):
+            row = d[i][t:]
+            if not any(row):
+                continue
+            low = min(map(abs, filter(None, row)))
+            if best is None or low < best:
+                best = low
+                pivot = (i, t + next(j for j, x in enumerate(row) if abs(x) == low))
+                if best == 1:
+                    break
+        if pivot is None:
+            break
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        while True:
+            stable = True
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    row_add(i, t, -q)
+                    if d[i][t]:
+                        row_swap(t, i)
+                        stable = False
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    col_add(j, t, -q)
+                    if d[t][j]:
+                        col_swap(t, j)
+                        stable = False
+            if not stable:
+                continue
+            # pivot must divide every remaining entry for the chain d_i | d_{i+1};
+            # a unit divides everything
+            p = d[t][t]
+            if abs(p) == 1:
+                break
+            rem = p.__rmod__  # rem(x) == x % p
+            bad = next((i for i in range(t + 1, m) if any(map(rem, d[i][t + 1:]))), None)
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+        if d[t][t] < 0:
+            row_negate(t)
+        t += 1
+    return u, ui, d, v, vi
+
+
+def solve_integer(a: Matrix, rhs: list, cols: int = None) -> list:
+    """Solve a @ x = b over Z for every column b of rhs (a list of
+    columns), returning one integer x or None for each.  One Smith normal
+    form U a V = D serves them all: y_i solves d_i y_i = (U b)_i (rows
+    past the rank need (U b)_i = 0), and x = V y."""
+    n = len(a[0]) if a else (cols or 0)
+    if not a:
+        return [[0] * n for _ in rhs]
+    u, _, d, v, _ = _snf_full(a, cols, track=("u", "v"))
+    out = []
+    for b in rhs:
+        y = [0] * n
+        for i, ub in enumerate(mat_vec(u, b)):
+            di = d[i][i] if i < n else 0
+            if di:
+                y[i], ub = divmod(ub, di)
+            if ub:
+                y = None
+                break
+        out.append(None if y is None else mat_vec(v, y))
+    return out
+
+
+def kernel_basis(a: Matrix, cols: int = None) -> list:
+    """Basis (as a list of column vectors) of the saturated integer kernel."""
+    m = len(a)
+    n = len(a[0]) if m else (cols or 0)
+    if m == 0:
+        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    _, _, d, v, _ = _snf_full(a, cols, track=("v",))
+    out = []
+    for j in range(n):
+        dj = d[j][j] if j < m else 0
+        if dj == 0:
+            out.append([v[i][j] for i in range(n)])
+    return out
+
+
+def cokernel_structure(gens: list, ambient: int):
+    """Structure of Z^ambient / <gens> (gens are column vectors).
+
+    Returns (factors, proj, lift): coordinate moduli in invariant-factor
+    order (torsion ascending, then 0 for free), with modulus-1 coordinates
+    dropped; proj maps ambient coords to quotient coords, lift is a section.
+    """
+    r = len(gens)
+    mat = [[gens[j][i] for j in range(r)] for i in range(ambient)]
+    u, ui, d, _, _ = _snf_full(mat, cols=r, track=("u", "ui"))
+    moduli = [d[i][i] if i < r else 0 for i in range(ambient)]
+    keep = [i for i, md in enumerate(moduli) if md != 1]
+    factors = [moduli[i] for i in keep]
+    proj = [u[i] for i in keep]
+    lift = [[ui[i][j] for j in keep] for i in range(ambient)]
+    return factors, proj, lift

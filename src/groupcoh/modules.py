@@ -254,11 +254,17 @@ def index_tables(m: GModule):
     return neg, act
 
 
-# -- invariants / coinvariants / torsion ----------------------------------
+# -- invariants / torsion --------------------------------------------------
 
 
 def invariants(m: GModule):
-    """(M^G as a trivial module, inclusion map into M)."""
+    """(M^G as a trivial module, inclusion map into M) for a finite module
+    M; a free factor raises SourceNotTorsion, as the inclusion of a free
+    part needs an integer kernel (`cochains.cohomology` in degree 0 reads
+    M^G of any module)."""
+    if not m.is_torsion:
+        raise SourceNotTorsion("invariants need a finite module; "
+                               "cohomology(G, M, 0) gives M^G of any module")
     k = m.dim
     rows = [[mat[i][j] - (i == j) for j in range(k)] for mat in m.action[1:] for i in range(k)]
     moduli = list(m.factors) * (m.group.order - 1)
@@ -269,26 +275,8 @@ def invariants(m: GModule):
     factors, incl = quotient
     inv = trivial_module(m.group, factors)
     # inclusion: each quotient generator lifted to W, reduced in M row by row
-    incl = [[x % d if d else x for x in row] for row, d in zip(incl, m.factors)]
+    incl = [[x % d for x in row] for row, d in zip(incl, m.factors)]
     return inv, ModuleMap(inv, m, incl)
-
-
-def coinvariants(m: GModule):
-    """(M_G as a trivial module, projection map from M)."""
-    k = m.dim
-    gens = [
-        [d if r == i else 0 for r in range(k)]
-        for i, d in enumerate(m.factors)
-        if d
-    ]
-    for g in range(1, m.group.order):
-        mat = m.action[g]
-        for j in range(k):
-            gens.append([mat[i][j] - (1 if i == j else 0) for i in range(k)])
-    factors, proj, _lift = la.cokernel_structure(gens, k)
-    co = trivial_module(m.group, factors)
-    pmap = ModuleMap(m, co, proj)
-    return co, pmap
 
 
 def torsion_submodule(m: GModule):

@@ -369,20 +369,6 @@ def test_trivialize_byte_deterministic(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_threads_flag_does_not_change_output(capsys, tmp_path):
-    cocycle = z2_cocycle_file(tmp_path)
-    p1, p2 = tmp_path / "c1.json", tmp_path / "c2.json"
-    run(
-        capsys, "trivialize", "--group", "cyclic:2", "--module", "trivial:2",
-        "--cocycle", cocycle, "--degree", "2", "--out", str(p1),
-    )
-    run(
-        capsys, "trivialize", "--group", "cyclic:2", "--module", "trivial:2",
-        "--cocycle", cocycle, "--degree", "2", "--threads", "4", "--out", str(p2),
-    )
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_missing_file_exit_1(capsys, tmp_path):
     code, _, err = run(
         capsys, "trivialize", "--group", "cyclic:2", "--module", "trivial:2",

@@ -297,8 +297,8 @@ def test_cohomology_degree_zero_is_invariants():
 
 
 def test_cohomology_factors_each_matrix_once(monkeypatch):
-    # at most one Smith normal form per matrix; finite coefficients take
-    # none (tests/test_modular_lattice.py counts them exactly)
+    # finite coefficients take no integer Smith normal form at all
+    # (tests/test_modular_lattice.py counts them on more modules)
     calls = []
     snf = intlinalg._snf_full
 
@@ -309,7 +309,7 @@ def test_cohomology_factors_each_matrix_once(monkeypatch):
     monkeypatch.setattr(intlinalg, "_snf_full", counted)
     g = cyclic_group(4)
     assert cohomology(g, trivial_module(g, [4]), 4) == [4]
-    assert len(calls) <= 4
+    assert len(calls) == 0
 
 
 def sign_on_z(group):
@@ -499,7 +499,7 @@ def test_cochain_json_rejects_identity():
 
 SELF_CHECK_SCRIPT = textwrap.dedent("""
     from groupcoh import cochains, intlinalg
-    from groupcoh import coboundary, cochain_from_function, cyclic_group, trivial_module
+    from groupcoh import GModule, coboundary, cochain_from_function, cyclic_group, trivial_module
     from groupcoh.errors import SelfCheckFailed
 
     if __debug__:
@@ -559,6 +559,11 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
                    lambda: cochains.cohomology(g, trivial_module(g, [0, 3]), 2))
     intlinalg.cokernel_modulo = cokernel
 
+    # C3 acting on Z with traces 1, 1, 0: a character sum of 2, which
+    # |G| = 3 does not divide (no valid module has it)
+    broken = GModule(g, [0], [[[1]], [[1]], [[0]]], _validate=False)
+    expect_failure("cohomology H^0: character", lambda: cochains.cohomology(g, broken, 0))
+
     z = trivial_module(g, [0])
     w = coboundary(cochain_from_function(g, z, 1, lambda t: (t[0],)))
     # solved modulo N = 3, delta x for x = 5 at g and 0 at g2 leaves a rest
@@ -586,7 +591,7 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
 
     # Hom((Z/2)^2, Z/4) with C2 swapping the summands: a coordinate step
     # corrupted from 2 to 1 sends that coordinate to an odd image at e_1
-    from groupcoh import GModule, modules
+    from groupcoh import modules
     coords = modules._hom_coords
     modules._hom_coords = lambda a, m: [
         (j, i, 1 if n == 0 else step) for n, (j, i, step) in enumerate(coords(a, m))]
@@ -611,9 +616,10 @@ def test_self_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:10] == [
+    assert proc.stdout.split("\n")[:11] == [
         "caught solve_coboundary", "caught cohomology", "caught cohomology over Z: rank",
         "caught cohomology over Z: divisor", "caught cohomology over Z + Z/3: divisor",
+        "caught cohomology H^0: character",
         "caught solve_coboundary over Z", "caught solve_coboundary: no cocycle",
         "caught averaging_homotopy", "caught HomModule", "caught greedy_generators",
     ]

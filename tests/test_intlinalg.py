@@ -119,8 +119,15 @@ def test_solve_with_moduli():
 
 
 def test_solve_with_moduli_rejects_a_free_modulus():
+    a = [[2, 4, -1], [3, 1, 2]]
     with pytest.raises(ValueError, match="nonzero moduli"):
-        la.solve_with_moduli([[2, 4, -1], [3, 1, 2]], [3, 1], [0, 4])
+        la.solve_with_moduli(a, [3, 1], [0, 4])
+    with pytest.raises(ValueError, match="nonzero moduli"):
+        la.kernel_with_moduli(a, [4, 0], cols=3)
+    with pytest.raises(ValueError, match="nonzero moduli"):
+        la.kernel_quotient(a, [0, 4], [], [4, 4, 4])
+    with pytest.raises(ValueError, match="nonzero moduli"):
+        la.kernel_quotient(a, [4, 4], [], [4, 0, 4])
 
 
 def test_cokernel_structure():
@@ -228,8 +235,19 @@ def congruent(a, x, b, moduli):
                for ax, bi, md in zip(la.mat_vec(a, x), b, moduli))
 
 
+def augment_moduli(a, moduli, cols):
+    """(aug, aug_cols): a (with cols columns) followed by one column
+    moduli[i] * e_i per nonzero modulus, so that a @ x = b modulo the
+    per-row moduli exactly when aug @ (x, y) = b for some integer y."""
+    rows = [i for i, md in enumerate(moduli) if md]
+    aug = [row + [0] * len(rows) for row in a]
+    for c, i in enumerate(rows):
+        aug[i][cols + c] = moduli[i]
+    return aug, cols + len(rows)
+
+
 def augmented_snf_solve(a, b, moduli, cols):
-    aug, aug_cols = la._augment_moduli(a, moduli, cols)
+    aug, aug_cols = augment_moduli(a, moduli, cols)
     [sol] = la.solve_integer(aug, [b], cols=aug_cols)
     return None if sol is None else sol[:cols]
 
@@ -297,25 +315,28 @@ def rational_solve(mat, b):
 
 def test_kernel_with_moduli_returns_a_basis():
     # independent vectors that satisfy the congruences and generate every
-    # solution in a box and the lcm multiples of the unit vectors.  Being
-    # independent, they give each solution unique rational coordinates,
-    # which must be integers.  (solve_integer cannot be the oracle:
-    # the integer Smith normal form of these bases runs away on 8 of the
-    # 200 systems.)
+    # solution in a box and the lcm multiples of the unit vectors.  The
+    # lattice holds lcm * Z^n, so there are n of them, and each solution
+    # has unique rational coordinates, read off the inverse of the basis
+    # matrix, which must be integers.  (solve_integer cannot be the oracle:
+    # the integer Smith normal form of such bases can run away, as on the
+    # 5 x 5 system of tests/test_modular_lattice.py.)
     rng = random.Random(31)
     for _ in range(200):
         rows, cols = rng.randrange(0, 6), rng.randrange(1, 6)
         a = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
-        moduli = [rng.choice([0, 0, 2, 3, 5, 7, 4, 6, 9, 12]) for _ in range(rows)]
+        moduli = [rng.choice([2, 3, 5, 7, 4, 6, 9, 12]) for _ in range(rows)]
         zero = [0] * rows
         basis = la.kernel_with_moduli(a, moduli, cols=cols)
         assert all(len(v) == cols and congruent(a, v, zero, moduli) for v in basis)
         kmat = [[v[i] for v in basis] for i in range(cols)]
-        assert rational_solve(kmat, [0] * cols)[0] == len(basis)
+        assert len(basis) == cols and rational_solve(kmat, [0] * cols)[0] == cols
+        inverse = [rational_solve(kmat, [int(i == j) for i in range(cols)])[1]
+                   for j in range(cols)]
         big = math.lcm(1, *moduli)
         tries = list(itertools.product(range(-2, 3), repeat=cols))
         tries += [tuple(big if i == j else 0 for i in range(cols)) for j in range(cols)]
         for x in tries:
             if congruent(a, x, zero, moduli):
-                _, t = rational_solve(kmat, x)
-                assert t is not None and all(c.denominator == 1 for c in t)
+                t = [sum(col[r] * xj for col, xj in zip(inverse, x)) for r in range(cols)]
+                assert all(c.denominator == 1 for c in t)

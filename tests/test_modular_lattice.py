@@ -1,29 +1,35 @@
 """Lattices modulo N: the triangular kernel basis, back substitution and
 the local Smith form that serve cohomology and the invariants of finite
-modules.
+modules, and H^0 by the character formula.
 
 The oracles are independent of that path: the index of a kernel lattice
 is counted from the solutions modulo N, cohomology and invariants are
 compared with the integer route (kernel_basis of the moduli-augmented
-matrix, solve_integer, cokernel_structure) where that route finishes,
-and with dimensions from ranks over F_p where its Smith normal form runs
-away.
+matrix, solve_integer, cokernel_structure; the runtime never calls them)
+where that route finishes, and with dimensions from ranks over F_p where
+its Smith normal form runs away.
 """
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
 from groupcoh import (GModule, builtin_group, coboundary, cochain_from_function, cohomology,
-                      cyclic_group, invariants, solve_coboundary, torsion_submodule,
-                      trivial_module)
+                      cyclic_group, invariants, module_to_json, solve_coboundary,
+                      torsion_submodule, trivial_module)
 from groupcoh import intlinalg as la
 from groupcoh.cochains import coboundary_matrix, nonid_tuples
 from groupcoh.errors import ResourceLimit, SelfCheckFailed
 from groupcoh.groups import greedy_generators
+
+from test_intlinalg import augment_moduli
 
 
 def congruent_zero(a, x, moduli):
@@ -138,7 +144,7 @@ def integer_route(a, moduli, gens, rel_moduli):
     before the modular path: kernel_basis of the moduli-augmented matrix,
     solve_integer against the basis, cokernel_structure of the coordinates."""
     k = len(rel_moduli)
-    aug, aug_cols = la._augment_moduli(a, moduli, k)
+    aug, aug_cols = augment_moduli(a, moduli, k)
     basis = [vec[:k] for vec in la.kernel_basis(aug, cols=aug_cols)]
     gens = list(gens) + [[d if r == i else 0 for r in range(k)]
                          for i, d in enumerate(rel_moduli) if d]
@@ -398,6 +404,12 @@ def test_shapiro_s3_on_cosets_of_c3():
         assert got == ([3] if n % 2 == 0 else [])
 
 
+def rotation_module():
+    """Z^2 with the generator of C4 acting by the rotation i."""
+    return GModule(cyclic_group(4), [0, 0], [[[1, 0], [0, 1]], [[0, -1], [1, 0]],
+                                             [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]])
+
+
 def conjugated(module, p, p_inv):
     """The module with every rho(g) replaced by P rho(g) P^-1."""
     assert la.mat_mul(p, p_inv) == la.identity_matrix(len(p))
@@ -407,8 +419,7 @@ def conjugated(module, p, p_inv):
 
 def test_lattice_cohomology_is_invariant_under_a_change_of_basis():
     c4, c3 = cyclic_group(4), cyclic_group(3)
-    rotation = GModule(c4, [0, 0], [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]],
-                                    [[0, 1], [-1, 0]]])
+    rotation = rotation_module()
     s3 = builtin_group("symmetric:3")
     cases = [
         (rotation, [[2, 1], [1, 1]], [[1, -1], [-1, 2]]),
@@ -490,16 +501,97 @@ def test_mixed_cohomology_matches_the_integer_route(label):
         assert got == integer_route_cohomology(module.group, module, n), n
 
 
-# -- no Smith normal form on finite coefficients ---------------------------
+# -- H^0 by the character formula -----------------------------------------
+
+
+def h0_modules():
+    """Every module of the degree-0 tests, and Z, Z^2, Z_sgn and Z[G] for
+    each group of LATTICE_GROUPS: all small enough for the integer route."""
+    for gspec, coeffs, n, _ in COHOM_TABLE:
+        if n == 0:
+            yield table_module(builtin_group(gspec), coeffs)
+    yield trivial_module(cyclic_group(2), [6])
+    yield from (build() for build, _, _ in TWISTED)
+    yield from (mixed_module(label) for label in MIXED)
+    yield rotation_module()
+    for gspec in LATTICE_GROUPS:
+        yield from lattice_modules(builtin_group(gspec)).values()
+
+
+def test_h0_matches_the_integer_route():
+    modules = list(h0_modules())
+    assert len(modules) == 45
+    for module in modules:
+        want = integer_route_cohomology(module.group, module, 0)
+        assert cohomology(module.group, module, 0) == want, module.factors
+
+
+def c2_conjugated_swap(k):
+    """C2 swapping the coordinates of Z^k in pairs, conjugated by P: the
+    identity after 5 k seeded row operations.  Its entries reach 414,727
+    at k = 8, where the integer Smith normal form of its H^0 runs away."""
+    rng = random.Random(1)
+    p, p_inv = la.identity_matrix(k), la.identity_matrix(k)
+    for _ in range(5 * k):
+        i, j = rng.sample(range(k), 2)
+        q = rng.randint(-3, 3)
+        p[i] = [x + q * y for x, y in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= q * row[i]
+    swap = [[int(j == i ^ 1) for j in range(k)] for i in range(k)]
+    return conjugated(GModule(cyclic_group(2), [0] * k, [la.identity_matrix(k), swap]), p, p_inv)
+
+
+def c4_glued_regular():
+    """Z[C4] + Z/4, mixed by a unimodular matrix and glued: g^i acts by the
+    i-th power of G below, its last row reduced modulo 4.  H^0 = Z + Z/4;
+    the integer Smith normal form of its H^0 runs away."""
+    g = [[8, -7, 0, 4, 0], [19, 4, 4, 8, 0], [-87, -16, -18, -37, 0], [17, 21, 7, 6, 0],
+         [2, 2, 2, 2, 1]]
+    action = [la.identity_matrix(5)]
+    for _ in range(3):
+        power = la.mat_mul(action[-1], g)
+        power[4] = [x % 4 for x in power[4]]
+        action.append(power)
+    return GModule(cyclic_group(4), [0, 0, 0, 0, 4], action)
+
+
+UNBOUNDED = [(lambda: c2_conjugated_swap(4), [0, 0]), (lambda: c2_conjugated_swap(6), [0] * 3),
+             (lambda: c2_conjugated_swap(8), [0] * 4), (c4_glued_regular, [4, 0])]
+
+
+@pytest.mark.parametrize("build, want", UNBOUNDED, ids=["C2-Z4", "C2-Z6", "C2-Z8", "C4-Z4+Z/4"])
+def test_h0_of_modules_the_integer_route_cannot_finish(tmp_path, build, want):
+    module = build()
+    start = time.perf_counter()
+    assert cohomology(module.group, module, 0) == want
+    assert time.perf_counter() - start < 2.0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(module_to_json(module)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "groupcoh", "cohomology", "--group",
+                           f"cyclic:{module.group.order}", "--module", str(path), "--degree", "0",
+                           "--max-entries", "1000", "--json"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"degree": 0, "factors": want}
+
+
+# -- no integer Smith normal form in the runtime ---------------------------
 
 
 @pytest.mark.parametrize("gspec, coeffs, n, snf_calls", [
     ("cyclic:4", 4, 4, 0), ("dihedral:4", 2, 2, 0), ("cyclic:3", 3, 0, 0),
     ("cyclic:4", 0, 2, 0), pytest.param("cyclic:4", [0, 2], 2, 0, id="cyclic:4-0+2-2-0"),
+    ("cyclic:4", 0, 0, 0), pytest.param("cyclic:4", [0, 2], 0, 0, id="cyclic:4-0+2-0-0"),
 ])
 def test_snf_calls(monkeypatch, gspec, coeffs, n, snf_calls):
-    # a lattice in degree >= 1 takes one local Smith form, and a mixed
-    # free-plus-torsion module is read over Z/N like a torsion one
+    # a lattice in degree >= 1 takes one local Smith form, a mixed
+    # free-plus-torsion module is read over Z/N like a torsion one, and
+    # H^0 takes the character formula for its free part
     calls = []
     snf = la._snf_full
 
@@ -514,24 +606,21 @@ def test_snf_calls(monkeypatch, gspec, coeffs, n, snf_calls):
     assert len(calls) == snf_calls
 
 
-def test_integer_smith_forms_stay_module_sized(monkeypatch):
-    # cohomology in degrees 0-3 and solve_coboundary in degrees 1-3 factor
-    # no matrix of more than dim M |G| rows: only the invariants of a
-    # module with a free factor reach the integer Smith normal form
-    snf = la._snf_full
-    limit = [0]
+def test_no_integer_smith_form_in_the_runtime(monkeypatch):
+    # cohomology in degrees 0-3 and solve_coboundary in degrees 1-3 call
+    # none of the integer reference routines
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"the runtime called intlinalg.{name}")
+        return refused
 
-    def module_sized(a, *args, **kwargs):
-        assert len(a) <= limit[0], f"a Smith normal form of {len(a)} rows"
-        return snf(a, *args, **kwargs)
-
-    monkeypatch.setattr(la, "_snf_full", module_sized)
-    rotation = GModule(cyclic_group(4), [0, 0], [[[1, 0], [0, 1]], [[0, -1], [1, 0]],
-                                                 [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]])
+    for name in ("_snf_full", "solve_integer", "kernel_basis", "cokernel_structure"):
+        monkeypatch.setattr(la, name, refuse(name))
     rng = random.Random(17)
-    for module in [mixed_module(label) for label in MIXED] + [rotation, s3_sign_on_z6()]:
+    modules = [mixed_module(label) for label in MIXED]
+    modules += [rotation_module(), s3_sign_on_z6(), c2_conjugated_swap(8), c4_glued_regular()]
+    for module in modules:
         group, k = module.group, module.dim
-        limit[0] = k * group.order
         for n in range(4):
             cohomology(group, module, n)
         for n in (1, 2, 3):
