@@ -13,8 +13,9 @@ Exit codes:
   6  degree too low for the requested driver
   7  certificate verification failure
 
-All randomness flows from --seed (default 0) and is recorded in outputs;
-identical inputs and seed produce byte-identical files.
+All randomness flows from the --seed of trivialize and verify (default 0)
+and is recorded in outputs; identical inputs and seed produce
+byte-identical files.
 
 The argument parser is built once per process, on the first call of main,
 and reused by every later call.
@@ -177,7 +178,7 @@ def cmd_cup(args) -> int:
     right_mod = _load_module_arg(args.right_module, group)
     left = load_cochain(args.left, group, left_mod)
     right = load_cochain(args.right, group, right_mod)
-    result, tensor = cup(left, right)
+    result, tensor = cup(left, right, args.max_entries)
     data = cochain_to_json(result)
     data["factors"] = list(tensor.factors)
     if args.out:
@@ -196,7 +197,7 @@ def cmd_d2(args) -> int:
     hom = HomModule(kernel, module)
     with open(args.witness) as fh:
         b = _witness_from_json(json.load(fh), group, hom)
-    result = d2(b, c)
+    result = d2(b, c, args.max_entries)
     if args.out:
         _write_json(cochain_to_json(result), args.out)
     print(f"d2: degree {result.degree}, support {len(result.values)}")
@@ -208,7 +209,7 @@ def cmd_extend(args) -> int:
     kernel = _load_module_arg(args.module, group)
     with open(args.cocycle) as fh:
         c = cochain_from_json(json.load(fh), group, kernel)
-    ext = build_extension(kernel, c)
+    ext = build_extension(kernel, c, args.max_entries)
     if args.out:
         _write_json(extension_to_json(ext), args.out)
     print(f"extension order: {ext.order} (kernel {len(ext.kernel_elements)}, "
@@ -268,6 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--max-entries", type=int, default=None,
                        help="resource limit override (also COCYCLE_MAX_TUPLES)")
+
+    def seeded(p):
+        common(p)
         p.add_argument("--seed", type=_seed, default=0,
                        help="seed for sampled verification, >= 0 (default 0)")
 
@@ -317,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--mode", choices=["torsion", "general"], default="torsion")
     p.add_argument("--out", required=True, help="certificate output path")
-    common(p)
+    seeded(p)
 
     p = sub.add_parser("verify", help="independently re-check a certificate")
     p.add_argument("certificate")
     p.add_argument("--allow-partial", action="store_true",
                    help="exit 0 even when the primitive is absent")
-    common(p)
+    seeded(p)
 
     return parser
 

@@ -264,27 +264,75 @@ def coboundary(f: Cochain, max_entries=None) -> Cochain:
     return Cochain(f.group, f.coeffs, f.degree + 1, vals)
 
 
+def coboundary_defect(x: Cochain, f: Cochain = None, proj=None, firsts=None, max_entries=None):
+    """(t, agreed): t the lexicographically first tuple where delta x
+    differs from f o proj, or None when every row walked agrees, and agreed
+    the number of rows that agreed.  The one comparison of a coboundary
+    with a cochain: every cocycle check and delta x = f check is this loop.
+
+    The rows are those of `delta_rows(x, firsts)`: row t holds (delta x)(t,
+    j) for every element j, and it is compared in one step with f(proj t,
+    proj j), whose rows are built beforehand from f's support.  f is zero
+    when None (the cocycle check); proj, the image in f's group of every
+    element of x's group (a homomorphism, such as pi down a tower of
+    extensions), is the identity when None.  Both sides are reduced modulo
+    each torsion factor and unreduced on a free one.
+
+    With firsts = S = `greedy_generators(x.group)` only the rows whose
+    first slot lies in S are walked.  That is sound only when F = delta x -
+    f o proj is a normalized cocycle, which the caller must prove: then the
+    g with F(g, ...) = 0 on every tuple form a subgroup (dF(s, y, ...) = 0
+    gives F(sy, ...) = s . F(y, ...) for s in it), the first row outside
+    it is a generator (see `greedy_generators`), and so the rows of S pass
+    exactly when every row does, and their first failing tuple is the
+    lexicographically first (Brown, Cohomology of Groups, III.1).  delta x
+    is a normalized cocycle when the group is associative and the action a
+    homomorphism; f o proj is one when f is and proj is a homomorphism.
+
+    max_entries, when not None, bounds the entries of the rows walked
+    (|G| dim M per row) as `coboundary` bounds its own, with the same
+    ResourceLimit message."""
+    group, k, n = x.group, x.coeffs.dim, x.degree
+    order = group.order
+    if max_entries is not None:
+        count = ((order - 1) ** n if firsts is None or not n
+                 else len(firsts) * (order - 1) ** (n - 1)) * order * k
+        if count > max_entries:
+            raise ResourceLimit(f"coboundary needs {count} entries (limit {max_entries})")
+    rhs_rows = {}  # f(u, .) per prefix u of f's support, read through proj
+    for tup, v in (f.values.items() if f is not None else ()):
+        rows = rhs_rows.get(tup[:-1])
+        if rows is None:
+            rows = rhs_rows[tup[:-1]] = [[0] * f.group.order for _ in range(k)]
+        for r, c in zip(rows, v):
+            r[tup[-1]] = c
+    if proj is not None:
+        rhs_rows = {u: [[r[j] for j in proj] for r in rows] for u, rows in rhs_rows.items()}
+    zero = [[0] * order for _ in range(k)]
+    agreed = 0
+    for t, row in delta_rows(x, firsts):
+        rhs = rhs_rows.get(t if proj is None else tuple(proj[i] for i in t), zero)
+        if row != rhs:
+            j = next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*rhs))) if v != w)
+            return t + (j,), agreed
+        agreed += 1
+    return None, agreed
+
+
 def first_cocycle_defect(f: Cochain):
     """The lexicographically first tuple where delta f is nonzero, or None
     when f is a cocycle.
 
     The zero cochain is a cocycle.  Degree 0 has the single row of delta f.
-    In degree n >= 1 only the rows of delta f whose first slot lies in S =
-    `greedy_generators` are swept, and the first nonzero entry there is
-    returned: delta f is a normalized (n+1)-cocycle, so the g with
-    delta f(g, ...) = 0 on every tuple form a subgroup, and the first row
-    outside it is a generator (see `greedy_generators`).  That needs delta
-    delta = 0, so the group must be associative and the action a
-    homomorphism; every caller has proved both (tables and modules are
-    validated at load, an extension cocycle before the extension is
-    built)."""
+    In degree n >= 1 `coboundary_defect` walks only the rows of delta f
+    whose first slot lies in S = `greedy_generators`: delta f is a
+    normalized (n+1)-cocycle, as delta delta = 0 once the group is
+    associative and the action a homomorphism; every caller has proved
+    both (tables and modules are validated at load, an extension cocycle
+    before the extension is built)."""
     if not f.values:
         return None
-    firsts = greedy_generators(f.group) if f.degree >= 1 else None
-    for t, row in delta_rows(f, firsts=firsts):
-        if any(map(any, row)):
-            return t + (next(j for j, v in enumerate(zip(*row)) if any(v)),)
-    return None
+    return coboundary_defect(f, firsts=greedy_generators(f.group) if f.degree >= 1 else None)[0]
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -374,11 +422,11 @@ def solve_coboundary(f: Cochain, max_entries=None):
     |S| (|G|-1)^(n-1) dim M rows decide what all (|G|-1)^n dim M rows
     would.
 
-    On a torsion module NM = 0 and x = y, accepted by the check delta x =
-    f on every tuple alone.  Only when that check fails is f tested for
-    the cocycle condition: a non-cocycle is no coboundary (None), while on
-    a cocycle delta x - f would be a cocycle vanishing on the S-rows, so
-    the solver is at fault (SelfCheckFailed).
+    On a torsion module NM = 0 and x = y, accepted by `coboundary_defect`
+    of x against f on every row alone.  Only when that check fails is f
+    tested for the cocycle condition: a non-cocycle is no coboundary
+    (None), while on a cocycle delta x - f would be a cocycle vanishing on
+    the S-rows, so the solver is at fault (SelfCheckFailed).
 
     On a module with a free factor f must be a cocycle before the lattice
     correction (a non-cocycle gives None): f - delta y = N s(u), s the
@@ -413,7 +461,7 @@ def solve_coboundary(f: Cochain, max_entries=None):
                                   "M/M_T, though f is a cocycle") from exc
         sol = add_cochains(sol, map_coefficients(scale_cochain(exponent, h), smap.matrix,
                                                  module))
-    if coboundary(sol) != f:
+    if coboundary_defect(sol, f)[0] is not None:
         if module.is_torsion and first_cocycle_defect(f) is not None:
             return None
         raise SelfCheckFailed("solve_coboundary: the solution x does not satisfy delta x = f")
@@ -561,7 +609,9 @@ def averaging_homotopy(f: Cochain) -> RationalCochain:
         return module.scale(sign, out)
 
     num = cochain_from_function(group, module, n - 1, total)
-    if coboundary(num) != scale_cochain(order, f):
+    # delta num - |G| f is a normalized cocycle, f being one: generator rows
+    bad, _ = coboundary_defect(num, scale_cochain(order, f), firsts=greedy_generators(group))
+    if bad is not None:
         raise SelfCheckFailed("averaging_homotopy: delta h differs from |G| f")
     return RationalCochain(num, order)
 

@@ -4,27 +4,20 @@ differential that kills lifted cocycles."""
 
 from __future__ import annotations
 
-from .cochains import Cochain, first_cocycle_defect, neg_cochain
-from .errors import GroupMismatch, NotACocycle, PairingMismatch
+from .cochains import Cochain, first_cocycle_defect, max_entries_limit, neg_cochain
+from .errors import GroupMismatch, NotACocycle, PairingMismatch, ResourceLimit
 from .modules import GModule, HomModule, tensor_module
 
 
 class Pairing:
-    """G-equivariant bilinear map left x right -> target.
+    """G-equivariant bilinear map left x right -> target, given by a
+    bilinear callable fn(m, n) whose value the target reduces; no tensor
+    of the pairing is materialized."""
 
-    Backed either by a dense 3-tensor (tensor[i][j] is the target vector of
-    e_i (x) e_j) or by an arbitrary bilinear callable; the evaluation
-    pairing uses the callable form to avoid materializing Hom tensors.
-    """
-
-    def __init__(self, left: GModule, right: GModule, target: GModule,
-                 tensor=None, fn=None, check=True):
-        if (tensor is None) == (fn is None):
-            raise ValueError("provide exactly one of tensor or fn")
+    def __init__(self, left: GModule, right: GModule, target: GModule, fn, check=True):
         self.left = left
         self.right = right
         self.target = target
-        self.tensor = tensor
         self.fn = fn
         if check:
             defect = self.equivariance_defect()
@@ -32,20 +25,7 @@ class Pairing:
                 raise ValueError(f"pairing is not G-equivariant at {defect}")
 
     def apply(self, m, n) -> tuple:
-        if self.fn is not None:
-            return self.target.reduce(self.fn(m, n))
-        out = [0] * self.target.dim
-        for i, mi in enumerate(m):
-            if not mi:
-                continue
-            row = self.tensor[i]
-            for j, nj in enumerate(n):
-                if nj:
-                    vec = row[j]
-                    c = mi * nj
-                    for t in range(len(out)):
-                        out[t] += c * vec[t]
-        return self.target.reduce(out)
+        return self.target.reduce(self.fn(m, n))
 
     def equivariance_defect(self):
         """P(g.m, g.n) = g.P(m, n) checked on basis vectors (enough, by
@@ -63,42 +43,35 @@ class Pairing:
         return None
 
     def flip(self) -> "Pairing":
-        if self.fn is not None:
-            return Pairing(self.right, self.left, self.target,
-                           fn=lambda n, m: self.fn(m, n), check=False)
-        flipped = [
-            [self.tensor[i][j] for i in range(self.left.dim)]
-            for j in range(self.right.dim)
-        ]
-        return Pairing(self.right, self.left, self.target, tensor=flipped, check=False)
+        return Pairing(self.right, self.left, self.target, lambda n, m: self.fn(m, n),
+                       check=False)
 
 
 def identity_pairing(left: GModule, right: GModule) -> Pairing:
     """The tautological pairing into the materialized tensor module."""
     tm = tensor_module(left, right)
-    tensor = [
-        [tm.pure(left.basis_vector(i), right.basis_vector(j)) for j in range(right.dim)]
-        for i in range(left.dim)
-    ]
-    return Pairing(left, right, tm, tensor=tensor, check=False)
+    return Pairing(left, right, tm, tm.pure, check=False)
 
 
 def ring_pairing(module: GModule) -> Pairing:
     """Coordinatewise multiplication pairing for a cyclic trivial module."""
     if module.dim != 1:
         raise PairingMismatch("ring pairing expects a rank-1 module")
-    return Pairing(module, module, module, tensor=[[(1,)]])
+    return Pairing(module, module, module, lambda m, n: (m[0] * n[0],))
 
 
 def evaluation_pairing(source: GModule, target: GModule) -> Pairing:
     """A (x) Hom(A, M) -> M, a (x) f -> f(a)."""
     hom = HomModule(source, target)
-    return Pairing(source, hom, target, fn=lambda a, f: hom.evaluate(f, a))
+    return Pairing(source, hom, target, lambda a, f: hom.evaluate(f, a))
 
 
-def cup_with_pairing(pairing: Pairing, alpha: Cochain, beta: Cochain) -> Cochain:
+def cup_with_pairing(pairing: Pairing, alpha: Cochain, beta: Cochain,
+                     max_entries=None) -> Cochain:
     """(alpha cup_P beta)(g_1..g_{p+q}) =
-    P(alpha(g_1..g_p), (g_1...g_p) . beta(g_{p+1}..g_{p+q}))."""
+    P(alpha(g_1..g_p), (g_1...g_p) . beta(g_{p+1}..g_{p+q})), over the
+    pairs of a prefix in alpha's support and a suffix in beta's.  Gated on
+    the number of those pairs, which bounds the entries it allocates."""
     if alpha.group is not beta.group:
         raise GroupMismatch("cup factors must share a group")
     if not (alpha.coeffs is pairing.left or alpha.coeffs.same_ambient(pairing.left)):
@@ -110,9 +83,13 @@ def cup_with_pairing(pairing: Pairing, alpha: Cochain, beta: Cochain) -> Cochain
     p = alpha.degree
     vals = {}
     prefixes = alpha.values.items() if p > 0 else [((), alpha.evaluate(()))]
+    suffixes = beta.values.items() if beta.degree > 0 else [((), beta.evaluate(()))]
+    count = len(prefixes) * len(suffixes)
+    limit = max_entries_limit(max_entries)
+    if count > limit:
+        raise ResourceLimit(f"cup product needs {count} entries (limit {limit})")
     for prefix, av in prefixes:
         gprod = group.product(prefix)
-        suffixes = beta.values.items() if beta.degree > 0 else [((), beta.evaluate(()))]
         for suffix, bv in suffixes:
             v = pairing.apply(av, pairing.right.act(gprod, bv))
             if tgt.is_zero(v):
@@ -123,14 +100,14 @@ def cup_with_pairing(pairing: Pairing, alpha: Cochain, beta: Cochain) -> Cochain
     return Cochain(group, tgt, p + beta.degree, vals)
 
 
-def cup(alpha: Cochain, beta: Cochain):
+def cup(alpha: Cochain, beta: Cochain, max_entries=None):
     """Alexander-Whitney cup product into the tensor module; returns
     (cochain, tensor module)."""
     pairing = identity_pairing(alpha.coeffs, beta.coeffs)
-    return cup_with_pairing(pairing, alpha, beta), pairing.target
+    return cup_with_pairing(pairing, alpha, beta, max_entries), pairing.target
 
 
-def d2(b: Cochain, c: Cochain) -> Cochain:
+def d2(b: Cochain, c: Cochain, max_entries=None) -> Cochain:
     """d2(b)(g_1..g_{r+2}) = -b_{(g_1..g_r)}((g_1...g_r) . c(g_{r+1}, g_{r+2}))
     for b with values in Hom(A, M) and c a 2-cocycle valued in A: the
     negated cup product of b and c under the evaluation pairing."""
@@ -144,6 +121,5 @@ def d2(b: Cochain, c: Cochain) -> Cochain:
     defect = first_cocycle_defect(c)
     if defect is not None:
         raise NotACocycle("d2 requires a 2-cocycle", witness=defect)
-    pairing = Pairing(hom, hom.source, hom.target,
-                      fn=lambda f, a: hom.evaluate(f, a), check=False)
-    return neg_cochain(cup_with_pairing(pairing, b, c))
+    pairing = Pairing(hom, hom.source, hom.target, hom.evaluate, check=False)
+    return neg_cochain(cup_with_pairing(pairing, b, c, max_entries))

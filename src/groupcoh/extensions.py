@@ -17,7 +17,7 @@ import math
 
 from .cochains import Cochain, cochain_from_json, cochain_to_json, first_cocycle_defect, max_entries_limit, nonid_tuples
 from .errors import KernelNotFinite, NotACocycle, ResourceLimit
-from .groups import FiniteGroup, group_from_json, group_from_table, group_to_json
+from .groups import FiniteGroup, cyclic_group, group_from_json, group_to_json
 from .modules import (
     GModule,
     digit_sums,
@@ -116,14 +116,6 @@ class GroupExtension:
             out[h::ng] = [col[x] * ng + gh for x in shifted]
         return out
 
-    def kernel_generators(self) -> list:
-        """Kernel indices of the basis vectors e_j of A that are nonzero (a
-        factor of 1 makes e_j zero)."""
-        kernel = self.kernel
-        gens = (element_index(kernel, kernel.reduce(kernel.basis_vector(j)))
-                for j in range(kernel.dim))
-        return [a for a in gens if a]
-
     def inv(self, i: int) -> int:
         """(a,g)^-1 = (-g^-1.(a + c(g,g^-1)), g^-1)."""
         a, g = divmod(i, self.base.order)
@@ -146,26 +138,27 @@ class GroupExtension:
         return a_idx * self.base.order
 
     def total_group(self, max_entries=None) -> FiniteGroup:
-        """The total group as a validated FiniteGroup (associativity is
-        already guaranteed by the cocycle condition, so it is not re-swept)."""
+        """The total group as a FiniteGroup, its table read from `mul_row`.
+        Nothing is re-validated: A x|_c G is a group once c is a 2-cocycle
+        (see `build_extension`), its identity (0, e) is index 0 by
+        construction, and the inverses come from `inv`."""
         if self._total is None:
             limit = max_entries_limit(max_entries)
             if self.order * self.order > limit:
                 raise ResourceLimit(
                     f"total group table needs {self.order ** 2} entries (limit {limit})"
                 )
-            table = [
-                [self.mul(i, j) for j in range(self.order)] for i in range(self.order)
-            ]
-            self._total = group_from_table(
-                table, labels=list(self.elements), check_associativity=False
-            )
+            self._total = FiniteGroup(
+                order=self.order, elements=self.elements,
+                table=tuple(tuple(self.mul_row(i)) for i in range(self.order)),
+                inverse=tuple(self.inv(i) for i in range(self.order)))
         return self._total
 
 
-def build_extension(kernel: GModule, cocycle: Cochain) -> GroupExtension:
+def build_extension(kernel: GModule, cocycle: Cochain, max_entries=None) -> GroupExtension:
     """Construct A x|_c G; fails with the associativity-violating triple
-    when c is not a 2-cocycle (the two failure sets coincide)."""
+    when c is not a 2-cocycle (the two failure sets coincide).  Gated on
+    the |A||G| entries of its element and action tables."""
     if not kernel.is_torsion:
         raise KernelNotFinite("extension kernel must be finite")
     if cocycle.degree != 2:
@@ -175,6 +168,10 @@ def build_extension(kernel: GModule, cocycle: Cochain) -> GroupExtension:
         raise NotACocycle(
             "extension cocycle fails the 2-cocycle condition", witness=defect
         )
+    count = kernel.size() * kernel.group.order
+    limit = max_entries_limit(max_entries)
+    if count > limit:
+        raise ResourceLimit(f"extension table needs |A||G| = {count} entries (limit {limit})")
     return GroupExtension(kernel, cocycle)
 
 
@@ -206,22 +203,26 @@ def lift_cochain(ext: GroupExtension, omega: Cochain, max_entries=None) -> Cocha
     return Cochain(ext, coeffs, n, dict(lifted))
 
 
-def kernel_view(ext: GroupExtension, max_entries=None) -> FiniteGroup:
-    """The kernel A as a plain finite (abelian) group under addition."""
-    na = len(ext.kernel_elements)
-    limit = max_entries_limit(max_entries)
-    if na * na > limit:
-        raise ResourceLimit(f"kernel group table needs {na * na} entries (limit {limit})")
-    table = [ext.add_row(i) for i in range(na)]
-    labels = [",".join(map(str, a)) or "0" for a in ext.kernel_elements]
-    return group_from_table(table, labels=labels, check_associativity=False)
+def kernel_view(ext: GroupExtension) -> GroupExtension:
+    """The kernel A as a group under addition: the extension of the trivial
+    group by A with the zero cocycle, so its element indices are A's and
+    its products come from two small digit tables (see `digit_sums`), not
+    from an |A|^2 table."""
+    trivial = cyclic_group(1)
+    kernel = trivial_module(trivial, ext.kernel.factors)
+    return GroupExtension(kernel, Cochain(trivial, kernel, 2))
 
 
 def restrict_cochain(ext: GroupExtension, alpha: Cochain, max_entries=None) -> Cochain:
-    """iota^* alpha as a cochain of the kernel group; the kernel acts
-    trivially on the coefficients."""
+    """iota^* alpha as a cochain of `kernel_view(ext)`, on A's element
+    indices; the kernel acts trivially on the coefficients.  Gated on the
+    (|A|-1)^n tuples it reads."""
     n = alpha.degree
-    agrp = kernel_view(ext, max_entries)
+    count = (len(ext.kernel_elements) - 1) ** n
+    limit = max_entries_limit(max_entries)
+    if count > limit:
+        raise ResourceLimit(f"restricted cochain needs {count} entries (limit {limit})")
+    agrp = kernel_view(ext)
     coeffs = trivial_module(agrp, alpha.coeffs.factors)
     vals = {}
     for tup in nonid_tuples(agrp.order, n):

@@ -59,13 +59,20 @@ class FiniteGroup:
         return out
 
 
-def generated(group, gens) -> set:
+def generated(group, gens, span=None) -> set:
     """The subgroup gens generate, as a set of element indices: the closure
     of {e} under left multiplication by each generator, read from
     group.mul_row (in a finite group every element of the subgroup is a
-    positive word in the generators)."""
+    positive word in the generators).  With span, the subgroup gens[:-1]
+    generate, the closure grows from it (a copy): the other generators map
+    span into itself, so only the products gens[-1] . h with h in span
+    start the walk."""
     rows = [group.mul_row(s) for s in gens]
-    span, frontier = {0}, [0]
+    if span is None:
+        span, frontier = {0}, [0]
+    else:
+        frontier = {rows[-1][h] for h in span} - span
+        span = span | frontier
     while frontier:
         fresh = []
         for x in frontier:
@@ -104,6 +111,7 @@ def greedy_generators(group) -> list:
     2048-element Gamma of (Z/2)^2); otherwise the greedy goes on into the
     kernel cosets.
 
+    Each generator extends the span of the earlier ones (see `generated`).
     The span is at hand, so a set that does not span the group (a fault in
     `generated`) raises SelfCheckFailed, also under python -O."""
     gens, span = [], {0}
@@ -112,7 +120,7 @@ def greedy_generators(group) -> list:
             break
         if x not in span:
             gens.append(x)
-            span = generated(group, gens)
+            span = generated(group, gens, span)
     if len(span) != group.order:
         raise SelfCheckFailed(f"greedy_generators: {gens} span {len(span)} of "
                               f"{group.order} elements")
@@ -131,7 +139,7 @@ def inverse(group: FiniteGroup, i: int) -> int:
     return group.inverse[i]
 
 
-def group_from_table(table, labels=None, check_associativity=True) -> FiniteGroup:
+def group_from_table(table, labels=None) -> FiniteGroup:
     """Validate a multiplication table and normalize the identity to index 0.
 
     Raises NoIdentity, NoInverse (witness element) or NotAssociative
@@ -172,17 +180,16 @@ def group_from_table(table, labels=None, check_associativity=True) -> FiniteGrou
             raise NoInverse("element lacks a unique two-sided inverse", witness=labels[i])
         inverses[i] = invs[0]
 
-    if check_associativity:
-        for i in range(n):
-            ti = table[i]
-            for j in range(n):
-                tij = table[ti[j]]
-                tj = table[j]
-                for k in range(n):
-                    if tij[k] != ti[tj[k]]:
-                        raise NotAssociative(
-                            "associativity fails", witness=(labels[i], labels[j], labels[k])
-                        )
+    for i in range(n):
+        ti = table[i]
+        for j in range(n):
+            tij = table[ti[j]]
+            tj = table[j]
+            for k in range(n):
+                if tij[k] != ti[tj[k]]:
+                    raise NotAssociative(
+                        "associativity fails", witness=(labels[i], labels[j], labels[k])
+                    )
 
     return FiniteGroup(
         order=n,

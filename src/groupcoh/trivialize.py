@@ -33,10 +33,10 @@ from .cochains import (
     add_cochains,
     averaging_homotopy,
     coboundary,
+    coboundary_defect,
     coboundary_value,  # unused here; kept bound for perfbench/tracer.py and its test
     cochain_from_json,
     cochain_to_json,
-    delta_rows,
     divide_cochain,
     first_cocycle_defect,
     json_entries,
@@ -44,6 +44,7 @@ from .cochains import (
     map_coefficients,
     max_entries_limit,
     nonid_tuples,
+    scale_cochain,
     sub_cochains,
 )
 from .cup import d2
@@ -273,38 +274,21 @@ def _sampled_defect(omega: Cochain, alpha: Cochain, proj, seed, count):
 
 def _verify_degree2_indexed(omega: Cochain, alpha: Cochain, proj):
     """The exhaustive check of delta alpha = pi^* omega in every degree
-    n >= 2, row by row of `delta_rows(alpha)` against pi^* omega(t, .), in
-    one loop that returns the first failing tuple.
+    n >= 2: `coboundary_defect` of alpha against omega read through proj.
 
-    When omega is a cocycle, f = delta alpha - pi^* omega is a normalized
+    When omega is a cocycle, delta alpha - pi^* omega is a normalized
     n-cocycle of Gamma (delta alpha is one, and pi is a homomorphism), so
-    the loop walks only the rows whose prefix starts in S =
-    `greedy_generators(Gamma)`: the g with f(g, ...) = 0 on every tuple
-    form a subgroup, and the first failing row is a generator (see
-    `greedy_generators`).  So a pass there is a pass everywhere, and the
-    first failing tuple there is the lexicographically first one.  When
-    omega is no cocycle every row is walked; that check never passes, as
-    pi^* omega = delta alpha would make pi^* omega, hence omega (pi^* is
-    injective and commutes with delta), a cocycle.  Prefixes that touch
-    the identity are not swept: alpha and omega are normalized, so both
-    sides vanish there.  The name predates the other degrees and is kept
-    because perfbench/tracer.py patches it.  Returns (ok, first failing
-    tuple, the number of generator rows that decided a pass)."""
-    gamma, gorder, k = alpha.group, omega.group.order, omega.coeffs.dim
-    omega_rows = {}  # pi^* omega(t, .) per projected prefix
-    firsts = greedy_generators(gamma) if first_cocycle_defect(omega) is None else None
-    rows = 0
-    for t, row in delta_rows(alpha, firsts=firsts):
-        pt = tuple(proj[x] for x in t)
-        rhs = omega_rows.get(pt)
-        if rhs is None:
-            wg = [omega.evaluate(pt + (g,)) for g in range(gorder)]
-            rhs = omega_rows[pt] = [[wg[x][c] for x in proj] for c in range(k)]
-        if row != rhs:
-            j = next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*rhs))) if v != w)
-            return False, t + (j,), None
-        rows += 1
-    return True, None, rows
+    only the rows whose prefix starts in S = `greedy_generators(Gamma)` are
+    walked; a pass there is a pass everywhere, and the first failing tuple
+    there is the lexicographically first one.  When omega is no cocycle
+    every row is walked; that check never passes, as pi^* omega = delta
+    alpha would make pi^* omega, hence omega (pi^* is injective and
+    commutes with delta), a cocycle.  The name predates the other degrees
+    and is kept because perfbench/tracer.py patches it.  Returns (ok, first
+    failing tuple, the number of generator rows that decided a pass)."""
+    firsts = greedy_generators(alpha.group) if first_cocycle_defect(omega) is None else None
+    bad, rows = coboundary_defect(alpha, omega, proj, firsts)
+    return bad is None, bad, rows if bad is None else None
 
 
 # -- certificates ----------------------------------------------------------
@@ -373,18 +357,9 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
     if d2(witness, c) != omega:
         raise SelfCheckFailed("trivialize_torsion: d2(b, c) differs from omega")
 
-    limit = max_entries_limit(max_entries)
-    count = kernel.size() * group.order
-    if count > limit:
-        return TrivializationCertificate(
-            mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
-            cocycle=c, witness=witness, partial=True,
-            verification={"mode": "partial", "seed": seed, "checked": 0},
-            reason=f"extension table needs |A||G| = {count} entries (limit {limit})",
-        )
-
-    ext = build_extension(kernel, c)
+    ext = None
     try:
+        ext = build_extension(kernel, c, max_entries)
         alpha = closed_form_alpha(ext, omega, witness, max_entries)
     except ResourceLimit as exc:
         return TrivializationCertificate(
@@ -455,7 +430,10 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
     pi_h = Cochain(ext1, mfree_g, n - 1,
                    lift_cochain(ext1, h.numerator, max_entries).values)
     eta = divide_cochain(sub_cochains(pi_h, coboundary(rho_lift, max_entries)), q)
-    if coboundary(eta, max_entries) != map_coefficients(pi_omega, pmap.matrix, mfree_g):
+    # delta eta - pi^* p omega is a normalized cocycle (p omega is one, p
+    # being a G-map and omega a cocycle): generator rows decide it
+    bad, _ = coboundary_defect(eta, p_omega, _projection(ext1, group), greedy_generators(ext1))
+    if bad is not None:
         raise SelfCheckFailed("trivialize_general: delta eta differs from the free part of pi^* omega")
 
     module_g = module_through_projection(ext1, module)
@@ -540,8 +518,12 @@ class VerificationReport:
 
 
 def _first_difference(f: Cochain, g: Cochain):
-    for tup in set(f.values) | set(g.values):
-        if f.coeffs.reduce(f.evaluate(tup)) != g.coeffs.reduce(g.evaluate(tup)):
+    """The lexicographically first tuple where f, its values reduced in g's
+    coefficients, differs from g, or None; only the union of their supports
+    can hold one."""
+    m = g.coeffs
+    for tup in sorted(f.values.keys() | g.values.keys()):
+        if m.reduce(f.evaluate(tup)) != g.evaluate(tup):
             return tup
     return None
 
@@ -567,43 +549,22 @@ def _check_group_axioms(ext: GroupExtension):
                       "follows from the validated base group, kernel module and kernel-cocycle")
 
 
-def _additivity_defect(ext: GroupExtension, alpha: Cochain):
-    """First (a, e_j) with alpha(a + e_j) != alpha(a) + alpha(e_j) on the
-    kernel, as kernel indices, or None.  For a degree-1 alpha this decides
-    the cocycle condition of its restriction to A: with alpha(0) = 0,
-    induction on a word for b gives alpha(a + b) = alpha(a) + alpha(b), and
-    a failing pair is a tuple where delta(alpha|_A) is nonzero."""
-    m = alpha.coeffs
-    na = len(ext.kernel_elements)
-    vals = [alpha.evaluate((ext.iota(a),)) for a in range(na)]
-    gens = ext.kernel_generators()
-    rows = [ext.add_row(e) for e in gens]
-    for a in range(na):
-        for e, row in zip(gens, rows):
-            if m.add(vals[a], vals[e]) != vals[row[a]]:
-                return (a, e)
-    return None
-
-
 def _check_restriction(ext: GroupExtension, alpha: Cochain, max_entries, prefix=""):
     """The Remark's consequence: the restriction of alpha to the kernel is
-    a cocycle of A with (trivial-action) coefficients; generator-wise in
-    degree 1, exhaustive over kernel tuples above.  `_alpha_checks` runs it
+    a cocycle of A with (trivial-action) coefficients, in every degree
+    `first_cocycle_defect` of `restrict_cochain` on the generator rows of
+    A, which `kernel_view` reads with no table.  `_alpha_checks` runs it
     only when an exhaustive pass of alpha-trivializes does not imply it."""
     name = prefix + "alpha-restriction"
-    if alpha.degree == 1:
-        defect = _additivity_defect(ext, alpha)
-        note = (f"additive on {len(ext.kernel_elements)} elements x "
-                f"{len(ext.kernel_generators())} generators")
-    else:
-        try:
-            defect = first_cocycle_defect(restrict_cochain(ext, alpha, max_entries))
-        except ResourceLimit as exc:
-            return Check(name, None, note=str(exc))
-        note = "exhaustive over kernel tuples"
+    try:
+        restricted = restrict_cochain(ext, alpha, max_entries)
+    except ResourceLimit as exc:
+        return Check(name, None, note=str(exc))
+    defect = first_cocycle_defect(restricted)
     if defect is not None:
         return Check(name, False, witness=defect)
-    return Check(name, True, note=note)
+    return Check(name, True, note=f"cocycle on the generator rows of A, |A| = "
+                                  f"{restricted.group.order}")
 
 
 def _alpha_checks(prefix, ext, omega, alpha, max_entries, seed, sample_size, declared):
@@ -727,19 +688,13 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
     mfree = pmap.target
     p_omega = map_coefficients(omega, pmap.matrix, mfree)
     h = cert.stages["h"]
-    scaled = Cochain(group, mfree, omega.degree,
-                     {t: mfree.scale(q, v) for t, v in p_omega.values.items()})
-    diff = _first_difference(coboundary(h.numerator, max_entries), scaled)
+    # the three delta x = f lines walk every row, gated on the entries
+    limit = max_entries_limit(max_entries)
+    diff, _ = coboundary_defect(h.numerator, scale_cochain(q, p_omega), max_entries=limit)
     checks.append(Check("averaging-primitive", diff is None, witness=diff,
                         note=f"denominator {h.denominator}"))
-    hbar = cert.stages["hbar"]
-    modq = hbar.coeffs
-    mismatch = None
-    for tup in set(hbar.values) | set(h.numerator.values):
-        if modq.reduce(h.numerator.evaluate(tup)) != hbar.evaluate(tup):
-            mismatch = tup
-            break
-    checks.append(Check("hbar-reduction", mismatch is None, witness=mismatch))
+    diff = _first_difference(h.numerator, cert.stages["hbar"])
+    checks.append(Check("hbar-reduction", diff is None, witness=diff))
 
     stage1 = cert.stages["stage1"]
     _verify_torsion_cert(stage1, checks, max_entries, seed, sample_size, prefix="stage1:")
@@ -747,14 +702,14 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
 
     eta = cert.stages["eta"]
     pi_omega = lift_cochain(ext1, omega, max_entries)
-    diff = _first_difference(coboundary(eta, max_entries),
-                             map_coefficients(pi_omega, pmap.matrix, eta.coeffs))
+    diff, _ = coboundary_defect(eta, p_omega, _projection(ext1, group), max_entries=limit)
     checks.append(Check("eta-primitive", diff is None, witness=diff))
 
     eta_tilde = cert.stages["eta_tilde"]
     beta = cert.stages["beta"]
-    residual = sub_cochains(pi_omega, coboundary(eta_tilde, max_entries))
-    diff = _first_difference(map_coefficients(beta, jmap.matrix, residual.coeffs), residual)
+    # delta eta~ = pi^* omega - j beta
+    rhs = sub_cochains(pi_omega, map_coefficients(beta, jmap.matrix, eta_tilde.coeffs))
+    diff, _ = coboundary_defect(eta_tilde, rhs, max_entries=limit)
     checks.append(Check("beta-defect", diff is None, witness=diff))
     defect = first_cocycle_defect(beta)
     checks.append(Check("beta-cocycle", defect is None, witness=defect))
@@ -957,7 +912,7 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
         ext = None
         alpha = None
         if data.get("gamma") is not None:
-            ext = build_extension(kernel, c)
+            ext = build_extension(kernel, c, max_entries)
             gamma = _expect_object(field + "gamma", data["gamma"])
             _expect_field(field + "gamma.order", gamma.get("order"), ext.order)
             if alpha_data is not None:

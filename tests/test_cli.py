@@ -471,6 +471,57 @@ def test_d2_non_cocycle_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--module", "trivial:2", "--degree", "1"],
+    ["cup", "--left-module", "trivial:2", "--right-module", "trivial:2", "--left", "a.json",
+     "--right", "a.json"],
+    ["d2", "--module", "trivial:2", "--kernel", "trivial:2", "--witness", "b.json",
+     "--cocycle", "c.json"],
+    ["extend", "--module", "trivial:2", "--cocycle", "c.json"],
+])
+def test_seed_is_a_flag_of_trivialize_and_verify_only_exit_1(capsys, argv):
+    # these four commands draw nothing at random, so --seed is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--group", "cyclic:2", "--seed", "99"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+
+
+def test_extend_gates_on_the_extension_table_exit_3(capsys, tmp_path):
+    # (Z/2)^6 by C2 has 128 elements
+    path = write_json(tmp_path / "c.json", {"degree": 2, "values": []})
+    args = ("extend", "--group", "cyclic:2", "--module", "trivial:2,2,2,2,2,2",
+            "--cocycle", path, "--max-entries")
+    code, _, err = run(capsys, *args, "3")
+    assert code == 3
+    assert "extension table needs |A||G| = 128 entries (limit 3)" in err
+    code, out, _ = run(capsys, *args, "128")
+    assert code == 0 and "extension order: 128 (kernel 64, base 2)" in out
+
+
+def test_cup_and_d2_gate_on_the_product_of_the_supports_exit_3(capsys, tmp_path):
+    g = cyclic_group(3)
+    a = Cochain(g, trivial_module(g, [3]), 1, {(1,): (1,), (2,): (2,)})
+    path = write_json(tmp_path / "a.json", cochain_to_json(a))
+    args = ("cup", "--group", "cyclic:3", "--left-module", "trivial:3",
+            "--right-module", "trivial:3", "--left", path, "--right", path, "--max-entries")
+    code, _, err = run(capsys, *args, "3")
+    assert code == 3 and "cup product needs 4 entries (limit 3)" in err
+    code, out, _ = run(capsys, *args, "4")
+    assert code == 0 and "cup product: degree 2, support 4" in out
+    # b of degree 0 (support 1) against c on C3 (support 3)
+    c = Cochain(g, trivial_module(g, [3]), 2, {(1, 2): (1,), (2, 1): (1,), (2, 2): (1,)})
+    c_path = write_json(tmp_path / "c.json", cochain_to_json(c))
+    b_path = write_json(tmp_path / "b.json",
+                        {"degree": 0, "values": [{"tuple": [], "matrix": [[1]]}]})
+    args = ("d2", "--group", "cyclic:3", "--module", "trivial:3", "--kernel", "trivial:3",
+            "--witness", b_path, "--cocycle", c_path, "--max-entries")
+    code, _, err = run(capsys, *args, "2")
+    assert code == 3 and "cup product needs 3 entries (limit 2)" in err
+    code, out, _ = run(capsys, *args, "3")
+    assert code == 0 and "d2: degree 2, support 3" in out
+
+
 def test_verify_missing_certificate_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 1
@@ -704,7 +755,7 @@ def test_verify_kernel_factor_one_fails_with_witness_exit_7(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 7
     assert "witness-d2: FAIL witness=(1, 1)" in out
-    assert "alpha-restriction: pass (additive on 1 elements x 0 generators)" in out
+    assert "alpha-restriction: pass (cocycle on the generator rows of A, |A| = 1)" in out
 
 
 def _mutate(cert_path, path, value):

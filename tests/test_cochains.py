@@ -604,7 +604,8 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
     # the greedy ends on a set that does not generate it
     from groupcoh import groups
     closure = groups.generated
-    groups.generated = lambda group, gens: closure(group, gens) - {group.order - 1}
+    groups.generated = lambda group, gens, span=None: (
+        closure(group, gens, span) - {group.order - 1})
     expect_failure("greedy_generators", lambda: groups.greedy_generators(g))
     groups.generated = closure
 """)

@@ -232,7 +232,10 @@ def _kernel_plus_base(ext):
     base = ext.base
     below = (_kernel_plus_base(base) if isinstance(base, GroupExtension)
              else greedy_generators(base))
-    return [ext.iota(a) for a in ext.kernel_generators()] + list(below)
+    kernel = ext.kernel
+    basis = (element_index(kernel, kernel.reduce(kernel.basis_vector(j)))
+             for j in range(kernel.dim))
+    return [ext.iota(a) for a in basis if a] + list(below)
 
 
 def test_extension_generators_are_the_greedy_set():
@@ -328,7 +331,7 @@ def test_kernel_addition_tables_stay_linear_in_the_kernel(factors, folds):
 def test_extension_of_512_elements_builds_below_the_square_of_its_kernel(monkeypatch):
     """(Z/2)^9 over (Z/2)^2: nothing is gated on |A|^2 = 262144 any more."""
     from groupcoh import universal_kernel
-    monkeypatch.setenv("COCYCLE_MAX_TUPLES", "1000")
+    monkeypatch.setenv("COCYCLE_MAX_TUPLES", "2048")
     kernel, c = universal_kernel(builtin_group("cyclic:2*cyclic:2"), 2)
     ext = build_extension(kernel, c)
     assert len(ext.kernel_elements) == 512 and ext.order == 2048
@@ -341,6 +344,12 @@ def test_extension_of_512_elements_builds_below_the_square_of_its_kernel(monkeyp
         assert _tuple_mul(ext, i, ext.inv(i)) == 0
 
 
-def test_kernel_view_resource_limit_names_the_count():
-    with pytest.raises(ResourceLimit, match=r"^kernel group table needs 4 entries \(limit 3\)$"):
-        kernel_view(z4_extension(), max_entries=3)
+def test_restrict_cochain_resource_limit_names_the_count():
+    # (Z/2)^2 by C2, split: a 2-cochain of the kernel reads (4 - 1)^2 tuples
+    g = cyclic_group(2)
+    a = trivial_module(g, [2, 2])
+    ext = build_extension(a, Cochain(g, a, 2))
+    alpha = Cochain(ext, module_through_projection(ext, trivial_module(g, [2])), 2)
+    assert restrict_cochain(ext, alpha, max_entries=9).is_zero()
+    with pytest.raises(ResourceLimit, match=r"^restricted cochain needs 9 entries \(limit 8\)$"):
+        restrict_cochain(ext, alpha, max_entries=8)

@@ -32,8 +32,8 @@ from groupcoh import (
 )
 from groupcoh import cochains as cochains_module
 from groupcoh import intlinalg as la
-from groupcoh.cochains import (coboundary_matrix, coboundary_value, delta_rows, divide_cochain,
-                               map_coefficients, nonid_tuples)
+from groupcoh.cochains import (coboundary_defect, coboundary_matrix, coboundary_value, delta_rows,
+                               divide_cochain, map_coefficients, nonid_tuples)
 from groupcoh.errors import ActionNotHomomorphic, BadIdentityAction, ResourceLimit
 from groupcoh.extensions import GroupExtension
 from groupcoh.groups import generated, greedy_generators
@@ -366,6 +366,117 @@ def test_general_mode_gates_the_lift_of_omega_before_sweeping_the_extension(monk
     assert swept == []
 
 
+# -- one comparison: coboundary_defect against building delta x -------------
+
+DEFECT_GROUPS = {"C2": ("cyclic:2", 3), "C3": ("cyclic:3", 3), "C4": ("cyclic:4", 3),
+                 "V4": ("cyclic:2*cyclic:2", 3), "S3": ("symmetric:3", 2),
+                 "D4": ("dihedral:4", 2)}
+
+
+def _least_difference(dx, f):
+    """The oracle: the least tuple where the built delta x and f differ."""
+    return min((t for t in dx.values.keys() | f.values.keys()
+                if dx.evaluate(t) != f.evaluate(t)), default=None)
+
+
+def _defect_cases(group_name):
+    """(x, f, proj, firsts, want) on Z/2, Z, Z_sgn and a Hom module, up to
+    the degree DEFECT_GROUPS gives: x a seeded cochain, f a right-hand side
+    (None for the cocycle check, delta x itself, another coboundary, and
+    two corruptions of delta x), firsts the greedy generators when delta x
+    - f is a cocycle (each such case is also run on all rows), and want the
+    oracle's tuple.  The S3 and V4 cases add x on an extension with f on
+    its base, read through pi."""
+    spec, top = DEFECT_GROUPS[group_name]
+    group = builtin_group(spec)
+    gens = greedy_generators(group)
+    rng = random.Random(group_name)
+    modules = _modules(group)
+    modules = {"Z/2": modules["Z/2"], "Z": trivial_module(group, [0]),
+               "Z sign": modules["Z sign"], "Hom": modules["Hom"]}
+    cases = []
+    for m in modules.values():
+        for n in range(top + 1):
+            def cochain(degree):
+                return Cochain(group, m, degree, {t: _random_value(rng, m)
+                                                  for t in nonid_tuples(group.order, degree)})
+            x = cochain(n)
+            dx = coboundary(x)
+            zero = Cochain(group, m, n + 1)
+            for f, cocycle in ([(None, True), (dx, True), (coboundary(cochain(n)), True)]
+                               + [(g, False) for g in _corruptions(rng, dx, 2)]):
+                want = _least_difference(dx, zero if f is None else f)
+                cases.append((x, f, None, None, want))
+                if cocycle and n:
+                    cases.append((x, f, None, gens, want))
+    if group_name in ("S3", "V4"):
+        z2 = trivial_module(group, [2])
+        # V4: the bilinear x1 y2, a non-split class; S3: the split extension
+        bilinear = {(a, b): (((a >> 1) & 1) * (b & 1),) for a in range(1, 4) for b in range(1, 4)}
+        ext = build_extension(z2, Cochain(group, z2, 2, bilinear if group_name == "V4" else {}))
+        proj = [ext.pi(i) for i in range(ext.order)]
+        for n in (0, 1):
+            y = Cochain(group, z2, n, {t: _random_value(rng, z2)
+                                       for t in nonid_tuples(group.order, n)})
+            f = coboundary(y)
+            lifted = lift_cochain(ext, y)
+            last = (ext.order - 1,) * n
+            noisy = Cochain(ext, lifted.coeffs, n,
+                            {**lifted.values, last: z2.add(lifted.evaluate(last), (1,))})
+            for x in (lifted, noisy):
+                want = _least_difference(coboundary(x), lift_cochain(ext, f))
+                cases.append((x, f, proj, None, want))
+                if n:
+                    cases.append((x, f, proj, greedy_generators(ext), want))
+    return cases
+
+
+def _defect_disagreements(cases):
+    """The cases where `coboundary_defect` misses the oracle's tuple, or
+    counts other than the rows before it (all of them on a pass)."""
+    out = []
+    for x, f, proj, firsts, want in cases:
+        order, n = x.group.order, x.degree
+        walked = list(nonid_tuples(order, n, firsts if n else None))
+        agreed = len(walked) if want is None else walked.index(want[:-1])
+        if coboundary_defect(x, f, proj, firsts) != (want, agreed):
+            out.append((x, f, firsts, want))
+    return out
+
+
+@pytest.mark.parametrize("group_name", list(DEFECT_GROUPS))
+def test_coboundary_defect_matches_the_built_coboundary(group_name):
+    cases = _defect_cases(group_name)
+    assert {want is None for *_, want in cases} == {True, False}
+    assert any(firsts and want for *_, firsts, want in cases)
+    assert group_name not in ("S3", "V4") or any(proj and firsts and want
+                                                 for _, _, proj, firsts, want in cases)
+    assert _defect_disagreements(cases) == []
+
+
+def test_the_differential_test_catches_a_loop_that_skips_its_last_row(monkeypatch):
+    cases = _defect_cases("C3")  # the oracle's answers, from the unmutated rows
+    rows = cochains_module.delta_rows
+
+    def all_but_last(f, firsts=None):
+        return iter(list(rows(f, firsts))[:-1])
+
+    monkeypatch.setattr(cochains_module, "delta_rows", all_but_last)
+    assert _defect_disagreements(cases)
+
+
+def test_coboundary_defect_gates_the_rows_it_walks():
+    g = cyclic_group(3)
+    m = trivial_module(g, [3, 3])
+    x = Cochain(g, m, 2, {(1, 2): (1, 2)})
+    # (3 - 1)^2 rows of 3 * 2 entries, or the |S| = 1 generator row's (3 - 1) of them
+    assert coboundary_defect(x, max_entries=24)[0] is not None
+    with pytest.raises(ResourceLimit, match=r"^coboundary needs 24 entries \(limit 23\)$"):
+        coboundary_defect(x, max_entries=23)
+    with pytest.raises(ResourceLimit, match=r"^coboundary needs 12 entries \(limit 11\)$"):
+        coboundary_defect(x, firsts=[1], max_entries=11)
+
+
 # -- coboundary solving on generator rows ----------------------------------
 
 
@@ -466,19 +577,24 @@ def test_generator_row_solve_matches_the_full_row_solve(group_name):
 
 def _solve_events(monkeypatch):
     """The steps `solve_coboundary` takes, in call order: "solve" for the
-    solve modulo N, "delta" for a full coboundary, and "cocycle" for a
+    solve modulo N, "delta" for a full coboundary or a delta x = f check
+    (`coboundary_defect` with a right-hand side), and "cocycle" for a
     cocycle check."""
     events = []
 
-    def logged(name, fn):
+    def logged(name, fn, when=lambda args, kwargs: True):
         def wrapper(*args, **kwargs):
-            events.append(name)
+            if when(args, kwargs):
+                events.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(la, "solve_with_moduli", logged("solve", la.solve_with_moduli))
     for name, attr in (("delta", "coboundary"), ("cocycle", "first_cocycle_defect")):
         monkeypatch.setattr(cochains_module, attr, logged(name, getattr(cochains_module, attr)))
+    monkeypatch.setattr(cochains_module, "coboundary_defect", logged(
+        "delta", cochains_module.coboundary_defect,
+        lambda args, kwargs: len(args) > 1 or kwargs.get("f") is not None))
     return events
 
 

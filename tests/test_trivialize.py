@@ -46,6 +46,7 @@ from groupcoh.errors import (
     SelfCheckFailed,
 )
 from groupcoh.groups import generated, greedy_generators
+from groupcoh.modules import element_index
 from groupcoh import cochains as cochains_module
 from groupcoh import trivialize as trivialize_module
 from groupcoh.trivialize import _check_restriction, verify_lift_primitive
@@ -369,6 +370,63 @@ def test_general_h4_z():
         assert cert.alpha.coeffs.reduce(lhs) == cert.alpha.coeffs.reduce(rhs)
 
 
+def test_general_stage_checks_name_the_first_failing_tuple():
+    """Each of h, eta and eta~ of two certificates over Z + Z/2 (one with
+    h != 0, one with beta != 0), changed at one tuple at a time, passes or
+    fails its delta x = f line as the textbook delta says, and a failure
+    names the lexicographically first tuple where it differs.  The lines:
+    averaging-primitive, delta h = |G| p omega; eta-primitive, delta eta =
+    pi^* p omega; beta-defect, delta eta~ = pi^* omega - j beta."""
+    from groupcoh.cochains import RationalCochain, map_coefficients
+    from groupcoh.intlinalg import mat_vec
+    from groupcoh.modules import torsion_submodule
+
+    g = cyclic_group(2)
+    module = trivial_module(g, [0, 2])
+    _, jmap, pmap, _ = torsion_submodule(module)
+
+    def first_failure(x, f):
+        m = x.coeffs
+        return next((t for t in nonid_tuples(x.group.order, x.degree + 1)
+                     if m.reduce(coboundary_value(x, t)) != m.reduce(f(t))), None)
+
+    rng, failed = random.Random(24), set()
+    for n, value in ((4, (1, 0)), (3, (0, 1))):
+        omega = Cochain(g, module, n, {(1,) * n: value})
+        cert = trivialize_general(omega)
+        assert verify_certificate(cert).ok()
+        p_omega = map_coefficients(omega, pmap.matrix, pmap.target)
+        ext1, beta = cert.stages["stage1"].extension, cert.stages["beta"]
+
+        def down(t):
+            return tuple(ext1.pi(i) for i in t)
+
+        rhs = {
+            "averaging-primitive": lambda t: pmap.target.scale(2, p_omega.evaluate(t)),
+            "eta-primitive": lambda t: p_omega.evaluate(down(t)),
+            "beta-defect": lambda t: module.reduce([a - b for a, b in zip(
+                omega.evaluate(down(t)), mat_vec(jmap.matrix, beta.evaluate(t)))]),
+        }
+        for line, stage in (("averaging-primitive", "h"), ("eta-primitive", "eta"),
+                            ("beta-defect", "eta_tilde")):
+            good = cert.stages[stage]
+            x = good.numerator if stage == "h" else good
+            tuples = list(nonid_tuples(x.group.order, x.degree))
+            for tup in rng.sample(tuples, min(3, len(tuples))):
+                vals = dict(x.values)
+                vals[tup] = x.coeffs.add(x.evaluate(tup), (1,) * x.coeffs.dim)
+                bad = Cochain(x.group, x.coeffs, x.degree, vals)
+                stages = dict(cert.stages, **{stage: RationalCochain(bad, 2) if stage == "h"
+                                              else bad})
+                check = next(c for c in verify_certificate(
+                    dataclasses.replace(cert, stages=stages)).checks if c.name == line)
+                want = first_failure(bad, rhs[line])
+                assert (check.ok, check.witness) == (want is None, want), (n, line)
+                if want is not None:
+                    failed.add(line)
+    assert failed == set(rhs)
+
+
 def test_general_mode_gates_every_coboundary_on_its_entries():
     """H^4(C2; Z): with 20 entries allowed, stage 1 (|Gamma| = 4) and the
     lifts fit, but delta of its degree-2 primitive needs 3^2 * 4 = 36; the
@@ -529,6 +587,34 @@ def test_restriction_check_witness_is_a_delta_defect():
     assert not m.is_zero(coboundary_value(restricted, check.witness))
 
 
+def test_restriction_witness_of_a_degree_1_alpha_is_the_first_failing_pair():
+    """alpha restricted to A = (Z/3)^4 must be additive.  Corrupted at one
+    kernel element at a time, the witness is the brute-force first pair
+    (a, b) of kernel indices with alpha(a + b) != alpha(a) + alpha(b)."""
+    cert = trivialize_torsion(z3_generator_cocycle())
+    ext, m, kernel = cert.extension, cert.alpha.coeffs, cert.extension.kernel
+    elems = ext.kernel_elements
+
+    def first_failing_pair(alpha):
+        val = [alpha.evaluate((ext.iota(a),)) for a in range(len(elems))]
+        for a, b in itertools.product(range(1, len(elems)), repeat=2):
+            if m.add(val[a], val[b]) != val[element_index(kernel, kernel.add(elems[a], elems[b]))]:
+                return (a, b)
+        return None
+
+    rng = random.Random(24)
+    witnesses = set()
+    for a in rng.sample(range(1, len(elems)), 6):
+        vals = dict(cert.alpha.values)
+        vals[(ext.iota(a),)] = m.add(cert.alpha.evaluate((ext.iota(a),)), (1,))
+        corrupted = Cochain(ext, m, 1, vals)
+        check = _check_restriction(ext, corrupted, None)
+        assert check.ok is False
+        assert check.witness == first_failing_pair(corrupted) is not None
+        witnesses.add(check.witness)
+    assert len(witnesses) > 1
+
+
 def _restriction_cases():
     certs = [
         trivialize_torsion(z2_generator_cocycle()),
@@ -608,7 +694,7 @@ def test_restriction_is_computed_after_a_failure_or_in_sampled_mode(monkeypatch)
                                                     max_entries=10, sample_size=50).checks}
     assert checks["alpha-trivializes"].note.startswith("sampled")
     assert checks["alpha-restriction"].line() == \
-        "alpha-restriction: pass (additive on 2 elements x 1 generators)"
+        "alpha-restriction: pass (cocycle on the generator rows of A, |A| = 2)"
     assert calls == ["alpha-restriction"]
 
 
@@ -848,14 +934,15 @@ def test_generator_rows_decide_a_pass(monkeypatch):
     gens = greedy_generators(ext)
     # the lifts of the three non-identity elements of (Z/2)^2 generate Gamma
     assert gens == [1, 2, 3] and len(generated(ext, gens)) == ext.order == 2048
-    starts = []
+    starts, rows = [], cochains_module.delta_rows
 
     def counted(f, firsts=None):
-        for t, row in cochains_module.delta_rows(f, firsts):
-            starts.append(t[0])
+        for t, row in rows(f, firsts):
+            if f.group is ext:  # not the cocycle check of omega on (Z/2)^2
+                starts.append(t[0])
             yield t, row
 
-    monkeypatch.setattr(trivialize_module, "delta_rows", counted)
+    monkeypatch.setattr(cochains_module, "delta_rows", counted)
     decided = []
     ok, bad, info = verify_lift_primitive(ext, cert.omega, cert.alpha, decided=decided)
     assert (ok, bad) == (True, None)
