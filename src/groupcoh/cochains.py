@@ -61,6 +61,18 @@ class Cochain:
                 vals[tup] = v
         self.values = vals
 
+    @classmethod
+    def _from_reduced(cls, group, coeffs, degree, values) -> "Cochain":
+        """The cochain storing values as given, with no check: for data the
+        program built itself.  The caller guarantees that every tuple has
+        length degree and no 0 in it, and that every value is reduced in
+        coeffs and nonzero (a stored zero would break __eq__, which
+        compares the values dicts).  Everything read from input takes
+        __init__."""
+        f = cls.__new__(cls)
+        f.group, f.coeffs, f.degree, f.values = group, coeffs, degree, values
+        return f
+
     def __call__(self, tup) -> tuple:
         return self.evaluate(tup)
 
@@ -93,27 +105,37 @@ def zero_cochain(group, coeffs, degree) -> Cochain:
 
 
 def cochain_from_function(group, coeffs, degree, fn) -> Cochain:
+    """The cochain with value fn(t) at every non-identity tuple t; reduced
+    by coeffs.reduce, and the zeros dropped."""
     vals = {}
     for tup in nonid_tuples(group.order, degree):
         v = coeffs.reduce(fn(tup))
         if not coeffs.is_zero(v):
             vals[tup] = v
-    return Cochain(group, coeffs, degree, vals)
+    return Cochain._from_reduced(group, coeffs, degree, vals)
 
 
 def add_cochains(f: Cochain, g: Cochain) -> Cochain:
+    """f + g in f's coefficients; m.add reduces every sum it makes, and
+    the zero sums are dropped."""
     if f.degree != g.degree:
         raise DegreeMismatch("cannot add cochains of different degrees")
     m = f.coeffs
     vals = dict(f.values)
     for tup, v in g.values.items():
-        vals[tup] = m.add(vals.get(tup, m.zero()), v)
-    return Cochain(f.group, m, f.degree, vals)
+        w = m.add(vals.get(tup, m.zero()), v)
+        if m.is_zero(w):
+            vals.pop(tup, None)
+        else:
+            vals[tup] = w
+    return Cochain._from_reduced(f.group, m, f.degree, vals)
 
 
 def neg_cochain(f: Cochain) -> Cochain:
+    """-f; m.neg of a reduced nonzero value is reduced and nonzero."""
     m = f.coeffs
-    return Cochain(f.group, m, f.degree, {t: m.neg(v) for t, v in f.values.items()})
+    return Cochain._from_reduced(f.group, m, f.degree,
+                                 {t: m.neg(v) for t, v in f.values.items()})
 
 
 def sub_cochains(f: Cochain, g: Cochain) -> Cochain:
@@ -121,20 +143,32 @@ def sub_cochains(f: Cochain, g: Cochain) -> Cochain:
 
 
 def scale_cochain(n: int, f: Cochain) -> Cochain:
+    """n f; m.scale reduces every product, and the zero ones are dropped."""
     m = f.coeffs
-    return Cochain(f.group, m, f.degree, {t: m.scale(n, v) for t, v in f.values.items()})
+    vals = {}
+    for t, v in f.values.items():
+        w = m.scale(n, v)
+        if not m.is_zero(w):
+            vals[t] = w
+    return Cochain._from_reduced(f.group, m, f.degree, vals)
 
 
 def map_coefficients(f: Cochain, matrix, target: GModule) -> Cochain:
+    """matrix applied to every value of f; target.reduce reduces each
+    image, and the zero ones are dropped."""
     vals = {}
     for tup, v in f.values.items():
         w = target.reduce(la.mat_vec(matrix, v))
         if not target.is_zero(w):
             vals[tup] = w
-    return Cochain(f.group, target, f.degree, vals)
+    return Cochain._from_reduced(f.group, target, f.degree, vals)
 
 
 def divide_cochain(f: Cochain, q: int) -> Cochain:
+    """f / q, exact, for q >= 1 (every caller divides by |G| or |G| e): a
+    reduced value 0 <= x < d gives 0 <= x/q < d, a free coordinate needs no
+    reduction, and x != 0 gives x/q != 0, so the quotients are reduced and
+    nonzero."""
     vals = {}
     for tup, v in f.values.items():
         out = []
@@ -144,7 +178,7 @@ def divide_cochain(f: Cochain, q: int) -> Cochain:
                 raise SelfCheckFailed(f"divide_cochain: value at {tup} is not divisible by {q}")
             out.append(d)
         vals[tup] = tuple(out)
-    return Cochain(f.group, f.coeffs, f.degree, vals)
+    return Cochain._from_reduced(f.group, f.coeffs, f.degree, vals)
 
 
 def coboundary_value(f: Cochain, tup) -> tuple:
@@ -248,7 +282,9 @@ def delta_rows(f: Cochain, firsts=None):
 
 
 def coboundary(f: Cochain, max_entries=None) -> Cochain:
-    """delta f, from the rows of `delta_rows`.  Gated on the
+    """delta f, from the rows of `delta_rows`, which are reduced modulo
+    each torsion factor; the zero values and the column of the identity
+    (zero, as delta f is normalized) are not stored.  Gated on the
     (|G|-1)^n |G| dim M entries those rows hold."""
     order = f.group.order
     count = (order - 1) ** f.degree * order * f.coeffs.dim
@@ -259,9 +295,9 @@ def coboundary(f: Cochain, max_entries=None) -> Cochain:
     for t, row in delta_rows(f):
         if any(map(any, row)):
             for j, v in enumerate(zip(*row)):
-                if any(v):
+                if j and any(v):
                     vals[t + (j,)] = v
-    return Cochain(f.group, f.coeffs, f.degree + 1, vals)
+    return Cochain._from_reduced(f.group, f.coeffs, f.degree + 1, vals)
 
 
 def coboundary_defect(x: Cochain, f: Cochain = None, proj=None, firsts=None, max_entries=None):

@@ -70,8 +70,10 @@ def cup_with_pairing(pairing: Pairing, alpha: Cochain, beta: Cochain,
                      max_entries=None) -> Cochain:
     """(alpha cup_P beta)(g_1..g_{p+q}) =
     P(alpha(g_1..g_p), (g_1...g_p) . beta(g_{p+1}..g_{p+q})), over the
-    pairs of a prefix in alpha's support and a suffix in beta's.  Gated on
-    the number of those pairs, which bounds the entries it allocates."""
+    pairs of a prefix in alpha's support and a suffix in beta's.  The
+    target reduces every value and sum, and the zero ones are dropped.
+    Gated on the number of those pairs, which bounds the entries it
+    allocates."""
     if alpha.group is not beta.group:
         raise GroupMismatch("cup factors must share a group")
     if not (alpha.coeffs is pairing.left or alpha.coeffs.same_ambient(pairing.left)):
@@ -97,7 +99,8 @@ def cup_with_pairing(pairing: Pairing, alpha: Cochain, beta: Cochain,
             tup = prefix + suffix
             cur = vals.get(tup)
             vals[tup] = v if cur is None else tgt.add(cur, v)
-    return Cochain(group, tgt, p + beta.degree, vals)
+    vals = {t: v for t, v in vals.items() if not tgt.is_zero(v)}
+    return Cochain._from_reduced(group, tgt, p + beta.degree, vals)
 
 
 def cup(alpha: Cochain, beta: Cochain, max_entries=None):

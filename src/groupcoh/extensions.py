@@ -186,8 +186,9 @@ def lift_cochain(ext: GroupExtension, omega: Cochain, max_entries=None) -> Cocha
     """pi^* omega as a cochain of the total group, materialized from the
     support only: pi^* omega(t) = omega(u) for every t in the product of
     the fibres pi^-1(u_i) = {a |G| + u_i}, for each u in omega's support.
-    The values are stored in lexicographic tuple order.  Gated on the
-    |supp omega| * |A|^n entries it allocates."""
+    The values are stored in lexicographic tuple order; they are omega's,
+    reduced and nonzero, and every t_i lies over u_i != e, so t_i != 0.
+    Gated on the |supp omega| * |A|^n entries it allocates."""
     n = omega.degree
     ng, na = ext.base.order, len(ext.kernel_elements)
     count = len(omega.values) * na ** n
@@ -200,7 +201,7 @@ def lift_cochain(ext: GroupExtension, omega: Cochain, max_entries=None) -> Cocha
         fibres = [range(x, ext.order, ng) for x in u]
         lifted.extend((t, v) for t in itertools.product(*fibres))
     lifted.sort()
-    return Cochain(ext, coeffs, n, dict(lifted))
+    return Cochain._from_reduced(ext, coeffs, n, dict(lifted))
 
 
 def kernel_view(ext: GroupExtension) -> GroupExtension:
@@ -215,7 +216,8 @@ def kernel_view(ext: GroupExtension) -> GroupExtension:
 
 def restrict_cochain(ext: GroupExtension, alpha: Cochain, max_entries=None) -> Cochain:
     """iota^* alpha as a cochain of `kernel_view(ext)`, on A's element
-    indices; the kernel acts trivially on the coefficients.  Gated on the
+    indices; the kernel acts trivially on the coefficients.  The values
+    are alpha's, reduced, and the zero ones are dropped.  Gated on the
     (|A|-1)^n tuples it reads."""
     n = alpha.degree
     count = (len(ext.kernel_elements) - 1) ** n
@@ -229,7 +231,7 @@ def restrict_cochain(ext: GroupExtension, alpha: Cochain, max_entries=None) -> C
         v = alpha.evaluate(tuple(ext.iota(a) for a in tup))
         if not alpha.coeffs.is_zero(v):
             vals[tup] = v
-    return Cochain(agrp, coeffs, n, vals)
+    return Cochain._from_reduced(agrp, coeffs, n, vals)
 
 
 # -- serialization ---------------------------------------------------------

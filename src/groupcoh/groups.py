@@ -59,15 +59,17 @@ class FiniteGroup:
         return out
 
 
-def generated(group, gens, span=None) -> set:
+def generated(group, gens, span=None, rows=None) -> set:
     """The subgroup gens generate, as a set of element indices: the closure
     of {e} under left multiplication by each generator, read from
     group.mul_row (in a finite group every element of the subgroup is a
     positive word in the generators).  With span, the subgroup gens[:-1]
     generate, the closure grows from it (a copy): the other generators map
     span into itself, so only the products gens[-1] . h with h in span
-    start the walk."""
-    rows = [group.mul_row(s) for s in gens]
+    start the walk.  rows, when given, are the group.mul_row(s) of gens,
+    in order, so that a caller growing gens builds each row once."""
+    if rows is None:
+        rows = [group.mul_row(s) for s in gens]
     if span is None:
         span, frontier = {0}, [0]
     else:
@@ -111,16 +113,18 @@ def greedy_generators(group) -> list:
     2048-element Gamma of (Z/2)^2); otherwise the greedy goes on into the
     kernel cosets.
 
-    Each generator extends the span of the earlier ones (see `generated`).
+    Each generator extends the span of the earlier ones (see `generated`),
+    and each generator's row is built once and passed along.
     The span is at hand, so a set that does not span the group (a fault in
     `generated`) raises SelfCheckFailed, also under python -O."""
-    gens, span = [], {0}
+    gens, rows, span = [], [], {0}
     for x in range(1, group.order):
         if len(span) == group.order:
             break
         if x not in span:
             gens.append(x)
-            span = generated(group, gens, span)
+            rows.append(group.mul_row(x))
+            span = generated(group, gens, span, rows)
     if len(span) != group.order:
         raise SelfCheckFailed(f"greedy_generators: {gens} span {len(span)} of "
                               f"{group.order} elements")

@@ -331,6 +331,16 @@ class HomModule(GModule):
     image is a multiple of step at each coordinate (j, r) and 0 where Hom
     has none.  A and M are validated modules, so a failure of that check
     is a defect and raises SelfCheckFailed.
+
+    The module is built unvalidated: with that check passed, the action is
+    a G-action on Hom(A, M) by construction.  Column n of the matrix of g
+    holds the coordinates of g.f_n, f_n the n-th basis map, so the matrix
+    sends the coordinates of any f to those of g.f (f -> g.f is additive).
+    e.f = f, as rho_A(e) and rho_M(e) are the identity on A and M; and
+    (g.(h.f))(a) = rho_M(g) rho_M(h) f(rho_A(h^{-1}) rho_A(g^{-1}) a) =
+    rho_M(gh) f(rho_A((gh)^{-1}) a) = ((gh).f)(a), as rho_A and rho_M are
+    homomorphisms.  The modulus of coordinate n kills f_n, so it kills g.f_n
+    too: the matrices descend to Hom(A, M).
     """
 
     def __init__(self, source: GModule, target: GModule):
@@ -370,7 +380,7 @@ class HomModule(GModule):
                                 f"cannot hold")
                 cols.append(col)
             action.append(list(zip(*cols)))
-        super().__init__(group, factors, action, _validate=True)
+        super().__init__(group, factors, action, _validate=False)
 
     def images(self, coords):
         """Images of the source basis vectors, as a list of target elements."""

@@ -95,7 +95,21 @@ def torsion_exponent(omega: Cochain) -> int:
 def universal_kernel(group, exponent: int):
     """(A, c): A = (Z/N)^((|G|-1)^2) generated by pair symbols x_{g,h}
     (g, h nonidentity) with g . x_{h,k} = x_{gh,k} - x_{g,hk} + x_{g,h}
-    and x_{1,*} = x_{*,1} = 0; c(g, h) = x_{g,h} is then a 2-cocycle."""
+    and x_{e,*} = x_{*,e} = 0; c(g, h) = x_{g,h} is then a 2-cocycle.
+
+    A is built unvalidated, as the formula is an action of the (validated,
+    so associative) group G.  On the free module on every symbol x_{h,k},
+    modulo the x_{e,.} and x_{.,e}, the formula respects those zeros: h = e
+    gives x_{g,k} - x_{g,k} + x_{g,e} = 0, and k = e gives x_{gh,e} -
+    x_{g,h} + x_{g,h} = 0; the matrices below drop exactly these symbols.
+    e acts as the identity, as x_{e,hk} = x_{e,h} = 0.  And g1 . (g2 .
+    x_{h,k}) = (x_{g1g2h,k} - x_{g1,g2hk} + x_{g1,g2h}) - (x_{g1g2,hk} -
+    x_{g1,g2hk} + x_{g1,g2}) + (x_{g1g2,h} - x_{g1,g2h} + x_{g1,g2}) =
+    (g1g2) . x_{h,k}, as x_{g1,g2hk}, x_{g1,g2h} and x_{g1,g2} cancel.  So
+    g -> rho(g) is a homomorphism of integer matrices, and as every
+    modulus is N any integer matrix descends to A.  c is checked to be a
+    2-cocycle all the same; its values are unit vectors, reduced modulo N
+    >= 2 and nonzero."""
     order = group.order
     nonid = order - 1
     s = nonid * nonid
@@ -123,13 +137,13 @@ def universal_kernel(group, exponent: int):
                 if g:
                     mat[pair_index(g, h)][col] += 1
         action.append(mat)
-    kernel = GModule(group, (exponent,) * s, action)
+    kernel = GModule(group, (exponent,) * s, action, _validate=False)
     vals = {
         (g, h): tuple(1 if i == pair_index(g, h) else 0 for i in range(s))
         for g in range(1, order)
         for h in range(1, order)
     }
-    c = Cochain(group, kernel, 2, vals)
+    c = Cochain._from_reduced(group, kernel, 2, vals)
     if first_cocycle_defect(c) is not None:
         raise SelfCheckFailed("universal_kernel: c is not a 2-cocycle")
     return kernel, c
@@ -140,7 +154,9 @@ def build_witness(omega: Cochain, kernel: GModule, c: Cochain) -> Cochain:
     omega: first the pair-symbol transporter Y_(g_1..g_{n-2})(x_{g,h}) =
     -omega(g_1..g_{n-2},g,h), then b(a) = Y(s^{-1} . a) with s =
     g_1...g_{n-2} acting on A only (the Hom-action s . Y composed with
-    s^{-1} on M), so that b(s . x) = Y(x) as d2 needs."""
+    s^{-1} on M), so that b(s . x) = Y(x) as d2 needs.  Every value comes
+    from `HomModule.from_images`, so it is reduced, and the zero ones are
+    dropped."""
     n = omega.degree
     if n < 2:
         raise DegreeTooLow("witness construction needs degree >= 2")
@@ -169,8 +185,7 @@ def build_witness(omega: Cochain, kernel: GModule, c: Cochain) -> Cochain:
         b = hom.from_images([module.act(group.inv(s), v) for v in hom.images(b)])
         if not hom.is_zero(b):
             vals[prefix] = b
-    witness = Cochain(group, hom, n - 2, vals)
-    return witness
+    return Cochain._from_reduced(group, hom, n - 2, vals)
 
 
 def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
@@ -186,8 +201,10 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
     (-1)^n b_gs o rho_A(g_1...g_{n-2}) : A -> M is tabulated once over
     A's element indices, and every tuple of the fibre product over gs
     reads its value from that table.  The values are emitted in
-    lexicographic tuple order.  Gated on the (|Gamma|-1)^(n-1) tuples of
-    its domain.
+    lexicographic tuple order; each is reduced by module.reduce and
+    nonzero, so its kernel index a is not 0 (phi(0) = 0) and no tuple holds
+    the identity (0, e).  Gated on the (|Gamma|-1)^(n-1) tuples of its
+    domain.
     """
     n = omega.degree
     limit = max_entries_limit(max_entries)
@@ -216,7 +233,7 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
         for a, v in tables.get(tuple(t % ng for t in prefix), ()):
             for t in range(a * ng, a * ng + ng):
                 vals[prefix + (t,)] = v
-    return Cochain(ext, module_through_projection(ext, module), n - 1, vals)
+    return Cochain._from_reduced(ext, module_through_projection(ext, module), n - 1, vals)
 
 
 # -- verification of delta_Gamma alpha = pi^* omega ------------------------
@@ -423,12 +440,10 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
     # lift omega before any sweep over ext1, so its resource gate fails first
     pi_omega = lift_cochain(ext1, omega, max_entries)
     mfree_g = module_through_projection(ext1, mfree)
-    if stage1.alpha is not None and not stage1.alpha.is_zero():
-        rho_lift = Cochain(ext1, mfree_g, n - 2, stage1.alpha.values)
-    else:
-        rho_lift = Cochain(ext1, mfree_g, n - 2)
-    pi_h = Cochain(ext1, mfree_g, n - 1,
-                   lift_cochain(ext1, h.numerator, max_entries).values)
+    # stage 1 is not partial, so alpha is there; its values lie in [0, q)
+    # and are nonzero, so they are reduced in the free module too
+    rho_lift = Cochain._from_reduced(ext1, mfree_g, n - 2, stage1.alpha.values)
+    pi_h = lift_cochain(ext1, h.numerator, max_entries)
     eta = divide_cochain(sub_cochains(pi_h, coboundary(rho_lift, max_entries)), q)
     # delta eta - pi^* p omega is a normalized cocycle (p omega is one, p
     # being a G-map and omega a cocycle): generator rows decide it
@@ -454,8 +469,7 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
                             f"{stage2.reason}")
     ext2 = stage2.extension
 
-    eta_tilde_m = Cochain(ext1, module_g, n - 1, eta_tilde.values)
-    lifted_eta = lift_cochain(ext2, eta_tilde_m, max_entries)
+    lifted_eta = lift_cochain(ext2, eta_tilde, max_entries)
     module_g2 = lifted_eta.coeffs
     if stage2.alpha is not None:
         alpha_beta = map_coefficients(stage2.alpha, jmap.matrix, module_g2)
@@ -467,7 +481,7 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
         mode="general", omega=omega,
         stages={
             "h": h, "hbar": hbar, "stage1": stage1, "rho": stage1.alpha,
-            "eta": eta, "eta_tilde": eta_tilde_m, "beta": beta,
+            "eta": eta, "eta_tilde": eta_tilde, "beta": beta,
             "stage2": stage2,
         },
         alpha=alpha,

@@ -28,7 +28,13 @@ from groupcoh import (
     trivial_module,
 )
 from groupcoh import intlinalg
-from groupcoh.cochains import coboundary_value, nonid_tuples
+from groupcoh.cochains import (
+    add_cochains,
+    coboundary_value,
+    neg_cochain,
+    nonid_tuples,
+    zero_cochain,
+)
 from groupcoh.errors import DegreeMismatch, ResourceLimit
 
 
@@ -147,6 +153,22 @@ def test_normalization_structural():
     assert f.evaluate((0, 1)) == (0,)
     with pytest.raises(DegreeMismatch):
         f.evaluate((1,))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_cancelling_sums_store_no_zero_value(n):
+    # __eq__ compares the values dicts, and add/scale trust their own
+    # reductions, so they must drop every zero they make
+    g = symmetric_group(3)
+    m = trivial_module(g, [n])
+    f = cochain_from_function(g, m, 2, lambda t: (t[0] + 2 * t[1],))
+    assert f.values and all(v != (0,) for v in f.values.values())
+    zero = zero_cochain(g, m, 2)
+    for total in (add_cochains(f, neg_cochain(f)), sub_cochains(f, f), scale_cochain(n, f)):
+        assert total.values == {} and total == zero
+    half = scale_cochain(n // 2, f)
+    assert all(v != (0,) for v in half.values.values())
+    assert half == Cochain(g, m, 2, {t: (n // 2 * v[0],) for t, v in f.values.items()})
 
 
 def test_degree1_coboundary_by_hand():
@@ -604,8 +626,8 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
     # the greedy ends on a set that does not generate it
     from groupcoh import groups
     closure = groups.generated
-    groups.generated = lambda group, gens, span=None: (
-        closure(group, gens, span) - {group.order - 1})
+    groups.generated = lambda group, gens, span=None, rows=None: (
+        closure(group, gens, span, rows) - {group.order - 1})
     expect_failure("greedy_generators", lambda: groups.greedy_generators(g))
     groups.generated = closure
 """)

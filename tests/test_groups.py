@@ -160,3 +160,16 @@ def test_generated_is_the_subgroup_closure():
     assert generated(g, [2]) == {0, 2, 4}
     assert generated(g, [3]) == {0, 3}
     assert generated(g, [2, 3]) == set(range(6))
+
+
+def test_greedy_generators_builds_each_generator_row_once():
+    # on the 2048-element Gamma of (Z/2)^2 a row is rebuilt, not read from a
+    # table: one row per generator, not one per generator per closure step
+    from groupcoh import build_extension, universal_kernel
+
+    kernel, c = universal_kernel(builtin_group("cyclic:2*cyclic:2"), 2)
+    ext = build_extension(kernel, c)
+    calls, mul_row = [], ext.mul_row
+    ext.mul_row = lambda i: calls.append(i) or mul_row(i)
+    assert greedy_generators(ext) == [1, 2, 3] and ext.order == 2048
+    assert calls == [1, 2, 3]

@@ -1,0 +1,210 @@
+"""Check once, at the input boundary.
+
+Everything read from a file goes through the checked constructors:
+`Cochain.__init__` reduces every value and drops the zeros, and
+`_validate_module` checks every action.  What the program derives from
+checked objects is built through `Cochain._from_reduced` or an unvalidated
+module, and the docstring of each such site proves its data valid.  These
+tests pin both halves: the loaders still reduce, drop and reject, and the
+derived cochains hold what the checked path would store (the modules are
+checked in tests/test_modules.py)."""
+
+import copy
+import json
+
+import pytest
+
+from groupcoh import (
+    Cochain,
+    GModule,
+    HomModule,
+    add_cochains,
+    builtin_group,
+    coboundary,
+    cochain_from_function,
+    cyclic_group,
+    trivial_module,
+    trivialize_general,
+    trivialize_torsion,
+)
+from groupcoh.cli import main
+from groupcoh.cochains import cochain_from_json, zero_cochain
+from groupcoh.cup import d2
+from groupcoh.errors import ActionNotHomomorphic
+from groupcoh.extensions import lift_cochain, restrict_cochain
+from groupcoh.modules import module_from_json
+from groupcoh.trivialize import _witness_from_json, load_certificate, save_certificate
+
+C2 = cyclic_group(2)
+
+
+def rebuilt_checked(f: Cochain) -> Cochain:
+    return Cochain(f.group, f.coeffs, f.degree, f.values)
+
+
+def assert_as_if_checked(f: Cochain):
+    """f holds exactly what the checked constructor would store: the same
+    values dict (reduced tuples), and no zero value."""
+    assert rebuilt_checked(f).values == f.values
+    assert all(type(v) is tuple and not f.coeffs.is_zero(v) for v in f.values.values())
+
+
+# -- the loaders reduce and drop zeros ----------------------------------------
+
+
+@pytest.mark.parametrize("value, stored", [
+    ([1, 1], {(1,): (1, 1)}),
+    ([5, 3], {(1,): (5, 1)}),
+    ([-2, -1], {(1,): (-2, 1)}),
+    ([0, 2], {}),
+    ([0, 0], {}),
+])
+def test_cochain_from_json_reduces_and_drops_zeros(value, stored):
+    m = trivial_module(C2, [0, 2])
+    f = cochain_from_json({"degree": 1, "values": [{"tuple": ["g"], "value": value}]}, C2, m)
+    assert f.values == stored
+    if not stored:
+        assert f == zero_cochain(C2, m, 1)
+
+
+@pytest.mark.parametrize("matrix, image", [([[2]], (2,)), ([[6]], (2,)), ([[-2]], (2,)),
+                                           ([[4]], None), ([[0]], None)])
+def test_witness_from_json_reduces_and_drops_zeros(matrix, image):
+    # Hom(Z/2, Z/4): the generator maps to 0 or 2
+    hom = HomModule(trivial_module(C2, [2]), trivial_module(C2, [4]))
+    b = _witness_from_json({"degree": 1, "values": [{"tuple": ["g"], "matrix": matrix}]},
+                           C2, hom)
+    if image is None:
+        assert b.values == {}
+    else:
+        assert b.values == {(1,): (1,)} and hom.images(b.values[(1,)]) == [image]
+
+
+def test_module_from_json_rejects_a_non_homomorphic_action():
+    data = {"factors": [2], "action": {"g": [[0]]}}
+    with pytest.raises(ActionNotHomomorphic) as exc:
+        module_from_json(data, C2)
+    assert exc.value.witness == ("g", "g")
+
+
+def _c2_certificate(tmp_path):
+    omega = Cochain(C2, trivial_module(C2, [2]), 2, {(1, 1): (1,)})
+    cert = trivialize_torsion(omega)
+    path = tmp_path / "cert.json"
+    save_certificate(cert, str(path))
+    return cert, path
+
+
+def _unreduced(data):
+    """The certificate data with every value shifted by a multiple of its
+    modulus, and a zero entry added to alpha at (0;g)."""
+    data = copy.deepcopy(data)
+    data["input"]["omega"]["values"][0]["value"] = [5]
+    data["c"]["values"][0]["value"] = [-1]
+    data["b"]["values"][0]["matrix"] = [[3]]
+    for k, entry in enumerate(data["alpha"]["values"]):
+        entry["value"] = [entry["value"][0] + 2 * (k + 1)]
+    data["alpha"]["values"].append({"tuple": ["(0;g)"], "value": [2]})
+    return data
+
+
+def test_load_certificate_reduces_and_drops_zeros(tmp_path, capsys):
+    cert, path = _c2_certificate(tmp_path)
+    bad = tmp_path / "unreduced.json"
+    bad.write_text(json.dumps(_unreduced(json.loads(path.read_text()))))
+    loaded = load_certificate(str(bad))
+    for name in ("omega", "cocycle", "witness", "alpha"):
+        assert getattr(loaded, name).values == getattr(cert, name).values, name
+    assert main(["verify", str(bad)]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path, labels, message", [
+    (("alpha",), ["(0;e)"], "input tuple ['(0;e)'] contains the identity"),
+    (("c",), ["e", "g"], "input tuple ['e', 'g'] contains the identity"),
+    (("input", "omega"), ["g", "e"], "input tuple ['g', 'e'] contains the identity"),
+    (("alpha",), ["(1;e)", "(1;g)"], "cochain tuple ['(1;e)', '(1;g)'] is not a list of 1 "
+                                     "labels"),
+    (("c",), ["g"], "cochain tuple ['g'] is not a list of 2 labels"),
+    (("input", "omega"), ["g", "g", "g"], "cochain tuple ['g', 'g', 'g'] is not a list of 2 "
+                                          "labels"),
+])
+def test_verify_rejects_a_tuple_touching_the_identity_or_of_wrong_length_exit_1(
+        capsys, tmp_path, path, labels, message):
+    _, cert_path = _c2_certificate(tmp_path)
+    data = json.loads(cert_path.read_text())
+    node = data
+    for key in path:
+        node = node[key]
+    node["values"][0]["tuple"] = labels
+    cert_path.write_text(json.dumps(data))
+    assert main(["verify", str(cert_path)]) == 1
+    assert f"bad input: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [("kernel",), ("input", "module")])
+def test_verify_rejects_a_non_homomorphic_action_exit_2(capsys, tmp_path, path):
+    _, cert_path = _c2_certificate(tmp_path)
+    data = json.loads(cert_path.read_text())
+    node = data
+    for key in path:
+        node = node[key]
+    node["action"] = {"e": [[1]], "g": [[0]]}
+    cert_path.write_text(json.dumps(data))
+    assert main(["verify", str(cert_path)]) == 2
+    assert "action is not a homomorphism: witness ('g', 'g')" in capsys.readouterr().err
+
+
+# -- derived cochains hold what the checked path would store ---------------
+
+
+def _s3_omega():
+    """3 sgn cup sgn on S3 in Z/6 plus delta of 2 at the first non-identity
+    element: the S3 certificate of the benchmark's ladder, partial."""
+    s3 = builtin_group("symmetric:3")
+    z6 = trivial_module(s3, [6])
+    odd = [s3.element_order(x) == 2 for x in range(s3.order)]  # the transpositions
+    cup = cochain_from_function(s3, z6, 2, lambda t: (3 * odd[t[0]] * odd[t[1]],))
+    return add_cochains(cup, coboundary(Cochain(s3, z6, 1, {(1,): (2,)})))
+
+
+def ladder_certificates():
+    z2, z = trivial_module(C2, [2]), trivial_module(C2, [0])
+    sign = GModule(C2, [0], [[[1]], [[-1]]])
+    return [
+        trivialize_torsion(Cochain(C2, z2, 7, {(1,) * 7: (1,)})),
+        trivialize_torsion(Cochain(C2, z2, 8, {(1,) * 8: (1,)})),
+        trivialize_general(Cochain(C2, z, 6, {(1,) * 6: (3,)})),
+        trivialize_general(Cochain(C2, sign, 7, {(1,) * 7: (-1,)})),
+        trivialize_torsion(_s3_omega()),
+    ]
+
+
+def internal_cochains(cert):
+    """Every cochain of a certificate, and those trivialize and verify
+    derive from it: d2(b, c), delta alpha, pi^* omega and iota^* alpha."""
+    yield cert.omega
+    if cert.mode == "general":
+        st = cert.stages
+        yield from (st["h"].numerator, st["hbar"], st["eta"], st["eta_tilde"], st["beta"])
+        yield from internal_cochains(st["stage1"])
+        yield from internal_cochains(st["stage2"])
+        yield cert.alpha
+        return
+    yield from (cert.cocycle, cert.witness, d2(cert.witness, cert.cocycle))
+    if cert.alpha is not None:
+        yield from (cert.alpha, coboundary(cert.alpha), lift_cochain(cert.extension, cert.omega),
+                    restrict_cochain(cert.extension, cert.alpha))
+
+
+def test_internal_cochains_equal_their_checked_rebuild():
+    certs = ladder_certificates()
+    assert [c.partial for c in certs] == [False] * 4 + [True]
+    count = 0
+    for cert in certs:
+        for f in internal_cochains(cert):
+            assert_as_if_checked(f)
+            count += 1
+    # 8 per full torsion certificate, 4 for the partial one, and 7 more
+    # around the two stages of a general one
+    assert count == 2 * 8 + 2 * (7 + 2 * 8) + 4

@@ -25,6 +25,7 @@ from groupcoh import (
     verify_certificate,
 )
 from groupcoh import intlinalg
+from groupcoh.modules import _validate_module
 from groupcoh.errors import (
     ActionNotHomomorphic,
     BadIdentityAction,
@@ -343,9 +344,12 @@ def test_hom_closed_form_matches_ambient_matrix(name, n):
     pairs = [(kernel, m) for m in trivial + signed]
     pairs += [(m, kernel) for m in trivial + signed if m.is_torsion]
     assert len(pairs) == 13
+    # both are built unvalidated; the checks they skip must pass
+    _validate_module(kernel)
     for a, m in pairs:
         hom = hom_module(a, m)
         assert (hom.factors, hom.action) == _hom_by_ambient_matrix(hom)
+        _validate_module(hom)
 
 
 def test_hom_module_builds_its_action_without_from_images(monkeypatch):
