@@ -35,7 +35,6 @@ from .extensions import (
     extension_to_json,
     kernel_view,
     lift_cochain,
-    load_extension,
     module_through_projection,
     restrict_cochain,
 )

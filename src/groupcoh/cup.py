@@ -113,7 +113,10 @@ def cup(alpha: Cochain, beta: Cochain, max_entries=None):
 def d2(b: Cochain, c: Cochain, max_entries=None) -> Cochain:
     """d2(b)(g_1..g_{r+2}) = -b_{(g_1..g_r)}((g_1...g_r) . c(g_{r+1}, g_{r+2}))
     for b with values in Hom(A, M) and c a 2-cocycle valued in A: the
-    negated cup product of b and c under the evaluation pairing."""
+    negated cup product of b and c under the evaluation pairing.  The
+    entry for a (b, c) read from input: it checks the shapes and proves c
+    a 2-cocycle (NotACocycle names the failing triple), then calls
+    `_d2`."""
     hom = b.coeffs
     if not isinstance(hom, HomModule):
         raise PairingMismatch("witness cochain must take values in a Hom-module")
@@ -124,5 +127,14 @@ def d2(b: Cochain, c: Cochain, max_entries=None) -> Cochain:
     defect = first_cocycle_defect(c)
     if defect is not None:
         raise NotACocycle("d2 requires a 2-cocycle", witness=defect)
+    return _d2(b, c, max_entries)
+
+
+def _d2(b: Cochain, c: Cochain, max_entries=None) -> Cochain:
+    """The work of `d2`, with nothing checked: the caller proves that b
+    takes values in a HomModule whose source holds c, and that c is a
+    2-cocycle (`universal_kernel` self-checks the c it builds, and the
+    verifier's `kernel-cocycle` line the c it loaded)."""
+    hom = b.coeffs
     pairing = Pairing(hom, hom.source, hom.target, hom.evaluate, check=False)
     return neg_cochain(cup_with_pairing(pairing, b, c, max_entries))

@@ -12,7 +12,6 @@ only materialized when something downstream really needs a FiniteGroup.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 
 from .cochains import Cochain, cochain_from_json, cochain_to_json, first_cocycle_defect, max_entries_limit, nonid_tuples
@@ -156,9 +155,9 @@ class GroupExtension:
 
 
 def build_extension(kernel: GModule, cocycle: Cochain, max_entries=None) -> GroupExtension:
-    """Construct A x|_c G; fails with the associativity-violating triple
-    when c is not a 2-cocycle (the two failure sets coincide).  Gated on
-    the |A||G| entries of its element and action tables."""
+    """Construct A x|_c G from a (kernel, c) read from input; fails with
+    the associativity-violating triple when c is not a 2-cocycle (the two
+    failure sets coincide), then calls `_extension`."""
     if not kernel.is_torsion:
         raise KernelNotFinite("extension kernel must be finite")
     if cocycle.degree != 2:
@@ -168,6 +167,14 @@ def build_extension(kernel: GModule, cocycle: Cochain, max_entries=None) -> Grou
         raise NotACocycle(
             "extension cocycle fails the 2-cocycle condition", witness=defect
         )
+    return _extension(kernel, cocycle, max_entries)
+
+
+def _extension(kernel: GModule, cocycle: Cochain, max_entries=None) -> GroupExtension:
+    """The work of `build_extension`: gated on the |A||G| entries of its
+    element and action tables, with nothing else checked.  The caller
+    proves that A is finite and c a 2-cocycle, as `universal_kernel` does
+    for the (A, c) it builds."""
     count = kernel.size() * kernel.group.order
     limit = max_entries_limit(max_entries)
     if count > limit:
@@ -252,8 +259,3 @@ def extension_from_json(data: dict) -> GroupExtension:
     kernel = module_from_json(data["kernel"], group=base)
     cocycle = cochain_from_json(data["cocycle"], base, kernel)
     return build_extension(kernel, cocycle)
-
-
-def load_extension(path: str) -> GroupExtension:
-    with open(path) as fh:
-        return extension_from_json(json.load(fh))

@@ -131,18 +131,6 @@ def greedy_generators(group) -> list:
     return gens
 
 
-def multiply(group: FiniteGroup, i: int, j: int) -> int:
-    if not (0 <= i < group.order and 0 <= j < group.order):
-        raise IndexError((i, j))
-    return group.table[i][j]
-
-
-def inverse(group: FiniteGroup, i: int) -> int:
-    if not 0 <= i < group.order:
-        raise IndexError(i)
-    return group.inverse[i]
-
-
 def group_from_table(table, labels=None) -> FiniteGroup:
     """Validate a multiplication table and normalize the identity to index 0.
 

@@ -47,7 +47,7 @@ from .cochains import (
     scale_cochain,
     sub_cochains,
 )
-from .cup import d2
+from .cup import _d2
 from .errors import (
     DegreeMismatch,
     DegreeTooLow,
@@ -60,6 +60,7 @@ from .errors import (
 )
 from .extensions import (
     GroupExtension,
+    _extension,
     build_extension,
     lift_cochain,
     module_through_projection,
@@ -108,8 +109,10 @@ def universal_kernel(group, exponent: int):
     (g1g2) . x_{h,k}, as x_{g1,g2hk}, x_{g1,g2h} and x_{g1,g2} cancel.  So
     g -> rho(g) is a homomorphism of integer matrices, and as every
     modulus is N any integer matrix descends to A.  c is checked to be a
-    2-cocycle all the same; its values are unit vectors, reduced modulo N
-    >= 2 and nonzero."""
+    2-cocycle all the same, and this is the one check of c in a
+    trivialization: `trivialize_torsion` hands c to the unchecked cores
+    `cup._d2` and `extensions._extension` on its strength.  The values of c
+    are unit vectors, reduced modulo N >= 2 and nonzero."""
     order = group.order
     nonid = order - 1
     s = nonid * nonid
@@ -345,12 +348,6 @@ class TrivializationCertificate:
             return self.stages["stage2"].extension.order
         return self.extension.order if self.extension else None
 
-    def project(self, tup):
-        """Composite projection from the final total group down to G."""
-        top = self.stages["stage2"].extension if self.mode == "general" else self.extension
-        proj = _projection(top, self.group)
-        return tuple(proj[i] for i in tup)
-
 
 def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
                        sample_size=DEFAULT_SAMPLE_SIZE) -> TrivializationCertificate:
@@ -371,12 +368,14 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
     witness = build_witness(omega, kernel, c)
     if first_cocycle_defect(witness) is not None:
         raise SelfCheckFailed("trivialize_torsion: the witness b is not a cocycle")
-    if d2(witness, c) != omega:
+    # c is a 2-cocycle, as universal_kernel has just checked: the cores of
+    # d2 and build_extension do not check it again
+    if _d2(witness, c) != omega:
         raise SelfCheckFailed("trivialize_torsion: d2(b, c) differs from omega")
 
     ext = None
     try:
-        ext = build_extension(kernel, c, max_entries)
+        ext = _extension(kernel, c, max_entries)
         alpha = closed_form_alpha(ext, omega, witness, max_entries)
     except ResourceLimit as exc:
         return TrivializationCertificate(
@@ -480,9 +479,8 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
     cert = TrivializationCertificate(
         mode="general", omega=omega,
         stages={
-            "h": h, "hbar": hbar, "stage1": stage1, "rho": stage1.alpha,
-            "eta": eta, "eta_tilde": eta_tilde, "beta": beta,
-            "stage2": stage2,
+            "h": h, "hbar": hbar, "stage1": stage1, "eta": eta,
+            "eta_tilde": eta_tilde, "beta": beta, "stage2": stage2,
         },
         alpha=alpha,
     )
@@ -655,9 +653,9 @@ def _verify_torsion_cert(cert, checks, max_entries, seed, sample_size, prefix=""
     checks.append(Check(prefix + "kernel-cocycle", c_defect is None, witness=c_defect))
     defect = first_cocycle_defect(cert.witness)
     checks.append(Check(prefix + "witness-cocycle", defect is None, witness=defect))
-    # d2 is defined for a 2-cocycle c only
+    # d2 is defined for a 2-cocycle c only, and kernel-cocycle has proved it
     if c_defect is None:
-        diff = _first_difference(d2(cert.witness, cert.cocycle), omega)
+        diff = _first_difference(_d2(cert.witness, cert.cocycle), omega)
         checks.append(Check(prefix + "witness-d2", diff is None, witness=diff))
     else:
         checks.append(Check(prefix + "witness-d2", None, note="kernel-cocycle failed"))
@@ -979,9 +977,8 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
     return TrivializationCertificate(
         mode="general", omega=omega, alpha=alpha, partial=partial,
         stages={
-            "h": h, "hbar": stage1.omega, "stage1": stage1, "rho": stage1.alpha,
-            "eta": eta, "eta_tilde": eta_tilde, "beta": stage2.omega,
-            "stage2": stage2,
+            "h": h, "hbar": stage1.omega, "stage1": stage1, "eta": eta,
+            "eta_tilde": eta_tilde, "beta": stage2.omega, "stage2": stage2,
         },
         verification=verification,
     )

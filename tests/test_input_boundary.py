@@ -7,10 +7,19 @@ checked objects is built through `Cochain._from_reduced` or an unvalidated
 module, and the docstring of each such site proves its data valid.  These
 tests pin both halves: the loaders still reduce, drop and reject, and the
 derived cochains hold what the checked path would store (the modules are
-checked in tests/test_modules.py)."""
+checked in tests/test_modules.py).
 
+The universal 2-cocycle c is proved a cocycle once per run: by
+`universal_kernel` in trivialize, and in verify by `build_extension` at
+load (when the certificate declares Gamma) and by the kernel-cocycle
+line.  The checked entries `d2` and `build_extension` are called only
+where c comes from input; code that built or proved c calls their cores."""
+
+import ast
 import copy
+import importlib
 import json
+import pathlib
 
 import pytest
 
@@ -27,15 +36,25 @@ from groupcoh import (
     trivialize_general,
     trivialize_torsion,
 )
+from groupcoh import cochains as cochains_module
+from groupcoh import extensions as extensions_module
+from groupcoh import trivialize as trivialize_module
 from groupcoh.cli import main
-from groupcoh.cochains import cochain_from_json, zero_cochain
+from groupcoh.cochains import cochain_from_json, cochain_to_json, zero_cochain
 from groupcoh.cup import d2
 from groupcoh.errors import ActionNotHomomorphic
 from groupcoh.extensions import lift_cochain, restrict_cochain
 from groupcoh.modules import module_from_json
-from groupcoh.trivialize import _witness_from_json, load_certificate, save_certificate
+from groupcoh.trivialize import (
+    _witness_from_json,
+    load_certificate,
+    save_certificate,
+    verify_certificate,
+)
 
 C2 = cyclic_group(2)
+# the package exports the function cup under the module's name
+cup_module = importlib.import_module("groupcoh.cup")
 
 
 def rebuilt_checked(f: Cochain) -> Cochain:
@@ -208,3 +227,110 @@ def test_internal_cochains_equal_their_checked_rebuild():
     # 8 per full torsion certificate, 4 for the partial one, and 7 more
     # around the two stages of a general one
     assert count == 2 * 8 + 2 * (7 + 2 * 8) + 4
+
+
+# -- c is checked once ------------------------------------------------------
+
+
+def _checked_cochains(monkeypatch):
+    """The list every `first_cocycle_defect` call appends its cochain to,
+    through each module binding of the function."""
+    seen = []
+    original = cochains_module.first_cocycle_defect
+
+    def counted(f, *args, **kwargs):
+        seen.append(f)
+        return original(f, *args, **kwargs)
+
+    for module in (cochains_module, trivialize_module, cup_module, extensions_module):
+        monkeypatch.setattr(module, "first_cocycle_defect", counted)
+    return seen
+
+
+@pytest.mark.parametrize("omega, partial", [
+    (Cochain(C2, trivial_module(C2, [2]), 7, {(1,) * 7: (1,)}), False),
+    (_s3_omega(), True),
+])
+def test_each_run_checks_c_once(monkeypatch, tmp_path, omega, partial):
+    """trivialize and an in-memory verify each check c once; a saved
+    certificate is checked at load when it declares Gamma, and on the
+    kernel-cocycle line."""
+    seen = _checked_cochains(monkeypatch)
+
+    def checks_of(c):
+        count = sum(f is c for f in seen)
+        seen.clear()
+        return count
+
+    cert = trivialize_torsion(omega)
+    assert cert.partial is partial
+    if partial:
+        assert cert.reason.startswith("extension table needs |A||G| = ")
+    assert checks_of(cert.cocycle) == 1
+    assert verify_certificate(cert).ok(allow_partial=True)
+    assert checks_of(cert.cocycle) == 1
+    path = tmp_path / "cert.json"
+    save_certificate(cert, str(path))
+    loaded = load_certificate(str(path))
+    assert verify_certificate(loaded).ok(allow_partial=True)
+    assert checks_of(loaded.cocycle) == (1 if partial else 2)
+
+
+def test_partial_certificate_with_non_cocycle_c_fails_on_kernel_cocycle(capsys, tmp_path):
+    """A partial certificate declares no Gamma, so loading does not check c
+    and the kernel-cocycle line is the only check of it."""
+    c3 = cyclic_group(3)
+    omega = Cochain(c3, trivial_module(c3, [3]), 2,
+                    {(1, 2): (1,), (2, 1): (1,), (2, 2): (1,)})
+    omega_path = tmp_path / "omega.json"
+    omega_path.write_text(json.dumps(cochain_to_json(omega)))
+    cert_path = tmp_path / "cert.json"
+    assert main(["trivialize", "--group", "cyclic:3", "--module", "trivial:3",
+                 "--cocycle", str(omega_path), "--degree", "2", "--max-entries", "50",
+                 "--out", str(cert_path)]) == 0
+    assert "status: partial" in capsys.readouterr().out
+    data = json.loads(cert_path.read_text())
+    assert data["gamma"] is None
+    entry = data["c"]["values"][0]
+    entry["value"] = [(v + 1) % 3 for v in entry["value"]]
+    cert_path.write_text(json.dumps(data))
+    assert main(["verify", str(cert_path), "--allow-partial"]) == 7
+    lines = capsys.readouterr().out.splitlines()
+    assert "kernel-cocycle: FAIL witness=(1, 1, 2)" in lines
+    assert "witness-d2: absent (kernel-cocycle failed)" in lines
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "groupcoh"
+
+# the checked entries, and the functions that hand them a c read from input
+INPUT_BOUNDARY = {
+    "build_extension": {"cli.cmd_extend", "trivialize.certificate_from_json",
+                        "extensions.extension_from_json"},
+    "d2": {"cli.cmd_d2"},
+}
+
+
+def _callers(name):
+    """module.function of every call of name in src/groupcoh, by the
+    innermost function around it."""
+    found = set()
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.<module>")
+    return found
+
+
+@pytest.mark.parametrize("name", list(INPUT_BOUNDARY))
+def test_checked_entries_are_called_only_at_the_input_boundary(name):
+    assert _callers(name) == INPUT_BOUNDARY[name]
