@@ -6,7 +6,8 @@ Exit codes:
   0  success
   1  usage error (bad flags, missing/inconsistent inputs)
   2  group validation failure (identity/inverse/associativity witness)
-  3  resource limit exceeded (override with COCYCLE_MAX_TUPLES) or out of memory
+  3  resource limit exceeded (override with --max-entries or COCYCLE_MAX_TUPLES)
+     or out of memory
   4  cocycle or compatibility failure (NotACocycle, mismatched inputs,
      an infinite kernel)
   5  non-torsion value in torsion mode
@@ -54,7 +55,7 @@ from .groups import builtin_group, group_from_json, group_to_json, json_object, 
 from .modules import HomModule, module_from_json, trivial_module
 from .trivialize import (
     _witness_from_json,
-    certificate_from_json,
+    load_certificate,
     save_certificate,
     trivialize_general,
     trivialize_torsion,
@@ -115,16 +116,17 @@ def _load_module_arg(spec: str, group):
     raise UnknownFamily(f"module spec {spec!r} is neither a file nor trivial:...")
 
 
-def _seed(text: str) -> int:
-    """A --seed value: an integer >= 0, as a certificate's verification.seed
-    must be (random.Random(-s) draws what random.Random(s) does anyway)."""
+def _natural(text: str) -> int:
+    """A --max-entries or --seed value: an integer >= 0 (a certificate's
+    verification.seed must be one, and random.Random(-s) draws what
+    random.Random(s) does anyway)."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: expected an integer >= 0")
-    return seed
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: expected an integer >= 0")
+    return value
 
 
 def _write_json(data, path):
@@ -138,8 +140,7 @@ def _write_json(data, path):
 
 def cmd_group(args) -> int:
     if args.table:
-        with open(args.table) as fh:
-            group = group_from_json(json.load(fh))
+        group = load_group(args.table)
     else:
         group = builtin_group(args.builtin)
     orders = [group.element_order(i) for i in range(group.order)]
@@ -192,8 +193,7 @@ def cmd_d2(args) -> int:
     group = _load_group_arg(args.group)
     module = _load_module_arg(args.module, group)
     kernel = _load_module_arg(args.kernel, group)
-    with open(args.cocycle) as fh:
-        c = cochain_from_json(json.load(fh), group, kernel)
+    c = load_cochain(args.cocycle, group, kernel)
     hom = HomModule(kernel, module)
     with open(args.witness) as fh:
         b = _witness_from_json(json.load(fh), group, hom)
@@ -207,8 +207,7 @@ def cmd_d2(args) -> int:
 def cmd_extend(args) -> int:
     group = _load_group_arg(args.group)
     kernel = _load_module_arg(args.module, group)
-    with open(args.cocycle) as fh:
-        c = cochain_from_json(json.load(fh), group, kernel)
+    c = load_cochain(args.cocycle, group, kernel)
     ext = build_extension(kernel, c, args.max_entries)
     if args.out:
         _write_json(extension_to_json(ext), args.out)
@@ -246,8 +245,7 @@ def cmd_trivialize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate) as fh:
-        cert = certificate_from_json(json.load(fh), max_entries=args.max_entries)
+    cert = load_certificate(args.certificate, args.max_entries)
     report = verify_certificate(cert, args.max_entries, args.seed)
     for line in report.lines():
         print(line)
@@ -267,12 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p):
-        p.add_argument("--max-entries", type=int, default=None,
-                       help="resource limit override (also COCYCLE_MAX_TUPLES)")
+        p.add_argument("--max-entries", type=_natural, default=None,
+                       help="resource limit override, >= 0 (also COCYCLE_MAX_TUPLES)")
 
     def seeded(p):
         common(p)
-        p.add_argument("--seed", type=_seed, default=0,
+        p.add_argument("--seed", type=_natural, default=0,
                        help="seed for sampled verification, >= 0 (default 0)")
 
     p = sub.add_parser("group", help="build/validate a finite group")

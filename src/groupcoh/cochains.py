@@ -27,10 +27,29 @@ DEFAULT_MAX_ENTRIES = 10_000_000
 
 
 def max_entries_limit(override=None) -> int:
+    """The resource ceiling: override when given, else COCYCLE_MAX_TUPLES
+    when set, else DEFAULT_MAX_ENTRIES.  A COCYCLE_MAX_TUPLES that is not
+    an integer >= 0 raises a ValueError naming the variable."""
     if override is not None:
         return override
     env = os.environ.get("COCYCLE_MAX_TUPLES")
-    return int(env) if env else DEFAULT_MAX_ENTRIES
+    try:
+        limit = int(env) if env else DEFAULT_MAX_ENTRIES
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"COCYCLE_MAX_TUPLES is {env!r}, expected an integer >= 0")
+    return limit
+
+
+def check_entries(stage: str, count: int, max_entries=None, formula="") -> None:
+    """The one resource gate: ResourceLimit("<stage> needs <formula><count>
+    entries (limit L)") when count exceeds L = `max_entries_limit`.  Every
+    caller works count out from sizes before it allocates anything count
+    bounds."""
+    limit = max_entries_limit(max_entries)
+    if count > limit:
+        raise ResourceLimit(f"{stage} needs {formula}{count} entries (limit {limit})")
 
 
 def nonid_tuples(order: int, n: int, firsts=None):
@@ -213,6 +232,20 @@ def _plus(acc, row, mat):
     return out
 
 
+def _prefix_rows(f: Cochain) -> dict:
+    """{u: row} for every (n-1)-prefix u of f's support (n = f.degree >=
+    1), where row[c][j] is coordinate c of f(u, j) for every element j."""
+    order, dim = f.group.order, f.coeffs.dim
+    rows = {}
+    for tup, v in f.values.items():
+        row = rows.get(tup[:-1])
+        if row is None:
+            row = rows[tup[:-1]] = [[0] * order for _ in range(dim)]
+        for r, x in zip(row, v):
+            r[tup[-1]] = x
+    return rows
+
+
 def delta_rows(f: Cochain, firsts=None):
     """(t, row) for every n-prefix t of non-identity elements (n =
     f.degree), lexicographically, where row[c][j] is coordinate c of
@@ -237,13 +270,7 @@ def delta_rows(f: Cochain, firsts=None):
         yield (), [[(w[c] - x) % d if d else w[c] - x for w in images]
                    for c, (x, d) in enumerate(zip(v, factors))]
         return
-    rows = {}  # f(u, .) per (n-1)-prefix u of the support
-    for tup, v in f.values.items():
-        row = rows.get(tup[:-1])
-        if row is None:
-            row = rows[tup[:-1]] = [[0] * order for _ in factors]
-        for r, x in zip(row, v):
-            r[tup[-1]] = x
+    rows = _prefix_rows(f)
     ident = tuple(map(tuple, la.identity_matrix(m.dim)))
     minus = [[-x for x in r] for r in ident]
     zero_row, columns = [[0] * order for _ in factors], range(order)
@@ -287,10 +314,7 @@ def coboundary(f: Cochain, max_entries=None) -> Cochain:
     (zero, as delta f is normalized) are not stored.  Gated on the
     (|G|-1)^n |G| dim M entries those rows hold."""
     order = f.group.order
-    count = (order - 1) ** f.degree * order * f.coeffs.dim
-    limit = max_entries_limit(max_entries)
-    if count > limit:
-        raise ResourceLimit(f"coboundary needs {count} entries (limit {limit})")
+    check_entries("coboundary", (order - 1) ** f.degree * order * f.coeffs.dim, max_entries)
     vals = {}
     for t, row in delta_rows(f):
         if any(map(any, row)):
@@ -331,17 +355,10 @@ def coboundary_defect(x: Cochain, f: Cochain = None, proj=None, firsts=None, max
     group, k, n = x.group, x.coeffs.dim, x.degree
     order = group.order
     if max_entries is not None:
-        count = ((order - 1) ** n if firsts is None or not n
-                 else len(firsts) * (order - 1) ** (n - 1)) * order * k
-        if count > max_entries:
-            raise ResourceLimit(f"coboundary needs {count} entries (limit {max_entries})")
-    rhs_rows = {}  # f(u, .) per prefix u of f's support, read through proj
-    for tup, v in (f.values.items() if f is not None else ()):
-        rows = rhs_rows.get(tup[:-1])
-        if rows is None:
-            rows = rhs_rows[tup[:-1]] = [[0] * f.group.order for _ in range(k)]
-        for r, c in zip(rows, v):
-            r[tup[-1]] = c
+        check_entries("coboundary", ((order - 1) ** n if firsts is None or not n
+                                     else len(firsts) * (order - 1) ** (n - 1)) * order * k,
+                      max_entries)
+    rhs_rows = _prefix_rows(f) if f is not None else {}
     if proj is not None:
         rhs_rows = {u: [[r[j] for j in proj] for r in rows] for u, rows in rhs_rows.items()}
     zero = [[0] * order for _ in range(k)]
@@ -384,18 +401,16 @@ def coboundary_matrix(group, module: GModule, n: int, max_entries=None, firsts=N
     Returns (matrix, domain_tuples, target_tuples); rows and columns are
     blocked by tuple then coefficient coordinate.  With firsts, only the
     rows of the target tuples whose first element is in firsts are built
-    (`nonid_tuples`), and the resource gate counts those rows.
+    (`nonid_tuples`), and the resource gate counts those rows before it
+    lists any tuple.
     """
     k = module.dim
     order = group.order
+    cols = (order - 1) ** n * k
+    rows = (order - 1 if firsts is None else len(firsts)) * cols
+    check_entries("coboundary matrix", rows * cols, max_entries)
     dom = [()] if n == 0 else list(nonid_tuples(order, n))
     tgt = list(nonid_tuples(order, n + 1, firsts))
-    rows, cols = len(tgt) * k, len(dom) * k
-    limit = max_entries_limit(max_entries)
-    if rows * cols > limit:
-        raise ResourceLimit(
-            f"coboundary matrix needs {rows * cols} entries (limit {limit})"
-        )
     dom_idx = {t: i for i, t in enumerate(dom)}
     mat = la.zeros(rows, cols)
     for ti, tup in enumerate(tgt):
@@ -541,15 +556,13 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
                                   f"|G| = {group.order} times a rank in [0, {free.dim}]")
         inv, _ = invariants(torsion)
         return list(inv.factors) + [0] * rank
-    k = module.dim
-    cur = list(nonid_tuples(group.order, n))
-    if not cur or not k:
+    if group.order == 1 or not module.dim:
         return []
     if not any(module.factors):
         factors = _lattice_cohomology(group, module, n, max_entries)
     else:
         big = group.order * math.lcm(*filter(None, module.factors))
-        dmat, _, tgt = coboundary_matrix(group, module, n, max_entries)
+        dmat, cur, tgt = coboundary_matrix(group, module, n, max_entries)
         prev_mat, _, _ = coboundary_matrix(group, module, n - 1, max_entries)
         images = [list(col) for col in zip(*prev_mat) if any(col)]
         quotient = la.kernel_quotient(

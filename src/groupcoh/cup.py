@@ -4,8 +4,8 @@ differential that kills lifted cocycles."""
 
 from __future__ import annotations
 
-from .cochains import Cochain, first_cocycle_defect, max_entries_limit, neg_cochain
-from .errors import GroupMismatch, NotACocycle, PairingMismatch, ResourceLimit
+from .cochains import Cochain, check_entries, first_cocycle_defect, neg_cochain
+from .errors import GroupMismatch, NotACocycle, PairingMismatch
 from .modules import GModule, HomModule, tensor_module
 
 
@@ -86,10 +86,7 @@ def cup_with_pairing(pairing: Pairing, alpha: Cochain, beta: Cochain,
     vals = {}
     prefixes = alpha.values.items() if p > 0 else [((), alpha.evaluate(()))]
     suffixes = beta.values.items() if beta.degree > 0 else [((), beta.evaluate(()))]
-    count = len(prefixes) * len(suffixes)
-    limit = max_entries_limit(max_entries)
-    if count > limit:
-        raise ResourceLimit(f"cup product needs {count} entries (limit {limit})")
+    check_entries("cup product", len(prefixes) * len(suffixes), max_entries)
     for prefix, av in prefixes:
         gprod = group.product(prefix)
         for suffix, bv in suffixes:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .cochains import Cochain, cochain_from_json, cochain_to_json, first_cocycle_defect, max_entries_limit, nonid_tuples
-from .errors import KernelNotFinite, NotACocycle, ResourceLimit
+from .cochains import Cochain, check_entries, cochain_from_json, cochain_to_json, first_cocycle_defect, nonid_tuples
+from .errors import KernelNotFinite, NotACocycle
 from .groups import FiniteGroup, cyclic_group, group_from_json, group_to_json
 from .modules import (
     GModule,
@@ -142,11 +142,7 @@ class GroupExtension:
         (see `build_extension`), its identity (0, e) is index 0 by
         construction, and the inverses come from `inv`."""
         if self._total is None:
-            limit = max_entries_limit(max_entries)
-            if self.order * self.order > limit:
-                raise ResourceLimit(
-                    f"total group table needs {self.order ** 2} entries (limit {limit})"
-                )
+            check_entries("total group table", self.order ** 2, max_entries)
             self._total = FiniteGroup(
                 order=self.order, elements=self.elements,
                 table=tuple(tuple(self.mul_row(i)) for i in range(self.order)),
@@ -175,10 +171,8 @@ def _extension(kernel: GModule, cocycle: Cochain, max_entries=None) -> GroupExte
     element and action tables, with nothing else checked.  The caller
     proves that A is finite and c a 2-cocycle, as `universal_kernel` does
     for the (A, c) it builds."""
-    count = kernel.size() * kernel.group.order
-    limit = max_entries_limit(max_entries)
-    if count > limit:
-        raise ResourceLimit(f"extension table needs |A||G| = {count} entries (limit {limit})")
+    check_entries("extension table", kernel.size() * kernel.group.order, max_entries,
+                  formula="|A||G| = ")
     return GroupExtension(kernel, cocycle)
 
 
@@ -198,10 +192,7 @@ def lift_cochain(ext: GroupExtension, omega: Cochain, max_entries=None) -> Cocha
     Gated on the |supp omega| * |A|^n entries it allocates."""
     n = omega.degree
     ng, na = ext.base.order, len(ext.kernel_elements)
-    count = len(omega.values) * na ** n
-    limit = max_entries_limit(max_entries)
-    if count > limit:
-        raise ResourceLimit(f"lifted cochain needs {count} entries (limit {limit})")
+    check_entries("lifted cochain", len(omega.values) * na ** n, max_entries)
     coeffs = module_through_projection(ext, omega.coeffs)
     lifted = []
     for u, v in omega.values.items():
@@ -227,10 +218,7 @@ def restrict_cochain(ext: GroupExtension, alpha: Cochain, max_entries=None) -> C
     are alpha's, reduced, and the zero ones are dropped.  Gated on the
     (|A|-1)^n tuples it reads."""
     n = alpha.degree
-    count = (len(ext.kernel_elements) - 1) ** n
-    limit = max_entries_limit(max_entries)
-    if count > limit:
-        raise ResourceLimit(f"restricted cochain needs {count} entries (limit {limit})")
+    check_entries("restricted cochain", (len(ext.kernel_elements) - 1) ** n, max_entries)
     agrp = kernel_view(ext)
     coeffs = trivial_module(agrp, alpha.coeffs.factors)
     vals = {}

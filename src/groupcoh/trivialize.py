@@ -32,6 +32,7 @@ from .cochains import (
     RationalCochain,
     add_cochains,
     averaging_homotopy,
+    check_entries,
     coboundary,
     coboundary_defect,
     coboundary_value,  # unused here; kept bound for perfbench/tracer.py and its test
@@ -210,10 +211,7 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
     domain.
     """
     n = omega.degree
-    limit = max_entries_limit(max_entries)
-    count = (ext.order - 1) ** (n - 1)
-    if count > limit:
-        raise ResourceLimit(f"closed-form primitive needs {count} entries (limit {limit})")
+    check_entries("closed-form primitive", (ext.order - 1) ** (n - 1), max_entries)
     hom: HomModule = witness.coeffs
     module, kernel = omega.coeffs, ext.kernel
     sign = 1 if n % 2 == 0 else -1

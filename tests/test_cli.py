@@ -15,7 +15,8 @@ from groupcoh import (
 )
 from groupcoh import cli
 from groupcoh.cli import main
-from groupcoh.cochains import cochain_from_json
+from groupcoh.cochains import cochain_from_json, max_entries_limit
+from groupcoh.extensions import GroupExtension
 from groupcoh.modules import GModule, load_module
 
 
@@ -740,6 +741,62 @@ def test_negative_seed_exit_1(capsys, tmp_path):
               "--seed", "-1"])
     assert exc.value.code == 1
     assert "expected an integer >= 0" in capsys.readouterr().err
+
+
+H1_C2 = ("cohomology", "--group", "cyclic:2", "--module", "trivial:2", "--degree", "1")
+
+
+@pytest.mark.parametrize("value", ["-1", "1e7", "x", ""])
+def test_max_entries_flag_must_be_an_integer_at_least_0_exit_1(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*H1_C2, "--max-entries", value])
+    assert exc.value.code == 1
+    assert (f"argument --max-entries: invalid value {value!r}: expected an integer >= 0"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["-3", "1e7", "x"])
+def test_max_tuples_variable_must_be_an_integer_at_least_0_exit_1(capsys, monkeypatch, value):
+    monkeypatch.setenv("COCYCLE_MAX_TUPLES", value)
+    code, _, err = run(capsys, *H1_C2)
+    assert code == 1
+    assert err == f"error: bad input: COCYCLE_MAX_TUPLES is {value!r}, expected an integer >= 0\n"
+    with pytest.raises(ValueError, match="COCYCLE_MAX_TUPLES"):
+        max_entries_limit()
+
+
+def test_a_ceiling_of_0_is_valid_exit_3(capsys, monkeypatch):
+    # delta_1 of C2 in Z/2 has one entry
+    code, _, err = run(capsys, *H1_C2, "--max-entries", "0")
+    assert code == 3 and err == "error: coboundary matrix needs 1 entries (limit 0)\n"
+    monkeypatch.setenv("COCYCLE_MAX_TUPLES", "0")
+    code, _, err = run(capsys, *H1_C2)
+    assert code == 3 and err == "error: coboundary matrix needs 1 entries (limit 0)\n"
+    assert run(capsys, *H1_C2, "--max-entries", "1")[:2] == (0, "H^1 invariant factors: [2]\n")
+
+
+def _off_by_one(method, index):
+    """GroupExtension.<method> with the result at element index moved to
+    the next element."""
+    real = getattr(GroupExtension, method)
+
+    def patched(self, i, *rest):
+        out = real(self, i, *rest)
+        return (out + 1) % self.order if (i, *rest) == index else out
+    return patched
+
+
+@pytest.mark.parametrize("method, index, line", [
+    ("mul", (3, 0), "extension-identity: FAIL witness=3"),
+    ("inv", (2,), "extension-inverses: FAIL witness=2"),
+])
+def test_verify_fails_the_extension_axioms_with_the_element_exit_7(capsys, tmp_path, monkeypatch,
+                                                                   method, index, line):
+    cert_path = _certificate(capsys, tmp_path, "torsion")  # |Gamma| = 4
+    monkeypatch.setattr(GroupExtension, method, _off_by_one(method, index))
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert code == 7 and err == "verdict: FAIL\n"
+    assert line in out.splitlines()
 
 
 def test_verify_kernel_factor_one_fails_with_witness_exit_7(capsys, tmp_path):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,7 @@ from groupcoh import (
 from groupcoh import intlinalg
 from groupcoh.cochains import (
     add_cochains,
+    coboundary_matrix,
     coboundary_value,
     neg_cochain,
     nonid_tuples,
@@ -266,6 +268,37 @@ def test_coboundary_resource_limit_names_the_count():
     assert not coboundary(f, max_entries=24).is_zero()
     with pytest.raises(ResourceLimit, match=r"^coboundary needs 24 entries \(limit 23\)$"):
         coboundary(f, max_entries=23)
+
+
+@pytest.mark.parametrize("factors, degree", [([3], 16), ([0], 17)])
+def test_cohomology_gates_before_listing_any_tuple(factors, degree):
+    # C3 in degree 16: delta_16 would be 2^17 x 2^16 (Z/3), delta_16 again
+    # for the lattice H^17 (Z); listing its 2^16 domain tuples alone held
+    # about 45 MB (tracemalloc), the count is worked out from sizes
+    g = cyclic_group(3)
+    m = trivial_module(g, factors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=r"^coboundary matrix needs 8589934592 "
+                                                r"entries \(limit 10000000\)$"):
+            cohomology(g, m, degree, max_entries=10_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("firsts, entries", [(None, 32), ([1], 16), ([1, 2], 32)])
+def test_coboundary_matrix_counts_the_rows_it_would_build(firsts, entries):
+    # delta_1 of C3 in Z/3 + Z/3: (2 or |firsts|) * 2 tuples * 2 coordinates
+    # rows by 2 * 2 columns
+    g = cyclic_group(3)
+    m = trivial_module(g, [3, 3])
+    mat, dom, tgt = coboundary_matrix(g, m, 1, max_entries=entries, firsts=firsts)
+    assert len(mat) * len(mat[0]) == entries and len(dom) == 2
+    with pytest.raises(ResourceLimit, match=rf"^coboundary matrix needs {entries} entries "
+                                            rf"\(limit {entries - 1}\)$"):
+        coboundary_matrix(g, m, 1, max_entries=entries - 1, firsts=firsts)
 
 
 # -- cohomology against the enumeration oracle -----------------------------

@@ -334,3 +334,36 @@ def _callers(name):
 @pytest.mark.parametrize("name", list(INPUT_BOUNDARY))
 def test_checked_entries_are_called_only_at_the_input_boundary(name):
     assert _callers(name) == INPUT_BOUNDARY[name]
+
+
+def _raises(name):
+    """module.function of every `raise name(...)` in src/groupcoh, once per
+    statement, by the innermost function around it."""
+    found = []
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == name:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.<module>")
+    return sorted(found)
+
+
+def test_one_resource_gate_raises_every_resource_limit():
+    # the gate, and the two re-raises of a partial stage of the general driver
+    assert _raises("ResourceLimit") == ["cochains.check_entries",
+                                        "trivialize.trivialize_general",
+                                        "trivialize.trivialize_general"]
+
+
+def test_certificates_are_read_through_load_certificate():
+    # load_certificate, and the nested stages of a general certificate
+    assert _callers("certificate_from_json") == {"trivialize.load_certificate",
+                                                 "trivialize.certificate_from_json"}
