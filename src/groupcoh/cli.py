@@ -29,7 +29,7 @@ import json
 import os
 import sys
 
-from .cochains import cochain_from_json, cochain_to_json, cohomology, load_cochain
+from .cochains import cochain_from_json, cochain_to_json, cohomology, load_cochain, write_json
 from .cup import cup, d2
 from .errors import (
     ActionBreaksRelations,
@@ -131,7 +131,7 @@ def _natural(text: str) -> int:
 
 def _write_json(data, path):
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
+        write_json(fh.write, data)
         fh.write("\n")
 
 
@@ -148,7 +148,8 @@ def cmd_group(args) -> int:
         out = group_to_json(group)
         out["abelian"] = group.is_abelian
         out["element_orders"] = orders
-        print(json.dumps(out, sort_keys=True, indent=1))
+        write_json(sys.stdout.write, out)
+        print()
     else:
         print(f"order: {group.order}")
         if group.is_abelian:
@@ -199,7 +200,7 @@ def cmd_d2(args) -> int:
         b = _witness_from_json(json.load(fh), group, hom)
     result = d2(b, c, args.max_entries)
     if args.out:
-        _write_json(cochain_to_json(result), args.out)
+        _write_json(result, args.out)
     print(f"d2: degree {result.degree}, support {len(result.values)}")
     return 0
 

@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import intlinalg as la
 from .errors import DegreeMismatch, NotACocycle, ResourceLimit, SelfCheckFailed
@@ -676,6 +677,103 @@ def cochain_to_json(f: Cochain) -> dict:
             {"tuple": [labels[i] for i in tup], "value": list(f.values[tup])}
         )
     return {"degree": f.degree, "values": entries}
+
+
+class MatrixForm:
+    """A cochain over a HomModule Hom(A, M), for `write_json` to write in
+    the form trivialize's `_witness_to_json` gives it: each value as the
+    list of images of A's basis vectors, under "matrix"."""
+
+    def __init__(self, cochain: Cochain):
+        self.cochain = cochain
+
+
+def write_json(write, value, ind="\n") -> None:
+    """Write value, whose dict keys are strings, through write(str) as the
+    bytes of json.dump(value, fh, sort_keys=True, indent=1); ind is a
+    newline and the indentation of the line value starts on.  A Cochain in
+    value is written as its `cochain_to_json` dict would be, a MatrixForm
+    as its "matrix" dict, entry by entry (see `_write_cochain`): neither
+    dict nor the whole text is ever built."""
+    if isinstance(value, Cochain):
+        _write_cochain(write, value, ind)
+    elif isinstance(value, MatrixForm):
+        _write_cochain(write, value.cochain, ind, matrix=True)
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = ind + " "
+        sep = "{" + inner
+        for key in sorted(value):
+            write(sep + _encode_str(key) + ": ")
+            write_json(write, value[key], inner)
+            sep = "," + inner
+        write(ind + "}")
+    elif isinstance(value, (list, tuple)):
+        if all(type(x) is int for x in value):
+            write(_int_list(value, ind))
+            return
+        inner = ind + " "
+        sep = "[" + inner
+        for x in value:
+            write(sep)
+            write_json(write, x, inner)
+            sep = "," + inner
+        write(ind + "]")
+    elif isinstance(value, str):
+        write(_encode_str(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        write(int.__repr__(value))
+    else:
+        # None, a bool, a float, or json's TypeError for anything else
+        write(json.dumps(value))
+
+
+def _int_list(xs, ind: str) -> str:
+    """A list of ints as indent-1 JSON, its items one level below ind."""
+    if not xs:
+        return "[]"
+    inner = ind + " "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, xs)) + ind + "]"
+
+
+def _write_cochain(write, f: Cochain, ind: str, matrix=False, chunk=256) -> None:
+    """`write_json` of cochain_to_json(f), or with matrix of f's "matrix"
+    dict: the entries in sorted tuple order, chunk of them per write, each
+    element label encoded once and each distinct value once per chunk."""
+    i1 = ind + " "
+    i2, i3, i4 = i1 + " ", i1 + "  ", i1 + "   "
+    write("{" + i1 + '"degree": ' + int.__repr__(f.degree) + "," + i1 + '"values": ')
+    if not f.values:
+        write("[]" + ind + "}")
+        return
+    labels = [i4 + _encode_str(lbl) for lbl in f.group.elements]
+    head, close, tail = i2 + "{" + i3, i3 + "]", i2 + "}"
+    shown = {}
+
+    def entry(tup, v):
+        text = shown.get(v)
+        if text is None:
+            if matrix:
+                rows = [_int_list(img, i4) for img in f.coeffs.images(v)]
+                text = "[" + ",".join([i4 + row for row in rows]) + close if rows else "[]"
+            else:
+                text = _int_list(v, i3)
+            shown[v] = text
+        where = "[" + ",".join([labels[i] for i in tup]) + close if tup else "[]"
+        if matrix:
+            return head + '"matrix": ' + text + "," + i3 + '"tuple": ' + where + tail
+        return head + '"tuple": ' + where + "," + i3 + '"value": ' + text + tail
+
+    vals = f.values
+    keys = sorted(vals)
+    sep = "["
+    for lo in range(0, len(keys), chunk):
+        shown.clear()  # a bound on what the cache holds
+        write(sep + ",".join([entry(t, vals[t]) for t in keys[lo:lo + chunk]]))
+        sep = ","
+    write(i1 + "]" + ind + "}")
 
 
 def json_entries(data: dict, group):

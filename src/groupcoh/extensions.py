@@ -68,13 +68,17 @@ class GroupExtension:
 
     @property
     def elements(self):
+        """"(a_1,...,a_k;g)" for every (a, g), in index order: the kernel
+        prefixes "(a_1", "(a_1,a_2", ... are built one digit at a time and
+        each is joined to ";g)"."""
         if self._labels is None:
-            base = self.base
-            self._labels = tuple(
-                f"({','.join(map(str, self.kernel_elements[a]))};{base.elements[g]})"
-                for a in range(len(self.kernel_elements))
-                for g in range(base.order)
-            )
+            prefixes, sep = ["("], ""
+            for d in self.kernel.factors:
+                digits = [sep + str(x) for x in range(d)]
+                prefixes = [p + x for p in prefixes for x in digits]
+                sep = ","
+            suffixes = [";" + lbl + ")" for lbl in self.base.elements]
+            self._labels = tuple(p + s for p in prefixes for s in suffixes)
         return self._labels
 
     def add_kernel(self, i: int, j: int) -> int:

@@ -240,8 +240,10 @@ def index_tables(m: GModule):
         digits = [[0] for _ in factors]
         for j in reversed(range(k)):
             span = range(factors[j])
+            # a coefficient 0 mod d_i repeats the column, with no arithmetic
             digits = [
-                [(mat[i][j] * x + u) % di for x in span for u in col]
+                col * factors[j] if mat[i][j] % di == 0
+                else [(mat[i][j] * x + u) % di for x in span for u in col]
                 for i, (col, di) in enumerate(zip(digits, factors))
             ]
         out = [0] * len(canon)

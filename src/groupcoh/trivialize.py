@@ -29,6 +29,7 @@ from . import cochains
 from . import intlinalg as la
 from .cochains import (
     Cochain,
+    MatrixForm,
     RationalCochain,
     add_cochains,
     averaging_homotopy,
@@ -47,6 +48,7 @@ from .cochains import (
     nonid_tuples,
     scale_cochain,
     sub_cochains,
+    write_json,
 )
 from .cup import _d2
 from .errors import (
@@ -765,11 +767,13 @@ def _witness_from_json(data: dict, group, hom: HomModule) -> Cochain:
     return Cochain(group, hom, degree, vals)
 
 
-def certificate_to_json(cert: TrivializationCertificate, embed_group=True) -> dict:
+def _certificate_tree(cert: TrivializationCertificate, leaf, witness, embed_group=True) -> dict:
+    """The certificate's layout, the one both writers share: a dict tree
+    whose cochains are leaf(cochain), and the witness b witness(b)."""
     inp = {
         "module": module_to_json(cert.module, embed_group=False),
         "degree": cert.degree,
-        "omega": cochain_to_json(cert.omega),
+        "omega": leaf(cert.omega),
     }
     if embed_group:
         inp["group"] = group_to_json(cert.group)
@@ -779,13 +783,13 @@ def certificate_to_json(cert: TrivializationCertificate, embed_group=True) -> di
         "input": inp,
         "partial": cert.partial,
         "verification": cert.verification,
-        "alpha": cochain_to_json(cert.alpha) if cert.alpha is not None else None,
+        "alpha": leaf(cert.alpha) if cert.alpha is not None else None,
     }
     if cert.mode == "torsion":
         data["N"] = cert.exponent
         data["kernel"] = module_to_json(cert.kernel, embed_group=False)
-        data["c"] = cochain_to_json(cert.cocycle)
-        data["b"] = _witness_to_json(cert.witness)
+        data["c"] = leaf(cert.cocycle)
+        data["b"] = witness(cert.witness)
         data["gamma"] = (
             {"order": cert.extension.order} if cert.extension is not None else None
         )
@@ -793,15 +797,19 @@ def certificate_to_json(cert: TrivializationCertificate, embed_group=True) -> di
         st = cert.stages
         data["stages"] = {
             "h": {
-                "numerator": cochain_to_json(st["h"].numerator),
+                "numerator": leaf(st["h"].numerator),
                 "denominator": st["h"].denominator,
             },
-            "stage1": certificate_to_json(st["stage1"], embed_group=False),
-            "eta": cochain_to_json(st["eta"]),
-            "eta_tilde": cochain_to_json(st["eta_tilde"]),
-            "stage2": certificate_to_json(st["stage2"], embed_group=False),
+            "stage1": _certificate_tree(st["stage1"], leaf, witness, embed_group=False),
+            "eta": leaf(st["eta"]),
+            "eta_tilde": leaf(st["eta_tilde"]),
+            "stage2": _certificate_tree(st["stage2"], leaf, witness, embed_group=False),
         }
     return data
+
+
+def certificate_to_json(cert: TrivializationCertificate, embed_group=True) -> dict:
+    return _certificate_tree(cert, cochain_to_json, _witness_to_json, embed_group)
 
 
 def _expect_degree(field, data, expected):
@@ -983,8 +991,11 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
 
 
 def save_certificate(cert: TrivializationCertificate, path: str):
+    """Write the bytes of json.dump(certificate_to_json(cert), fh,
+    sort_keys=True, indent=1) and a newline, streamed: every cochain is
+    written entry by entry from the Cochain itself (see `write_json`)."""
     with open(path, "w") as fh:
-        json.dump(certificate_to_json(cert), fh, sort_keys=True, indent=1)
+        write_json(fh.write, _certificate_tree(cert, lambda f: f, MatrixForm))
         fh.write("\n")
 
 

@@ -353,3 +353,15 @@ def test_restrict_cochain_resource_limit_names_the_count():
     assert restrict_cochain(ext, alpha, max_entries=9).is_zero()
     with pytest.raises(ResourceLimit, match=r"^restricted cochain needs 9 entries \(limit 8\)$"):
         restrict_cochain(ext, alpha, max_entries=8)
+
+
+@pytest.mark.parametrize("factors", [(), (1,), (12,), (2, 3, 4)])
+@pytest.mark.parametrize("labels", [["e", "a"], ["1", "(0;1)", ",;)"], ["", 'q"', "\\ü"]])
+def test_labels_are_the_formatted_pairs(factors, labels):
+    from groupcoh.groups import group_from_table
+    base = group_from_table(cyclic_group(len(labels)).table, labels)
+    kernel = trivial_module(base, list(factors))
+    ext = GroupExtension(kernel, Cochain(base, kernel, 2))
+    assert ext.elements == tuple(
+        f"({','.join(map(str, a))};{base.elements[g]})"
+        for a in kernel.elements() for g in range(base.order))

@@ -440,6 +440,38 @@ def test_index_tables_match_module_arithmetic(build):
     ]
 
 
+def _sign_twisted_z4_z6():
+    g = cyclic_group(2)
+    return GModule(g, [4, 6], [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]])
+
+
+def _zero_mod_d_entries():
+    """The sign action on Z/4 + Z/6 written with entries that are 0 mod d
+    but not 0, besides the 5 = -1 mod 6."""
+    g = cyclic_group(2)
+    return GModule(g, [4, 6], [[[5, 8], [12, 7]], [[-1, 4], [6, 5]]])
+
+
+def _universal_kernel_v4():
+    return universal_kernel(direct_product(cyclic_group(2), cyclic_group(2)), 2)[0]
+
+
+@pytest.mark.parametrize("build", [_universal_kernel_v4, _sign_twisted_z4_z6, _zero_mod_d_entries])
+def test_index_tables_match_brute_force_products(build):
+    from groupcoh.modules import element_index, index_tables
+    m = build()
+    elems = list(m.elements())
+
+    def index(mat, x):
+        return element_index(m, [sum(a * v for a, v in zip(row, x)) % d
+                                 for row, d in zip(mat, m.factors)])
+
+    neg, act = index_tables(m)
+    assert neg == [index([[-1 if i == j else 0 for j in range(m.dim)] for i in range(m.dim)], x)
+                   for x in elems]
+    assert act == [[index(m.action[g], x) for x in elems] for g in range(m.group.order)]
+
+
 def test_index_tables_reject_infinite_module():
     from groupcoh.modules import index_tables
     with pytest.raises(SourceNotTorsion):
