@@ -63,6 +63,7 @@ class GroupExtension:
         ]
         self._total = None
         self._labels = None
+        self._inverses = None
 
     # -- group-like protocol (duck-typed alongside FiniteGroup) ------------
 
@@ -119,12 +120,48 @@ class GroupExtension:
             out[h::ng] = [col[x] * ng + gh for x in shifted]
         return out
 
+    def mul_pointwise(self, others, left=False) -> list:
+        """i * others[i] (others[i] * i with left) for every element i, in
+        index order, one base element g at a time: when others[g::ng] lies
+        over one h, as the right identity and the inverses do, the block is
+        read from the tables as a whole list and written to out[g::ng];
+        otherwise it goes element by element."""
+        ng = self.base.order
+        hi, lo, fold_hi, fold_lo = self._hi, self._lo, self._fold_hi, self._fold_lo
+        kernel = range(self.order // ng)
+        out = [0] * self.order
+        for g in range(ng):
+            block = others[g::ng]
+            h = block[0] % ng
+            if [j % ng for j in block].count(h) != len(block):
+                pairs = zip(range(g, self.order, ng), block)
+                out[g::ng] = [self.mul(j, i) if left else self.mul(i, j) for i, j in pairs]
+                continue
+            b = [j // ng for j in block]
+            x, y, s, t = (b, kernel, h, g) if left else (kernel, b, g, h)
+            act = self._act[s]
+            col = self.add_row(self._coc[s][t])
+            st = self.base.mul(s, t)
+            out[g::ng] = [col[fold_hi[hi[u] + hi[v]] + fold_lo[lo[u] + lo[v]]] * ng + st
+                          for u, v in zip(x, [act[z] for z in y])]
+        return out
+
+    def inverses(self) -> list:
+        """(a,g)^-1 = (-g^-1.(a + c(g,g^-1)), g^-1) for every (a,g), in index
+        order, one g at a time; cached and shared, so callers must not
+        modify it."""
+        if self._inverses is None:
+            ng, neg = self.base.order, self._neg
+            out = [0] * self.order
+            for g in range(ng):
+                gi = self.base.inv(g)
+                act = self._act[gi]
+                out[g::ng] = [neg[act[x]] * ng + gi for x in self.add_row(self._coc[g][gi])]
+            self._inverses = out
+        return self._inverses
+
     def inv(self, i: int) -> int:
-        """(a,g)^-1 = (-g^-1.(a + c(g,g^-1)), g^-1)."""
-        a, g = divmod(i, self.base.order)
-        gi = self.base.inv(g)
-        b = self._neg[self._act[gi][self.add_kernel(a, self._coc[g][gi])]]
-        return b * self.base.order + gi
+        return self.inverses()[i]
 
     def product(self, indices) -> int:
         out = 0
@@ -144,13 +181,13 @@ class GroupExtension:
         """The total group as a FiniteGroup, its table read from `mul_row`.
         Nothing is re-validated: A x|_c G is a group once c is a 2-cocycle
         (see `build_extension`), its identity (0, e) is index 0 by
-        construction, and the inverses come from `inv`."""
+        construction, and the inverses come from `inverses`."""
         if self._total is None:
             check_entries("total group table", self.order ** 2, max_entries)
             self._total = FiniteGroup(
                 order=self.order, elements=self.elements,
                 table=tuple(tuple(self.mul_row(i)) for i in range(self.order)),
-                inverse=tuple(self.inv(i) for i in range(self.order)))
+                inverse=tuple(self.inverses()))
         return self._total
 
 
@@ -182,9 +219,12 @@ def _extension(kernel: GModule, cocycle: Cochain, max_entries=None) -> GroupExte
 
 def module_through_projection(ext: GroupExtension, module: GModule) -> GModule:
     """A G-module viewed as a module over the total group: the kernel acts
-    trivially, everything factors through pi."""
-    action = [module.action[ext.pi(i)] for i in range(ext.order)]
-    return GModule(ext, module.factors, action, _validate=False)
+    trivially, everything factors through pi.  Element i = a|G| + g acts
+    as g, so the action is G's tuple of matrices repeated |A| times, its
+    matrices shared, not copied."""
+    out = GModule(ext, module.factors, (), _validate=False)
+    out.action = module.action * (ext.order // ext.base.order)
+    return out
 
 
 def lift_cochain(ext: GroupExtension, omega: Cochain, max_entries=None) -> Cochain:

@@ -244,14 +244,14 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
 
 def _projection(ext: GroupExtension, group):
     """pi: Gamma -> group on element indices, composed down the tower of
-    extensions from ext to group."""
-    proj, top = list(range(ext.order)), ext
+    extensions from ext to group.  Every level indexes a|G| + g a-major,
+    so the composite sends i to i mod |group|: range(|group|) repeated."""
+    top = ext
     while top is not group:
         if not isinstance(top, GroupExtension):
             raise GroupMismatch("the cocycle's group is not a base of the extension")
-        proj = [top.pi(i) for i in proj]
         top = top.base
-    return proj
+    return list(range(group.order)) * (ext.order // group.order)
 
 
 def verify_lift_primitive(ext: GroupExtension, omega: Cochain, alpha: Cochain,
@@ -540,22 +540,36 @@ def _first_difference(f: Cochain, g: Cochain):
     return None
 
 
+def _first_failure(*pairs):
+    """The least index at which some list differs from the list paired with
+    it, or None when every pair is equal."""
+    if all(found == want for found, want in pairs):
+        return None
+    return min(next(i for i, (x, y) in enumerate(zip(found, want)) if x != y)
+               for found, want in pairs if found != want)
+
+
 def _check_group_axioms(ext: GroupExtension):
     """Identity and the closed-form two-sided inverse on every element of
-    A x|_c G.  Associativity is not sampled: A x|_c G is a group exactly
+    A x|_c G, compared as whole lists in index order: `mul_row(0)`, and
+    the right identity (a,g)(0,e), the inverses and both products of each
+    element with its inverse, built one base element g at a time by
+    `mul_pointwise` and `inverses`.  A failure names the least failing
+    element.  Associativity is not sampled: A x|_c G is a group exactly
     when G is a group, A is a G-module and c is a normalized 2-cocycle
     (Brown, Cohomology of Groups, IV.3), and the verifier proves all three
     through group_from_json, module_from_json and the kernel-cocycle check
     (a Cochain stores no tuple that touches the identity)."""
     order = ext.order
-    left = ext.mul_row(0)
-    for i in range(order):
-        if left[i] != i or ext.mul(i, 0) != i:
-            return Check("extension-identity", False, witness=i)
-    for i in range(order):
-        j = ext.inv(i)
-        if ext.mul(i, j) != 0 or ext.mul(j, i) != 0:
-            return Check("extension-inverses", False, witness=i)
+    ident, zero = list(range(order)), [0] * order
+    bad = _first_failure((ext.mul_row(0), ident), (ext.mul_pointwise(zero), ident))
+    if bad is not None:
+        return Check("extension-identity", False, witness=bad)
+    invs = ext.inverses()
+    bad = _first_failure((ext.mul_pointwise(invs), zero),
+                         (ext.mul_pointwise(invs, left=True), zero))
+    if bad is not None:
+        return Check("extension-inverses", False, witness=bad)
     return Check("extension-axioms", True,
                  note=f"identity and inverses on {order} elements; associativity "
                       "follows from the validated base group, kernel module and kernel-cocycle")

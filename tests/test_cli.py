@@ -775,25 +775,34 @@ def test_a_ceiling_of_0_is_valid_exit_3(capsys, monkeypatch):
     assert run(capsys, *H1_C2, "--max-entries", "1")[:2] == (0, "H^1 invariant factors: [2]\n")
 
 
-def _off_by_one(method, index):
-    """GroupExtension.<method> with the result at element index moved to
-    the next element."""
+def _off_by_one(method, element, when):
+    """GroupExtension.<method>, whose result is a list in element order,
+    with the entry of element moved to the next element on the calls whose
+    arguments satisfy when."""
     real = getattr(GroupExtension, method)
 
-    def patched(self, i, *rest):
-        out = real(self, i, *rest)
-        return (out + 1) % self.order if (i, *rest) == index else out
+    def patched(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        if when(*args, **kwargs):
+            out = list(out)
+            out[element] = (out[element] + 1) % self.order
+        return out
     return patched
 
 
-@pytest.mark.parametrize("method, index, line", [
-    ("mul", (3, 0), "extension-identity: FAIL witness=3"),
-    ("inv", (2,), "extension-inverses: FAIL witness=2"),
-])
+def _right_identity(others, left=False):
+    """The call of mul_pointwise that builds every (a, g)(0, e)."""
+    return not left and not any(others)
+
+
+@pytest.mark.parametrize("method, when, element, line", [
+    ("mul_pointwise", _right_identity, 3, "extension-identity: FAIL witness=3"),
+    ("inverses", lambda: True, 2, "extension-inverses: FAIL witness=2"),
+], ids=["right-identity", "inverses"])
 def test_verify_fails_the_extension_axioms_with_the_element_exit_7(capsys, tmp_path, monkeypatch,
-                                                                   method, index, line):
+                                                                   method, when, element, line):
     cert_path = _certificate(capsys, tmp_path, "torsion")  # |Gamma| = 4
-    monkeypatch.setattr(GroupExtension, method, _off_by_one(method, index))
+    monkeypatch.setattr(GroupExtension, method, _off_by_one(method, element, when))
     code, out, err = run(capsys, "verify", str(cert_path))
     assert code == 7 and err == "verdict: FAIL\n"
     assert line in out.splitlines()

@@ -6,6 +6,7 @@ import pytest
 from groupcoh import (
     Cochain,
     GModule,
+    add_cochains,
     build_extension,
     builtin_group,
     coboundary,
@@ -17,6 +18,8 @@ from groupcoh import (
     module_through_projection,
     restrict_cochain,
     trivial_module,
+    trivialize_general,
+    universal_kernel,
 )
 from groupcoh.cochains import nonid_tuples
 from groupcoh.errors import KernelNotFinite, NotACocycle, ResourceLimit
@@ -365,3 +368,89 @@ def test_labels_are_the_formatted_pairs(factors, labels):
     assert ext.elements == tuple(
         f"({','.join(map(str, a))};{base.elements[g]})"
         for a in kernel.elements() for g in range(base.order))
+
+
+# -- the group law on whole index lists ---------------------------------------
+
+
+def _c4_extension():
+    """C4 on Z/4, c = the carry class (a + b >= 4) plus delta u."""
+    g = cyclic_group(4)
+    a = trivial_module(g, [4])
+    rng = random.Random(11)
+    u = Cochain(g, a, 1, {(t,): (rng.randrange(4),) for t in range(1, 4)})
+    carry = Cochain(g, a, 2, {(x, y): (1,) for x in range(1, 4) for y in range(1, 4)
+                              if x + y >= 4})
+    return build_extension(a, add_cochains(carry, coboundary(u)))
+
+
+def _general_mode_tower():
+    """The stage-2 extension of a general-mode certificate (Z in degree 4
+    over C2), whose base is the stage-1 extension."""
+    g = cyclic_group(2)
+    w = Cochain(g, trivial_module(g, [0]), 4, {(1,) * 4: (1,)})
+    ext = trivialize_general(w).stages["stage2"].extension
+    assert isinstance(ext.base, GroupExtension)
+    return ext
+
+
+def _z2_over_z4_tower():
+    """Z/2 over Z/4 = Z/2 by C2, with c the lift of the class of Z/4."""
+    z4 = z4_extension()
+    b = trivial_module(z4, [2])
+    return build_extension(b, Cochain(z4, b, 2, lift_cochain(z4, z4.cocycle).values))
+
+
+LIST_FORM_CASES = {
+    "cert-2048": lambda: build_extension(*universal_kernel(
+        builtin_group("cyclic:2*cyclic:2"), 2)),
+    "C4 on Z/4": _c4_extension,
+    "S3 sign Z/4": _sign_z4_extension,
+    "general-mode tower": _general_mode_tower,
+    "Z/2 over Z/4": _z2_over_z4_tower,
+}
+
+
+@pytest.mark.parametrize("name", LIST_FORM_CASES)
+def test_list_forms_match_the_element_by_element_law(name):
+    ext = LIST_FORM_CASES[name]()
+    order, ng = ext.order, ext.base.order
+    elements = range(order)
+    invs = ext.inverses()
+    assert ext.mul_pointwise([0] * order) == [ext.mul(i, 0) for i in elements]
+    assert invs == [ext.inv(i) for i in elements]
+    assert all(_tuple_mul(ext, i, j) == 0 == _tuple_mul(ext, j, i) for i, j in enumerate(invs))
+    assert ext.mul_pointwise(invs) == [ext.mul(i, ext.inv(i)) for i in elements] == [0] * order
+    assert ext.mul_pointwise(invs, left=True) == [ext.mul(ext.inv(i), i) for i in elements]
+    # blocks over one h each (the whole-list path) and over several
+    rng = random.Random(order)
+    one_h = [0] * order
+    for g in range(ng):
+        h = rng.randrange(ng)
+        one_h[g::ng] = [rng.randrange(order // ng) * ng + h for _ in range(order // ng)]
+    mixed = [rng.randrange(order) for _ in elements]
+    for others in (one_h, mixed):
+        assert ext.mul_pointwise(others) == [_tuple_mul(ext, i, j) for i, j in enumerate(others)]
+        assert ext.mul_pointwise(others, left=True) == [
+            _tuple_mul(ext, j, i) for i, j in enumerate(others)]
+    if order <= 64:
+        table = ext.total_group().table
+        assert ext.mul_pointwise([0] * order) == [row[0] for row in table]
+        assert invs == [row.index(0) for row in table]
+        assert ext.mul_pointwise(invs) == [table[i][j] for i, j in enumerate(invs)]
+        assert ext.mul_pointwise(invs, left=True) == [table[j][i] for i, j in enumerate(invs)]
+
+
+@pytest.mark.parametrize("name", LIST_FORM_CASES)
+def test_projection_repeats_the_base_indices(name):
+    from groupcoh.trivialize import _projection
+    ext = LIST_FORM_CASES[name]()
+    proj, bottom = list(range(ext.order)), ext
+    while isinstance(bottom, GroupExtension):
+        proj = [bottom.pi(i) for i in proj]
+        assert _projection(ext, bottom.base) == proj
+        bottom = bottom.base
+    # a distinct matrix per base element (not an action: nothing checks it)
+    m = GModule(ext.base, [0], [[[g]] for g in range(ext.base.order)], _validate=False)
+    assert module_through_projection(ext, m).action == tuple(
+        m.action[ext.pi(i)] for i in range(ext.order))

@@ -45,6 +45,7 @@ from groupcoh.errors import (
     ResourceLimit,
     SelfCheckFailed,
 )
+from groupcoh.extensions import GroupExtension
 from groupcoh.groups import generated, greedy_generators
 from groupcoh.modules import element_index
 from groupcoh import cochains as cochains_module
@@ -952,6 +953,60 @@ def test_generator_rows_decide_a_pass(monkeypatch):
     monkeypatch.undo()
     note = {c.name: c.note for c in verify_certificate(cert).checks}["alpha-trivializes"]
     assert note == "exhaustive, 4194304 tuples; decided on 3 generator rows"
+
+
+def _s3_sign_extension():
+    """S3 acting on Z/4 by the sign, c = delta u: 24 elements, 6 per kernel element."""
+    g = builtin_group("symmetric:3")
+    a = GModule(g, [4], [[[1 if g.element_order(i) != 2 else -1]] for i in range(g.order)])
+    u = Cochain(g, a, 1, {(t,): (t % 4,) for t in range(1, g.order)})
+    return build_extension(a, coboundary(u))
+
+
+@pytest.mark.parametrize("step", [6, 1], ids=["same-base", "other-base"])
+def test_extension_axioms_name_the_least_failing_element(monkeypatch, step):
+    """Elements 5 = (0, 5) and 7 = (1, 1) lie in different base-element
+    blocks, and the block of g = 1 is built before that of g = 5; the
+    witness is still the smaller index, as one element at a time found
+    it.  step 6 moves a value within its block, step 1 into another."""
+    ext = _s3_sign_extension()
+    assert ext.base.order == 6 and 5 % 6 == 5 and 7 % 6 == 1
+    assert trivialize_module._check_group_axioms(ext).ok
+    real_products, real_inverses = GroupExtension.mul_pointwise, GroupExtension.inverses
+
+    def moved(out):
+        out = list(out)
+        for i in (7, 5):
+            out[i] = (out[i] + step) % ext.order
+        return out
+
+    def right_identity(self, others, left=False):
+        out = real_products(self, others, left)
+        return moved(out) if not left and not any(others) else out
+
+    monkeypatch.setattr(GroupExtension, "mul_pointwise", right_identity)
+    check = trivialize_module._check_group_axioms(ext)
+    assert (check.name, check.ok, check.witness) == ("extension-identity", False, 5)
+    monkeypatch.setattr(GroupExtension, "mul_pointwise", real_products)
+    monkeypatch.setattr(GroupExtension, "inverses", lambda self: moved(real_inverses(self)))
+    check = trivialize_module._check_group_axioms(ext)
+    assert (check.name, check.ok, check.witness) == ("extension-inverses", False, 5)
+
+
+def test_verify_checks_the_extension_axioms_without_a_mul_per_element(monkeypatch):
+    cert = _bilinear_cert()
+    order = cert.extension.order
+    calls, real = [], GroupExtension.mul
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(GroupExtension, "mul", counted)
+    report = verify_certificate(cert)
+    assert report.ok() and any(line.startswith("extension-axioms: pass")
+                               for line in report.lines())
+    assert len(calls) < order == 2048
 
 
 def test_generator_rows_agree_with_brute_force_off_the_generators():
