@@ -12,6 +12,7 @@ hence certificates) are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -220,12 +221,11 @@ def coboundary_value(f: Cochain, tup) -> tuple:
     return out
 
 
-def _plus(acc, row, mat):
-    """acc + mat . row, column by column, on coordinate-major rows; acc
-    None is zero."""
+def _act(mat, row):
+    """mat . row, column by column, on coordinate-major rows."""
     out = []
-    for c, mrow in enumerate(mat):
-        col = acc[c] if acc is not None else [0] * len(row[0])
+    for mrow in mat:
+        col = [0] * len(row[0])
         for a, r in zip(mrow, row):
             if a:
                 col = [x + a * y for x, y in zip(col, r)]
@@ -248,72 +248,83 @@ def _prefix_rows(f: Cochain) -> dict:
 
 
 def delta_rows(f: Cochain, firsts=None):
-    """(t, row) for every n-prefix t of non-identity elements (n =
-    f.degree), lexicographically, where row[c][j] is coordinate c of
-    (delta f)(t, j) for every element j: plain ints, reduced modulo each
-    torsion factor and unreduced on a free one.  The row sums
-    t_1 . f(t_2..t_n, .) (skipped when t_1 acts as the identity), the inner
-    merges (-1)^i f(..t_i t_{i+1}.., .), (-1)^n f(t_1..t_{n-1}, t_n j)
-    gathered through group.mul_row(t_n), and the constant (-1)^(n+1) f(t).
-    Each inner merge t_{i-1} t_i is read from group.mul_row(t_{i-1}); that
-    row, like the product term's, is fetched once per distinct left factor
-    and held until the generator ends (for a FiniteGroup the row is the
-    table row itself), so no merge calls group.mul.  Degree 0 is the
-    single row j . f() - f().  With firsts (non-identity indices, n >= 1)
-    only the prefixes whose first element is in firsts are yielded.  Only
-    the prefixes in f's support get a table row; rows may share lists, so
-    callers must not modify them."""
+    """(t, row) for each n-prefix t (n = f.degree) where delta f can be
+    nonzero, lexicographically, where row[c][j] is coordinate c of (delta
+    f)(t, j) for every element j: plain ints, reduced modulo each torsion
+    factor and unreduced on a free one.  Every other row of W, the
+    n-prefixes of non-identity elements whose first element is in firsts
+    when given (n >= 1), is zero; the zero cochain yields no row.
+
+    The rows are scattered from f's support.  Each (n-1)-prefix u of it,
+    with r = f(u, .), adds s . r to row (s,) + u for every first slot s,
+    (-1)^i r to each row u[:i-1] + (a, b) + u[i:] with ab = u_i and a, b !=
+    e, the pairs (u_i b^-1, b) read from group.inverses() and
+    group.mul_row(u_i), and then, in a pass that reduces each row, (-1)^n
+    (r[t_n j] - r[t_n]) to row u + (t_n,) through group.mul_row(t_n).
+    Each table row is fetched once and held until the generator ends, so
+    no term calls group.mul.  The cost is about |supp f| n |G| row
+    additions, not the |W| n of reading every row of W.  The touched rows
+    are held until yielded, and may share lists with each other and with
+    f's rows, so callers must not modify them.  Degree 0 is the single row
+    j . f() - f()."""
     group, m, n = f.group, f.coeffs, f.degree
     order, factors = group.order, m.factors
+    if not f.values:
+        return
     if n == 0:
         v = f.evaluate(())
         images = [m.act(j, v) for j in range(order)]
         yield (), [[(w[c] - x) % d if d else w[c] - x for w in images]
                    for c, (x, d) in enumerate(zip(v, factors))]
         return
-    rows = _prefix_rows(f)
+    heads = sorted(firsts) if firsts is not None else range(1, order)
+    inside = set(heads)
     ident = tuple(map(tuple, la.identity_matrix(m.dim)))
-    minus = [[-x for x in r] for r in ident]
-    zero_row, columns = [[0] * order for _ in factors], range(order)
-    last_u = head = None
-    products = {}  # group.mul_row(x) per left factor x of a product
-    for t in nonid_tuples(order, n, firsts):
-        acc = rows.get(t[1:])
-        if acc is not None and m.action[t[0]] != ident:
-            acc = _plus(None, acc, m.action[t[0]])
-        for i in range(1, n):
-            left = products.get(t[i - 1])
-            if left is None:
-                left = products[t[i - 1]] = group.mul_row(t[i - 1])
-            merged = rows.get(t[:i - 1] + (left[t[i]],) + t[i + 1:])
-            if merged is not None:
-                acc = _plus(acc, merged, minus if i % 2 else ident)
-        u = t[:-1]
-        if u != last_u:  # (-1)^n f(u, .), the product term's row
-            last_u, head = u, rows.get(u)
-            if head is not None and n % 2:
-                head = [[-x for x in r] for r in head]
-        if head is None:  # then f(t) = 0 too
-            if acc is None:
-                yield t, zero_row
-                continue
-            h_rows, p = zero_row, columns
-        else:
-            h_rows, p = head, products.get(t[-1])
-            if p is None:
-                p = products[t[-1]] = group.mul_row(t[-1])
-        # the constant -(-1)^n f(t) is minus the product row at t_n
-        yield t, [[(x + h[j] - v) % d for x, j in zip(a, p)] if d
-                  else [x + h[j] - v for x, j in zip(a, p)]
-                  for a, h, v, d in zip(acc or zero_row, h_rows,
-                                        [h[t[-1]] for h in h_rows], factors)]
+    actions = [(s, None if m.action[s] == ident else m.action[s]) for s in heads]
+    inverse = group.inverses() if n > 1 else None
+    product = functools.lru_cache(maxsize=None)(group.mul_row)  # each row fetched once
+    pairs, acc = {}, {}
+    rows = _prefix_rows(f)
+    negs = {u: [[-x for x in c] for c in r] for u, r in rows.items()}
+    for u, r in rows.items():
+        terms = [((s,) + u, r if mat is None else _act(mat, r)) for s, mat in actions]
+        for i in range(n - 1):  # the merge of slots i, i + 1 of t into u_i
+            if i and u[0] not in inside:
+                break
+            x = u[i]
+            ps = pairs.get(x)
+            if ps is None:
+                xr = product(x)
+                ps = pairs[x] = [(xr[inverse[b]], b) for b in range(1, order) if b != x]
+            term, head, tail = negs[u] if i % 2 == 0 else r, u[:i], u[i + 1:]
+            terms += [(head + (a, b) + tail, term) for a, b in ps if i or a in inside]
+        for t, term in terms:
+            a = acc.get(t)
+            acc[t] = term if a is None else [[x + y for x, y in zip(p, q)]
+                                             for p, q in zip(a, term)]
+    # (-1)^n f(u, t_n j), and the constant -(-1)^n f(u, t_n)
+    signed = [(u, negs[u] if n % 2 else r) for u, r in rows.items() if n == 1 or u[0] in inside]
+    out, zero_row = {}, [[0] * order for _ in factors]
+    for tn in (heads if n == 1 else range(1, order)) if signed else ():
+        p = product(tn)
+        for u, h_rows in signed:
+            t = u + (tn,)
+            out[t] = [[(x + h[j] - v) % d for x, j in zip(a, p)] if d
+                      else [x + h[j] - v for x, j in zip(a, p)]
+                      for a, h, v, d in zip(acc.pop(t, zero_row), h_rows,
+                                            [h[tn] for h in h_rows], factors)]
+    for t, a in acc.items():
+        out[t] = [[x % d for x in c] if d else c for c, d in zip(a, factors)]
+    for t in sorted(out):
+        yield t, out[t]
 
 
 def coboundary(f: Cochain, max_entries=None) -> Cochain:
-    """delta f, from the rows of `delta_rows`, which are reduced modulo
-    each torsion factor; the zero values and the column of the identity
-    (zero, as delta f is normalized) are not stored.  Gated on the
-    (|G|-1)^n |G| dim M entries those rows hold."""
+    """delta f, from the rows `delta_rows` touches (every other row is
+    zero), which are reduced modulo each torsion factor; the zero values
+    and the column of the identity (zero, as delta f is normalized) are not
+    stored.  Gated on the (|G|-1)^n |G| dim M entries of all n-prefix
+    rows, which bound the touched rows held at once."""
     order = f.group.order
     check_entries("coboundary", (order - 1) ** f.degree * order * f.coeffs.dim, max_entries)
     vals = {}
@@ -327,22 +338,25 @@ def coboundary(f: Cochain, max_entries=None) -> Cochain:
 
 def coboundary_defect(x: Cochain, f: Cochain = None, proj=None, firsts=None, max_entries=None):
     """(t, agreed): t the lexicographically first tuple where delta x
-    differs from f o proj, or None when every row walked agrees, and agreed
-    the number of rows that agreed.  The one comparison of a coboundary
-    with a cochain: every cocycle check and delta x = f check is this loop.
+    differs from f o proj, or None when every row of W agrees, and agreed
+    the number of rows of W before t (all of W on a pass).  The one
+    comparison of a coboundary with a cochain: every cocycle check and
+    delta x = f check is this loop.
 
-    The rows are those of `delta_rows(x, firsts)`: row t holds (delta x)(t,
-    j) for every element j, and it is compared in one step with f(proj t,
-    proj j), whose rows are built beforehand from f's support.  f is zero
-    when None (the cocycle check); proj, the image in f's group of every
-    element of x's group (a homomorphism, such as pi down a tower of
-    extensions), is the identity when None.  Both sides are reduced modulo
-    each torsion factor and unreduced on a free one.
+    W holds the n-prefixes t of non-identity elements (n = x.degree), row t
+    holding (delta x)(t, j) for every element j.  Only the rows
+    `delta_rows(x, firsts)` touches and those where f(proj t, proj j) is
+    nonzero, built from f's support through the fibres of proj, can
+    differ; their sorted union is walked, each row compared in one step.
+    f is zero when None (the cocycle check); proj, the image in f's group
+    of every element of x's group (a homomorphism, such as pi down a tower
+    of extensions), is the identity when None.  Both sides are reduced
+    modulo each torsion factor and unreduced on a free one.
 
-    With firsts = S = `greedy_generators(x.group)` only the rows whose
-    first slot lies in S are walked.  That is sound only when F = delta x -
-    f o proj is a normalized cocycle, which the caller must prove: then the
-    g with F(g, ...) = 0 on every tuple form a subgroup (dF(s, y, ...) = 0
+    With firsts = S = `greedy_generators(x.group)` W holds only the rows
+    whose first slot lies in S.  That is sound only when F = delta x - f o
+    proj is a normalized cocycle, which the caller must prove: then the g
+    with F(g, ...) = 0 on every tuple form a subgroup (dF(s, y, ...) = 0
     gives F(sy, ...) = s . F(y, ...) for s in it), the first row outside
     it is a generator (see `greedy_generators`), and so the rows of S pass
     exactly when every row does, and their first failing tuple is the
@@ -350,27 +364,43 @@ def coboundary_defect(x: Cochain, f: Cochain = None, proj=None, firsts=None, max
     is a normalized cocycle when the group is associative and the action a
     homomorphism; f o proj is one when f is and proj is a homomorphism.
 
-    max_entries, when not None, bounds the entries of the rows walked
-    (|G| dim M per row) as `coboundary` bounds its own, with the same
-    ResourceLimit message."""
+    max_entries, when not None, bounds the entries of W's rows (|G| dim M
+    per row) as `coboundary` bounds its own, with the same ResourceLimit
+    message; the rows held at once are rows of W, so it bounds them too."""
     group, k, n = x.group, x.coeffs.dim, x.degree
     order = group.order
+    heads = sorted(firsts) if firsts is not None and n else range(1, order)
+    size = len(heads) * (order - 1) ** (n - 1) if n else 1
     if max_entries is not None:
-        check_entries("coboundary", ((order - 1) ** n if firsts is None or not n
-                                     else len(firsts) * (order - 1) ** (n - 1)) * order * k,
-                      max_entries)
-    rhs_rows = _prefix_rows(f) if f is not None else {}
-    if proj is not None:
-        rhs_rows = {u: [[r[j] for j in proj] for r in rows] for u, rows in rhs_rows.items()}
+        check_entries("coboundary", size * order * k, max_entries)
+    lhs = dict(delta_rows(x, firsts))
+    rhs = {}
+    if f is not None:
+        f_rows = _prefix_rows(f)
+        if proj is None:
+            inside = set(heads)
+            rhs = {u: row for u, row in f_rows.items() if not n or u[0] in inside}
+        else:  # the first slot from heads, the others from proj's fibres
+            fibres = {v: [i for i in itertools.compress(range(order), map(v.__eq__, proj)) if i]
+                      for v in {v for u in f_rows for v in u[1:]}}
+            firsts_over = {}
+            for s in heads:
+                firsts_over.setdefault(proj[s], []).append(s)
+            for u, rows in f_rows.items():
+                slots = [firsts_over.get(u[0], ()), *(fibres[v] for v in u[1:])] if n else []
+                rhs.update(dict.fromkeys(itertools.product(*slots),
+                                         [[r[j] for j in proj] for r in rows]))
     zero = [[0] * order for _ in range(k)]
-    agreed = 0
-    for t, row in delta_rows(x, firsts):
-        rhs = rhs_rows.get(t if proj is None else tuple(proj[i] for i in t), zero)
-        if row != rhs:
-            j = next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*rhs))) if v != w)
-            return t + (j,), agreed
-        agreed += 1
-    return None, agreed
+    # lhs is sorted; on a pass f o proj is nonzero only on rows delta x touches
+    for t in lhs if rhs.keys() <= lhs.keys() else sorted(lhs.keys() | rhs.keys()):
+        row, want = lhs.get(t, zero), rhs.get(t, zero)
+        if row != want:
+            j = next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*want))) if v != w)
+            rank = heads.index(t[0]) if n else 0
+            for y in t[1:]:
+                rank = rank * (order - 1) + y - 1
+            return t + (j,), rank
+    return None, size
 
 
 def first_cocycle_defect(f: Cochain):

@@ -27,6 +27,10 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self.inverse[i]
 
+    def inverses(self):
+        """i^-1 for every element i, in index order."""
+        return self.inverse
+
     def mul_row(self, g: int):
         """g * j for every element j, in index order."""
         return self.table[g]

@@ -714,9 +714,13 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
     mfree = pmap.target
     p_omega = map_coefficients(omega, pmap.matrix, mfree)
     h = cert.stages["h"]
-    # the three delta x = f lines walk every row, gated on the entries
+    # each delta x = f line walks the generator rows once the checks that
+    # make delta x - f a normalized cocycle have passed (see
+    # `coboundary_defect`), else every row; gated on the entries either way
     limit = max_entries_limit(max_entries)
-    diff, _ = coboundary_defect(h.numerator, scale_cochain(q, p_omega), max_entries=limit)
+    diff, _ = coboundary_defect(h.numerator, scale_cochain(q, p_omega),
+                                firsts=greedy_generators(group) if defect is None else None,
+                                max_entries=limit)
     checks.append(Check("averaging-primitive", diff is None, witness=diff,
                         note=f"denominator {h.denominator}"))
     diff = _first_difference(h.numerator, cert.stages["hbar"])
@@ -726,19 +730,24 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
     _verify_torsion_cert(stage1, checks, max_entries, seed, sample_size, prefix="stage1:")
     ext1 = stage1.extension
 
+    # Gamma_1 is a group once c is a cocycle and the axioms hold
+    passed = {c.name for c in checks if c.ok}
+    gens1 = (greedy_generators(ext1) if defect is None and
+             {"stage1:kernel-cocycle", "stage1:extension-axioms"} <= passed else None)
     eta = cert.stages["eta"]
     pi_omega = lift_cochain(ext1, omega, max_entries)
-    diff, _ = coboundary_defect(eta, p_omega, _projection(ext1, group), max_entries=limit)
+    diff, _ = coboundary_defect(eta, p_omega, _projection(ext1, group), gens1, limit)
     checks.append(Check("eta-primitive", diff is None, witness=diff))
 
     eta_tilde = cert.stages["eta_tilde"]
     beta = cert.stages["beta"]
+    beta_defect = first_cocycle_defect(beta)
     # delta eta~ = pi^* omega - j beta
     rhs = sub_cochains(pi_omega, map_coefficients(beta, jmap.matrix, eta_tilde.coeffs))
-    diff, _ = coboundary_defect(eta_tilde, rhs, max_entries=limit)
+    diff, _ = coboundary_defect(eta_tilde, rhs, None, gens1 if beta_defect is None else None,
+                                limit)
     checks.append(Check("beta-defect", diff is None, witness=diff))
-    defect = first_cocycle_defect(beta)
-    checks.append(Check("beta-cocycle", defect is None, witness=defect))
+    checks.append(Check("beta-cocycle", beta_defect is None, witness=beta_defect))
 
     stage2 = cert.stages["stage2"]
     _verify_torsion_cert(stage2, checks, max_entries, seed, sample_size, prefix="stage2:")

@@ -33,11 +33,13 @@ from groupcoh.cochains import (
     add_cochains,
     coboundary_matrix,
     coboundary_value,
+    delta_rows,
     neg_cochain,
     nonid_tuples,
     zero_cochain,
 )
 from groupcoh.errors import DegreeMismatch, ResourceLimit
+from groupcoh.groups import greedy_generators
 
 
 def random_cochain(rng, group, module, degree, spread=None):
@@ -513,10 +515,13 @@ def _delta_case(label):
     }[label]
 
 
-@pytest.mark.parametrize("label", [
+DELTA_CASES = [
     "trivial Z/2 on C2", "C2 by -1 on Z/4", "free Z on C4", "Z_sgn on C2", "Z/2 + Z on S3",
     "Z/4 by -1 on an extension", "Z_sgn on a tower", "Hom(A, M) witness", "universal kernel",
-])
+]
+
+
+@pytest.mark.parametrize("label", DELTA_CASES)
 def test_delta_rows_match_textbook_formula(label):
     # coboundary and first_cocycle_defect run on delta_rows; both must give
     # exactly what coboundary_value gives tuple by tuple, first witness
@@ -540,6 +545,37 @@ def test_delta_rows_match_textbook_formula(label):
             vals, first = _brute_delta(g)
             assert coboundary(g).values == vals, (label, n)
             assert first_cocycle_defect(g) == first, (label, n)
+
+
+@pytest.mark.parametrize("label", DELTA_CASES)
+def test_delta_rows_scatter_covers_every_nonzero_row(label):
+    # delta_rows yields only the rows it scatters to from the support of
+    # f; over every row of W, with all first slots and with the greedy
+    # generators, on a dense and a sparse cochain of each degree: the rows
+    # it yields are sorted, lie in W and equal coboundary_value, every row
+    # it does not yield is zero, and the zero cochain yields no row
+    group, module, degrees = _delta_case(label)
+    rng = random.Random(label)
+    gens = greedy_generators(group)
+    for n in degrees:
+        dense = random_cochain(rng, group, module, n)
+        tuples = list(nonid_tuples(group.order, n))
+        sparse = Cochain(group, module, n, {t: dense.evaluate(t)
+                                            for t in rng.sample(tuples, min(2, len(tuples)))})
+        for f in (dense, sparse):
+            for firsts in (None, gens) if n else (None,):
+                got = list(delta_rows(f, firsts))
+                assert [t for t, _ in got] == sorted({t for t, _ in got}), (label, n)
+                rows = dict(got)
+                for t in nonid_tuples(group.order, n, firsts):
+                    want = [module.reduce(coboundary_value(f, t + (j,)))
+                            for j in range(group.order)]
+                    if t in rows:
+                        assert list(zip(*rows.pop(t))) == want, (label, n, t)
+                    else:
+                        assert not any(map(any, want)), (label, n, t)
+                assert rows == {}, (label, n)
+        assert list(delta_rows(Cochain(group, module, n))) == [], (label, n)
 
 
 def test_cochain_json_rejects_identity():

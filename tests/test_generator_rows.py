@@ -465,6 +465,47 @@ def test_the_differential_test_catches_a_loop_that_skips_its_last_row(monkeypatc
     assert _defect_disagreements(cases)
 
 
+def test_coboundary_defect_names_rows_where_only_the_right_hand_side_is_nonzero():
+    """delta 0 touches no row, so against a nonzero f the first difference
+    is the least tuple of W where f is nonzero, and agreed is the rank of
+    its row in W: f = omega on V4 read through pi from the 8-element
+    extension by x1 y2, and f = pi^* omega on the extension itself; all
+    rows, and the generator rows S of the extension."""
+    group = builtin_group("cyclic:2*cyclic:2")
+    z2 = trivial_module(group, [2])
+    bilinear = {(a, b): (((a >> 1) & 1) * (b & 1),) for a in range(1, 4) for b in range(1, 4)}
+    ext = build_extension(z2, Cochain(group, z2, 2, bilinear))
+    proj = [ext.pi(i) for i in range(ext.order)]
+    rng = random.Random(30)
+    ranks = []
+    for n in (0, 1, 2):
+        tuples = list(nonid_tuples(group.order, n + 1))
+        omega = Cochain(group, z2, n + 1, {t: (1,) for t in rng.sample(tuples, min(3, len(tuples)))})
+        lifted = lift_cochain(ext, omega)
+        zero = Cochain(ext, lifted.coeffs, n)
+        for firsts in (None, greedy_generators(ext)) if n else (None,):
+            walked = list(nonid_tuples(ext.order, n, firsts))
+            want = min(t for t in lifted.values if t[:-1] in walked)
+            ranks.append(walked.index(want[:-1]))
+            for f, p in ((omega, proj), (lifted, None)):
+                assert coboundary_defect(zero, f, p, firsts) == (want, ranks[-1]), (n, firsts)
+    assert any(ranks)
+
+
+def test_delta_rows_skips_most_rows_of_the_degree_8_certificate():
+    """The scatter touches 256 of the 729 generator rows of W on the
+    degree-7 alpha of the C2, Z/2 degree-8 certificate (Gamma = Z/4, S =
+    {1}); walking every row would yield all 729."""
+    from groupcoh import trivialize_torsion
+
+    g = cyclic_group(2)
+    cert = trivialize_torsion(Cochain(g, trivial_module(g, [2]), 8, {(1,) * 8: (1,)}))
+    gens = greedy_generators(cert.extension)
+    assert len(gens) * (cert.extension.order - 1) ** 6 == 729
+    rows = list(delta_rows(cert.alpha, gens))
+    assert len(rows) < 729 / 2 and sum(any(map(any, row)) for _, row in rows) > 0
+
+
 def test_coboundary_defect_gates_the_rows_it_walks():
     g = cyclic_group(3)
     m = trivial_module(g, [3, 3])

@@ -429,17 +429,94 @@ def test_general_stage_checks_name_the_first_failing_tuple():
     assert failed == set(rhs)
 
 
+def test_general_lines_walk_generator_rows_only_once_their_checks_pass(monkeypatch):
+    """averaging-primitive walks the generator rows of G once omega is a
+    cocycle, eta-primitive those of Gamma_1 once c and the stage-1
+    extension axioms pass too, and beta-defect once beta is a cocycle
+    too; otherwise every row, the witness then the least failing tuple.
+    An omega that is no cocycle (the action of g flipped on the free
+    coordinate) sends all three to every row.  beta-cocycle is decided
+    first but printed after beta-defect.  Every
+    2-cochain of C2 in a trivial module is a cocycle, so the stage-1 gate
+    is shown through a failing extension-axioms line."""
+    from groupcoh.intlinalg import mat_vec
+    from groupcoh.modules import torsion_submodule
+
+    g = cyclic_group(2)
+    cert = trivialize_general(Cochain(g, trivial_module(g, [0, 2]), 4, {(1,) * 4: (1, 0)}))
+    walked = {}
+    defect = trivialize_module.coboundary_defect
+
+    def logged(x, f=None, proj=None, firsts=None, max_entries=None):
+        walked[x.degree, x.group.order, id(x.coeffs)] = firsts is not None
+        return defect(x, f, proj, firsts, max_entries)
+
+    monkeypatch.setattr(trivialize_module, "coboundary_defect", logged)
+
+    def lines(base=cert, **stages):
+        walked.clear()
+        base = dataclasses.replace(base, stages=dict(base.stages, **stages))
+        checks = verify_certificate(base)
+        keys = [(x.degree, x.group.order, id(x.coeffs)) for x in (
+            base.stages["h"].numerator, base.stages["eta"], base.stages["eta_tilde"])]
+        return [walked[k] for k in keys], {c.name: c for c in checks.checks}, checks
+
+    def shifted(x, tup):
+        vals = dict(x.values)
+        vals[tup] = x.coeffs.add(x.evaluate(tup), (1,) * x.coeffs.dim)
+        return Cochain(x.group, x.coeffs, x.degree, vals)
+
+    assert lines()[0] == [True, True, True] and lines()[2].ok()
+    data = certificate_to_json(cert)
+    data["input"]["module"]["action"]["g"] = [[-1, 0], [0, 1]]
+    gens, named, _ = lines(certificate_from_json(data))
+    assert gens == [False, False, False] and named["omega-cocycle"].ok is False
+    beta = cert.stages["beta"]
+    bad_beta = shifted(beta, (1, 2, 3, 1))
+    assert first_cocycle_defect(bad_beta) is not None
+    gens, named, report = lines(beta=bad_beta)
+    assert gens == [True, True, False]
+    assert named["beta-cocycle"].ok is False and named["beta-defect"].ok is False
+    names = [c.name for c in report.checks]
+    assert names.index("beta-cocycle") == names.index("beta-defect") + 1
+    x, m = cert.stages["eta_tilde"], cert.stages["eta_tilde"].coeffs
+    jmap = torsion_submodule(cert.module)[1]
+    want = next(t for t in nonid_tuples(x.group.order, 4)
+                if m.reduce(coboundary_value(x, t)) != m.reduce([a - b for a, b in zip(
+                    cert.omega.evaluate(tuple(i % 2 for i in t)),
+                    mat_vec(jmap.matrix, bad_beta.evaluate(t)))]))
+    assert named["beta-defect"].witness == want
+    ext1, axioms = cert.stages["stage1"].extension, trivialize_module._check_group_axioms
+    monkeypatch.setattr(trivialize_module, "_check_group_axioms", lambda ext: (
+        trivialize_module.Check("extension-axioms", False, witness=1) if ext is ext1
+        else axioms(ext)))
+    gens, named, _ = lines()
+    assert gens == [True, False, False] and named["stage1:extension-axioms"].ok is False
+
+
 def test_general_mode_gates_every_coboundary_on_its_entries():
     """H^4(C2; Z): with 20 entries allowed, stage 1 (|Gamma| = 4) and the
-    lifts fit, but delta of its degree-2 primitive needs 3^2 * 4 = 36; the
-    verifier's delta eta (degree 3) needs 3^3 * 4 = 108."""
+    lifts fit, but delta of its degree-2 primitive needs 3^2 * 4 = 36.  The
+    verifier's delta eta (degree 3) walks the |S| = 1 generator row block
+    of Gamma, 1 * 3^2 * 4 = 36 entries, once omega, c and the extension
+    axioms have passed.  An omega that is no cocycle (the certificate's
+    action of g flipped to -1) walks every row: 3^3 * 4 = 108."""
     w = h4_z2_generator()
     with pytest.raises(ResourceLimit, match=r"^coboundary needs 36 entries \(limit 20\)$"):
         trivialize_general(w, max_entries=20, sample_size=100)
     cert = trivialize_general(w)
-    with pytest.raises(ResourceLimit, match=r"^coboundary needs 108 entries \(limit 100\)$"):
-        verify_certificate(cert, max_entries=100, sample_size=100)
-    assert verify_certificate(cert, max_entries=108, sample_size=100).ok()
+    with pytest.raises(ResourceLimit, match=r"^coboundary needs 36 entries \(limit 35\)$"):
+        verify_certificate(cert, max_entries=35, sample_size=100)
+    assert verify_certificate(cert, max_entries=36, sample_size=100).ok()
+    data = certificate_to_json(cert)
+    data["input"]["module"]["action"]["g"] = [[-1]]
+    tampered = certificate_from_json(data)
+    with pytest.raises(ResourceLimit, match=r"^coboundary needs 108 entries \(limit 107\)$"):
+        verify_certificate(tampered, max_entries=107, sample_size=100)
+    lines = {c.name: c for c in verify_certificate(tampered, max_entries=108,
+                                                   sample_size=100).checks}
+    assert lines["omega-cocycle"].ok is False
+    assert (lines["eta-primitive"].ok, lines["eta-primitive"].witness) == (False, (1, 1, 1, 2))
 
 
 @pytest.mark.parametrize("factors, degree, value, limit, message", [
