@@ -567,6 +567,12 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
     x - N s(h) is a cocycle, so Z^n + N C^n = W; and N C^n = N C_F.  For
     n >= 1, |G| kills H^n, so every factor is checked to divide |G|.
 
+    W is cut out by the rows of delta_n whose first slot lies in S =
+    `greedy_generators` alone.  The torsion columns of rho(g) have zero
+    free rows, so M/mM is a G-module, and delta x reduced modulo d_i and m
+    is a normalized cocycle of M/mM; one that vanishes on its S-rows is
+    zero (see `greedy_generators`).
+
     H^0 = M^G takes no elimination over Z.  M^G is finitely generated, its
     torsion subgroup is M^G meet M_T = (M_T)^G, and its rank is
     dim_Q (M (x) Q)^G = dim_Q ((M/M_T) (x) Q)^G = r_0 = sum_g tr rho_F(g) /
@@ -593,7 +599,8 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
         factors = _lattice_cohomology(group, module, n, max_entries)
     else:
         big = group.order * math.lcm(*filter(None, module.factors))
-        dmat, cur, tgt = coboundary_matrix(group, module, n, max_entries)
+        dmat, cur, tgt = coboundary_matrix(group, module, n, max_entries,
+                                           firsts=greedy_generators(group))
         prev_mat, _, _ = coboundary_matrix(group, module, n - 1, max_entries)
         images = [list(col) for col in zip(*prev_mat) if any(col)]
         quotient = la.kernel_quotient(

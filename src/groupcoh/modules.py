@@ -263,13 +263,16 @@ def invariants(m: GModule):
     """(M^G as a trivial module, inclusion map into M) for a finite module
     M; a free factor raises SourceNotTorsion, as the inclusion of a free
     part needs an integer kernel (`cochains.cohomology` in degree 0 reads
-    M^G of any module)."""
+    M^G of any module).  x is fixed by every g once it is fixed by each s in
+    S = `greedy_generators`, which generate G, so only the rows rho(s) - 1
+    are built."""
     if not m.is_torsion:
         raise SourceNotTorsion("invariants need a finite module; "
                                "cohomology(G, M, 0) gives M^G of any module")
     k = m.dim
-    rows = [[mat[i][j] - (i == j) for j in range(k)] for mat in m.action[1:] for i in range(k)]
-    moduli = list(m.factors) * (m.group.order - 1)
+    gens = greedy_generators(m.group)
+    rows = [[m.action[s][i][j] - (i == j) for j in range(k)] for s in gens for i in range(k)]
+    moduli = list(m.factors) * len(gens)
     # M^G = W / L: W is the lattice of fixed vectors, L the relations of M
     quotient = la.kernel_quotient(rows, moduli, [], m.factors)
     if quotient is None:

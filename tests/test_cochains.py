@@ -274,14 +274,16 @@ def test_coboundary_resource_limit_names_the_count():
 
 @pytest.mark.parametrize("factors, degree", [([3], 16), ([0], 17)])
 def test_cohomology_gates_before_listing_any_tuple(factors, degree):
-    # C3 in degree 16: delta_16 would be 2^17 x 2^16 (Z/3), delta_16 again
-    # for the lattice H^17 (Z); listing its 2^16 domain tuples alone held
-    # about 45 MB (tracemalloc), the count is worked out from sizes
+    # C3 in degree 16: delta_16 on the rows of its one generator would be
+    # 2^16 x 2^16 (Z/3); the lattice H^17 (Z) builds all 2^17 rows of
+    # delta_16; listing its 2^16 domain tuples alone held about 45 MB
+    # (tracemalloc), the count is worked out from sizes
+    entries = {16: 4294967296, 17: 8589934592}[degree]
     g = cyclic_group(3)
     m = trivial_module(g, factors)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimit, match=r"^coboundary matrix needs 8589934592 "
+        with pytest.raises(ResourceLimit, match=rf"^coboundary matrix needs {entries} "
                                                 r"entries \(limit 10000000\)$"):
             cohomology(g, m, degree, max_entries=10_000_000)
         peak = tracemalloc.get_traced_memory()[1]

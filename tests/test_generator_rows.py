@@ -1,9 +1,11 @@
 """Differential tests of the checks decided on the rows of a generating
 set: the cocycle test `first_cocycle_defect`, the homomorphism test of
 module validation, the support-only `lift_cochain` and the product rows
-of `delta_rows`, each against a brute-force oracle; and `solve_coboundary`
+of `delta_rows`, each against a brute-force oracle; `solve_coboundary`
 on the generator rows of delta against the solve on every row, with the
-cocycle check it runs only after the solve."""
+cocycle check it runs only after the solve; and the cocycle lattices of
+`cohomology` and the fixed points of `invariants` on generator rows
+against every row."""
 
 import itertools
 import math
@@ -22,9 +24,11 @@ from groupcoh import (
     build_extension,
     builtin_group,
     coboundary,
+    cohomology,
     cyclic_group,
     first_cocycle_defect,
     hom_module,
+    invariants,
     lift_cochain,
     scale_cochain,
     solve_coboundary,
@@ -32,9 +36,11 @@ from groupcoh import (
 )
 from groupcoh import cochains as cochains_module
 from groupcoh import intlinalg as la
+from groupcoh import modules as modules_module
 from groupcoh.cochains import (coboundary_defect, coboundary_matrix, coboundary_value, delta_rows,
                                divide_cochain, map_coefficients, nonid_tuples)
-from groupcoh.errors import ActionNotHomomorphic, BadIdentityAction, ResourceLimit
+from groupcoh.errors import (ActionNotHomomorphic, BadIdentityAction, GroupcohError,
+                             ResourceLimit)
 from groupcoh.extensions import GroupExtension
 from groupcoh.groups import generated, greedy_generators
 from groupcoh.modules import torsion_submodule
@@ -232,7 +238,6 @@ def test_brute_force_tests_catch_a_generating_set_that_is_not_greedy(monkeypatch
     trivialize, by a generating set of the split C3 extension that leaves
     out (0, 2), each check still fails, but names a witness on another
     generator row than the brute-force sweep's first failing one."""
-    import groupcoh.modules as modules_module
     import groupcoh.trivialize as tz
     from groupcoh.extensions import module_through_projection
 
@@ -583,13 +588,13 @@ def _full_row_solvable(f):
 
 
 SOLVE_GROUPS = {"C2": 4, "C3": 4, "C4": 4, "V4": 4, "S3": 3, "D4": 3}
+SOLVE_SPECS = {"C2": "cyclic:2", "C3": "cyclic:3", "C4": "cyclic:4", "V4": "cyclic:2*cyclic:2",
+               "S3": "symmetric:3", "D4": "dihedral:4"}
 
 
 @pytest.mark.parametrize("group_name", list(SOLVE_GROUPS))
 def test_generator_row_solve_matches_the_full_row_solve(group_name):
-    group = builtin_group({"C2": "cyclic:2", "C3": "cyclic:3", "C4": "cyclic:4",
-                           "V4": "cyclic:2*cyclic:2", "S3": "symmetric:3",
-                           "D4": "dihedral:4"}[group_name])
+    group = builtin_group(SOLVE_SPECS[group_name])
     gens = greedy_generators(group)
     rng = random.Random(sum(map(ord, group_name)) + 18)
     unsolvable = 0
@@ -702,6 +707,85 @@ def test_solve_coboundary_checks_the_cocycle_before_the_lattice_correction(monke
     monkeypatch.setattr(cochains_module, "torsion_submodule", no_split)
     assert solve_coboundary(bad) is None
     assert events == ["solve", "cocycle"]
+
+
+# -- cocycle lattices and invariants on generator rows ----------------------
+
+
+def _free_modulus(module):
+    """m = |G| N, the modulus `cohomology` takes on the free rows of delta_n."""
+    return module.group.order ** 2 * math.lcm(*filter(None, module.factors))
+
+
+def _cocycle_lattice(module, n, firsts=None):
+    """The Hermite basis of `kernel_with_moduli` of delta_n, on the rows
+    whose first slot is in firsts when given, with the row moduli of
+    `cohomology`: d_i on torsion rows, m on free ones."""
+    mat, dom, tgt = coboundary_matrix(module.group, module, n, firsts=firsts)
+    big = _free_modulus(module)
+    return la.kernel_with_moduli(mat, [d or big for _ in tgt for d in module.factors],
+                                 cols=len(dom) * module.dim)
+
+
+# delta_3 of D4 on every row takes seconds per module
+LATTICE_DEGREES = {**SOLVE_GROUPS, "D4": 2}
+
+
+def _generator_row_disagreements(group_name, monkeypatch):
+    """Where the rows of S = greedy_generators, as bound in cochains and
+    modules at call time, disagree with the rows of every g != e: the
+    cocycle lattice of delta_n and H^n for each module of `_solve_modules`
+    in degrees 1 to LATTICE_DEGREES, and the invariants of M/mM.  A raised
+    error is an outcome."""
+    group = builtin_group(SOLVE_SPECS[group_name])
+    gens = cochains_module.greedy_generators(group)
+
+    def outcome(fn, every):
+        with monkeypatch.context() as mp:
+            for module in (cochains_module, modules_module) if every else ():
+                mp.setattr(module, "greedy_generators", lambda g: list(range(1, g.order)))
+            try:
+                return fn()
+            except GroupcohError as exc:
+                return type(exc).__name__
+
+    out = []
+    for name, module in _solve_modules(group).items():
+        for n in range(1, LATTICE_DEGREES[group_name] + 1):
+            if _cocycle_lattice(module, n, gens) != _cocycle_lattice(module, n):
+                out.append(("lattice", name, n))
+            if outcome(lambda: cohomology(group, module, n), False) != outcome(
+                    lambda: cohomology(group, module, n), True):
+                out.append(("cohomology", name, n))
+        big = _free_modulus(module)
+        finite = GModule(group, [d or big for d in module.factors], module.action)
+
+        def fixed():
+            inv, incl = invariants(finite)
+            return inv.factors, incl.matrix
+
+        if outcome(fixed, False) != outcome(fixed, True):
+            out.append(("invariants", name, 0))
+    return out
+
+
+@pytest.mark.parametrize("group_name", list(SOLVE_GROUPS))
+def test_generator_rows_cut_out_the_cocycle_lattice_and_the_invariants(group_name, monkeypatch):
+    assert _generator_row_disagreements(group_name, monkeypatch) == []
+
+
+def test_generator_row_differential_catches_a_generating_set_missing_its_last_generator(
+        monkeypatch):
+    """A mutation check: with the last greedy generator dropped, at the
+    bindings in cochains and modules, the S-rows cut out a larger lattice
+    and fewer fixed-point conditions on V4 or S3, and each comparison of
+    the differential test above fails on some module."""
+    greedy = greedy_generators
+    for module in (cochains_module, modules_module):
+        monkeypatch.setattr(module, "greedy_generators", lambda g: greedy(g)[:-1])
+    kinds = {kind for group_name in ("V4", "S3")
+             for kind, *_ in _generator_row_disagreements(group_name, monkeypatch)}
+    assert kinds == {"lattice", "cohomology", "invariants"}
 
 
 S4_SOLVE_SCRIPT = """

@@ -18,9 +18,10 @@ import time
 
 import pytest
 
-from groupcoh import GModule, builtin_group, cohomology, invariants
+from groupcoh import GModule, builtin_group, cohomology, invariants, trivial_module
 from groupcoh import intlinalg as la
 from groupcoh.cochains import coboundary_matrix
+from groupcoh.errors import ResourceLimit
 
 from test_intlinalg import det, minor_gcd_factors
 from test_modular_lattice import COHOM_TABLE, fp_rank, sign_module, table_module
@@ -281,14 +282,19 @@ import time
 from groupcoh import builtin_group, cohomology, trivial_module
 group = builtin_group("symmetric:4")
 start = time.perf_counter()
-print(cohomology(group, trivial_module(group, [2]), 2), time.perf_counter() - start)
+print(cohomology(group, trivial_module(group, [2]), 2, max_entries=839_523),
+      time.perf_counter() - start)
 """
 
 
 def test_reach_h2_of_s4_in_z2_within_1_gb():
     # H^2(S4; Z/2) = (Z/2)^2 (Adem-Milgram, Cohomology of Finite Groups,
-    # VI.1): delta_2 is 12167 x 529, in a process limited to 1 GB of
-    # address space
+    # VI.1): delta_2 on the rows of the 3 generators is 1587 x 529, one
+    # entry under the limit, in a process limited to 1 GB of address space
+    group = builtin_group("symmetric:4")
+    with pytest.raises(ResourceLimit, match=r"^coboundary matrix needs 839523 entries "
+                                            r"\(limit 839522\)$"):
+        cohomology(group, trivial_module(group, [2]), 2, max_entries=839_522)
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
