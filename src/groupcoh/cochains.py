@@ -649,8 +649,8 @@ def _lattice_cohomology(group, module: GModule, n: int, max_entries=None) -> lis
     big = order * order
     mat, dom, _ = coboundary_matrix(group, module, n - 1, max_entries)
     cols = len(dom) * module.dim
-    d, _, _ = la._diagonalize_modulo(mat, [big] * len(mat), cols)
-    pivots = [math.gcd(d[i][i], big) for i in range(min(len(mat), cols))]
+    pivots, _, _, _, _ = la._diagonalize_modulo(mat, [big] * len(mat), cols)
+    pivots = [math.gcd(p, big) for p in pivots]
     if sum(p < big for p in pivots) * order != _rational_rank(module, n - 1):
         raise SelfCheckFailed(f"cohomology: the local Smith form of delta_{n - 1} modulo "
                               f"{big} misses its rational rank")

@@ -6,19 +6,20 @@ here.
 One elimination serves the runtime: the local Smith form over Z/N
 (`_diagonalize_modulo`, N the lcm of the row moduli, every modulus
 nonzero and every entry below N), behind `solve_with_moduli`,
-`kernel_with_moduli` (whose generators reduce to a triangular Hermite
-basis modulo N) and `cokernel_modulo` (all its lift columns in one
-call).  It is sparse: each row is a dict of its nonzero entries, a
-column index lists the rows of each column, and the pivot is a unit in
-the first column that has entries, in the row of fewest entries, so
-clearing a coboundary matrix (at most n + 2 nonzero blocks a row) costs
-about its nonzeros, not its rows times its columns (Dumas, Saunders and
-Villard, JSC 2001).  `kernel_quotient` joins them by back substitution
-into the quotient W / R that the invariants of a finite module and the
-cohomology of a module with a finite factor read.  Cohomology with
-lattice coefficients calls the local Smith form directly, on delta_{n-1}
-over Z/|G|^2, and every coboundary equation is solved over Z/N.  Each
-runtime routine refuses a free (0) modulus with ValueError.
+`cokernel_modulo` and `kernel_quotient`.  It is sparse: each row is a
+dict of its nonzero entries, a column index lists the rows of each
+column, and the pivot is a unit in the first column that has entries, in
+the row of fewest entries, so clearing a coboundary matrix (at most n + 2
+nonzero blocks a row) costs about its nonzeros, not its rows times its
+columns (Dumas, Saunders and Villard, JSC 2001).  On request it tracks
+V^-1 next to V; `cokernel_modulo` reads its lift off V^-1, and
+`kernel_quotient` reads the quotient W / R, which the invariants of a
+finite module and the cohomology of a module with a finite factor need,
+in the coordinates V^-1 gives W: one local Smith form of the kernel's
+matrix and one of the relations' coordinates.  Cohomology with lattice
+coefficients calls the local Smith form directly, on delta_{n-1} over
+Z/|G|^2, and every coboundary equation is solved over Z/N.  Each runtime
+routine refuses a free (0) modulus with ValueError.
 
 The last section is the integer reference, with no runtime caller: the
 integer Smith normal form `_snf_full`, whose entries grow without bound
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 import math
 from itertools import compress
+
+from .errors import SelfCheckFailed
 
 Matrix = list  # list[list[int]]
 
@@ -96,7 +99,7 @@ def _xgcd(p: int, x: int):
     return p, s0, u0
 
 
-def _diagonalize_modulo(a: Matrix, moduli: list, n: int):
+def _diagonalize_modulo(a: Matrix, moduli: list, n: int, inverse: bool = False):
     """The local Smith form of the first n columns of a modulo per-row
     moduli, all nonzero, by sparse elimination.
 
@@ -120,10 +123,16 @@ def _diagonalize_modulo(a: Matrix, moduli: list, n: int):
     (right-hand sides) take part in the row operations only; no pivot or
     operation reads them, so they change nothing else.
 
-    Returns (d, vt, N): d is the reduced matrix, whose first n columns are
-    zero but for d[i][i] != 0 with i below the rank; vt[j] is column j of
-    the column transform V, and U a V = d modulo N for a row transform U
-    invertible modulo N that is not tracked.
+    With inverse, V^-1 is tracked next to V: col_j += q col_c on V is
+    row_c -= q row_j on V^-1, and the 2x2 step (s, u, w, z) on columns
+    (c, j), of determinant s z - u w = 1, is (z, -w, -u, s) on rows (c, j).
+
+    Returns (pivots, tails, vt, vi, N): U a V = D modulo N for a row
+    transform U invertible modulo N that is not tracked, D zero in its
+    first n columns but for D[t][t] = pivots[t] != 0, t below the rank;
+    tails[t] holds the entries of row t of D past column n-1, as a
+    {column: entry} dict; vt[j] is column j of V and vi[j] row j of V^-1
+    (None without inverse), both {index: entry} dicts.
     """
     big = math.lcm(*moduli)
     rows, tails = [], []
@@ -137,6 +146,7 @@ def _diagonalize_modulo(a: Matrix, moduli: list, n: int):
         for j in row:
             index[j].add(i)
     vt = [{j: 1} for j in range(n)]
+    vi = [{j: 1} for j in range(n)] if inverse else None
 
     def pair(x, y, s, u, w, z):
         # (s x + u y, w x + z y) for sparse vectors x and y
@@ -195,6 +205,8 @@ def _diagonalize_modulo(a: Matrix, moduli: list, n: int):
                     row.pop(k, None)
                     index[k].discard(r)
         vt[i], vt[j] = pair(vt[i], vt[j], s, u, w, z)
+        if inverse:
+            vi[i], vi[j] = pair(vi[i], vi[j], z, -w, -u, s)
 
     pivots = []
     first = 0
@@ -238,7 +250,10 @@ def _diagonalize_modulo(a: Matrix, moduli: list, n: int):
                 if x % g == 0:
                     del row[j]
                     index[j].discard(r)
-                    axpy(vt[j], vt[c], -(x // g) * unit)
+                    q = -(x // g) * unit
+                    axpy(vt[j], vt[c], q)
+                    if inverse:
+                        axpy(vi[c], vi[j], -q)
                 else:
                     e, s, u = _xgcd(p, x)
                     col_pair(c, j, s, u, -x // e, p // e)
@@ -258,41 +273,33 @@ def _diagonalize_modulo(a: Matrix, moduli: list, n: int):
     order += sorted(set(range(len(a))) - set(order))
     perm = [c for _, c, _ in pivots]
     perm += sorted(set(range(n)) - set(perm))
-    d = [[0] * (len(a[0]) if a else n) for _ in order]
-    for t, (_, _, p) in enumerate(pivots):
-        d[t][t] = p
-    for row, r in zip(d, order):
-        for j, x in tails[r].items():
-            row[j] = x
-    cols = [[0] * n for _ in perm]
-    for col, c in zip(cols, perm):
-        for k, x in vt[c].items():
-            col[k] = x
-    return d, cols, big
+    return ([p for _, _, p in pivots], [tails[r] for r in order], [vt[c] for c in perm],
+            [vi[c] for c in perm] if inverse else None, big)
 
 
 def _solve_modulo(a: Matrix, rhs: list, moduli: list, n: int):
     """Solve a @ x = b modulo per-row moduli, all nonzero, for every
     column b of rhs (a list of columns), returning one x or None for each.
     The right-hand sides ride along as columns n, n + 1, ... of one local
-    Smith form U a V = D; y_i solves d_i y_i = (U b)_i modulo N (solvable
-    iff gcd(d_i, N) divides it; rows past the rank need (U b)_i = 0), and
+    Smith form U a V = D; y_t solves d_t y_t = (U b)_t modulo N (solvable
+    iff gcd(d_t, N) divides it; rows past the rank need (U b)_t = 0), and
     x = V y."""
-    d, vt, big = _diagonalize_modulo([row + [b[i] for b in rhs] for i, row in enumerate(a)],
-                                     moduli, n)
+    pivots, tails, vt, _, big = _diagonalize_modulo(
+        [row + [b[i] for b in rhs] for i, row in enumerate(a)], moduli, n)
     out = []
     for c in range(n, n + len(rhs)):
         x = [0] * n
-        for i, row in enumerate(d):
+        for t, tail in enumerate(tails):
             # a zero pivot has gcd N with N, which divides b only if b = 0
-            p, b = (row[i] if i < n else 0), row[c]
+            p, b = (pivots[t] if t < len(pivots) else 0), tail.get(c, 0)
             g = math.gcd(p, big)
             if b % g:
                 x = None
                 break
             y = b // g * pow(p // g, -1, big // g) % (big // g) if p else 0
             if y:
-                x = [(xi + y * vj) % big for xi, vj in zip(x, vt[i])]
+                for k, v in vt[t].items():
+                    x[k] = (x[k] + y * v) % big
         out.append(x)
     return out
 
@@ -306,102 +313,6 @@ def solve_with_moduli(a: Matrix, b: list, moduli: list, cols: int = None):
     return _solve_modulo(a, [b], moduli, len(a[0]) if a else (cols or 0))[0]
 
 
-def _hnf_modulo(gens: list, n: int, big: int) -> list:
-    """The Hermite normal form of the lattice spanned by gens and big*Z^n:
-    n column vectors, w_j with its last nonzero entry h_j = w_j[j]
-    dividing big, and w_k[j] in [0, h_j) for k > j.  This is Cohen's HNF
-    modulo D (GTM 138, Alg. 2.4.8) for a lattice that contains big*Z^n,
-    where big need not be a multiple of the determinant.
-
-    From the last coordinate j down, big*e_j meets every generator with a
-    nonzero entry j in unimodular extended-gcd steps.  They leave one
-    vector w_j with entry h_j = gcd(big, those entries) at j and clear
-    entry j of the others, which carry on to the coordinates left of j.
-    As big*e_j takes part as a whole vector, no generator is lost; the
-    entries left of j stay reduced modulo big, since big*Z^n lies in the
-    lattice.
-    """
-    basis = []
-    for j in reversed(range(n)):
-        piv, h = [0] * j, big  # w_j left of j, and its entry at j
-        rest = []
-        for g in gens:
-            x, g = g[j], g[:j]
-            if x % h == 0:
-                q = x // h
-                if q:
-                    g = [(z - q * y) % big for y, z in zip(piv, g)]
-            else:
-                e, s, u = _xgcd(h, x)
-                piv, g = ([(s * y + u * z) % big for y, z in zip(piv, g)],
-                          [(h // e * z - x // e * y) % big for y, z in zip(piv, g)])
-                h = e
-            if any(g):
-                rest.append(g)
-        gens = rest
-        basis.append(piv + [h] + [0] * (n - 1 - j))
-    basis.reverse()
-    for k, w in enumerate(basis):
-        for j in reversed(range(k)):
-            q = w[j] // basis[j][j]
-            if q:
-                w[:j + 1] = [x - q * y for x, y in zip(w[:j + 1], basis[j])]
-    return basis
-
-
-def kernel_with_moduli(a: Matrix, moduli: list, cols: int = None) -> list:
-    """A basis of the lattice L of x with a @ x = 0 modulo per-row moduli.
-    Every modulus must be nonzero; a free (0) one raises ValueError.
-
-    L contains N*Z^n (N = lcm of the moduli), and the local Smith form
-    U a V = D of `_diagonalize_modulo` spans it modulo N: column j of V
-    times N/gcd(d_j, N), with d_j = 0 past the rank.  V is invertible only
-    modulo N, so these are generators, not a basis ([2] modulo 5 spans
-    2Z); with N*Z^n they reduce to the Hermite normal form, an
-    upper-triangular basis (vector j ends in entry j) whose diagonal
-    product is [Z^n : L].
-    """
-    if not all(moduli):
-        raise ValueError("kernel_with_moduli needs nonzero moduli")
-    n = len(a[0]) if a else (cols or 0)
-    d, vt, big = _diagonalize_modulo(a, moduli, n)
-    gens = []
-    for j, col in enumerate(vt):
-        scale = big // math.gcd(d[j][j] if j < len(d) else 0, big)
-        if scale < big:
-            gens.append([scale * x % big for x in col])
-    return _hnf_modulo(gens, n, big)
-
-
-def _triangular_coordinates(basis: list, vecs: list):
-    """The integer coordinates in basis of each vector of vecs, by back
-    substitution, or None when one of them lies outside the lattice.  The
-    basis vectors end (have their last nonzero entry, the pivot) in
-    distinct coordinates, as `kernel_with_moduli` returns them."""
-    steps = []
-    for j, w in enumerate(basis):
-        p = max(i for i, x in enumerate(w) if x)
-        steps.append((p, j, w[p], [(i, x) for i, x in enumerate(w[:p]) if x]))
-    steps.sort(reverse=True)
-    out = []
-    for vec in vecs:
-        r = list(vec)
-        t = [0] * len(basis)
-        for p, j, h, above in steps:
-            q, rem = divmod(r[p], h)
-            if rem:
-                return None
-            if q:
-                t[j] = q
-                r[p] = 0
-                for i, x in above:
-                    r[i] -= q * x
-        if any(r):
-            return None
-        out.append(t)
-    return out
-
-
 def cokernel_modulo(gens: list, ambient: int, big: int):
     """Structure of Z^ambient / (<gens> + big*Z^ambient), as
     cokernel_structure returns it (here every factor divides big).
@@ -409,51 +320,112 @@ def cokernel_modulo(gens: list, ambient: int, big: int):
     With the gens as the rows of G, one local Smith form U G V = D over
     Z/big makes x -> V^T x map the quotient onto the sum of Z/gcd(d_i, big),
     a divisibility chain (a coordinate past the rank is Z/big).  proj keeps
-    the rows of V^T whose factor is not 1, and lift column i solves
-    proj @ x = e_i modulo the factors, which V^T invertible modulo big
-    makes solvable; every e_i rides along in one local Smith form of proj.
+    the rows of V^T whose factor is not 1, and lift column i is the row of
+    V^-1 at proj's row i: (V^T)^-1 = (V^-1)^T, so proj @ lift is the
+    identity modulo big.
     """
-    d, vt, _ = _diagonalize_modulo(gens, [big] * len(gens), ambient)
-    moduli = [math.gcd(d[i][i] if i < len(d) else 0, big) for i in range(ambient)]
+    pivots, _, vt, vi, _ = _diagonalize_modulo(gens, [big] * len(gens), ambient, inverse=True)
+    moduli = [math.gcd(p, big) for p in pivots] + [big] * (ambient - len(pivots))
     keep = [i for i, md in enumerate(moduli) if md != 1]
-    factors = [moduli[i] for i in keep]
-    proj = [vt[i] for i in keep]
-    cols = _solve_modulo(proj, identity_matrix(len(keep)), factors, ambient)
-    if None in cols:
-        raise ArithmeticError("cokernel_modulo: the projection is not onto the quotient")
-    lift = [[col[r] for col in cols] for r in range(ambient)]
-    return factors, proj, lift
+    proj = [[vt[i].get(r, 0) for r in range(ambient)] for i in keep]
+    lift = [[vi[i].get(r, 0) for i in keep] for r in range(ambient)]
+    return [moduli[i] for i in keep], proj, lift
 
 
 def kernel_quotient(a: Matrix, moduli: list, gens: list, rel_moduli: list):
-    """W / R for the lattice W of x in Z^k with a @ x = 0 modulo per-row
-    moduli, and R spanned by the column vectors gens and by rel_moduli[i] *
-    e_i (k = len(rel_moduli)).  Every modulus and every relation must be
+    """(W + N Z^k) / R for the lattice W of x in Z^k with a @ x = 0 modulo
+    per-row moduli, R spanned by the column vectors gens and by
+    rel_moduli[i] * e_i (k = len(rel_moduli)), and N = lcm of rel_moduli,
+    so that R contains N Z^k.  Every modulus and every relation must be
     nonzero; a free (0) one raises ValueError.
 
-    Returns (factors, incl): the invariant factors of W / R, a divisibility
-    chain, and the k x len(factors) matrix that sends each quotient
-    generator to a vector of W; or None when a generator of R lies outside
-    W.
+    Returns (factors, incl): the invariant factors of the quotient, a
+    divisibility chain, and the k x len(factors) matrix that sends each
+    quotient generator to a vector of W + N Z^k, reduced modulo N; or None
+    when a generator of R lies outside W + N Z^k.
 
-    R contains N*Z^k (N = lcm of rel_moduli), W is taken with N*Z^k added
-    (the triangular basis of `kernel_with_moduli` reduced modulo N, if
-    N*Z^k is not in W), and the generators' coordinates, found by back
-    substitution, give W / R by `cokernel_modulo` over Z/N.
+    One local Smith form U a V = D, with V^-1 tracked, runs modulo m = lcm
+    of the row moduli and N (a zero row of modulus N joins a).  Let g_j =
+    gcd(d_j, m), g_j = m past the rank, and h_j = gcd(m / g_j, N).  Then
+    x -> y = V^-1 x modulo N maps (W + N Z^k) / N Z^k onto the sum of
+    h_j Z/N Z.  Proof: U invertible modulo m makes x lie in W iff
+    D V^-1 x = 0 modulo m, iff (V^-1 x)_j is a multiple of m / g_j modulo
+    m; and (m / g_j) Z + N Z = h_j Z.  So V^-1 sends W + N Z^k into the
+    sum.  Conversely, if y_j = (m / g_j) c_j + N b_j, then w = V c' with
+    c'_j = (m / g_j) c_j lies in W, and V^-1 (x - w) = 0 modulo N gives
+    x - w = V V^-1 (x - w) = 0 modulo N, V V^-1 being the identity modulo
+    m.  Hence r lies in W + N Z^k iff h_j divides y_j for every j, and
+    then z_j = y_j / h_j modulo N / h_j are its coordinates in the sum of
+    Z/(N / h_j).  The quotient is that sum over the z of R, which
+    `cokernel_modulo` reads over Z/N with the rows (N / h_j) e_j added; a
+    coordinate with h_j = N is Z/1 and is dropped.  A relation d_i e_i with
+    d_i = N has y = 0 and is skipped.  Each lift column w maps back to
+    V (h_j w_j) modulo N.
+
+    Two checks raise SelfCheckFailed, also under python -O: a @ x = 0 for
+    each generator x = (m / g_j) V e_j of W with g_j < m (so a pivot read
+    too coarse, or a corrupted column of V, shows), and V y = r modulo N
+    for every relation used (so does a corrupted V^-1).
     """
     if not (all(moduli) and all(rel_moduli)):
         raise ValueError("kernel_quotient needs nonzero moduli and relations")
     k = len(rel_moduli)
-    gens = list(gens) + [[d if r == i else 0 for r in range(k)] for i, d in enumerate(rel_moduli)]
-    basis = kernel_with_moduli(a, moduli, cols=k)
     big = math.lcm(*rel_moduli)
-    if big % math.lcm(*moduli):
-        basis = _hnf_modulo(basis, k, big)
-    coords = _triangular_coordinates(basis, gens)
-    if coords is None:
-        return None
-    factors, _, lift = cokernel_modulo(coords, len(basis), big)
-    return factors, mat_mul(mat_transpose(basis, k), lift)
+    pivots, _, vt, vi, m = _diagonalize_modulo(list(a) + [[0] * k], list(moduli) + [big], k,
+                                               inverse=True)
+    scale = [m // math.gcd(p, m) for p in pivots] + [1] * (k - len(pivots))
+    a_cols = [[] for _ in range(k)]
+    for i, row in enumerate(a):
+        for j in compress(range(k), row):
+            a_cols[j].append((i, row[j]))
+    for t, s in enumerate(scale):
+        if s < m:
+            image = {}
+            for j, v in vt[t].items():
+                for i, x in a_cols[j]:
+                    image[i] = image.get(i, 0) + x * v
+            if any(s * x % moduli[i] for i, x in image.items()):
+                raise SelfCheckFailed("kernel_quotient: a generator (m / g_j) V e_j of W "
+                                      "fails a @ x = 0")
+    h = [math.gcd(s, big) for s in scale]
+    vi_cols = [{} for _ in range(k)]
+    for t, row in enumerate(vi):
+        for j, x in row.items():
+            vi_cols[j][t] = x
+    rels = [{j: x for j, x in enumerate(r) if x} for r in gens]
+    rels += [{i: d} for i, d in enumerate(rel_moduli) if d % big]
+    keep = [t for t in range(k) if h[t] != big]
+    at = {t: i for i, t in enumerate(keep)}
+    rows = [[big // h[t] if i == at[t] else 0 for i in range(len(keep))]
+            for t in keep if h[t] != 1]
+    for r in rels:
+        y = {}
+        for j, x in r.items():
+            for t, v in vi_cols[j].items():
+                y[t] = y.get(t, 0) + x * v
+        y = {t: e for t, yt in y.items() if (e := yt % big)}
+        back = {}
+        for t, yt in y.items():
+            for j, v in vt[t].items():
+                back[j] = back.get(j, 0) + yt * v
+        if any((back.get(j, 0) - r.get(j, 0)) % big for j in back.keys() | r.keys()):
+            raise SelfCheckFailed("kernel_quotient: V (V^-1 r) is not r modulo N")
+        if any(yt % h[t] for t, yt in y.items()):
+            return None
+        z = [0] * len(keep)
+        for t, yt in y.items():
+            if t in at:
+                z[at[t]] = yt // h[t]
+        if any(z):
+            rows.append(z)
+    factors, _, lift = cokernel_modulo(rows, len(keep), big)
+    incl = [[0] * len(factors) for _ in range(k)]
+    for t, row in zip(keep, lift):
+        for f, w in enumerate(row):
+            if w := w * h[t] % big:
+                for j, v in vt[t].items():
+                    incl[j][f] = (incl[j][f] + w * v) % big
+    return factors, incl
 
 
 # -- integer reference: no runtime caller ---------------------------------

@@ -614,27 +614,56 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
     expect_failure("solve_coboundary", lambda: cochains.solve_coboundary(f))
     intlinalg.solve_with_moduli = solve
 
-    # a cocycle basis missing one generator leaves a relation outside it
-    kernel = intlinalg.kernel_with_moduli
-    intlinalg.kernel_with_moduli = lambda *a, **k: kernel(*a, **k)[1:]
+    # an entry of V^-1 dropped in the elimination of delta_2 moves the
+    # coordinates y of a coboundary r, and V y = r fails
+    diagonalize = intlinalg._diagonalize_modulo
+
+    def lossy(*a, **k):
+        pivots, tails, vt, vi, big = diagonalize(*a, **k)
+        if vi and len(vi) > 1:
+            del vi[0][min(vi[0])]
+        return pivots, tails, vt, vi, big
+
+    intlinalg._diagonalize_modulo = lossy
     expect_failure("cohomology", lambda: cochains.cohomology(g, z3, 2))
-    intlinalg.kernel_with_moduli = kernel
+
+    # a pivot past the rank of delta_2 of C4 on Z/4 read as a unit drops a
+    # generator of the cocycles, and a coboundary falls outside them
+    def unit_past_rank(*a, **k):
+        pivots, *rest = diagonalize(*a, **k)
+        if k.get("inverse") and len(pivots) == 6:
+            pivots += [1] * 3
+        return pivots, *rest
+
+    c4 = cyclic_group(4)
+    intlinalg._diagonalize_modulo = unit_past_rank
+    expect_failure("cohomology: pivot",
+                   lambda: cochains.cohomology(c4, trivial_module(c4, [4]), 2))
+
+    # a unit pivot read as 0 claims a vector outside the cocycles for one
+    # of their generators
+    def coarse_first_pivot(*a, **k):
+        pivots, *rest = diagonalize(*a, **k)
+        if k.get("inverse") and len(pivots) == 6:
+            pivots[0] = 0
+        return pivots, *rest
+
+    intlinalg._diagonalize_modulo = coarse_first_pivot
+    expect_failure("cohomology: coarse pivot",
+                   lambda: cochains.cohomology(c4, trivial_module(c4, [4]), 2))
 
     # over Z: a dropped pivot misses the rational rank of delta_1, and a
     # pivot of 8 modulo 16 on C4 is a factor that does not divide |G|
-    diagonalize = intlinalg._diagonalize_modulo
-
     def first_pivot(value):
         def patched(*a, **k):
-            d, vt, big = diagonalize(*a, **k)
-            d[0][0] = value
-            return d, vt, big
+            pivots, *rest = diagonalize(*a, **k)
+            pivots[0] = value
+            return pivots, *rest
         return patched
 
     intlinalg._diagonalize_modulo = first_pivot(0)
     expect_failure("cohomology over Z: rank",
                    lambda: cochains.cohomology(g, trivial_module(g, [0]), 2))
-    c4 = cyclic_group(4)
     intlinalg._diagonalize_modulo = first_pivot(8)
     expect_failure("cohomology over Z: divisor",
                    lambda: cochains.cohomology(c4, trivial_module(c4, [0]), 2))
@@ -710,8 +739,9 @@ def test_self_checks_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:11] == [
-        "caught solve_coboundary", "caught cohomology", "caught cohomology over Z: rank",
+    assert proc.stdout.split("\n")[:13] == [
+        "caught solve_coboundary", "caught cohomology", "caught cohomology: pivot",
+        "caught cohomology: coarse pivot", "caught cohomology over Z: rank",
         "caught cohomology over Z: divisor", "caught cohomology over Z + Z/3: divisor",
         "caught cohomology H^0: character",
         "caught solve_coboundary over Z", "caught solve_coboundary: no cocycle",

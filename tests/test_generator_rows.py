@@ -45,6 +45,8 @@ from groupcoh.extensions import GroupExtension
 from groupcoh.groups import generated, greedy_generators
 from groupcoh.modules import torsion_submodule
 
+from hermite import kernel_with_moduli
+
 
 def _sign_character(group):
     """A homomorphism group -> {1, -1}, nontrivial when one exists, found by
@@ -543,7 +545,7 @@ def _cocycle_basis(module, n):
     """Integer vectors over the tuple basis spanning the n-cocycles of a
     finite module: the kernel of all of delta_n over Z/N."""
     mat, _, tgt = coboundary_matrix(module.group, module, n)
-    return la.kernel_with_moduli(mat, [d for _ in tgt for d in module.factors])
+    return kernel_with_moduli(mat, [d for _ in tgt for d in module.factors])
 
 
 def _random_cocycle(rng, module, n):
@@ -723,7 +725,7 @@ def _cocycle_lattice(module, n, firsts=None):
     `cohomology`: d_i on torsion rows, m on free ones."""
     mat, dom, tgt = coboundary_matrix(module.group, module, n, firsts=firsts)
     big = _free_modulus(module)
-    return la.kernel_with_moduli(mat, [d or big for _ in tgt for d in module.factors],
+    return kernel_with_moduli(mat, [d or big for _ in tgt for d in module.factors],
                                  cols=len(dom) * module.dim)
 
 

@@ -23,6 +23,7 @@ from groupcoh import intlinalg as la
 from groupcoh.cochains import coboundary_matrix
 from groupcoh.errors import ResourceLimit
 
+from hermite import hermite_kernel_quotient
 from test_intlinalg import det, minor_gcd_factors
 from test_modular_lattice import COHOM_TABLE, fp_rank, sign_module, table_module
 
@@ -53,20 +54,41 @@ def local_factors(a, moduli, n, snf=False):
     return sorted(math.gcd(s, big) for s in factors + [0] * (rows - len(factors)))
 
 
+def dense_local_smith(a, moduli, n, inverse=False):
+    """`_diagonalize_modulo` laid out dense: (d, vt, big), d the reduced
+    matrix (pivots on the diagonal, the tails past column n - 1) and vt[j]
+    column j of V, and with inverse the rows of V^-1 after them."""
+    pivots, tails, vt, vi, big = la._diagonalize_modulo(a, moduli, n, inverse)
+    d = [[0] * (len(a[0]) if a else n) for _ in tails]
+    for t, p in enumerate(pivots):
+        d[t][t] = p
+    for row, tail in zip(d, tails):
+        for j, x in tail.items():
+            row[j] = x
+    out = d, [[col.get(i, 0) for i in range(n)] for col in vt], big
+    return out + ([[row.get(i, 0) for i in range(n)] for row in vi],) if inverse else out
+
+
 def check_local_smith(a, moduli, n):
     """Diagonalize a with right-hand sides riding along: they change
     neither D nor V, and identity columns read back U S (S the row
     scaling), so U S a V = D modulo N with V invertible modulo N and the
-    factors those of the integer Smith normal form."""
+    factors those of the integer Smith normal form.  Tracking V^-1 changes
+    none of them, and V V^-1 is the identity modulo N."""
     m = len(a)
-    d, vt, big = la._diagonalize_modulo(a, moduli, n)
+    d, vt, big = dense_local_smith(a, moduli, n)
     # rows with right-hand sides of m - i entries: row weights count none
     heavy = [row + [int(j < m - i) for j in range(m)] for i, row in enumerate(a)]
     aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
     for extra in (heavy, aug):
-        d_aug, vt_aug, big_aug = la._diagonalize_modulo(extra, moduli, n)
+        d_aug, vt_aug, big_aug = dense_local_smith(extra, moduli, n)
         assert (vt_aug, big_aug) == (vt, big)
         assert [row[:n] for row in d_aug] == d
+    d_inv, vt_inv, big_inv, vi = dense_local_smith(a, moduli, n, inverse=True)
+    assert (d_inv, vt_inv, big_inv) == (d, vt, big)
+    vvi = la.mat_mul([list(row) for row in zip(*vt)], vi) if n else []
+    assert [[x % big for x in row] for row in vvi] == [[int(i == j) % big for j in range(n)]
+                                                      for i in range(n)]
     assert len(d) == m and all(len(row) == n for row in d) and len(vt) == n
     assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
     gcds = [math.gcd(d[i][i], big) for i in range(min(m, n))]
@@ -106,8 +128,7 @@ def test_unit_pivot_takes_the_row_of_fewest_entries():
     assert us[0] == [0, 1]
     assert [d[i][i] for i in range(2)] == [1, 1]
     # right-hand sides do not count: three of them leave row 1 the lighter
-    d_rhs, vt_rhs, _ = la._diagonalize_modulo([[1, 1, 1, 0, 0, 0], [1, 0, 0, 1, 1, 1]],
-                                              [2, 2], 3)
+    d_rhs, vt_rhs, _ = dense_local_smith([[1, 1, 1, 0, 0, 0], [1, 0, 0, 1, 1, 1]], [2, 2], 3)
     assert vt_rhs == vt and [row[:3] for row in d_rhs] == d
 
 
@@ -163,7 +184,7 @@ def table_coboundaries():
 def test_coboundary_matrices_of_the_cohomology_table():
     for name, mat, moduli, cols in table_coboundaries():
         big = math.lcm(1, *moduli)
-        d, vt, got = la._diagonalize_modulo(mat, moduli, cols)
+        d, vt, got = dense_local_smith(mat, moduli, cols)
         assert got == big, name
         gcds = [math.gcd(d[i][i], big) for i in range(min(len(mat), cols))]
         assert all(y % x == 0 for x, y in zip(gcds, gcds[1:])), name
@@ -178,34 +199,28 @@ def test_coboundary_matrices_of_the_cohomology_table():
         assert all(x % big == 0 for row in av for x in row[len(gcds):]), name
 
 
-# -- one elimination for every lift column ---------------------------------
+# -- the cokernel read off V and V^-1 ---------------------------------------
 
 
-def per_factor_cokernel_modulo(gens, ambient, big):
-    """cokernel_modulo with one local Smith form per lift column."""
-    d, vt, _ = la._diagonalize_modulo(gens, [big] * len(gens), ambient)
-    moduli = [math.gcd(d[i][i] if i < len(d) else 0, big) for i in range(ambient)]
-    factors = [md for md in moduli if md != 1]
-    proj = [col for col, md in zip(vt, moduli) if md != 1]
-    cols = []
-    for i in range(len(factors)):
-        e = [int(r == i) for r in range(len(factors))]
-        cols.append(la._solve_modulo(proj, [e], factors, ambient)[0])
-    return factors, proj, [[col[r] for col in cols] for r in range(ambient)]
-
-
-def test_cokernel_lift_columns_match_one_solve_each():
+def test_cokernel_lift_is_a_section_of_the_projection():
+    # the factors are those of the gcds of minors, proj kills every
+    # generator, and proj @ lift is the identity modulo N: so proj is onto
+    # the sum of the Z/f, with kernel <gens> + N Z^ambient by counting
     rng = random.Random(52)
     for _ in range(150):
         ambient, big = rng.randrange(1, 6), rng.choice(MIXED)
         gens = [[rng.randrange(-6, 7) for _ in range(ambient)]
                 for _ in range(rng.randrange(0, 5))]
         factors, proj, lift = la.cokernel_modulo(gens, ambient, big)
-        assert (factors, proj, lift) == per_factor_cokernel_modulo(gens, ambient, big)
-        for i in range(len(factors)):
-            col = [row[i] for row in lift]
-            image = [sum(p * x for p, x in zip(row, col)) for row in proj]
-            assert all((y - (r == i)) % f == 0 for r, (y, f) in enumerate(zip(image, factors)))
+        want = local_factors(gens, [big] * len(gens), ambient) if gens else []
+        want += [big] * (ambient - len(want))
+        assert factors == [f for f in want if f != 1]
+        for gen in gens:
+            assert all(sum(p * x for p, x in zip(row, gen)) % f == 0
+                       for row, f in zip(proj, factors))
+        image = la.mat_mul(proj, lift) if factors else []
+        assert [[x % big for x in row] for row in image] == [
+            [int(r == i) for i in range(len(factors))] for r in range(len(factors))]
 
 
 def seeded_module(rng):
@@ -249,18 +264,22 @@ def seeded_module(rng):
     return GModule(group, [f] * k, action)
 
 
-def test_invariants_inclusion_is_the_per_factor_one(monkeypatch):
+def test_invariants_inclusion_columns_are_fixed_by_g(monkeypatch):
+    # every inclusion column is fixed by G, and the inclusion has the
+    # image of the Hermite route's: both are M^G
     rng = random.Random(53)
     modules = [seeded_module(rng) for _ in range(40)]
     got = [invariants(m) for m in modules]
-    monkeypatch.setattr(la, "cokernel_modulo", per_factor_cokernel_modulo)
+    monkeypatch.setattr(la, "kernel_quotient", hermite_kernel_quotient)
     for m, (inv, incl) in zip(modules, got):
         ref_inv, ref_incl = invariants(m)
         assert inv.factors == ref_inv.factors
-        assert incl.matrix == ref_incl.matrix
-        for x in inv.elements():
-            y = incl.apply(x)
-            assert all(m.act(g, y) == y for g in range(m.group.order))
+        for col in zip(*incl.matrix):
+            col = m.reduce(col)
+            assert all(m.act(g, col) == col for g in range(m.group.order))
+        images = {incl.apply(x) for x in inv.elements()}
+        assert len(images) == math.prod(inv.factors)
+        assert images == {ref_incl.apply(x) for x in ref_inv.elements()}
 
 
 # -- reach: queries the dense elimination took seconds over ----------------

@@ -1,9 +1,11 @@
-"""Lattices modulo N: the triangular kernel basis, back substitution and
-the local Smith form that serve cohomology and the invariants of finite
+"""Lattices modulo N: the quotient W / R read in the coordinates of one
+local Smith form, which serves cohomology and the invariants of finite
 modules, and H^0 by the character formula.
 
-The oracles are independent of that path: the index of a kernel lattice
-is counted from the solutions modulo N, cohomology and invariants are
+The oracles are independent of that path: the Hermite route (a
+triangular basis of W, back substitution of every relation;
+tests/hermite.py), whose kernel lattice index is counted from the
+solutions modulo N, cohomology and invariants are
 compared with the integer route (kernel_basis of the moduli-augmented
 matrix, solve_integer, cokernel_structure; the runtime never calls them)
 where that route finishes, and with dimensions from ranks over F_p where
@@ -29,6 +31,7 @@ from groupcoh.cochains import coboundary_matrix, nonid_tuples
 from groupcoh.errors import ResourceLimit, SelfCheckFailed
 from groupcoh.groups import greedy_generators
 
+from hermite import hermite_route, kernel_with_moduli, triangular_coordinates
 from test_intlinalg import augment_moduli
 
 
@@ -84,15 +87,15 @@ def test_kernel_with_moduli_is_the_hermite_basis_of_the_lattice():
         rows, cols = rng.randrange(0, 5), rng.randrange(1, 4)
         a = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
         moduli = [rng.choice(MODULI) for _ in range(rows)]
-        check_triangular_basis(a, moduli, cols, la.kernel_with_moduli(a, moduli, cols=cols))
+        check_triangular_basis(a, moduli, cols, kernel_with_moduli(a, moduli, cols=cols))
 
 
 def test_kernel_basis_is_not_just_generators():
     # 5x = 0 mod 5 holds on all of Z; x + y = 0 mod 4 has the basis (4, 0),
     # (3, 1); with no rows the lattice is Z^2
-    assert la.kernel_with_moduli([[5]], [5], cols=1) == [[1]]
-    assert la.kernel_with_moduli([[1, 1]], [4], cols=2) == [[4, 0], [3, 1]]
-    assert la.kernel_with_moduli([], [], cols=2) == [[1, 0], [0, 1]]
+    assert kernel_with_moduli([[5]], [5], cols=1) == [[1]]
+    assert kernel_with_moduli([[1, 1]], [4], cols=2) == [[4, 0], [3, 1]]
+    assert kernel_with_moduli([], [], cols=2) == [[1, 0], [0, 1]]
 
 
 def test_local_smith_form_is_a_divisibility_chain():
@@ -101,10 +104,11 @@ def test_local_smith_form_is_a_divisibility_chain():
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
         a = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
         moduli = [rng.choice([6, 12, 30, 36]) for _ in range(rows)]
-        d, vt, big = la._diagonalize_modulo(a, moduli, cols)
-        gcds = [math.gcd(d[i][i], big) for i in range(min(rows, cols))]
+        pivots, tails, vt, vi, big = la._diagonalize_modulo(a, moduli, cols)
+        gcds = [math.gcd(p, big) for p in pivots]
         assert all(y % x == 0 for x, y in zip(gcds, gcds[1:]))
-        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        assert 0 not in pivots and len(pivots) <= min(rows, cols)
+        assert len(tails) == rows and not any(tails) and len(vt) == cols and vi is None
 
 
 # -- the systems whose integer Smith normal form runs away -----------------
@@ -115,7 +119,7 @@ def test_runaway_6x4_system_modulo_12():
     a = [[-4, -4, -1, 4], [-3, -2, 4, 0], [1, -2, 3, 2], [-2, -1, 4, 3], [1, 1, -4, -2],
          [4, -3, -4, -1]]
     start = time.perf_counter()
-    basis = la.kernel_with_moduli(a, [12] * 6, cols=4)
+    basis = kernel_with_moduli(a, [12] * 6, cols=4)
     assert time.perf_counter() - start < 1.0
     check_triangular_basis(a, [12] * 6, 4, basis)
 
@@ -127,7 +131,7 @@ def test_runaway_5x5_basis_modulo_9_and_6():
          [-4, -1, -1, 0, -2]]
     moduli = [9, 6, 9, 9, 9]
     start = time.perf_counter()
-    basis = la.kernel_with_moduli(a, moduli, cols=5)
+    basis = kernel_with_moduli(a, moduli, cols=5)
     factors, incl = la.kernel_quotient(a, moduli, [], [18] * 5)
     assert time.perf_counter() - start < 1.0
     check_triangular_basis(a, moduli, 5, basis)
@@ -177,7 +181,7 @@ def test_kernel_quotient_matches_the_integer_route():
         a = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
         moduli = [rng.choice(MODULI) for _ in range(rows)]
         rel = [math.lcm(1, *moduli) * rng.choice([1, 2, 3]) for _ in range(cols)]
-        lattice = la.kernel_with_moduli(a, moduli, cols=cols)
+        lattice = kernel_with_moduli(a, moduli, cols=cols)
         gens = []
         for _ in range(rng.randrange(0, 3)):
             coeffs = [rng.randrange(-2, 3) for _ in lattice]
@@ -187,6 +191,74 @@ def test_kernel_quotient_matches_the_integer_route():
         assert all(congruent_zero(a, col, moduli) for col in zip(*incl))
     # a relation outside W
     assert la.kernel_quotient([[1, 0]], [4], [], [2, 4]) is None
+
+
+def check_against_the_hermite_route(a, moduli, gens, rel):
+    """kernel_quotient and the Hermite route agree on None and on the
+    factors; every inclusion column lies in W + N Z^k, and in the Hermite
+    route's coordinates the columns, each killed by its factor, generate
+    the whole quotient."""
+    got = la.kernel_quotient(a, moduli, gens, rel)
+    route = hermite_route(a, moduli, gens, rel)
+    assert (got is None) == (route is None)
+    if got is None:
+        return None
+    factors, incl = got
+    basis, want, proj, _ = route
+    assert factors == want
+    assert len(incl) == len(rel) and all(len(row) == len(factors) for row in incl)
+    coords = triangular_coordinates(basis, [list(col) for col in zip(*incl)])
+    assert coords is not None
+    images = [tuple(sum(p * x for p, x in zip(row, c)) % f for row, f in zip(proj, want))
+              for c in coords]
+    assert all(all(f * y % g == 0 for y, g in zip(img, want)) for img, f in zip(images, factors))
+    if math.prod(factors) <= 256:
+        span = {tuple(0 for _ in want)}
+        for img in images:
+            span |= {tuple((x + t * y) % g for x, y, g in zip(s, img, want))
+                     for s in span for t in range(1, max(want))}
+        assert len(span) == math.prod(factors)
+    return factors
+
+
+def test_kernel_quotient_matches_the_hermite_route():
+    # seeded systems: mixed row moduli, N a multiple of the row moduli'
+    # lcm M or not (and M a multiple of N or not), relations inside W or
+    # random (outside W + N Z^k, then both routes return None), and no rows
+    rng = random.Random(44)
+    seen = {"outside": 0, "N no multiple of M": 0, "M no multiple of N": 0, "no rows": 0}
+    for case in range(400):
+        rows, cols = rng.randrange(0, 5), rng.randrange(1, 5)
+        if case % 10 == 0:
+            rows = 0
+        a = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
+        moduli = [rng.choice(MODULI) for _ in range(rows)]
+        if case % 3 == 0:
+            rel = [math.lcm(1, *moduli) * rng.choice([1, 2, 3]) for _ in range(cols)]
+        else:
+            rel = [rng.choice(MODULI) for _ in range(cols)]
+        lattice = kernel_with_moduli(a, moduli, cols=cols)
+        gens = []
+        for _ in range(rng.randrange(0, 4)):
+            coeffs = [rng.randrange(-2, 3) for _ in lattice]
+            gens.append([sum(c * w[i] for c, w in zip(coeffs, lattice)) for i in range(cols)])
+        if case % 4 == 1:
+            gens.append([rng.randrange(-6, 7) for _ in range(cols)])
+        big, lcm = math.lcm(*rel), math.lcm(1, *moduli)
+        if check_against_the_hermite_route(a, moduli, gens, rel) is None:
+            seen["outside"] += 1
+        seen["N no multiple of M"] += big % lcm != 0
+        seen["M no multiple of N"] += lcm % big != 0
+        seen["no rows"] += not a
+    assert min(seen.values()) >= 20, seen
+
+
+def test_kernel_quotient_of_no_coordinates():
+    assert la.kernel_quotient([], [], [], []) == ([], [])
+    assert la.kernel_quotient([[], []], [2, 3], [], []) == ([], [])
+    # no rows: W = Z^2, and W / (2Z + 3Z) is Z/6, sent to a generator
+    factors, incl = la.kernel_quotient([], [], [], [2, 3])
+    assert factors == [6] and incl[0][0] % 2 and incl[1][0] % 3
 
 
 # -- cohomology and invariants ---------------------------------------------
@@ -632,16 +704,90 @@ def test_no_integer_smith_form_in_the_runtime(monkeypatch):
 
 @pytest.mark.parametrize("drop", [0, 5, -1])
 def test_basis_missing_a_generator_fails_the_self_check(monkeypatch, drop):
-    kernel = la.kernel_with_moduli
+    # no basis of W is built: W + N Z^k is generated by the h_j V e_j, and
+    # each relation is read through V^-1.  An entry of V^-1 lost in the
+    # elimination of delta_2 changes the coordinates of some coboundary,
+    # which the check V y = r catches; a pivot read as a unit drops the
+    # generator h_0 V e_0, and the relation 2 e_0 of Z/2 + Z/4 falls
+    # outside W + 4 Z^2
+    diagonalize = la._diagonalize_modulo
+    calls = []
 
-    def short(*args, **kwargs):
-        basis = kernel(*args, **kwargs)
-        del basis[drop % len(basis)]
-        return basis
+    def lossy(*args, **kwargs):
+        pivots, tails, vt, vi, big = diagonalize(*args, **kwargs)
+        if not calls:
+            entries = sorted((t, j) for t, row in enumerate(vi) for j in row)
+            t, j = entries[drop % len(entries)]
+            del vi[t][j]
+        calls.append(1)
+        return pivots, tails, vt, vi, big
 
-    monkeypatch.setattr(la, "kernel_with_moduli", short)
+    def unit(*args, **kwargs):
+        pivots, *rest = diagonalize(*args, **kwargs)
+        if not calls:
+            pivots[0] = 1
+        calls.append(1)
+        return pivots, *rest
+
     group = cyclic_group(4)
-    with pytest.raises(SelfCheckFailed, match="outside the cocycle lattice"):
+    monkeypatch.setattr(la, "_diagonalize_modulo", lossy)
+    with pytest.raises(SelfCheckFailed, match=r"V \(V\^-1 r\) is not r modulo N"):
         cohomology(group, table_module(group, 4), 2)
+    calls.clear()
+    monkeypatch.setattr(la, "_diagonalize_modulo", unit)
+    module = GModule(cyclic_group(2), [2, 4], [[[1, 0], [0, 1]], [[1, 0], [2, 3]]])
     with pytest.raises(ValueError, match="fixed lattice"):
-        invariants(c2_minus_one_on_z4())
+        invariants(module)
+    monkeypatch.setattr(la, "_diagonalize_modulo", diagonalize)
+    assert invariants(module)[0].factors == (4,)
+
+
+@pytest.mark.parametrize("value", [0, 2])
+def test_coarse_pivot_fails_the_self_check(monkeypatch, value):
+    # delta_4 of C4 on Z/4 has 60 unit pivots modulo 4; one read as 0 or
+    # 2 claims (4 / g_j) V e_j for a generator of W, and a @ x = 0 fails
+    diagonalize = la._diagonalize_modulo
+    calls = []
+
+    def coarse(*args, **kwargs):
+        pivots, *rest = diagonalize(*args, **kwargs)
+        if not calls:
+            assert len(pivots) == 60
+            pivots[t] = value
+        calls.append(1)
+        return pivots, *rest
+
+    monkeypatch.setattr(la, "_diagonalize_modulo", coarse)
+    group = cyclic_group(4)
+    for t in range(0, 60, 7):
+        calls.clear()
+        with pytest.raises(SelfCheckFailed, match=r"generator \(m / g_j\) V e_j of W fails"):
+            cohomology(group, table_module(group, 4), 4)
+
+
+@pytest.mark.parametrize("gspec, coeffs, n", [
+    ("cyclic:4", [4], 4), ("dihedral:4", [2], 2), ("cyclic:3", [3], 2), ("cyclic:6", [6], 3),
+    ("cyclic:2", [2, 4], 3)])
+def test_torsion_cohomology_takes_two_local_smith_forms(monkeypatch, gspec, coeffs, n):
+    # delta_n with V^-1 tracked, then the cokernel of the relations'
+    # coordinates; the Hermite basis and back substitution are gone
+    calls = []
+    diagonalize = la._diagonalize_modulo
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("inverse", False))
+        return diagonalize(*args, **kwargs)
+
+    monkeypatch.setattr(la, "_diagonalize_modulo", counted)
+    group = builtin_group(gspec)
+    cohomology(group, trivial_module(group, coeffs), n)
+    assert calls == [True, True]
+    assert not any(hasattr(la, name) for name in
+                   ("kernel_with_moduli", "_hnf_modulo", "_triangular_coordinates"))
+
+
+def test_h4_of_c6_in_z_plus_z3():
+    # H^4(C6; Z) = Z/6 and H^4(C6; Z/3) = Z/3 (Brown, Cohomology of Groups,
+    # III.1): delta_4 has 1250 columns, and the Hermite route took 11 s here
+    group = cyclic_group(6)
+    assert cohomology(group, trivial_module(group, [0, 3]), 4) == [3, 6]
