@@ -46,12 +46,13 @@ def max_entries_limit(override=None) -> int:
 
 def check_entries(stage: str, count: int, max_entries=None, formula="") -> None:
     """The one resource gate: ResourceLimit("<stage> needs <formula><count>
-    entries (limit L)") when count exceeds L = `max_entries_limit`.  Every
-    caller works count out from sizes before it allocates anything count
-    bounds."""
+    entries (limit L)"), with stage, count and L as its attributes, when
+    count exceeds L = `max_entries_limit`.  Every caller works count out
+    from sizes before it allocates anything count bounds."""
     limit = max_entries_limit(max_entries)
     if count > limit:
-        raise ResourceLimit(f"{stage} needs {formula}{count} entries (limit {limit})")
+        raise ResourceLimit(f"{stage} needs {formula}{count} entries (limit {limit})",
+                            stage=stage, count=count, limit=limit)
 
 
 def nonid_tuples(order: int, n: int, firsts=None):
@@ -824,7 +825,7 @@ def json_entries(data: dict, group):
     entries = data.get("values", [])
     if not isinstance(entries, list):
         raise ValueError(f"cochain values {entries!r} is not a list")
-    label_to_idx = {lbl: i for i, lbl in enumerate(group.elements)}
+    index = dict(zip(group.elements, range(group.order))).__getitem__
     out = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -833,7 +834,7 @@ def json_entries(data: dict, group):
         if not isinstance(labels, list) or len(labels) != degree:
             raise ValueError(f"cochain tuple {labels!r} is not a list of {degree} labels")
         try:
-            tup = tuple(label_to_idx[lbl] for lbl in labels)
+            tup = tuple(map(index, labels))
         except (KeyError, TypeError):
             raise ValueError(f"cochain tuple {labels!r} names an unknown element") from None
         if 0 in tup:
@@ -853,11 +854,24 @@ def json_int_vector(value, dim: int, where) -> tuple:
 def cochain_from_json(data: dict, group, coeffs: GModule) -> Cochain:
     """The cochain a `cochain_to_json` dict describes; a malformed entry
     (see `json_entries`), or a `value` that is not a list of coeffs.dim
-    ints, raises ValueError."""
+    ints, raises ValueError.  One pass checks, reduces and keeps each
+    value; the zeros are dropped at the end, as `Cochain` would."""
     degree, entries = json_entries(data, group)
-    vals = {tup: json_int_vector(entry["value"], coeffs.dim, entry["tuple"])
-            for tup, entry in entries}
-    return Cochain(group, coeffs, degree, vals)
+    dim, factors, torsion = coeffs.dim, coeffs.factors, coeffs.is_torsion
+    ints = [int] * dim
+    vals, zeros = {}, False
+    for tup, entry in entries:
+        value = entry["value"]
+        if not isinstance(value, list) or [*map(type, value)] != ints:
+            raise ValueError(f"cochain value {value!r} at {entry['tuple']} is not a list of "
+                             f"{dim} integers")
+        vals[tup] = v = tuple(map(int.__mod__, value, factors)) if torsion else coeffs.reduce(value)
+        zeros = zeros or not any(v)
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if zeros:
+        vals = {tup: v for tup, v in vals.items() if any(v)}
+    return Cochain._from_reduced(group, coeffs, degree, vals)
 
 
 def load_cochain(path: str, group, coeffs) -> Cochain:

@@ -77,7 +77,11 @@ class ExponentMismatch(GroupcohError):
 
 
 class ResourceLimit(GroupcohError):
-    pass
+    """.stage, .count and .limit are those of `cochains.check_entries`."""
+
+    def __init__(self, message, stage=None, count=None, limit=None):
+        super().__init__(message)
+        self.stage, self.count, self.limit = stage, count, limit
 
 
 class SelfCheckFailed(GroupcohError):

@@ -21,7 +21,6 @@ from .modules import (
     GModule,
     digit_sums,
     element_index,
-    index_tables,
     module_from_json,
     module_to_json,
     trivial_module,
@@ -39,7 +38,6 @@ class GroupExtension:
         na, ng = len(self.kernel_elements), base.order
         self.order = na * ng
 
-        self._neg, self._act = index_tables(kernel)
         # a = hi * s + lo with s the size of the last factors; the split
         # point keeps the two fold tables of `digit_sums` smallest
         factors = kernel.factors
@@ -53,6 +51,12 @@ class GroupExtension:
         # the spread halves of every kernel index
         self._hi = [e for e in self._spread_hi for _ in range(s)]
         self._lo = self._spread_lo * (na // s)
+        # rho_A(g) and -1 by linearity from the columns; e acts as the identity
+        canon = list(range(na))
+        self._neg = self._linear([kernel.neg(kernel.basis_vector(j)) for j in range(kernel.dim)],
+                                 canon)
+        self._act = [range(na)] + [self._linear(map(kernel.reduce, zip(*kernel.action[g])), canon)
+                                   for g in range(1, ng)]
         self._rows = {}
         self._coc = [
             [
@@ -64,6 +68,24 @@ class GroupExtension:
         self._total = None
         self._labels = None
         self._inverses = None
+
+    def _linear(self, images, canon) -> list:
+        """The additive map e_j -> images[j] on kernel indices: sum_j x_j e_j
+        goes to the kernel sum of the x_j * images[j], built from the last
+        coordinate forward through the fold tables (see `add_kernel`), its
+        entries read from canon so that tables share their int objects."""
+        hi, lo, fold_hi, fold_lo = self._hi, self._lo, self._fold_hi, self._fold_lo
+        out = [0]
+        for d, img in zip(reversed(self.kernel.factors), reversed(list(images))):
+            b = element_index(self.kernel, img)
+            mults = [0]
+            for _ in range(d - 1):
+                m = mults[-1]
+                mults.append(fold_hi[hi[m] + hi[b]] + fold_lo[lo[m] + lo[b]])
+            tail = [(hi[t], lo[t]) for t in out]
+            out = [fold_hi[hm + u] + fold_lo[lm + v]
+                   for hm, lm in [(hi[m], lo[m]) for m in mults] for u, v in tail]
+        return list(map(canon.__getitem__, out))
 
     # -- group-like protocol (duck-typed alongside FiniteGroup) ------------
 

@@ -127,22 +127,20 @@ def _validate_module(m: GModule):
             raise ValueError("action matrices must be k x k")
     if not _same_map(m, m.action[0], la.identity_matrix(k)):
         raise BadIdentityAction("identity element must act as the identity matrix")
-    # columns scaled by their modulus must stay in the relation lattice
+    # the nonzero entries (i, v) of every column j of every matrix; column j
+    # scaled by d_j must stay in the relation lattice
+    cols = [[[(i, v) for i, v in enumerate(col) if v] for col in zip(*mat)] for mat in m.action]
+    factors = m.factors
     for g in range(order):
-        mat = m.action[g]
-        for j, dj in enumerate(m.factors):
-            if dj == 0:
-                continue
-            for i, di in enumerate(m.factors):
-                v = dj * mat[i][j]
-                if (v % di) if di else v:
-                    raise ActionBreaksRelations(
-                        "action does not descend to the quotient",
-                        witness=(group.elements[g], j),
-                    )
+        for j, (dj, col) in enumerate(zip(factors, cols[g])):
+            if dj and any(dj * v % factors[i] if factors[i] else v for i, v in col):
+                raise ActionBreaksRelations(
+                    "action does not descend to the quotient",
+                    witness=(group.elements[g], j),
+                )
     for s in greedy_generators(group):
         for h, sh in enumerate(group.mul_row(s)):
-            if not _acts_as_product(m, s, h, sh):
+            if not _acts_as_product(m, cols, s, h, sh):
                 raise ActionNotHomomorphic(
                     "action is not a homomorphism",
                     witness=(group.elements[s], group.elements[h]),
@@ -156,9 +154,18 @@ def _same_map(m: GModule, a, b) -> bool:
                for row_a, row_b, d in zip(a, b, m.factors) for x, y in zip(row_a, row_b))
 
 
-def _acts_as_product(m: GModule, g, h, gh) -> bool:
-    """rho(g) rho(h) = rho(gh) as maps on M."""
-    return _same_map(m, la.mat_mul(m.action[g], m.action[h]), m.action[gh])
+def _acts_as_product(m: GModule, cols, g, h, gh) -> bool:
+    """rho(g) rho(h) = rho(gh) as maps on M, over cols[x][j], the nonzero
+    entries (i, v) of column j of rho(x): row i agrees modulo d_i."""
+    factors, col_g = m.factors, cols[g]
+    for col, want in zip(cols[h], cols[gh]):
+        diff = {i: -v for i, v in want}
+        for r, w in col:
+            for i, v in col_g[r]:
+                diff[i] = diff.get(i, 0) + v * w
+        if any(x % factors[i] if factors[i] else x for i, x in diff.items()):
+            return False
+    return True
 
 
 def make_module(group: FiniteGroup, factors, action) -> GModule:
@@ -221,39 +228,6 @@ def digit_sums(factors):
         weight *= 2 * d - 1
         size *= d
     return spread, fold
-
-
-def index_tables(m: GModule):
-    """(neg, act) of a finite module on element indices (see
-    element_index): neg[i] and act[g][i].  Both tables are built digit by
-    digit from the last coordinate with no tuple arithmetic; addition goes
-    through `digit_sums`."""
-    if not m.is_torsion:
-        raise SourceNotTorsion("cannot index an infinite module")
-    factors = m.factors
-    k = len(factors)
-    # one shared int object per index keeps the tables small
-    canon = list(range(m.size()))
-
-    def linear(mat):
-        # digits[i][x] = (mat . x)_i mod d_i over all x, in index order
-        digits = [[0] for _ in factors]
-        for j in reversed(range(k)):
-            span = range(factors[j])
-            # a coefficient 0 mod d_i repeats the column, with no arithmetic
-            digits = [
-                col * factors[j] if mat[i][j] % di == 0
-                else [(mat[i][j] * x + u) % di for x in span for u in col]
-                for i, (col, di) in enumerate(zip(digits, factors))
-            ]
-        out = [0] * len(canon)
-        for col, d in zip(digits, factors):
-            out = [o * d + u for o, u in zip(out, col)]
-        return [canon[o] for o in out]
-
-    neg = linear([[-1 if i == j else 0 for j in range(k)] for i in range(k)])
-    act = [linear(m.action[g]) for g in range(m.group.order)]
-    return neg, act
 
 
 # -- invariants / torsion --------------------------------------------------

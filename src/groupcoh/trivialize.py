@@ -45,7 +45,6 @@ from .cochains import (
     json_int_vector,
     map_coefficients,
     max_entries_limit,
-    nonid_tuples,
     scale_cochain,
     sub_cochains,
     write_json,
@@ -175,23 +174,38 @@ def build_witness(omega: Cochain, kernel: GModule, c: Cochain) -> Cochain:
                 f"kernel exponent {exponent} does not annihilate omega at {tup}"
             )
     hom = HomModule(kernel, module)
-    order = group.order
-    nonid = order - 1
-
+    nonid = group.order - 1
+    # Y vanishes on every prefix outside the support of omega, and so does b
+    rows = {}
+    for tup, v in sorted(omega.values.items()):
+        rows.setdefault(tup[:n - 2], []).append((tup[n - 2:], v))
     vals = {}
-    for prefix in nonid_tuples(order, n - 2):
+    for prefix, row in rows.items():
         images = [module.zero()] * kernel.dim
-        if kernel.dim:
-            for g in range(1, order):
-                for h in range(1, order):
-                    idx = (g - 1) * nonid + (h - 1)
-                    images[idx] = module.neg(omega.evaluate(prefix + (g, h)))
+        for (g, h), v in row:
+            images[(g - 1) * nonid + (h - 1)] = module.neg(v)
         s = group.product(prefix)
         b = hom.act(s, hom.from_images(images))
         b = hom.from_images([module.act(group.inv(s), v) for v in hom.images(b)])
         if not hom.is_zero(b):
             vals[prefix] = b
     return Cochain._from_reduced(group, hom, n - 2, vals)
+
+
+def _phi_table(kernel: GModule, module: GModule, images, rho, sign: int) -> list:
+    """sign * b(rho . a) for every kernel index a, b: A -> M given by the
+    images of A's basis vectors: coordinate c of M is the digit expansion
+    of sum_j x_j y_j over A's indices, y_j = sign * sum_i rho[i][j]
+    b(e_i)_c, reduced modulo d_c; the coordinates are zipped into tuples."""
+    coords = []
+    for c, dc in enumerate(module.factors):
+        col = [0]
+        for j, d in enumerate(kernel.factors):
+            y = sign * sum(r[j] * img[c] for r, img in zip(rho, images))
+            steps = [x * y for x in range(d)]
+            col = [v + u for v in col for u in steps]
+        coords.append([v % dc for v in col] if dc else col)
+    return list(zip(*coords))
 
 
 def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
@@ -207,7 +221,7 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
     (-1)^n b_gs o rho_A(g_1...g_{n-2}) : A -> M is tabulated once over
     A's element indices, and every tuple of the fibre product over gs
     reads its value from that table.  The values are emitted in
-    lexicographic tuple order; each is reduced by module.reduce and
+    lexicographic tuple order; each is reduced modulo the factors of M and
     nonzero, so its kernel index a is not 0 (phi(0) = 0) and no tuple holds
     the identity (0, e).  Gated on the (|Gamma|-1)^(n-1) tuples of its
     domain.
@@ -220,16 +234,8 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
     ng = ext.base.order
     tables = {}  # phi_gs as (kernel index, nonzero value) pairs
     for gs, b in witness.values.items():
-        images = hom.images(b)
-        rho = kernel.action[ext.base.product(gs)]
-        # column j of phi: sign * sum_i rho[i][j] b(e_i)
-        cols = [[sign * sum(r[j] * img[c] for r, img in zip(rho, images))
-                 for c in range(module.dim)] for j in range(kernel.dim)]
-        values = [module.zero()]
-        for d, col in zip(kernel.factors, cols):
-            values = [[v + x * y for v, y in zip(val, col)] for val in values for x in range(d)]
-        values = [module.reduce(v) for v in values]
-        tables[gs] = [(a, v) for a, v in enumerate(values) if not module.is_zero(v)]
+        phi = _phi_table(kernel, module, hom.images(b), kernel.action[ext.base.product(gs)], sign)
+        tables[gs] = [(a, v) for a, v in enumerate(phi) if any(v)]
     vals = {}
     lifts = [t for t in range(1, ext.order) if t % ng]  # t over a g != 1
     for prefix in itertools.product(lifts, repeat=n - 2):

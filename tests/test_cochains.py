@@ -272,6 +272,25 @@ def test_coboundary_resource_limit_names_the_count():
         coboundary(f, max_entries=23)
 
 
+def test_resource_limit_carries_its_stage_count_and_limit(monkeypatch):
+    """The gate's attributes: the stage, the estimate and the ceiling, with
+    the message unchanged; an extension gate adds its formula to the text
+    only, and the ceiling may come from COCYCLE_MAX_TUPLES."""
+    from groupcoh.extensions import build_extension
+    g = cyclic_group(3)
+    f = Cochain(g, trivial_module(g, [3, 3]), 2, {(1, 2): (1, 2)})
+    with pytest.raises(ResourceLimit) as info:
+        coboundary(f, max_entries=23)
+    assert str(info.value) == "coboundary needs 24 entries (limit 23)"
+    assert (info.value.stage, info.value.count, info.value.limit) == ("coboundary", 24, 23)
+    kernel = trivial_module(g, [2, 2])
+    monkeypatch.setenv("COCYCLE_MAX_TUPLES", "11")
+    with pytest.raises(ResourceLimit) as info:
+        build_extension(kernel, Cochain(g, kernel, 2))
+    assert str(info.value) == "extension table needs |A||G| = 12 entries (limit 11)"
+    assert (info.value.stage, info.value.count, info.value.limit) == ("extension table", 12, 11)
+
+
 @pytest.mark.parametrize("factors, degree", [([3], 16), ([0], 17)])
 def test_cohomology_gates_before_listing_any_tuple(factors, degree):
     # C3 in degree 16: delta_16 on the rows of its one generator would be

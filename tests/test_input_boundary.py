@@ -86,6 +86,81 @@ def test_cochain_from_json_reduces_and_drops_zeros(value, stored):
         assert f == zero_cochain(C2, m, 1)
 
 
+# -- every malformed cochain entry, with its message and in its order -------
+
+# (id, data, exception, message) for cochain_from_json on C2 = {e, g} with
+# two coordinates: every tuple is checked before any value, the values in
+# entry order, and a negative degree only once every entry has passed; an
+# entry without a tuple or a value raises KeyError, which the CLI reports
+# with exit 1
+MALFORMED_COCHAINS = [
+    ('not-an-object', [],
+     ValueError, 'cochain [] is not a JSON object'),
+    ('no-degree', {'values': []},
+     ValueError, "cochain has no field 'degree'"),
+    ('degree-bool', {'degree': True, 'values': []},
+     ValueError, 'cochain degree True is not an integer'),
+    ('degree-float', {'degree': 1.0, 'values': []},
+     ValueError, 'cochain degree 1.0 is not an integer'),
+    ('values-not-list', {'degree': 1, 'values': {}},
+     ValueError, 'cochain values {} is not a list'),
+    ('entry-not-object', {'degree': 1, 'values': [3]},
+     ValueError, 'cochain entry 3 is not an object'),
+    ('entry-without-tuple', {'degree': 1, 'values': [{'value': [1, 1]}]},
+     KeyError, "'tuple'"),
+    ('tuple-not-list', {'degree': 1, 'values': [{'tuple': 'g', 'value': [1, 1]}]},
+     ValueError, "cochain tuple 'g' is not a list of 1 labels"),
+    ('tuple-too-long', {'degree': 1, 'values': [{'tuple': ['g', 'g'], 'value': [1, 1]}]},
+     ValueError, "cochain tuple ['g', 'g'] is not a list of 1 labels"),
+    ('unknown-label', {'degree': 1, 'values': [{'tuple': ['x'], 'value': [1, 1]}]},
+     ValueError, "cochain tuple ['x'] names an unknown element"),
+    ('unhashable-label', {'degree': 1, 'values': [{'tuple': [['g']], 'value': [1, 1]}]},
+     ValueError, "cochain tuple [['g']] names an unknown element"),
+    ('identity', {'degree': 1, 'values': [{'tuple': ['e'], 'value': [1, 1]}]},
+     ValueError, "input tuple ['e'] contains the identity"),
+    ('entry-without-value', {'degree': 1, 'values': [{'tuple': ['g']}]},
+     KeyError, "'value'"),
+    ('value-not-list', {'degree': 1, 'values': [{'tuple': ['g'], 'value': 1}]},
+     ValueError, "cochain value 1 at ['g'] is not a list of 2 integers"),
+    ('value-string', {'degree': 1, 'values': [{'tuple': ['g'], 'value': '11'}]},
+     ValueError, "cochain value '11' at ['g'] is not a list of 2 integers"),
+    ('value-too-short', {'degree': 1, 'values': [{'tuple': ['g'], 'value': [1]}]},
+     ValueError, "cochain value [1] at ['g'] is not a list of 2 integers"),
+    ('value-too-long', {'degree': 1, 'values': [{'tuple': ['g'], 'value': [1, 1, 1]}]},
+     ValueError, "cochain value [1, 1, 1] at ['g'] is not a list of 2 integers"),
+    ('value-bool', {'degree': 1, 'values': [{'tuple': ['g'], 'value': [1, True]}]},
+     ValueError, "cochain value [1, True] at ['g'] is not a list of 2 integers"),
+    ('value-float', {'degree': 1, 'values': [{'tuple': ['g'], 'value': [1.0, 1]}]},
+     ValueError, "cochain value [1.0, 1] at ['g'] is not a list of 2 integers"),
+    ('value-null', {'degree': 1, 'values': [{'tuple': ['g'], 'value': [None, 1]}]},
+     ValueError, "cochain value [None, 1] at ['g'] is not a list of 2 integers"),
+    ('negative-degree', {'degree': -1, 'values': []},
+     ValueError, 'degree must be >= 0'),
+    ('negative-degree-with-entry', {'degree': -1, 'values': [{'tuple': [], 'value': [1, 1]}]},
+     ValueError, 'cochain tuple [] is not a list of -1 labels'),
+    ('bad-value-then-bad-tuple', {'degree': 1, 'values': [
+        {'tuple': ['g'], 'value': [True, 1]}, {'tuple': ['e'], 'value': [1, 1]}]},
+     ValueError, "input tuple ['e'] contains the identity"),
+    ('bad-value-then-missing-tuple', {'degree': 1, 'values': [
+        {'tuple': ['g'], 'value': [True, 1]}, {'value': [1, 1]}]},
+     KeyError, "'tuple'"),
+    ('two-bad-values', {'degree': 1, 'values': [
+        {'tuple': ['g'], 'value': [1, 1, 1]}, {'tuple': ['g'], 'value': [True, 1]}]},
+     ValueError, "cochain value [1, 1, 1] at ['g'] is not a list of 2 integers"),
+    ('bad-tuple-then-bad-entry', {'degree': 1, 'values': [{'tuple': ['x']}, 3]},
+     ValueError, "cochain tuple ['x'] names an unknown element"),
+]
+
+
+@pytest.mark.parametrize("factors", [[0, 2], [3, 2]], ids=["Z+Z2", "Z3+Z2"])
+@pytest.mark.parametrize("name, data, exc, message", MALFORMED_COCHAINS,
+                         ids=[c[0] for c in MALFORMED_COCHAINS])
+def test_cochain_from_json_names_each_malformed_entry(factors, name, data, exc, message):
+    with pytest.raises(exc) as info:
+        cochain_from_json(data, C2, trivial_module(C2, factors))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("matrix, image", [([[2]], (2,)), ([[6]], (2,)), ([[-2]], (2,)),
                                            ([[4]], None), ([[0]], None)])
 def test_witness_from_json_reduces_and_drops_zeros(matrix, image):

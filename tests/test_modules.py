@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -25,8 +26,9 @@ from groupcoh import (
     verify_certificate,
 )
 from groupcoh import intlinalg
-from groupcoh.modules import _validate_module
+from groupcoh.modules import _validate_module, element_index
 from groupcoh.errors import (
+    ActionBreaksRelations,
     ActionNotHomomorphic,
     BadIdentityAction,
     SourceNotTorsion,
@@ -57,6 +59,26 @@ def test_action_not_homomorphic():
     g = cyclic_group(2)
     with pytest.raises(ActionNotHomomorphic):
         make_module(g, [4], [[[1]], [[2]]])
+
+
+@pytest.mark.parametrize("factors, mat, column", [
+    ([4, 2], [[1, 1], [0, 1]], 1),  # 2 e_1 goes to (2, 2), and 2 != 0 mod 4
+    ([0, 2], [[1, 1], [0, 1]], 1),  # 2 e_1 goes to (2, 2) in Z + Z/2
+    ([2, 4, 3], [[1, 2, 0], [0, 1, 2], [0, 0, 1]], 2),  # 3 e_2 goes to (0, 6, 3)
+    ([2, 3], [[1, 1], [1, 1]], 0),  # both columns break, the first is named
+])
+def test_action_breaks_relations_names_the_first_column(factors, mat, column):
+    """A column j whose d_j multiple leaves the relation lattice, found on
+    the nonzero entries only: the witness is (g, j) for the first such
+    pair in index order, as a sweep over every entry finds it."""
+    g = cyclic_group(2)
+    ident = [[int(i == j) for j in range(len(factors))] for i in range(len(factors))]
+    first = next(j for j, dj in enumerate(factors) if dj and any(
+        (dj * row[j]) % di if di else dj * row[j] for row, di in zip(mat, factors)))
+    assert first == column
+    with pytest.raises(ActionBreaksRelations) as info:
+        GModule(g, factors, [ident, mat])
+    assert info.value.witness == ("g", column)
 
 
 def test_bad_identity_action():
@@ -412,6 +434,38 @@ def test_module_json_roundtrip():
 # -- index tables ----------------------------------------------------------
 
 
+def index_tables(m: GModule):
+    """The oracle of GroupExtension's kernel tables: (neg, act) of a finite
+    module on element indices (see element_index), neg[i] and act[g][i],
+    each coordinate expanded digit by digit over every element, with no
+    use of linearity."""
+    factors = m.factors
+    k = len(factors)
+
+    def linear(mat):
+        # digits[i][x] = (mat . x)_i mod d_i over all x, in index order
+        digits = [[0] for _ in factors]
+        for j in reversed(range(k)):
+            span = range(factors[j])
+            digits = [[(mat[i][j] * x + u) % di for x in span for u in col]
+                      for i, (col, di) in enumerate(zip(digits, factors))]
+        out = [0] * m.size()
+        for col, d in zip(digits, factors):
+            out = [o * d + u for o, u in zip(out, col)]
+        return out
+
+    neg = linear([[-1 if i == j else 0 for j in range(k)] for i in range(k)])
+    return neg, [linear(m.action[g]) for g in range(m.group.order)]
+
+
+def extension_tables(m: GModule):
+    """(neg, act) of the extension of m's group by m with the zero cocycle:
+    the tables GroupExtension builds by linearity, act as lists."""
+    from groupcoh.extensions import GroupExtension
+    ext = GroupExtension(m, Cochain(m.group, m, 2))
+    return ext._neg, [list(a) for a in ext._act]
+
+
 def _mixed_moduli_module():
     """Z/2 + Z/3 + Z/4 under S3: odd permutations negate every coordinate."""
     g = symmetric_group(3)
@@ -423,17 +477,94 @@ def _mixed_moduli_module():
 
 
 def _universal_kernel_c3():
-    from groupcoh import universal_kernel
     return universal_kernel(cyclic_group(3), 3)[0]
 
 
-@pytest.mark.parametrize("build", [_mixed_moduli_module, _universal_kernel_c3])
+def _trivial_kernel():
+    return GModule(cyclic_group(3), (), [[] for _ in range(3)])
+
+
+def _seeded_module(seed):
+    """A seeded module over S3 with mixed factors, a factor 1 among them:
+    three equal factors permuted as S3 permutes its letters, then a few
+    seeded factors, each coordinate or block twisted by the sign or not,
+    and a multiple of d_i added to a seeded entry of row i of every
+    non-identity matrix, which changes no map."""
+    rng = random.Random(seed)
+    g = symmetric_group(3)
+    d = rng.choice([2, 3, 4, 6])
+    rest = [1] + [rng.choice([1, 2, 3, 4, 5, 6]) for _ in range(rng.randrange(3))]
+    rng.shuffle(rest)
+    factors = [d, d, d] + rest
+    twist = [rng.randrange(2) for _ in range(1 + len(rest))]
+    k = len(factors)
+    mats = []
+    for x, label in enumerate(g.elements):
+        sign = -1 if g.element_order(x) == 2 else 1
+        mat = [[0] * k for _ in range(k)]
+        for c, p in enumerate(label):
+            mat[int(p)][c] = sign if twist[0] else 1
+        for c in range(3, k):
+            mat[c][c] = sign if twist[c - 2] else 1
+        for i in range(k):
+            if x:
+                mat[i][rng.randrange(k)] += factors[i] * rng.randrange(-2, 3)
+        mats.append(mat)
+    return GModule(g, factors, mats)
+
+
+def _universal_kernels():
+    """The universal kernels of C2-C6, V4, S3 and D4 with N in {2, 3, 4, 6}
+    that have at most 2^16 elements: C5 has 16 pair symbols and fits at N
+    = 2 only, and C6, S3 and D4 have 25 or more, too many for every N."""
+    groups = [("C2", cyclic_group(2)), ("C3", cyclic_group(3)), ("C4", cyclic_group(4)),
+              ("C5", cyclic_group(5)), ("C6", cyclic_group(6)),
+              ("V4", direct_product(cyclic_group(2), cyclic_group(2))),
+              ("S3", symmetric_group(3)), ("D4", dihedral_group(4))]
+    return [pytest.param(g, n, id=f"{name}-{n}") for name, g in groups for n in (2, 3, 4, 6)
+            if n ** ((g.order - 1) ** 2) <= 2 ** 16]
+
+
+@pytest.mark.parametrize("group, n", _universal_kernels())
+def test_index_tables_of_universal_kernels_match_the_oracle(group, n):
+    m = universal_kernel(group, n)[0]
+    assert extension_tables(m) == index_tables(m)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_index_tables_of_seeded_modules_match_the_oracle(seed):
+    m = _seeded_module(seed)
+    assert 1 in m.factors and len(set(m.factors)) > 1
+    neg, act = extension_tables(m)
+    assert (neg, act) == index_tables(m)
+    elems = list(m.elements())
+    assert neg == [element_index(m, m.neg(x)) for x in elems]
+    assert act == [[element_index(m, m.act(g, x)) for x in elems] for g in range(m.group.order)]
+
+
+def test_index_tables_catch_a_wrong_basis_image(monkeypatch):
+    """A mutation: GroupExtension takes the image of the last basis vector
+    for that of e_0, and neither table matches the oracle any more."""
+    from groupcoh.extensions import GroupExtension
+    m = _seeded_module(0)
+    linear = GroupExtension._linear
+
+    def mutated(self, images, canon):
+        images = list(images)
+        return linear(self, images[-1:] + images[1:], canon)
+
+    monkeypatch.setattr(GroupExtension, "_linear", mutated)
+    neg, act = extension_tables(m)
+    oracle_neg, oracle_act = index_tables(m)
+    assert neg != oracle_neg and act != oracle_act
+
+
+@pytest.mark.parametrize("build", [_mixed_moduli_module, _universal_kernel_c3, _trivial_kernel])
 def test_index_tables_match_module_arithmetic(build):
-    from groupcoh.modules import element_index, index_tables
     m = build()
     elems = list(m.elements())
     assert [element_index(m, x) for x in elems] == list(range(len(elems)))
-    neg, act = index_tables(m)
+    neg, act = extension_tables(m)
     assert neg == [element_index(m, m.neg(x)) for x in elems]
     assert act == [
         [element_index(m, m.act(g, x)) for x in elems] for g in range(m.group.order)
@@ -458,7 +589,6 @@ def _universal_kernel_v4():
 
 @pytest.mark.parametrize("build", [_universal_kernel_v4, _sign_twisted_z4_z6, _zero_mod_d_entries])
 def test_index_tables_match_brute_force_products(build):
-    from groupcoh.modules import element_index, index_tables
     m = build()
     elems = list(m.elements())
 
@@ -466,13 +596,12 @@ def test_index_tables_match_brute_force_products(build):
         return element_index(m, [sum(a * v for a, v in zip(row, x)) % d
                                  for row, d in zip(mat, m.factors)])
 
-    neg, act = index_tables(m)
+    neg, act = extension_tables(m)
     assert neg == [index([[-1 if i == j else 0 for j in range(m.dim)] for i in range(m.dim)], x)
                    for x in elems]
     assert act == [[index(m.action[g], x) for x in elems] for g in range(m.group.order)]
 
 
 def test_index_tables_reject_infinite_module():
-    from groupcoh.modules import index_tables
     with pytest.raises(SourceNotTorsion):
-        index_tables(sign_module())
+        extension_tables(sign_module())

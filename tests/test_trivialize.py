@@ -925,7 +925,7 @@ def test_trivialize_spot_checks_alpha_with_the_textbook_formula(monkeypatch):
 # -- self-checks that survive python -O ---------------------------------------
 
 SELF_CHECK_SCRIPT = textwrap.dedent("""
-    from groupcoh import Cochain, cyclic_group, trivial_module, trivialize
+    from groupcoh import Cochain, cochains, cyclic_group, trivial_module, trivialize
     from groupcoh.errors import SelfCheckFailed
 
     if __debug__:
@@ -941,7 +941,7 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
         return wrapper
 
     def plus_one(f):
-        tup = next(iter(trivialize.nonid_tuples(f.group.order, f.degree)))
+        tup = next(iter(cochains.nonid_tuples(f.group.order, f.degree)))
         vals = dict(f.values)
         vals[tup] = f.coeffs.add(f.evaluate(tup), (1,) * f.coeffs.dim)
         return Cochain(f.group, f.coeffs, f.degree, vals)
@@ -1292,6 +1292,28 @@ def _carry_cocycle(group_spec, d):
                                  lambda t: (t[0] * ((t[1] + t[2]) // g.order),))
 
 
+def _c2_mixed_deg3():
+    """(1, 2) at (g, g, g) on C2 in trivial Z/2 + Z/4: delta of it is 2 (1, 2) = 0."""
+    g = cyclic_group(2)
+    return Cochain(g, trivial_module(g, [2, 4]), 3, {(1, 1, 1): (1, 2)})
+
+
+def _c2_sign_mixed_deg3():
+    """(1, 2) at (g, g, g) on C2 in Z/4 + Z/6, g acting by -1: a cocycle for
+    any value, and of exponent 12."""
+    g = cyclic_group(2)
+    m = GModule(g, [4, 6], [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]])
+    return Cochain(g, m, 3, {(1, 1, 1): (1, 2)})
+
+
+def _z2xz2_mixed_deg2():
+    """Three bilinear forms on (Z/2)^2 in trivial Z/2 + Z/2 + Z/3, the
+    last coordinate 0."""
+    g = builtin_group("cyclic:2*cyclic:2")
+    return cochain_from_function(g, trivial_module(g, [2, 2, 3]), 2,
+                                 lambda t: ((t[0] >> 1) * (t[1] & 1), (t[0] & 1) * (t[1] & 1), 0))
+
+
 ALPHA_CASES = (
     [(f"z2xz2-deg2-beta{v}", lambda v=v: _bilinear_plus_delta(v)) for v in range(8)]
     + [("c2-z2-deg7", lambda: Cochain(cyclic_group(2), trivial_module(cyclic_group(2), [2]),
@@ -1299,6 +1321,8 @@ ALPHA_CASES = (
     + [(f"c2-sign-z4-deg3-w{v}", lambda v=v: Cochain(cyclic_group(2), _sign_module_z4(), 3,
                                                      {(1, 1, 1): (v,)})) for v in (1, 2, 3)]
     + [("c3-z3-deg3", lambda: _carry_cocycle("cyclic:3", 3))]
+    + [("c2-z2+z4-deg3", _c2_mixed_deg3), ("c2-sign-z4+z6-deg3", _c2_sign_mixed_deg3),
+       ("z2xz2-z2+z2+z3-deg2", _z2xz2_mixed_deg2)]
 )
 
 
@@ -1311,6 +1335,24 @@ def test_closed_form_alpha_matches_the_per_tuple_formula(name, build):
     assert expected, name
     assert alpha.values == expected
     assert list(alpha.values) == sorted(alpha.values)
+
+
+@pytest.mark.parametrize("name, build", ALPHA_CASES, ids=[c[0] for c in ALPHA_CASES])
+def test_phi_tables_match_a_per_element_evaluation(name, build):
+    """Every phi_gs = (-1)^n b_gs o rho_A(g_1...g_{n-2}), tabulated one
+    coordinate of M at a time, against b_gs of rho_A(s) . a computed by
+    module arithmetic for every element a of A."""
+    omega = build()
+    assert first_cocycle_defect(omega) is None
+    ext, witness = _alpha_inputs(omega)
+    kernel, module, hom = ext.kernel, omega.coeffs, witness.coeffs
+    sign = -1 if omega.degree % 2 else 1
+    assert witness.values
+    for gs, b in witness.values.items():
+        s = ext.base.product(gs)
+        table = trivialize_module._phi_table(kernel, module, hom.images(b), kernel.action[s], sign)
+        assert table == [module.scale(sign, hom.evaluate(b, kernel.act(s, a)))
+                         for a in kernel.elements()], gs
 
 
 def test_closed_form_alpha_matches_the_per_tuple_formula_on_c4_rows():
