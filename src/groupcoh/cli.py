@@ -14,9 +14,8 @@ Exit codes:
   6  degree too low for the requested driver
   7  certificate verification failure
 
-All randomness flows from the --seed of trivialize and verify (default 0)
-and is recorded in outputs; identical inputs and seed produce
-byte-identical files.
+Every run is deterministic: identical inputs produce byte-identical
+files.  A certificate is proved on every tuple, or emitted partial.
 
 The argument parser is built once per process, on the first call of main,
 and reused by every later call.
@@ -117,9 +116,7 @@ def _load_module_arg(spec: str, group):
 
 
 def _natural(text: str) -> int:
-    """A --max-entries or --seed value: an integer >= 0 (a certificate's
-    verification.seed must be one, and random.Random(-s) draws what
-    random.Random(s) does anyway)."""
+    """A --max-entries value: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -227,9 +224,9 @@ def cmd_trivialize(args) -> int:
                         f"degree {data['degree']}")
     omega = cochain_from_json(data, group, module)
     if args.mode == "torsion":
-        cert = trivialize_torsion(omega, args.max_entries, args.seed)
+        cert = trivialize_torsion(omega, args.max_entries)
     else:
-        cert = trivialize_general(omega, args.max_entries, args.seed)
+        cert = trivialize_general(omega, args.max_entries)
     save_certificate(cert, args.out)
     if cert.mode == "torsion":
         print(f"N: {cert.exponent}")
@@ -239,7 +236,7 @@ def cmd_trivialize(args) -> int:
         print("status: partial (no primitive; witness pair only)")
     else:
         print(f"verification: {cert.verification['mode']} "
-              f"({cert.verification['checked']} tuples, seed {cert.verification['seed']})")
+              f"({cert.verification['checked']} tuples)")
         print("status: pass")
     print(f"certificate: {args.out}")
     return 0
@@ -247,7 +244,7 @@ def cmd_trivialize(args) -> int:
 
 def cmd_verify(args) -> int:
     cert = load_certificate(args.certificate, args.max_entries)
-    report = verify_certificate(cert, args.max_entries, args.seed)
+    report = verify_certificate(cert, args.max_entries)
     for line in report.lines():
         print(line)
     if report.ok(allow_partial=args.allow_partial):
@@ -268,11 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--max-entries", type=_natural, default=None,
                        help="resource limit override, >= 0 (also COCYCLE_MAX_TUPLES)")
-
-    def seeded(p):
-        common(p)
-        p.add_argument("--seed", type=_natural, default=0,
-                       help="seed for sampled verification, >= 0 (default 0)")
 
     p = sub.add_parser("group", help="build/validate a finite group")
     src = p.add_mutually_exclusive_group(required=True)
@@ -320,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--mode", choices=["torsion", "general"], default="torsion")
     p.add_argument("--out", required=True, help="certificate output path")
-    seeded(p)
+    common(p)
 
     p = sub.add_parser("verify", help="independently re-check a certificate")
     p.add_argument("certificate")
     p.add_argument("--allow-partial", action="store_true",
                    help="exit 0 even when the primitive is absent")
-    seeded(p)
+    common(p)
 
     return parser
 

@@ -206,7 +206,7 @@ def divide_cochain(f: Cochain, q: int) -> Cochain:
 def coboundary_value(f: Cochain, tup) -> tuple:
     """(delta f)(tup) by the standard alternating-sum formula, one tuple at
     a time: the reference for the row-wise `delta_rows`, and the evaluator
-    of sampled verification."""
+    of the textbook spot-check in `trivialize_torsion`."""
     g = f.group
     m = f.coeffs
     n = f.degree

@@ -6,8 +6,7 @@ Two drivers:
   finite order: build the universal kernel A = (Z/N)^((|G|-1)^2), the
   universal 2-cocycle c, the witness b in Hom(A, M) with d2(b, c) = omega,
   the extension Gamma = A x|_c G and a primitive alpha with
-  delta_Gamma alpha = pi^* omega, verified exhaustively or by seeded
-  sampling.
+  delta_Gamma alpha = pi^* omega, proved on the generator rows of Gamma.
 
 * trivialize_general -- for arbitrary finitely generated coefficients and
   n >= 3: split off the torsion submodule, kill the free part with the
@@ -76,8 +75,6 @@ from .modules import (
     module_to_json,
     torsion_submodule,
 )
-
-DEFAULT_SAMPLE_SIZE = 1_000_000
 
 
 # -- building blocks -------------------------------------------------------
@@ -261,36 +258,33 @@ def _projection(ext: GroupExtension, group):
 
 
 def verify_lift_primitive(ext: GroupExtension, omega: Cochain, alpha: Cochain,
-                          max_entries=None, seed=0, sample_size=DEFAULT_SAMPLE_SIZE,
-                          decided=None):
-    """Check delta_Gamma alpha = pi^* omega, with pi projecting Gamma down
+                          max_entries=None, decided=None):
+    """Prove delta_Gamma alpha = pi^* omega, with pi projecting Gamma down
     its tower of extensions to the group of omega, over all Gamma^n tuples
-    by the row-wise sweep when |Gamma|^n fits the resource limit, for every
-    coefficient module, else over seeded uniform samples one tuple at a time.
+    by the row-wise sweep of `_verify_degree2_indexed`, for every
+    coefficient module; its rows are gated on max_entries (ResourceLimit).
 
-    Returns (ok, witness, info) with info = {mode, seed, checked}; when the
-    generator rows decide an exhaustive pass, their number is appended to
-    the list decided, if one is given.
+    Returns (ok, witness, info) with info = {mode: "exhaustive", seed: 0,
+    checked: |Gamma|^n}: the generator rows cover every tuple.  When they
+    decide a pass, their number is appended to the list decided, if one is
+    given.
     """
     n = omega.degree
-    total = ext.order ** n
     proj = _projection(ext, omega.group)
-    if total <= max_entries_limit(max_entries):
-        ok, witness, rows = _verify_degree2_indexed(omega, alpha, proj)
-        if rows is not None and decided is not None:
-            decided.append(rows)
-        return ok, witness, {"mode": "exhaustive", "seed": seed, "checked": total}
-    bad = _sampled_defect(omega, alpha, proj, seed, sample_size)
-    return bad is None, bad, {"mode": "sampled", "seed": seed, "checked": sample_size}
+    ok, witness, rows = _verify_degree2_indexed(omega, alpha, proj, max_entries)
+    if rows is not None and decided is not None:
+        decided.append(rows)
+    return ok, witness, {"mode": "exhaustive", "seed": 0, "checked": ext.order ** n}
 
 
-def _sampled_defect(omega: Cochain, alpha: Cochain, proj, seed, count):
-    """First of count seeded uniform Gamma^n tuples where the textbook
-    delta alpha (`coboundary_value`, one tuple at a time) differs from
-    pi^* omega, or None."""
-    rng = random.Random(seed)
+def _textbook_defect(omega: Cochain, alpha: Cochain, proj):
+    """First of 16 uniform Gamma^n tuples drawn by random.Random(0) where
+    the textbook delta alpha (`coboundary_value`, one tuple at a time)
+    differs from pi^* omega, or None: a spot-check of the row-wise sweep,
+    independent of it."""
+    rng = random.Random(0)
     m = alpha.coeffs
-    for _ in range(count):
+    for _ in range(16):
         tup = tuple(rng.randrange(alpha.group.order) for _ in range(omega.degree))
         if m.reduce(cochains.coboundary_value(alpha, tup)) != m.reduce(
                 omega.evaluate(tuple(proj[i] for i in tup))):
@@ -298,22 +292,25 @@ def _sampled_defect(omega: Cochain, alpha: Cochain, proj, seed, count):
     return None
 
 
-def _verify_degree2_indexed(omega: Cochain, alpha: Cochain, proj):
+def _verify_degree2_indexed(omega: Cochain, alpha: Cochain, proj, max_entries):
     """The exhaustive check of delta alpha = pi^* omega in every degree
-    n >= 2: `coboundary_defect` of alpha against omega read through proj.
+    n >= 2: `coboundary_defect` of alpha against omega read through proj,
+    gated on the entries of the rows it walks (ResourceLimit beyond
+    `max_entries_limit(max_entries)`).
 
     When omega is a cocycle, delta alpha - pi^* omega is a normalized
     n-cocycle of Gamma (delta alpha is one, and pi is a homomorphism), so
     only the rows whose prefix starts in S = `greedy_generators(Gamma)` are
-    walked; a pass there is a pass everywhere, and the first failing tuple
-    there is the lexicographically first one.  When omega is no cocycle
-    every row is walked; that check never passes, as pi^* omega = delta
-    alpha would make pi^* omega, hence omega (pi^* is injective and
-    commutes with delta), a cocycle.  The name predates the other degrees
-    and is kept because perfbench/tracer.py patches it.  Returns (ok, first
-    failing tuple, the number of generator rows that decided a pass)."""
+    walked, |S| (|Gamma|-1)^(n-2) rows of |Gamma| dim M entries; a pass
+    there is a pass everywhere, and the first failing tuple there is the
+    lexicographically first one.  When omega is no cocycle every row is
+    walked; that check never passes, as pi^* omega = delta alpha would make
+    pi^* omega, hence omega (pi^* is injective and commutes with delta), a
+    cocycle.  The name predates the other degrees and is kept because
+    perfbench/tracer.py patches it.  Returns (ok, first failing tuple, the
+    number of generator rows that decided a pass)."""
     firsts = greedy_generators(alpha.group) if first_cocycle_defect(omega) is None else None
-    bad, rows = coboundary_defect(alpha, omega, proj, firsts)
+    bad, rows = coboundary_defect(alpha, omega, proj, firsts, max_entries_limit(max_entries))
     return bad is None, bad, rows if bad is None else None
 
 
@@ -355,13 +352,13 @@ class TrivializationCertificate:
         return self.extension.order if self.extension else None
 
 
-def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
-                       sample_size=DEFAULT_SAMPLE_SIZE) -> TrivializationCertificate:
+def trivialize_torsion(omega: Cochain, max_entries=None) -> TrivializationCertificate:
     """Main torsion-coefficient driver (degree n >= 2, all values of
     finite order).  The returned certificate satisfies
-    delta_Gamma alpha = pi^* omega exactly; when Gamma is too large to
-    even enumerate, the certificate is emitted partial, with the (b, c)
-    witness pair only."""
+    delta_Gamma alpha = pi^* omega, proved on every tuple; when Gamma,
+    alpha or that proof exceeds the resource limit, the certificate is
+    emitted partial, with the (b, c) witness pair only (and Gamma's order
+    once it is built), its reason naming the gate."""
     n = omega.degree
     if n < 2:
         raise DegreeTooLow("trivialization needs degree >= 2")
@@ -383,19 +380,19 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
     try:
         ext = _extension(kernel, c, max_entries)
         alpha = closed_form_alpha(ext, omega, witness, max_entries)
+        ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries)
     except ResourceLimit as exc:
         return TrivializationCertificate(
             mode="torsion", omega=omega, exponent=exponent, kernel=kernel,
             cocycle=c, witness=witness, extension=ext, partial=True,
-            verification={"mode": "partial", "seed": seed, "checked": 0},
+            verification={"mode": "partial", "seed": 0, "checked": 0},
             reason=str(exc),
         )
-    ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries, seed, sample_size)
     if not ok:
         raise SelfCheckFailed(f"trivialize_torsion: delta alpha differs from pi^* omega at {bad}")
     # the textbook formula of cochains on a few tuples: a spot-check of the
     # row-wise sweep, independent of it, on every primitive emitted
-    bad = _sampled_defect(omega, alpha, _projection(ext, group), seed, 16)
+    bad = _textbook_defect(omega, alpha, _projection(ext, group))
     if bad is not None:
         raise SelfCheckFailed(f"trivialize_torsion: the textbook delta alpha differs from "
                               f"pi^* omega at {bad}")
@@ -406,8 +403,7 @@ def trivialize_torsion(omega: Cochain, max_entries=None, seed=0,
     )
 
 
-def trivialize_general(omega: Cochain, max_entries=None, seed=0,
-                       sample_size=DEFAULT_SAMPLE_SIZE) -> TrivializationCertificate:
+def trivialize_general(omega: Cochain, max_entries=None) -> TrivializationCertificate:
     """Driver for arbitrary finitely generated coefficients, degree >= 3.
 
     Pipeline: push omega to the free quotient M/M_T, find a rational
@@ -436,7 +432,7 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
     modq = GModule(group, (q,) * mfree.dim, mfree.action, _validate=False)
     hbar = Cochain(group, modq, n - 1, h.numerator.values)
 
-    stage1 = trivialize_torsion(hbar, max_entries, seed, sample_size)
+    stage1 = trivialize_torsion(hbar, max_entries)
     if stage1.partial:
         raise ResourceLimit(f"stage-1 torsion trivialization came back partial: "
                             f"{stage1.reason}")
@@ -468,7 +464,7 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
             raise SelfCheckFailed(f"trivialize_general: the defect has a free component at {tup}")
     beta = map_coefficients(beta_m, jt, mt_g)
 
-    stage2 = trivialize_torsion(beta, max_entries, seed, sample_size)
+    stage2 = trivialize_torsion(beta, max_entries)
     if stage2.partial:
         raise ResourceLimit(f"stage-2 torsion trivialization came back partial: "
                             f"{stage2.reason}")
@@ -490,7 +486,7 @@ def trivialize_general(omega: Cochain, max_entries=None, seed=0,
         },
         alpha=alpha,
     )
-    ok, bad, info = verify_lift_primitive(ext2, omega, alpha, max_entries, seed, sample_size)
+    ok, bad, info = verify_lift_primitive(ext2, omega, alpha, max_entries)
     if not ok:
         raise SelfCheckFailed(f"trivialize_general: composite primitive failed verification at {bad}")
     cert.verification = info
@@ -599,21 +595,21 @@ def _check_restriction(ext: GroupExtension, alpha: Cochain, max_entries, prefix=
                                   f"{restricted.group.order}")
 
 
-def _alpha_checks(prefix, ext, omega, alpha, max_entries, seed, sample_size, declared):
+def _alpha_checks(prefix, ext, omega, alpha, max_entries, declared):
     """The alpha-trivializes and alpha-restriction lines of alpha on ext.
 
-    An exhaustive pass of alpha-trivializes implies the restriction: iota
-    is a homomorphism, so iota^* delta alpha = delta iota^* alpha once A
-    acts trivially on the coefficients (as it does through
+    A pass of alpha-trivializes implies the restriction: iota is a
+    homomorphism, so iota^* delta alpha = delta iota^* alpha once A acts
+    trivially on the coefficients (as it does through
     `module_through_projection`, checked here on every iota(a)), and
     iota^* pi^* omega = (pi iota)^* omega = 0 for a normalized omega.
     So delta iota^* alpha = 0, and the line reads pass (implied: ...).
-    In sampled mode, after a failure, or should A act nontrivially,
-    `_check_restriction` computes it."""
-    trivializes, info = _trivializes_check(prefix + "alpha-trivializes", ext, omega, alpha,
-                                           max_entries, seed, sample_size, declared)
+    After a failure, or should A act nontrivially, `_check_restriction`
+    computes it."""
+    trivializes = _trivializes_check(prefix + "alpha-trivializes", ext, omega, alpha,
+                                     max_entries, declared)
     action = alpha.coeffs.action
-    if trivializes.ok and info["mode"] == "exhaustive" and all(
+    if trivializes.ok and all(
             action[ext.iota(a)] == action[0] for a in range(len(ext.kernel_elements))):
         restriction = Check(prefix + "alpha-restriction", True,
                             note="implied: delta alpha = pi^* omega on every tuple, iota is a "
@@ -624,36 +620,23 @@ def _alpha_checks(prefix, ext, omega, alpha, max_entries, seed, sample_size, dec
     return [trivializes, restriction]
 
 
-def _trivializes_check(name, ext, omega, alpha, max_entries, seed, sample_size, declared):
-    """The alpha-trivializes line and the verification info of its run; the
-    note says how many generator rows decided an exhaustive pass, or which
-    limit a sampled run exceeded.  It also fails when the certificate's
-    verification record (declared) claims an exhaustive pass over other
-    than all |Gamma|^n tuples, and names a declared sampled count that
-    differs from the count verify re-sampled (the seeds and sizes of two
-    sampled runs may differ, so that leaves the verdict alone)."""
+def _trivializes_check(name, ext, omega, alpha, max_entries, declared):
+    """The alpha-trivializes line; the note says how many generator rows
+    decided a pass.  It also fails when the certificate's verification
+    record (declared) claims other than all |Gamma|^n tuples."""
     decided = []
-    ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries, seed, sample_size,
-                                          decided)
-    n = alpha.degree + 1
+    ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries, decided)
     note = f"{info['mode']}, {info['checked']} tuples"
     if decided:
         note += f"; decided on {decided[0]} generator rows"
-    if info["mode"] == "sampled":
-        note += (f"; |Gamma|^{n} = {ext.order ** n} tuples exceed the limit "
-                 f"{max_entries_limit(max_entries)}")
-    if declared.get("mode") == "exhaustive" and declared.get("checked") != ext.order ** n:
+    if declared.get("checked") != info["checked"]:
         ok = False
-        note += (f"; declared verification.checked is {declared['checked']!r}, "
-                 f"expected |Gamma|^{n} = {ext.order ** n}")
-    elif (info["mode"] == declared.get("mode") == "sampled"
-          and declared.get("checked") != info["checked"]):
-        note += (f"; declared verification.checked is {declared['checked']!r}, "
-                 f"verify sampled {info['checked']}")
-    return Check(name, ok, witness=bad, note=note), info
+        note += (f"; declared verification.checked is {declared.get('checked')!r}, "
+                 f"expected |Gamma|^{omega.degree} = {info['checked']}")
+    return Check(name, ok, witness=bad, note=note)
 
 
-def _verify_torsion_cert(cert, checks, max_entries, seed, sample_size, prefix=""):
+def _verify_torsion_cert(cert, checks, max_entries, prefix=""):
     omega = cert.omega
     defect = first_cocycle_defect(omega)
     checks.append(Check(prefix + "omega-cocycle", defect is None, witness=defect))
@@ -693,20 +676,21 @@ def _verify_torsion_cert(cert, checks, max_entries, seed, sample_size, prefix=""
         checks.append(Check(prefix + "alpha-trivializes", None, note="partial certificate"))
         checks.append(Check(prefix + "alpha-restriction", None, note="partial certificate"))
         return
-    checks.extend(_alpha_checks(prefix, cert.extension, omega, cert.alpha, max_entries, seed,
-                                sample_size, cert.verification))
+    checks.extend(_alpha_checks(prefix, cert.extension, omega, cert.alpha, max_entries,
+                                cert.verification))
 
 
-def verify_certificate(cert: TrivializationCertificate, max_entries=None,
-                       seed=0, sample_size=DEFAULT_SAMPLE_SIZE) -> VerificationReport:
+def verify_certificate(cert: TrivializationCertificate,
+                       max_entries=None) -> VerificationReport:
     """Re-validate a certificate from scratch: the cocycle conditions of
     omega, c and b, d2(b, c) = omega, the group axioms of the extension,
     delta alpha = pi^* omega, and the kernel-restriction cocycle property
-    (implied by an exhaustive pass of the one before, see `_alpha_checks`).
-    Every failure carries a witness tuple."""
+    (implied by a pass of the one before, see `_alpha_checks`).  Every
+    failure carries a witness tuple; a check beyond the resource limit
+    raises ResourceLimit."""
     checks = []
     if cert.mode == "torsion":
-        _verify_torsion_cert(cert, checks, max_entries, seed, sample_size)
+        _verify_torsion_cert(cert, checks, max_entries)
         return VerificationReport(checks, cert.verification)
 
     omega = cert.omega
@@ -733,7 +717,7 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
     checks.append(Check("hbar-reduction", diff is None, witness=diff))
 
     stage1 = cert.stages["stage1"]
-    _verify_torsion_cert(stage1, checks, max_entries, seed, sample_size, prefix="stage1:")
+    _verify_torsion_cert(stage1, checks, max_entries, prefix="stage1:")
     ext1 = stage1.extension
 
     # Gamma_1 is a group once c is a cocycle and the axioms hold
@@ -756,15 +740,15 @@ def verify_certificate(cert: TrivializationCertificate, max_entries=None,
     checks.append(Check("beta-cocycle", beta_defect is None, witness=beta_defect))
 
     stage2 = cert.stages["stage2"]
-    _verify_torsion_cert(stage2, checks, max_entries, seed, sample_size, prefix="stage2:")
+    _verify_torsion_cert(stage2, checks, max_entries, prefix="stage2:")
     ext2 = stage2.extension
 
     if cert.alpha is None or ext2 is None:
         checks.append(Check("alpha-trivializes", None, note="partial certificate"))
         checks.append(Check("alpha-restriction", None, note="partial certificate"))
     else:
-        checks.extend(_alpha_checks("", ext2, omega, cert.alpha, max_entries, seed,
-                                    sample_size, cert.verification))
+        checks.extend(_alpha_checks("", ext2, omega, cert.alpha, max_entries,
+                                    cert.verification))
     return VerificationReport(checks, cert.verification)
 
 # -- serialization ---------------------------------------------------------
@@ -876,17 +860,13 @@ def _expect_object(field, value):
 
 def _expect_verification(field, value, partial):
     """The declared verification record: an object whose mode is
-    "partial" exactly when alpha is absent (else "exhaustive" or
-    "sampled"), with seed and checked integers >= 0, checked 0 exactly
-    when partial.  The verifier compares an exhaustive count with
-    |Gamma|^n (see _trivializes_check)."""
+    "partial" exactly when alpha is absent, else "exhaustive", with seed
+    and checked integers >= 0, checked 0 exactly when partial.  The
+    verifier compares an exhaustive count with |Gamma|^n (see
+    _trivializes_check)."""
     _expect_object(field, value)
     mode = value.get("mode")
-    if partial:
-        _expect_field(field + ".mode", mode, "partial")
-    elif mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"certificate field {field}.mode is {mode!r}, "
-                         "expected 'exhaustive' or 'sampled'")
+    _expect_field(field + ".mode", mode, "partial" if partial else "exhaustive")
     for key in ("seed", "checked"):
         x = value.get(key)
         if type(x) is not int or x < 0:

@@ -253,6 +253,7 @@ def test_trivialize_torsion_end_to_end(capsys, tmp_path):
     assert code == 0
     assert "N: 2" in out
     assert "gamma order: 4" in out
+    assert "verification: exhaustive (16 tuples)\n" in out
     assert "status: pass" in out
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 0
@@ -472,20 +473,26 @@ def test_d2_non_cocycle_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("value", ["99", "-1"])
 @pytest.mark.parametrize("argv", [
-    ["cohomology", "--module", "trivial:2", "--degree", "1"],
-    ["cup", "--left-module", "trivial:2", "--right-module", "trivial:2", "--left", "a.json",
-     "--right", "a.json"],
-    ["d2", "--module", "trivial:2", "--kernel", "trivial:2", "--witness", "b.json",
-     "--cocycle", "c.json"],
-    ["extend", "--module", "trivial:2", "--cocycle", "c.json"],
-])
-def test_seed_is_a_flag_of_trivialize_and_verify_only_exit_1(capsys, argv):
-    # these four commands draw nothing at random, so --seed is a usage error
+    ["group", "--builtin", "cyclic:2"],
+    ["cohomology", "--group", "cyclic:2", "--module", "trivial:2", "--degree", "1"],
+    ["cup", "--group", "cyclic:2", "--left-module", "trivial:2", "--right-module", "trivial:2",
+     "--left", "a.json", "--right", "a.json"],
+    ["d2", "--group", "cyclic:2", "--module", "trivial:2", "--kernel", "trivial:2",
+     "--witness", "b.json", "--cocycle", "c.json"],
+    ["extend", "--group", "cyclic:2", "--module", "trivial:2", "--cocycle", "c.json"],
+    ["trivialize", "--group", "cyclic:2", "--module", "trivial:2", "--cocycle", "w.json",
+     "--degree", "2", "--out", "cert.json"],
+    ["verify", "cert.json"],
+], ids=lambda argv: argv[0])
+def test_no_command_takes_a_seed_exit_1(capsys, argv, value):
+    # nothing is drawn at random and every certificate is a proof, so --seed
+    # is a usage error, whatever its value
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--group", "cyclic:2", "--seed", "99"])
+        main(argv + ["--seed", value])
     assert exc.value.code == 1
-    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+    assert f"unrecognized arguments: --seed {value}" in capsys.readouterr().err
 
 
 def test_extend_gates_on_the_extension_table_exit_3(capsys, tmp_path):
@@ -678,9 +685,9 @@ def test_verify_rejects_a_certificate_that_is_not_an_object_exit_1(capsys, tmp_p
 @pytest.mark.parametrize("mode, path, value, message", [
     ("torsion", ("verification",), 5, "field verification is 5, expected an object"),
     ("torsion", ("verification", "mode"), "x",
-     "field verification.mode is 'x', expected 'exhaustive' or 'sampled'"),
+     "field verification.mode is 'x', expected 'exhaustive'"),
     ("torsion", ("verification", "mode"), "partial",
-     "field verification.mode is 'partial', expected 'exhaustive' or 'sampled'"),
+     "field verification.mode is 'partial', expected 'exhaustive'"),
     ("torsion", ("verification", "seed"), -1, "field verification.seed is -1, expected an "
                                               "integer >= 0"),
     ("torsion", ("verification", "checked"), True, "field verification.checked is True, "
@@ -732,15 +739,6 @@ def test_d2_infinite_kernel_exit_4(capsys, tmp_path):
     )
     assert code == 4
     assert "torsion source" in err
-
-
-def test_negative_seed_exit_1(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["trivialize", "--group", "cyclic:2", "--module", "trivial:2", "--cocycle",
-              z2_cocycle_file(tmp_path), "--degree", "2", "--out", str(tmp_path / "c.json"),
-              "--seed", "-1"])
-    assert exc.value.code == 1
-    assert "expected an integer >= 0" in capsys.readouterr().err
 
 
 H1_C2 = ("cohomology", "--group", "cyclic:2", "--module", "trivial:2", "--degree", "1")
@@ -860,14 +858,14 @@ def test_verify_rejects_wrong_exponent_or_checked_count_exit_1(capsys, tmp_path,
     assert "certificate " + message in err
 
 
-def test_verify_rejects_checked_count_of_sampled_or_partial_exit_1(capsys, tmp_path,
-                                                                   monkeypatch):
+def test_verify_rejects_sampled_mode_or_checked_count_of_partial_exit_1(capsys, tmp_path,
+                                                                         monkeypatch):
+    # a sampled pass proves nothing, so such a certificate does not load
     cert_path = _certificate(capsys, tmp_path, "torsion")
-    _mutate(cert_path, CHECKED, 0)
     _mutate(cert_path, ("verification", "mode"), "sampled")
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 1
-    assert "field verification.checked is 0, expected an integer >= 1 in sampled mode" in err
+    assert "field verification.mode is 'sampled', expected 'exhaustive'" in err
     monkeypatch.setenv("COCYCLE_MAX_TUPLES", "3")
     cert_path = _certificate(capsys, tmp_path, "torsion")
     _mutate(cert_path, CHECKED, 10 ** 6)

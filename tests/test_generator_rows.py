@@ -360,8 +360,8 @@ def test_action_matrices_compare_as_maps_on_the_module():
 
 def test_general_mode_gates_the_lift_of_omega_before_sweeping_the_extension(monkeypatch):
     """H^4(C2; Z): with 12 entries allowed, stage 1 is built (its check
-    sampled) but pi^* omega needs 1 * 2^4 = 16 entries, which must fail
-    before any coboundary over Gamma."""
+    walks 1 * 3 generator rows of 4 entries) but pi^* omega needs 1 * 2^4
+    = 16 entries, which must fail before any coboundary over Gamma."""
     import groupcoh.trivialize as tz
 
     g = cyclic_group(2)
@@ -369,7 +369,7 @@ def test_general_mode_gates_the_lift_of_omega_before_sweeping_the_extension(monk
     swept = []
     monkeypatch.setattr(tz, "coboundary", lambda f: swept.append(f.group) or coboundary(f))
     with pytest.raises(ResourceLimit, match="lifted cochain needs 16 entries .limit 12."):
-        tz.trivialize_general(omega, max_entries=12, sample_size=100)
+        tz.trivialize_general(omega, max_entries=12)
     assert swept == []
 
 

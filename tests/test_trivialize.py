@@ -27,6 +27,7 @@ from groupcoh import (
     lift_cochain,
     module_through_projection,
     restrict_cochain,
+    save_certificate,
     scale_cochain,
     solve_coboundary,
     torsion_exponent,
@@ -36,6 +37,7 @@ from groupcoh import (
     universal_kernel,
     verify_certificate,
 )
+from groupcoh.cli import main
 from groupcoh.cochains import coboundary_value, nonid_tuples
 from groupcoh.errors import (
     DegreeTooLow,
@@ -316,16 +318,6 @@ def test_trivialize_partial_when_kernel_huge():
     assert not report.ok(allow_partial=False)
 
 
-def test_sampled_verification_mode():
-    # shrink the resource limit so the 16-pair sweep gets sampled instead
-    w = z2_generator_cocycle()
-    cert = trivialize_torsion(w, max_entries=10**9)  # build everything
-    ok, bad, info = verify_lift_primitive(
-        cert.extension, w, cert.alpha, max_entries=10, seed=5, sample_size=50
-    )
-    assert ok and info == {"mode": "sampled", "seed": 5, "checked": 50}
-
-
 @pytest.mark.parametrize("limit", range(4, 9))
 def test_closed_form_resource_limit_gives_partial_certificate(limit):
     # Gamma = 4 elements fit, the (|Gamma|-1)^2 = 9 alpha tuples do not
@@ -503,18 +495,17 @@ def test_general_mode_gates_every_coboundary_on_its_entries():
     action of g flipped to -1) walks every row: 3^3 * 4 = 108."""
     w = h4_z2_generator()
     with pytest.raises(ResourceLimit, match=r"^coboundary needs 36 entries \(limit 20\)$"):
-        trivialize_general(w, max_entries=20, sample_size=100)
+        trivialize_general(w, max_entries=20)
     cert = trivialize_general(w)
     with pytest.raises(ResourceLimit, match=r"^coboundary needs 36 entries \(limit 35\)$"):
-        verify_certificate(cert, max_entries=35, sample_size=100)
-    assert verify_certificate(cert, max_entries=36, sample_size=100).ok()
+        verify_certificate(cert, max_entries=35)
+    assert verify_certificate(cert, max_entries=36).ok()
     data = certificate_to_json(cert)
     data["input"]["module"]["action"]["g"] = [[-1]]
     tampered = certificate_from_json(data)
     with pytest.raises(ResourceLimit, match=r"^coboundary needs 108 entries \(limit 107\)$"):
-        verify_certificate(tampered, max_entries=107, sample_size=100)
-    lines = {c.name: c for c in verify_certificate(tampered, max_entries=108,
-                                                   sample_size=100).checks}
+        verify_certificate(tampered, max_entries=107)
+    lines = {c.name: c for c in verify_certificate(tampered, max_entries=108).checks}
     assert lines["omega-cocycle"].ok is False
     assert (lines["eta-primitive"].ok, lines["eta-primitive"].witness) == (False, (1, 1, 1, 2))
 
@@ -533,7 +524,7 @@ def test_partial_stage_names_its_estimate_and_limit(factors, degree, value, limi
     g = cyclic_group(2)
     w = Cochain(g, trivial_module(g, factors), degree, {(1,) * degree: value})
     with pytest.raises(ResourceLimit) as info:
-        trivialize_general(w, max_entries=limit, sample_size=10)
+        trivialize_general(w, max_entries=limit)
     assert str(info.value) == message
 
 
@@ -642,15 +633,6 @@ def z3_generator_cocycle():
     return Cochain(g, m, 2, {(i, j): (1,) for i in (1, 2) for j in (1, 2) if i + j >= 3})
 
 
-def test_sampled_verification_note_names_the_limit():
-    cert = trivialize_torsion(z2_generator_cocycle())
-    report = verify_certificate(cert, max_entries=10, seed=5, sample_size=50)
-    check = next(c for c in report.checks if c.name == "alpha-trivializes")
-    assert check.ok
-    assert check.note == "sampled, 50 tuples; |Gamma|^2 = 16 tuples exceed the limit 10"
-    assert report.verification == cert.verification  # certificate data untouched
-
-
 def test_restriction_check_witness_is_a_delta_defect():
     cert = trivialize_torsion(z3_generator_cocycle())
     ext = cert.extension
@@ -753,7 +735,7 @@ def test_restriction_is_implied_by_an_exhaustive_pass(monkeypatch):
     assert calls == []
 
 
-def test_restriction_is_computed_after_a_failure_or_in_sampled_mode(monkeypatch):
+def test_restriction_is_computed_after_a_failure(monkeypatch):
     cert = trivialize_torsion(z3_generator_cocycle())
     ext, m = cert.extension, cert.alpha.coeffs
     vals = dict(cert.alpha.values)
@@ -767,32 +749,68 @@ def test_restriction_is_computed_after_a_failure_or_in_sampled_mode(monkeypatch)
     restricted = restrict_cochain(ext, corrupted.alpha)
     assert not m.is_zero(coboundary_value(restricted, restriction.witness))
     assert calls == ["alpha-restriction"]
-    # sampled under a tiny limit: the pass covers 50 tuples, not all 16
-    calls.clear()
-    checks = {c.name: c for c in verify_certificate(trivialize_torsion(z2_generator_cocycle()),
-                                                    max_entries=10, sample_size=50).checks}
-    assert checks["alpha-trivializes"].note.startswith("sampled")
-    assert checks["alpha-restriction"].line() == \
-        "alpha-restriction: pass (cocycle on the generator rows of A, |A| = 2)"
+
+
+# -- one verification path, gated on the generator rows it walks --------------
+
+
+@pytest.fixture(scope="module")
+def carry_c3():
+    """omega(a, b, c) = a floor((b + c) / 3) on C3 in Z/3 and its
+    certificate: |Gamma| = 243, so |Gamma|^3 = 14,348,907 tuples lie past
+    the default ceiling of 10^7, but the |S| = 2 generators head 2 * 242 =
+    484 rows of delta alpha, 484 * 243 = 117,612 entries."""
+    omega = _carry_cocycle("cyclic:3", 3)
+    return omega, trivialize_torsion(omega)
+
+
+def test_a_proof_past_the_tuple_ceiling_is_decided_on_generator_rows(carry_c3):
+    omega, cert = carry_c3
+    assert len(greedy_generators(cert.extension)) == 2
+    assert cert.verification == {"mode": "exhaustive", "seed": 0, "checked": 14_348_907}
+    report = verify_certificate(cert)
+    assert report.ok()
+    check = next(c for c in report.checks if c.name == "alpha-trivializes")
+    assert check.note == "exhaustive, 14348907 tuples; decided on 484 generator rows"
+
+
+def test_the_proof_is_gated_on_the_entries_of_its_rows(carry_c3, capsys, tmp_path):
+    omega, cert = carry_c3
+    partial = trivialize_torsion(omega, max_entries=117_611)
+    assert partial.partial and partial.alpha is None
+    assert partial.reason == "coboundary needs 117612 entries (limit 117611)"
+    assert certificate_to_json(partial)["gamma"] == {"order": 243}
+    full = trivialize_torsion(omega, max_entries=117_612)
+    assert not full.partial and full.verification == cert.verification
+    with pytest.raises(ResourceLimit, match=r"^coboundary needs 117612 entries \(limit 117611\)$"):
+        verify_certificate(cert, max_entries=117_611)
+    path = str(tmp_path / "cert.json")
+    save_certificate(cert, path)
+    capsys.readouterr()
+    assert main(["verify", path, "--max-entries", "117611"]) == 3
+    assert "coboundary needs 117612 entries (limit 117611)" in capsys.readouterr().err
+    assert main(["verify", path, "--max-entries", "117612"]) == 0
+
+
+def test_a_corruption_off_the_generators_fails_with_a_textbook_witness(carry_c3, monkeypatch):
+    omega, cert = carry_c3
+    ext, alpha = cert.extension, cert.alpha
+    gens = greedy_generators(ext)
+    tup = next(t for t in nonid_tuples(ext.order, alpha.degree) if t[0] not in gens)
+    m = alpha.coeffs
+    vals = dict(alpha.values)
+    vals[tup] = m.add(alpha.evaluate(tup), (1,))
+    corrupted = Cochain(ext, m, alpha.degree, vals)
+    calls = _restriction_calls(monkeypatch)
+    checks = {c.name: c for c in verify_certificate(
+        dataclasses.replace(cert, alpha=corrupted)).checks}
+    trivializes = checks["alpha-trivializes"]
+    assert trivializes.ok is False
+    w = trivializes.witness
+    # pi sends the index a|G| + g of (a, g) to g
+    assert m.reduce(coboundary_value(corrupted, w)) != omega.evaluate(tuple(i % 3 for i in w))
     assert calls == ["alpha-restriction"]
-
-
-def test_sampled_declared_count_is_named_but_not_judged():
-    cert = trivialize_torsion(z2_generator_cocycle(), max_entries=10, sample_size=50)
-    assert cert.verification == {"mode": "sampled", "seed": 0, "checked": 50}
-    data = certificate_to_json(cert)
-
-    def trivializes(checked):
-        data["verification"]["checked"] = checked
-        report = verify_certificate(certificate_from_json(data), max_entries=10, sample_size=50)
-        return report.ok(), next(c for c in report.checks if c.name == "alpha-trivializes")
-
-    ok, check = trivializes(50)
-    assert ok and check.note == "sampled, 50 tuples; |Gamma|^2 = 16 tuples exceed the limit 10"
-    ok, check = trivializes(7)
-    assert ok and check.ok
-    assert check.note == ("sampled, 50 tuples; |Gamma|^2 = 16 tuples exceed the limit 10; "
-                          "declared verification.checked is 7, verify sampled 50")
+    assert checks["alpha-restriction"].ok is not None
 
 
 def test_library_certificate_with_non_cocycle_c_fails_without_raising():
@@ -881,8 +899,9 @@ def test_indexed_sweep_agrees_with_brute_force(monkeypatch):
 
 
 def test_exhaustive_checks_make_no_per_tuple_calls(monkeypatch):
-    # every exhaustive cocycle check and delta alpha = pi^* omega sweep runs
-    # on delta_rows, so coboundary_value is left to sampled mode
+    # every cocycle check and delta alpha = pi^* omega sweep runs on
+    # delta_rows; coboundary_value serves only the textbook spot-check of
+    # trivialize_torsion, which verify does not run
     g = builtin_group("cyclic:2*cyclic:2")
     bilinear = {(x, y): (((x >> 1) & 1) * (y & 1),) for x in range(1, 4) for y in range(1, 4)}
     c2 = cyclic_group(2)
@@ -905,7 +924,6 @@ def test_exhaustive_checks_make_no_per_tuple_calls(monkeypatch):
     for cert in certs:
         report = verify_certificate(cert)
         assert report.ok() and cert.verification["mode"] == "exhaustive"
-        assert all("sampled" not in check.note for check in report.checks)
     ext = certs[0].extension
     assert len(ext.kernel_elements) == 512
     assert first_cocycle_defect(restrict_cochain(ext, certs[0].alpha)) is None
@@ -960,6 +978,7 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
         ("witness-cocycle", "first_cocycle_defect", 3, lambda out: (1, 1, 1), torsion),
         ("witness-d2", "_d2", 1, zero, torsion),
         ("solver-fallback", "verify_lift_primitive", 0, failed, torsion),
+        ("spot-check", "_textbook_defect", 0, lambda out: (1, 1), torsion),
         ("divide", "sub_cochains", 1, plus_one, general),
         ("eta-primitive", "divide_cochain", 0, zero, general),
         ("free-component", "sub_cochains", 2, plus_one, general),
@@ -986,7 +1005,8 @@ def test_trivialize_self_checks_raise_under_python_O():
     assert proc.returncode == 0, proc.stderr
     caught = [line.split()[1] for line in proc.stdout.splitlines()]
     assert caught == ["universal_kernel", "witness-cocycle", "witness-d2", "solver-fallback",
-                      "divide", "eta-primitive", "free-component", "composite"], proc.stdout
+                      "spot-check", "divide", "eta-primitive", "free-component",
+                      "composite"], proc.stdout
 
 
 # -- generator rows decide a pass ---------------------------------------------

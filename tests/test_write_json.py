@@ -60,7 +60,7 @@ def certs():
     return {
         "full": trivialize_torsion(c2_degree(3)),
         "partial": trivialize_torsion(c2_degree(3), max_entries=5),
-        "sampled": trivialize_torsion(c2_degree(3), max_entries=10, sample_size=50),
+        "partial-gamma": trivialize_torsion(c2_degree(3), max_entries=10),
         "general": trivialize_general(integral),
         "general-zero": trivialize_general(zero_cochain(z, trivial_module(z, [0]), 4)),
         "degree-2": trivialize_torsion(c2_degree(2)),
@@ -71,14 +71,17 @@ def certs():
 def test_the_cases_cover_what_they_name(certs):
     assert sorted(certs) == CERT_NAMES
     assert certs["partial"].partial
-    assert certs["sampled"].verification["mode"] == "sampled"
+    data = certificate_to_json(certs["partial-gamma"])
+    assert data["gamma"] == {"order": 4} and data["alpha"] is None
+    assert certs["partial-gamma"].reason == "coboundary needs 12 entries (limit 10)"
     assert certs["general"].mode == "general"
     assert "group" not in certificate_to_json(certs["general"])["stages"]["stage1"]["input"]
     assert certificate_to_json(certs["degree-2"])["b"]["values"][0]["tuple"] == []
     assert certificate_to_json(certs["general-zero"])["input"]["omega"]["values"] == []
 
 
-CERT_NAMES = ["degree-2", "full", "general", "general-zero", "odd-labels", "partial", "sampled"]
+CERT_NAMES = ["degree-2", "full", "general", "general-zero", "odd-labels", "partial",
+              "partial-gamma"]
 
 
 @pytest.mark.parametrize("name", CERT_NAMES)
