@@ -209,7 +209,7 @@ def cmd_extend(args) -> int:
     ext = build_extension(kernel, c, args.max_entries)
     if args.out:
         _write_json(extension_to_json(ext), args.out)
-    print(f"extension order: {ext.order} (kernel {len(ext.kernel_elements)}, "
+    print(f"extension order: {ext.order} (kernel {ext.order // group.order}, "
           f"base {group.order})")
     return 0
 
@@ -234,6 +234,7 @@ def cmd_trivialize(args) -> int:
     print(f"gamma order: {total if total is not None else 'not constructed'}")
     if cert.partial:
         print("status: partial (no primitive; witness pair only)")
+        print(f"reason: {cert.reason}")
     else:
         print(f"verification: {cert.verification['mode']} "
               f"({cert.verification['checked']} tuples)")

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import intlinalg as la
 from .errors import DegreeMismatch, NotACocycle, ResourceLimit, SelfCheckFailed
-from .groups import greedy_generators, json_object
+from .groups import greedy_generators, json_object, tower_base_order
 from .modules import GModule, invariants, torsion_submodule
 
 DEFAULT_MAX_ENTRIES = 10_000_000
@@ -337,33 +337,33 @@ def coboundary(f: Cochain, max_entries=None) -> Cochain:
     return Cochain._from_reduced(f.group, f.coeffs, f.degree + 1, vals)
 
 
-def coboundary_defect(x: Cochain, f: Cochain = None, proj=None, firsts=None, max_entries=None):
-    """(t, agreed): t the lexicographically first tuple where delta x
-    differs from f o proj, or None when every row of W agrees, and agreed
-    the number of rows of W before t (all of W on a pass).  The one
-    comparison of a coboundary with a cochain: every cocycle check and
-    delta x = f check is this loop.
+def coboundary_defect(x: Cochain, f: Cochain = None, firsts=None, max_entries=None):
+    """The lexicographically first tuple where delta x differs from f o pi,
+    or None when every row of W agrees.  The one comparison of a
+    coboundary with a cochain: every cocycle check and delta x = f check is
+    this loop.
 
     W holds the n-prefixes t of non-identity elements (n = x.degree), row t
     holding (delta x)(t, j) for every element j.  Only the rows
-    `delta_rows(x, firsts)` touches and those where f(proj t, proj j) is
-    nonzero, built from f's support through the fibres of proj, can
-    differ; their sorted union is walked, each row compared in one step.
-    f is zero when None (the cocycle check); proj, the image in f's group
-    of every element of x's group (a homomorphism, such as pi down a tower
-    of extensions), is the identity when None.  Both sides are reduced
-    modulo each torsion factor and unreduced on a free one.
+    `delta_rows(x, firsts)` touches and those where f(pi t, pi j) is
+    nonzero can differ; their sorted union is walked, each row compared in
+    one step.  f is zero when None (the cocycle check).  f lives on x's
+    group, and pi is the identity, or on a base G of x's tower of
+    extensions (`tower_base_order`), and pi is the projection i -> i mod
+    |G|: the fibre of v is range(v, |x.group|, |G|), and a row of f is
+    repeated |x.group| / |G| times.  Both sides are reduced modulo each
+    torsion factor and unreduced on a free one.
 
     With firsts = S = `greedy_generators(x.group)` W holds only the rows
     whose first slot lies in S.  That is sound only when F = delta x - f o
-    proj is a normalized cocycle, which the caller must prove: then the g
+    pi is a normalized cocycle, which the caller must prove: then the g
     with F(g, ...) = 0 on every tuple form a subgroup (dF(s, y, ...) = 0
     gives F(sy, ...) = s . F(y, ...) for s in it), the first row outside
     it is a generator (see `greedy_generators`), and so the rows of S pass
     exactly when every row does, and their first failing tuple is the
     lexicographically first (Brown, Cohomology of Groups, III.1).  delta x
     is a normalized cocycle when the group is associative and the action a
-    homomorphism; f o proj is one when f is and proj is a homomorphism.
+    homomorphism; f o pi is one when f is, pi being a homomorphism.
 
     max_entries, when not None, bounds the entries of W's rows (|G| dim M
     per row) as `coboundary` bounds its own, with the same ResourceLimit
@@ -371,37 +371,33 @@ def coboundary_defect(x: Cochain, f: Cochain = None, proj=None, firsts=None, max
     group, k, n = x.group, x.coeffs.dim, x.degree
     order = group.order
     heads = sorted(firsts) if firsts is not None and n else range(1, order)
-    size = len(heads) * (order - 1) ** (n - 1) if n else 1
     if max_entries is not None:
+        size = len(heads) * (order - 1) ** (n - 1) if n else 1
         check_entries("coboundary", size * order * k, max_entries)
     lhs = dict(delta_rows(x, firsts))
     rhs = {}
     if f is not None:
         f_rows = _prefix_rows(f)
-        if proj is None:
+        if f.group is group:
             inside = set(heads)
             rhs = {u: row for u, row in f_rows.items() if not n or u[0] in inside}
-        else:  # the first slot from heads, the others from proj's fibres
-            fibres = {v: [i for i in itertools.compress(range(order), map(v.__eq__, proj)) if i]
-                      for v in {v for u in f_rows for v in u[1:]}}
+        else:  # the first slot from heads, the others from pi's fibres
+            ng = tower_base_order(group, f.group)
             firsts_over = {}
             for s in heads:
-                firsts_over.setdefault(proj[s], []).append(s)
+                firsts_over.setdefault(s % ng, []).append(s)
             for u, rows in f_rows.items():
-                slots = [firsts_over.get(u[0], ()), *(fibres[v] for v in u[1:])] if n else []
+                slots = ([firsts_over.get(v, ()) for v in u[:1]]
+                         + [range(v, order, ng) for v in u[1:]])
                 rhs.update(dict.fromkeys(itertools.product(*slots),
-                                         [[r[j] for j in proj] for r in rows]))
+                                         [r * (order // ng) for r in rows]))
     zero = [[0] * order for _ in range(k)]
-    # lhs is sorted; on a pass f o proj is nonzero only on rows delta x touches
+    # lhs is sorted; on a pass f o pi is nonzero only on rows delta x touches
     for t in lhs if rhs.keys() <= lhs.keys() else sorted(lhs.keys() | rhs.keys()):
         row, want = lhs.get(t, zero), rhs.get(t, zero)
         if row != want:
-            j = next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*want))) if v != w)
-            rank = heads.index(t[0]) if n else 0
-            for y in t[1:]:
-                rank = rank * (order - 1) + y - 1
-            return t + (j,), rank
-    return None, size
+            return t + (next(j for j, (v, w) in enumerate(zip(zip(*row), zip(*want))) if v != w),)
+    return None
 
 
 def first_cocycle_defect(f: Cochain):
@@ -414,10 +410,12 @@ def first_cocycle_defect(f: Cochain):
     normalized (n+1)-cocycle, as delta delta = 0 once the group is
     associative and the action a homomorphism; every caller has proved
     both (tables and modules are validated at load, an extension cocycle
-    before the extension is built)."""
+    before the extension is built).  It is the cocycle test every delta x
+    = f check with generator rows rests on, and a non-cocycle omega fails
+    delta alpha = pi^* omega on it alone (see `_verify_degree2_indexed`)."""
     if not f.values:
         return None
-    return coboundary_defect(f, firsts=greedy_generators(f.group) if f.degree >= 1 else None)[0]
+    return coboundary_defect(f, firsts=greedy_generators(f.group) if f.degree >= 1 else None)
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -544,7 +542,7 @@ def solve_coboundary(f: Cochain, max_entries=None):
                                   "M/M_T, though f is a cocycle") from exc
         sol = add_cochains(sol, map_coefficients(scale_cochain(exponent, h), smap.matrix,
                                                  module))
-    if coboundary_defect(sol, f)[0] is not None:
+    if coboundary_defect(sol, f) is not None:
         if module.is_torsion and first_cocycle_defect(f) is not None:
             return None
         raise SelfCheckFailed("solve_coboundary: the solution x does not satisfy delta x = f")
@@ -675,7 +673,8 @@ class RationalCochain:
 def averaging_homotopy(f: Cochain) -> RationalCochain:
     """For a cocycle f of degree n >= 1 with free coefficients, the
     transfer-style primitive h with delta h = f over (1/|G|) Z^r:
-    h(g_1..g_{n-1}) = (-1)^n / |G| * sum_g f(g_1..g_{n-1}, g).
+    h(g_1..g_{n-1}) = (-1)^n / |G| * sum_g f(g_1..g_{n-1}, g), the sums
+    read from f's support, so only its (n-1)-prefixes get a value.
     """
     module = f.coeffs
     if any(d != 0 for d in module.factors):
@@ -687,21 +686,17 @@ def averaging_homotopy(f: Cochain) -> RationalCochain:
     if defect is not None:
         raise NotACocycle("averaging homotopy input must be a cocycle", witness=defect)
     group = f.group
-    order = group.order
     sign = 1 if n % 2 == 0 else -1
-
-    def total(tup):
-        out = module.zero()
-        for g in range(1, order):
-            out = module.add(out, f.evaluate(tup + (g,)))
-        return module.scale(sign, out)
-
-    num = cochain_from_function(group, module, n - 1, total)
+    sums = {}  # sum_g f(u, g) over the (n-1)-prefixes u of f's support, in order
+    for tup, v in sorted(f.values.items()):
+        sums[tup[:-1]] = module.add(sums.get(tup[:-1], module.zero()), v)
+    num = Cochain._from_reduced(group, module, n - 1, {
+        u: module.scale(sign, v) for u, v in sums.items() if not module.is_zero(v)})
     # delta num - |G| f is a normalized cocycle, f being one: generator rows
-    bad, _ = coboundary_defect(num, scale_cochain(order, f), firsts=greedy_generators(group))
-    if bad is not None:
+    if coboundary_defect(num, scale_cochain(group.order, f),
+                         firsts=greedy_generators(group)) is not None:
         raise SelfCheckFailed("averaging_homotopy: delta h differs from |G| f")
-    return RationalCochain(num, order)
+    return RationalCochain(num, group.order)
 
 
 # -- serialization ---------------------------------------------------------

@@ -15,7 +15,7 @@ import itertools
 import math
 
 from .cochains import Cochain, check_entries, cochain_from_json, cochain_to_json, first_cocycle_defect, nonid_tuples
-from .errors import KernelNotFinite, NotACocycle
+from .errors import KernelNotFinite, NotACocycle, SourceNotTorsion
 from .groups import FiniteGroup, cyclic_group, group_from_json, group_to_json
 from .modules import (
     GModule,
@@ -34,8 +34,9 @@ class GroupExtension:
         self.base = kernel.group
         base = self.base
 
-        self.kernel_elements = list(kernel.elements())
-        na, ng = len(self.kernel_elements), base.order
+        if not kernel.is_torsion:
+            raise SourceNotTorsion("cannot build an extension by an infinite module")
+        na, ng = kernel.size(), base.order
         self.order = na * ng
 
         # a = hi * s + lo with s the size of the last factors; the split
@@ -257,7 +258,7 @@ def lift_cochain(ext: GroupExtension, omega: Cochain, max_entries=None) -> Cocha
     reduced and nonzero, and every t_i lies over u_i != e, so t_i != 0.
     Gated on the |supp omega| * |A|^n entries it allocates."""
     n = omega.degree
-    ng, na = ext.base.order, len(ext.kernel_elements)
+    ng, na = ext.base.order, ext.order // ext.base.order
     check_entries("lifted cochain", len(omega.values) * na ** n, max_entries)
     coeffs = module_through_projection(ext, omega.coeffs)
     lifted = []
@@ -284,7 +285,7 @@ def restrict_cochain(ext: GroupExtension, alpha: Cochain, max_entries=None) -> C
     are alpha's, reduced, and the zero ones are dropped.  Gated on the
     (|A|-1)^n tuples it reads."""
     n = alpha.degree
-    check_entries("restricted cochain", (len(ext.kernel_elements) - 1) ** n, max_entries)
+    check_entries("restricted cochain", (ext.order // ext.base.order - 1) ** n, max_entries)
     agrp = kernel_view(ext)
     coeffs = trivial_module(agrp, alpha.coeffs.factors)
     vals = {}

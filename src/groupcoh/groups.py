@@ -11,7 +11,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .errors import NoIdentity, NoInverse, NotAssociative, SelfCheckFailed, UnknownFamily
+from .errors import (GroupMismatch, NoIdentity, NoInverse, NotAssociative, SelfCheckFailed,
+                     UnknownFamily)
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,7 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        t = self.table
-        n = self.order
-        return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
+        return self.noncommuting_pair() is None
 
     def element_order(self, i: int) -> int:
         k, x = 1, i
@@ -89,6 +88,19 @@ def generated(group, gens, span=None, rows=None) -> set:
                     fresh.append(y)
         frontier = fresh
     return span
+
+
+def tower_base_order(group, base) -> int:
+    """|base|, once base is group or lies below it in its tower of
+    extensions (each level's `.base`); else GroupMismatch.  Every level
+    indexes (a, g) as a|G| + g, so the projection of group onto base sends
+    element i to i mod |base|."""
+    top = group
+    while top is not base:
+        top = getattr(top, "base", None)
+        if top is None:
+            raise GroupMismatch("the cocycle's group is not a base of the extension")
+    return base.order
 
 
 def greedy_generators(group) -> list:

@@ -54,9 +54,6 @@ class GModule:
     def neg(self, x) -> tuple:
         return tuple((-a) % d if d else -a for a, d in zip(x, self.factors))
 
-    def sub(self, x, y) -> tuple:
-        return self.add(x, self.neg(y))
-
     def scale(self, n, x) -> tuple:
         return tuple((n * a) % d if d else n * a for a, d in zip(x, self.factors))
 

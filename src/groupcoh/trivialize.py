@@ -53,7 +53,6 @@ from .errors import (
     DegreeMismatch,
     DegreeTooLow,
     ExponentMismatch,
-    GroupMismatch,
     NonTorsionValue,
     NotACocycle,
     ResourceLimit,
@@ -245,18 +244,6 @@ def closed_form_alpha(ext: GroupExtension, omega: Cochain, witness: Cochain,
 # -- verification of delta_Gamma alpha = pi^* omega ------------------------
 
 
-def _projection(ext: GroupExtension, group):
-    """pi: Gamma -> group on element indices, composed down the tower of
-    extensions from ext to group.  Every level indexes a|G| + g a-major,
-    so the composite sends i to i mod |group|: range(|group|) repeated."""
-    top = ext
-    while top is not group:
-        if not isinstance(top, GroupExtension):
-            raise GroupMismatch("the cocycle's group is not a base of the extension")
-        top = top.base
-    return list(range(group.order)) * (ext.order // group.order)
-
-
 def verify_lift_primitive(ext: GroupExtension, omega: Cochain, alpha: Cochain,
                           max_entries=None, decided=None):
     """Prove delta_Gamma alpha = pi^* omega, with pi projecting Gamma down
@@ -265,53 +252,58 @@ def verify_lift_primitive(ext: GroupExtension, omega: Cochain, alpha: Cochain,
     coefficient module; its rows are gated on max_entries (ResourceLimit).
 
     Returns (ok, witness, info) with info = {mode: "exhaustive", seed: 0,
-    checked: |Gamma|^n}: the generator rows cover every tuple.  When they
-    decide a pass, their number is appended to the list decided, if one is
-    given.
+    checked: |Gamma|^n}: the generator rows cover every tuple.  A failure
+    with no witness means that omega is no cocycle.  When the generator
+    rows decide a pass, their number is appended to the list decided, if
+    one is given.
     """
     n = omega.degree
-    proj = _projection(ext, omega.group)
-    ok, witness, rows = _verify_degree2_indexed(omega, alpha, proj, max_entries)
+    ok, witness, rows = _verify_degree2_indexed(omega, alpha, max_entries)
     if rows is not None and decided is not None:
         decided.append(rows)
     return ok, witness, {"mode": "exhaustive", "seed": 0, "checked": ext.order ** n}
 
 
-def _textbook_defect(omega: Cochain, alpha: Cochain, proj):
+def _textbook_defect(omega: Cochain, alpha: Cochain):
     """First of 16 uniform Gamma^n tuples drawn by random.Random(0) where
     the textbook delta alpha (`coboundary_value`, one tuple at a time)
-    differs from pi^* omega, or None: a spot-check of the row-wise sweep,
-    independent of it."""
+    differs from pi^* omega, pi reading i mod |G|, or None: a spot-check
+    of the row-wise sweep, independent of it."""
     rng = random.Random(0)
-    m = alpha.coeffs
+    m, ng = alpha.coeffs, omega.group.order
     for _ in range(16):
         tup = tuple(rng.randrange(alpha.group.order) for _ in range(omega.degree))
         if m.reduce(cochains.coboundary_value(alpha, tup)) != m.reduce(
-                omega.evaluate(tuple(proj[i] for i in tup))):
+                omega.evaluate(tuple(i % ng for i in tup))):
             return tup
     return None
 
 
-def _verify_degree2_indexed(omega: Cochain, alpha: Cochain, proj, max_entries):
+def _verify_degree2_indexed(omega: Cochain, alpha: Cochain, max_entries):
     """The exhaustive check of delta alpha = pi^* omega in every degree
-    n >= 2: `coboundary_defect` of alpha against omega read through proj,
-    gated on the entries of the rows it walks (ResourceLimit beyond
-    `max_entries_limit(max_entries)`).
+    n >= 2: `coboundary_defect` of alpha against omega, which it reads
+    through pi, on the generator rows of Gamma, gated on the entries of
+    those rows (ResourceLimit beyond `max_entries_limit(max_entries)`).
 
-    When omega is a cocycle, delta alpha - pi^* omega is a normalized
-    n-cocycle of Gamma (delta alpha is one, and pi is a homomorphism), so
-    only the rows whose prefix starts in S = `greedy_generators(Gamma)` are
-    walked, |S| (|Gamma|-1)^(n-2) rows of |Gamma| dim M entries; a pass
-    there is a pass everywhere, and the first failing tuple there is the
-    lexicographically first one.  When omega is no cocycle every row is
-    walked; that check never passes, as pi^* omega = delta alpha would make
-    pi^* omega, hence omega (pi^* is injective and commutes with delta), a
-    cocycle.  The name predates the other degrees and is kept because
-    perfbench/tracer.py patches it.  Returns (ok, first failing tuple, the
-    number of generator rows that decided a pass)."""
-    firsts = greedy_generators(alpha.group) if first_cocycle_defect(omega) is None else None
-    bad, rows = coboundary_defect(alpha, omega, proj, firsts, max_entries_limit(max_entries))
-    return bad is None, bad, rows if bad is None else None
+    When omega is no cocycle the check fails at once, with no witness and
+    no row walked: pi^* omega = delta alpha would make pi^* omega, hence
+    omega (pi^* is injective and commutes with delta), a cocycle.  When
+    omega is a cocycle, delta alpha - pi^* omega is a normalized n-cocycle
+    of Gamma (delta alpha is one, and pi is a homomorphism), so only the
+    |S| (|Gamma|-1)^(n-2) rows whose prefix starts in S =
+    `greedy_generators(Gamma)` are walked, each of |Gamma| dim M entries;
+    a pass there is a pass everywhere, and the first failing tuple there
+    is the lexicographically first one.  The name predates the other
+    degrees and is kept because perfbench/tracer.py patches it.  Returns
+    (ok, first failing tuple, the number of generator rows that decided a
+    pass)."""
+    if first_cocycle_defect(omega) is not None:
+        return False, None, None
+    gens = greedy_generators(alpha.group)
+    bad = coboundary_defect(alpha, omega, gens, max_entries_limit(max_entries))
+    if bad is not None:
+        return False, bad, None
+    return True, None, len(gens) * (alpha.group.order - 1) ** (omega.degree - 2)
 
 
 # -- certificates ----------------------------------------------------------
@@ -392,7 +384,7 @@ def trivialize_torsion(omega: Cochain, max_entries=None) -> TrivializationCertif
         raise SelfCheckFailed(f"trivialize_torsion: delta alpha differs from pi^* omega at {bad}")
     # the textbook formula of cochains on a few tuples: a spot-check of the
     # row-wise sweep, independent of it, on every primitive emitted
-    bad = _textbook_defect(omega, alpha, _projection(ext, group))
+    bad = _textbook_defect(omega, alpha)
     if bad is not None:
         raise SelfCheckFailed(f"trivialize_torsion: the textbook delta alpha differs from "
                               f"pi^* omega at {bad}")
@@ -448,8 +440,7 @@ def trivialize_general(omega: Cochain, max_entries=None) -> TrivializationCertif
     eta = divide_cochain(sub_cochains(pi_h, coboundary(rho_lift, max_entries)), q)
     # delta eta - pi^* p omega is a normalized cocycle (p omega is one, p
     # being a G-map and omega a cocycle): generator rows decide it
-    bad, _ = coboundary_defect(eta, p_omega, _projection(ext1, group), greedy_generators(ext1))
-    if bad is not None:
+    if coboundary_defect(eta, p_omega, greedy_generators(ext1)) is not None:
         raise SelfCheckFailed("trivialize_general: delta eta differs from the free part of pi^* omega")
 
     module_g = module_through_projection(ext1, module)
@@ -471,12 +462,9 @@ def trivialize_general(omega: Cochain, max_entries=None) -> TrivializationCertif
     ext2 = stage2.extension
 
     lifted_eta = lift_cochain(ext2, eta_tilde, max_entries)
-    module_g2 = lifted_eta.coeffs
-    if stage2.alpha is not None:
-        alpha_beta = map_coefficients(stage2.alpha, jmap.matrix, module_g2)
-    else:
-        alpha_beta = Cochain(ext2, module_g2, n - 1)
-    alpha = add_cochains(lifted_eta, alpha_beta)
+    # stage 2 is not partial, so its alpha is there
+    alpha = add_cochains(lifted_eta, map_coefficients(stage2.alpha, jmap.matrix,
+                                                      lifted_eta.coeffs))
 
     cert = TrivializationCertificate(
         mode="general", omega=omega,
@@ -518,7 +506,6 @@ class Check:
 @dataclass
 class VerificationReport:
     checks: list
-    verification: dict = field(default_factory=dict)
 
     def ok(self, allow_partial=False) -> bool:
         if any(c.ok is False for c in self.checks):
@@ -610,7 +597,7 @@ def _alpha_checks(prefix, ext, omega, alpha, max_entries, declared):
                                      max_entries, declared)
     action = alpha.coeffs.action
     if trivializes.ok and all(
-            action[ext.iota(a)] == action[0] for a in range(len(ext.kernel_elements))):
+            action[ext.iota(a)] == action[0] for a in range(ext.order // ext.base.order)):
         restriction = Check(prefix + "alpha-restriction", True,
                             note="implied: delta alpha = pi^* omega on every tuple, iota is a "
                                  "homomorphism and A acts trivially on M, so delta iota^* alpha "
@@ -622,11 +609,15 @@ def _alpha_checks(prefix, ext, omega, alpha, max_entries, declared):
 
 def _trivializes_check(name, ext, omega, alpha, max_entries, declared):
     """The alpha-trivializes line; the note says how many generator rows
-    decided a pass.  It also fails when the certificate's verification
-    record (declared) claims other than all |Gamma|^n tuples."""
+    decided a pass, or that omega is no cocycle, which fails it with no
+    witness and no row walked.  It also fails when the certificate's
+    verification record (declared) claims other than all |Gamma|^n
+    tuples."""
     decided = []
     ok, bad, info = verify_lift_primitive(ext, omega, alpha, max_entries, decided)
     note = f"{info['mode']}, {info['checked']} tuples"
+    if not ok and bad is None:
+        note = "omega is no cocycle, so pi^* omega is no coboundary"
     if decided:
         note += f"; decided on {decided[0]} generator rows"
     if declared.get("checked") != info["checked"]:
@@ -691,7 +682,7 @@ def verify_certificate(cert: TrivializationCertificate,
     checks = []
     if cert.mode == "torsion":
         _verify_torsion_cert(cert, checks, max_entries)
-        return VerificationReport(checks, cert.verification)
+        return VerificationReport(checks)
 
     omega = cert.omega
     defect = first_cocycle_defect(omega)
@@ -708,9 +699,8 @@ def verify_certificate(cert: TrivializationCertificate,
     # make delta x - f a normalized cocycle have passed (see
     # `coboundary_defect`), else every row; gated on the entries either way
     limit = max_entries_limit(max_entries)
-    diff, _ = coboundary_defect(h.numerator, scale_cochain(q, p_omega),
-                                firsts=greedy_generators(group) if defect is None else None,
-                                max_entries=limit)
+    diff = coboundary_defect(h.numerator, scale_cochain(q, p_omega),
+                             greedy_generators(group) if defect is None else None, limit)
     checks.append(Check("averaging-primitive", diff is None, witness=diff,
                         note=f"denominator {h.denominator}"))
     diff = _first_difference(h.numerator, cert.stages["hbar"])
@@ -726,7 +716,7 @@ def verify_certificate(cert: TrivializationCertificate,
              {"stage1:kernel-cocycle", "stage1:extension-axioms"} <= passed else None)
     eta = cert.stages["eta"]
     pi_omega = lift_cochain(ext1, omega, max_entries)
-    diff, _ = coboundary_defect(eta, p_omega, _projection(ext1, group), gens1, limit)
+    diff = coboundary_defect(eta, p_omega, gens1, limit)
     checks.append(Check("eta-primitive", diff is None, witness=diff))
 
     eta_tilde = cert.stages["eta_tilde"]
@@ -734,8 +724,7 @@ def verify_certificate(cert: TrivializationCertificate,
     beta_defect = first_cocycle_defect(beta)
     # delta eta~ = pi^* omega - j beta
     rhs = sub_cochains(pi_omega, map_coefficients(beta, jmap.matrix, eta_tilde.coeffs))
-    diff, _ = coboundary_defect(eta_tilde, rhs, None, gens1 if beta_defect is None else None,
-                                limit)
+    diff = coboundary_defect(eta_tilde, rhs, gens1 if beta_defect is None else None, limit)
     checks.append(Check("beta-defect", diff is None, witness=diff))
     checks.append(Check("beta-cocycle", beta_defect is None, witness=beta_defect))
 
@@ -749,7 +738,7 @@ def verify_certificate(cert: TrivializationCertificate,
     else:
         checks.extend(_alpha_checks("", ext2, omega, cert.alpha, max_entries,
                                     cert.verification))
-    return VerificationReport(checks, cert.verification)
+    return VerificationReport(checks)
 
 # -- serialization ---------------------------------------------------------
 

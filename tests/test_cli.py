@@ -822,6 +822,19 @@ def test_verify_kernel_factor_one_fails_with_witness_exit_7(capsys, tmp_path):
     assert "alpha-restriction: pass (cocycle on the generator rows of A, |A| = 1)" in out
 
 
+def test_verify_value_of_infinite_order_fails_exponent_annihilates_exit_7(capsys, tmp_path):
+    # omega read in Z: its value 1 has infinite order, which no N kills; b
+    # is emptied, as Hom(Z/2, Z) = 0
+    cert_path = _certificate(capsys, tmp_path, "torsion")
+    data = json.loads(cert_path.read_text())
+    data["input"]["module"]["factors"] = [0]
+    data["b"]["values"] = []
+    cert_path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 7
+    assert "exponent-annihilates: FAIL (N=2) witness=(1, 1)" in out.splitlines()
+
+
 def _mutate(cert_path, path, value):
     data = json.loads(cert_path.read_text())
     node = data

@@ -726,9 +726,11 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
         cochains.add_cochains(w, cochains.scale_cochain(3, c))))
     cochains.first_cocycle_defect = check
 
-    cochains.cochain_from_function = lambda group, coeffs, degree, fn: (
-        cochains.zero_cochain(group, coeffs, degree))
+    # an addition that drops its second term sums every f(u, .) to zero
+    add = cochains.GModule.add
+    cochains.GModule.add = lambda self, x, y: x
     expect_failure("averaging_homotopy", lambda: cochains.averaging_homotopy(w))
+    cochains.GModule.add = add
 
     # Hom((Z/2)^2, Z/4) with C2 swapping the summands: a coordinate step
     # corrupted from 2 to 1 sends that coordinate to an odd image at e_1

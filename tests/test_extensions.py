@@ -22,9 +22,9 @@ from groupcoh import (
     universal_kernel,
 )
 from groupcoh.cochains import nonid_tuples
-from groupcoh.errors import KernelNotFinite, NotACocycle, ResourceLimit
+from groupcoh.errors import GroupMismatch, KernelNotFinite, NotACocycle, ResourceLimit
 from groupcoh.extensions import GroupExtension
-from groupcoh.groups import generated, greedy_generators
+from groupcoh.groups import generated, greedy_generators, tower_base_order
 from groupcoh.modules import element_index
 
 
@@ -65,12 +65,12 @@ def test_pi_iota_homomorphisms():
     for i in range(ext.order):
         for j in range(ext.order):
             assert ext.pi(ext.mul(i, j)) == g.mul(ext.pi(i), ext.pi(j))
-    for a1 in range(len(ext.kernel_elements)):
-        for a2 in range(len(ext.kernel_elements)):
+    for a1 in range(ext.kernel.size()):
+        for a2 in range(ext.kernel.size()):
             lhs = ext.mul(ext.iota(a1), ext.iota(a2))
             assert lhs == ext.iota(ext.add_kernel(a1, a2))
     # image(iota) = kernel(pi)
-    imgs = {ext.iota(a) for a in range(len(ext.kernel_elements))}
+    imgs = {ext.iota(a) for a in range(ext.kernel.size())}
     assert imgs == {i for i in range(ext.order) if ext.pi(i) == 0}
 
 
@@ -282,11 +282,21 @@ def _kernel_extension(factors, value, twisted=False):
     return build_extension(a, Cochain(g, a, 2, {(1, 1): value} if any(value) else {}))
 
 
+def _kernel_element(k, a):
+    """The element of index a of the kernel k: a read in mixed radix, its
+    last coordinate least significant (see element_index)."""
+    digits = []
+    for d in reversed(k.factors):
+        a, x = divmod(a, d)
+        digits.append(x)
+    return tuple(reversed(digits))
+
+
 def _tuple_mul(ext, i, j):
     """(a, g)(b, h) = (a + g.b + c(g, h), gh) by tuple arithmetic."""
     k, ng = ext.kernel, ext.base.order
     (a, g), (b, h) = divmod(i, ng), divmod(j, ng)
-    x = k.add(k.add(ext.kernel_elements[a], k.act(g, ext.kernel_elements[b])),
+    x = k.add(k.add(_kernel_element(k, a), k.act(g, _kernel_element(k, b))),
               ext.cocycle.evaluate((g, h)))
     return element_index(k, x) * ng + ext.base.mul(g, h)
 
@@ -304,7 +314,7 @@ KERNEL_CASES = {
 def test_kernel_addition_and_group_law_match_tuple_arithmetic(name):
     factors, value, twisted = KERNEL_CASES[name]
     ext = _kernel_extension(factors, value, twisted)
-    k, elems = ext.kernel, ext.kernel_elements
+    k, elems = ext.kernel, list(ext.kernel.elements())
     na = len(elems)
     sums = [[element_index(k, k.add(x, y)) for y in elems] for x in elems]
     assert [[ext.add_kernel(i, j) for j in range(na)] for i in range(na)] == sums
@@ -326,9 +336,8 @@ def test_kernel_addition_and_group_law_match_tuple_arithmetic(name):
 def test_kernel_addition_tables_stay_linear_in_the_kernel(factors, folds):
     ext = _kernel_extension(factors, (0,) * len(factors))
     assert (len(ext._fold_hi), len(ext._fold_lo)) == folds
-    k, last = ext.kernel, ext.kernel_elements[-1]
-    assert ext.add_kernel(len(ext.kernel_elements) - 1, 2) == element_index(
-        k, k.add(last, ext.kernel_elements[2]))
+    k, elems = ext.kernel, list(ext.kernel.elements())
+    assert ext.add_kernel(len(elems) - 1, 2) == element_index(k, k.add(elems[-1], elems[2]))
 
 
 def test_extension_of_512_elements_builds_below_the_square_of_its_kernel(monkeypatch):
@@ -337,7 +346,7 @@ def test_extension_of_512_elements_builds_below_the_square_of_its_kernel(monkeyp
     monkeypatch.setenv("COCYCLE_MAX_TUPLES", "2048")
     kernel, c = universal_kernel(builtin_group("cyclic:2*cyclic:2"), 2)
     ext = build_extension(kernel, c)
-    assert len(ext.kernel_elements) == 512 and ext.order == 2048
+    assert kernel.size() == 512 and ext.order == 2048
     rng = random.Random(3)
     for i in rng.sample(range(ext.order), 4):
         assert ext.mul_row(i) == [_tuple_mul(ext, i, j) for j in range(ext.order)]
@@ -443,13 +452,17 @@ def test_list_forms_match_the_element_by_element_law(name):
 
 @pytest.mark.parametrize("name", LIST_FORM_CASES)
 def test_projection_repeats_the_base_indices(name):
-    from groupcoh.trivialize import _projection
+    """pi composed down the tower, level by level, sends i to i mod |G| for
+    every base G of the tower, the |G| that `tower_base_order` returns."""
     ext = LIST_FORM_CASES[name]()
     proj, bottom = list(range(ext.order)), ext
     while isinstance(bottom, GroupExtension):
         proj = [bottom.pi(i) for i in proj]
-        assert _projection(ext, bottom.base) == proj
+        ng = tower_base_order(ext, bottom.base)
+        assert ng == bottom.base.order and [i % ng for i in range(ext.order)] == proj
         bottom = bottom.base
+    with pytest.raises(GroupMismatch, match="not a base of the extension"):
+        tower_base_order(ext, builtin_group("cyclic:2"))
     # a distinct matrix per base element (not an action: nothing checks it)
     m = GModule(ext.base, [0], [[[g]] for g in range(ext.base.order)], _validate=False)
     assert module_through_projection(ext, m).action == tuple(

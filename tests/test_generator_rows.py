@@ -387,13 +387,13 @@ def _least_difference(dx, f):
 
 
 def _defect_cases(group_name):
-    """(x, f, proj, firsts, want) on Z/2, Z, Z_sgn and a Hom module, up to
+    """(x, f, firsts, want) on Z/2, Z, Z_sgn and a Hom module, up to
     the degree DEFECT_GROUPS gives: x a seeded cochain, f a right-hand side
     (None for the cocycle check, delta x itself, another coboundary, and
     two corruptions of delta x), firsts the greedy generators when delta x
     - f is a cocycle (each such case is also run on all rows), and want the
     oracle's tuple.  The S3 and V4 cases add x on an extension with f on
-    its base, read through pi."""
+    its base, which `coboundary_defect` reads through pi."""
     spec, top = DEFECT_GROUPS[group_name]
     group = builtin_group(spec)
     gens = greedy_generators(group)
@@ -413,18 +413,21 @@ def _defect_cases(group_name):
             for f, cocycle in ([(None, True), (dx, True), (coboundary(cochain(n)), True)]
                                + [(g, False) for g in _corruptions(rng, dx, 2)]):
                 want = _least_difference(dx, zero if f is None else f)
-                cases.append((x, f, None, None, want))
+                cases.append((x, f, None, want))
                 if cocycle and n:
-                    cases.append((x, f, None, gens, want))
+                    cases.append((x, f, gens, want))
     if group_name in ("S3", "V4"):
         z2 = trivial_module(group, [2])
         # V4: the bilinear x1 y2, a non-split class; S3: the split extension
         bilinear = {(a, b): (((a >> 1) & 1) * (b & 1),) for a in range(1, 4) for b in range(1, 4)}
         ext = build_extension(z2, Cochain(group, z2, 2, bilinear if group_name == "V4" else {}))
-        proj = [ext.pi(i) for i in range(ext.order)]
-        for n in (0, 1):
-            y = Cochain(group, z2, n, {t: _random_value(rng, z2)
-                                       for t in nonid_tuples(group.order, n)})
+        # y random, and y the point mass at the first element, whose delta
+        # is nonzero on the row of that element, so that rows over kernel
+        # elements must be told apart from rows over it
+        ys = [(n, values) for n in (0, 1) for values in (
+            {t: _random_value(rng, z2) for t in nonid_tuples(group.order, n)}, {(1,) * n: (1,)})]
+        for n, values in ys:
+            y = Cochain(group, z2, n, values)
             f = coboundary(y)
             lifted = lift_cochain(ext, y)
             last = (ext.order - 1,) * n
@@ -432,23 +435,16 @@ def _defect_cases(group_name):
                             {**lifted.values, last: z2.add(lifted.evaluate(last), (1,))})
             for x in (lifted, noisy):
                 want = _least_difference(coboundary(x), lift_cochain(ext, f))
-                cases.append((x, f, proj, None, want))
+                cases.append((x, f, None, want))
                 if n:
-                    cases.append((x, f, proj, greedy_generators(ext), want))
+                    cases.append((x, f, greedy_generators(ext), want))
     return cases
 
 
 def _defect_disagreements(cases):
-    """The cases where `coboundary_defect` misses the oracle's tuple, or
-    counts other than the rows before it (all of them on a pass)."""
-    out = []
-    for x, f, proj, firsts, want in cases:
-        order, n = x.group.order, x.degree
-        walked = list(nonid_tuples(order, n, firsts if n else None))
-        agreed = len(walked) if want is None else walked.index(want[:-1])
-        if coboundary_defect(x, f, proj, firsts) != (want, agreed):
-            out.append((x, f, firsts, want))
-    return out
+    """The cases where `coboundary_defect` misses the oracle's tuple."""
+    return [(x, f, firsts, want) for x, f, firsts, want in cases
+            if coboundary_defect(x, f, firsts) != want]
 
 
 @pytest.mark.parametrize("group_name", list(DEFECT_GROUPS))
@@ -456,8 +452,9 @@ def test_coboundary_defect_matches_the_built_coboundary(group_name):
     cases = _defect_cases(group_name)
     assert {want is None for *_, want in cases} == {True, False}
     assert any(firsts and want for *_, firsts, want in cases)
-    assert group_name not in ("S3", "V4") or any(proj and firsts and want
-                                                 for _, _, proj, firsts, want in cases)
+    assert group_name not in ("S3", "V4") or any(
+        f is not None and f.group is not x.group and firsts and want
+        for x, f, firsts, want in cases)
     assert _defect_disagreements(cases) == []
 
 
@@ -474,15 +471,14 @@ def test_the_differential_test_catches_a_loop_that_skips_its_last_row(monkeypatc
 
 def test_coboundary_defect_names_rows_where_only_the_right_hand_side_is_nonzero():
     """delta 0 touches no row, so against a nonzero f the first difference
-    is the least tuple of W where f is nonzero, and agreed is the rank of
-    its row in W: f = omega on V4 read through pi from the 8-element
-    extension by x1 y2, and f = pi^* omega on the extension itself; all
-    rows, and the generator rows S of the extension."""
+    is the least tuple of W where f is nonzero, some of them past the first
+    row of W: f = omega on V4 read through pi from the 8-element extension
+    by x1 y2, and f = pi^* omega on the extension itself; all rows, and the
+    generator rows S of the extension."""
     group = builtin_group("cyclic:2*cyclic:2")
     z2 = trivial_module(group, [2])
     bilinear = {(a, b): (((a >> 1) & 1) * (b & 1),) for a in range(1, 4) for b in range(1, 4)}
     ext = build_extension(z2, Cochain(group, z2, 2, bilinear))
-    proj = [ext.pi(i) for i in range(ext.order)]
     rng = random.Random(30)
     ranks = []
     for n in (0, 1, 2):
@@ -494,8 +490,8 @@ def test_coboundary_defect_names_rows_where_only_the_right_hand_side_is_nonzero(
             walked = list(nonid_tuples(ext.order, n, firsts))
             want = min(t for t in lifted.values if t[:-1] in walked)
             ranks.append(walked.index(want[:-1]))
-            for f, p in ((omega, proj), (lifted, None)):
-                assert coboundary_defect(zero, f, p, firsts) == (want, ranks[-1]), (n, firsts)
+            for f in (omega, lifted):
+                assert coboundary_defect(zero, f, firsts) == want, (n, firsts)
     assert any(ranks)
 
 
@@ -518,7 +514,7 @@ def test_coboundary_defect_gates_the_rows_it_walks():
     m = trivial_module(g, [3, 3])
     x = Cochain(g, m, 2, {(1, 2): (1, 2)})
     # (3 - 1)^2 rows of 3 * 2 entries, or the |S| = 1 generator row's (3 - 1) of them
-    assert coboundary_defect(x, max_entries=24)[0] is not None
+    assert coboundary_defect(x, max_entries=24) is not None
     with pytest.raises(ResourceLimit, match=r"^coboundary needs 24 entries \(limit 23\)$"):
         coboundary_defect(x, max_entries=23)
     with pytest.raises(ResourceLimit, match=r"^coboundary needs 12 entries \(limit 11\)$"):

@@ -38,10 +38,11 @@ from groupcoh import (
     verify_certificate,
 )
 from groupcoh.cli import main
-from groupcoh.cochains import coboundary_value, nonid_tuples
+from groupcoh.cochains import coboundary_value, cochain_to_json, nonid_tuples
 from groupcoh.errors import (
     DegreeTooLow,
     ExponentMismatch,
+    GroupMismatch,
     NonTorsionValue,
     NotACocycle,
     ResourceLimit,
@@ -356,11 +357,11 @@ def test_general_h4_z():
     assert cert.stages["beta"].is_zero()  # no torsion part in Z
     assert verify_certificate(cert).ok()
     # the final primitive really trivializes the composite lift
+    # pi down the tower sends the index of each element of Gamma_2 to i mod |G|
     ext2 = cert.stages["stage2"].extension
-    proj = trivialize_module._projection(ext2, w.group)
     for tup in nonid_tuples(ext2.order, 4):
         lhs = coboundary_value(cert.alpha, tup)
-        rhs = w.evaluate(tuple(proj[i] for i in tup))
+        rhs = w.evaluate(tuple(i % w.group.order for i in tup))
         assert cert.alpha.coeffs.reduce(lhs) == cert.alpha.coeffs.reduce(rhs)
 
 
@@ -439,9 +440,9 @@ def test_general_lines_walk_generator_rows_only_once_their_checks_pass(monkeypat
     walked = {}
     defect = trivialize_module.coboundary_defect
 
-    def logged(x, f=None, proj=None, firsts=None, max_entries=None):
+    def logged(x, f=None, firsts=None, max_entries=None):
         walked[x.degree, x.group.order, id(x.coeffs)] = firsts is not None
-        return defect(x, f, proj, firsts, max_entries)
+        return defect(x, f, firsts, max_entries)
 
     monkeypatch.setattr(trivialize_module, "coboundary_defect", logged)
 
@@ -654,7 +655,7 @@ def test_restriction_witness_of_a_degree_1_alpha_is_the_first_failing_pair():
     (a, b) of kernel indices with alpha(a + b) != alpha(a) + alpha(b)."""
     cert = trivialize_torsion(z3_generator_cocycle())
     ext, m, kernel = cert.extension, cert.alpha.coeffs, cert.extension.kernel
-    elems = ext.kernel_elements
+    elems = list(kernel.elements())
 
     def first_failing_pair(alpha):
         val = [alpha.evaluate((ext.iota(a),)) for a in range(len(elems))]
@@ -792,6 +793,60 @@ def test_the_proof_is_gated_on_the_entries_of_its_rows(carry_c3, capsys, tmp_pat
     assert main(["verify", path, "--max-entries", "117612"]) == 0
 
 
+def test_a_partial_certificate_prints_its_reason_and_verifies_as_absent(carry_c3, capsys,
+                                                                         tmp_path):
+    """The CLI prints why a certificate came back partial, and writes the
+    library's bytes.  Verify reads its Gamma (243 elements) and no alpha:
+    both alpha lines are absent, a pass only with --allow-partial."""
+    omega, _ = carry_c3
+    cocycle, path = tmp_path / "omega.json", tmp_path / "cert.json"
+    cocycle.write_text(json.dumps(cochain_to_json(omega)))
+    capsys.readouterr()
+    assert main(["trivialize", "--group", "cyclic:3", "--module", "trivial:3", "--cocycle",
+                 str(cocycle), "--degree", "3", "--max-entries", "117611",
+                 "--out", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == ["status: partial (no primitive; witness pair only)",
+                          "reason: coboundary needs 117612 entries (limit 117611)"]
+    library = tmp_path / "library.json"
+    save_certificate(trivialize_torsion(omega, max_entries=117_611), str(library))
+    assert path.read_bytes() == library.read_bytes()
+    data = json.loads(path.read_text())
+    assert data["gamma"] == {"order": 243} and data["alpha"] is None
+    absent = ["alpha-trivializes: absent (partial certificate)",
+              "alpha-restriction: absent (partial certificate)"]
+    assert main(["verify", str(path)]) == 7
+    assert capsys.readouterr().out.splitlines()[-2:] == absent
+    assert main(["verify", str(path), "--allow-partial"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == absent + ["verdict: pass (partial allowed)"]
+
+
+def test_a_non_cocycle_omega_fails_alpha_trivializes_without_a_walk(carry_c3, capsys, tmp_path):
+    """omega's entry (g, g, g2) moved from 1 to 2: omega-cocycle names the
+    witness, and alpha-trivializes fails with no row walked, so neither the
+    |Gamma|^n tuples nor the generator rows are gated.  alpha is intact, so
+    its restriction, computed after the failure, is a cocycle of A, or
+    absent below its (|A| - 1)^2 = 6400 entries."""
+    _, cert = carry_c3
+    path = tmp_path / "cert.json"
+    save_certificate(cert, str(path))
+    data = json.loads(path.read_text())
+    entry = next(e for e in data["input"]["omega"]["values"] if e["tuple"] == ["g", "g", "g2"])
+    assert entry["value"] == [1]
+    entry["value"] = [2]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    for limit, restriction in (
+            ([], "pass (cocycle on the generator rows of A, |A| = 81)"),
+            (["--max-entries", "6399"],
+             "absent (restricted cochain needs 6400 entries (limit 6399))")):
+        assert main(["verify", str(path), *limit]) == 7
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "omega-cocycle: FAIL witness=(1, 1, 1, 1)"
+        assert lines[-2:] == ["alpha-trivializes: FAIL (omega is no cocycle, so pi^* omega is "
+                              "no coboundary)", "alpha-restriction: " + restriction]
+
+
 def test_a_corruption_off_the_generators_fails_with_a_textbook_witness(carry_c3, monkeypatch):
     omega, cert = carry_c3
     ext, alpha = cert.extension, cert.alpha
@@ -925,7 +980,7 @@ def test_exhaustive_checks_make_no_per_tuple_calls(monkeypatch):
         report = verify_certificate(cert)
         assert report.ok() and cert.verification["mode"] == "exhaustive"
     ext = certs[0].extension
-    assert len(ext.kernel_elements) == 512
+    assert ext.kernel.size() == 512
     assert first_cocycle_defect(restrict_cochain(ext, certs[0].alpha)) is None
     assert calls == []
 
@@ -1125,12 +1180,14 @@ def test_generator_rows_agree_with_brute_force_off_the_generators():
     assert not verify_lift_primitive(ext, omega, cases[1])[0]
 
 
-def test_generator_rows_need_omega_to_be_a_cocycle():
+def test_generator_rows_need_omega_to_be_a_cocycle(monkeypatch):
     # Z/8 as the extension of C4 by Z/2 through the carry cocycle c: the
     # greedy generators are (0, 1) alone, which projects to 1, never to 2,
     # so an error of omega' = c + e with e supported at first slot 2 shows
-    # on no generator row; only the cocycle check of omega' sends the sweep
-    # on.  alpha(a, g) = a has delta alpha = -pi^* c = pi^* c in Z/2.
+    # on no generator row.  omega' is no cocycle, so no alpha trivializes
+    # it: the check fails with no witness and walks no row, though the
+    # brute force names one.  alpha(a, g) = a has delta alpha = -pi^* c =
+    # pi^* c in Z/2.
     g = cyclic_group(4)
     m = trivial_module(g, [2])
     carry = Cochain(g, m, 2, {(i, j): (1,) for i in range(1, 4) for j in range(1, 4)
@@ -1142,10 +1199,20 @@ def test_generator_rows_need_omega_to_be_a_cocycle():
     assert verify_lift_primitive(ext, carry, alpha)[:2] == (True, None)
     omega = add_cochains(carry, Cochain(g, m, 2, {(2, 1): (1,)}))
     assert first_cocycle_defect(omega) is not None
+    assert _brute_force_lift_check(ext, omega, alpha) == (False, (2, 1))
+    walked = []
+    monkeypatch.setattr(trivialize_module, "coboundary_defect",
+                        lambda *args: walked.append(args) or (1, 1))
     decided = []
     ok, bad, _ = verify_lift_primitive(ext, omega, alpha, decided=decided)
-    assert (ok, bad) == _brute_force_lift_check(ext, omega, alpha) == (False, (2, 1))
-    assert decided == []
+    assert (ok, bad) == (False, None) and decided == [] and walked == []
+
+
+def test_omega_on_a_group_outside_the_tower_is_a_group_mismatch():
+    # a C2 equal to the base of Gamma, but not the object Gamma was built on
+    cert = trivialize_torsion(z2_generator_cocycle())
+    with pytest.raises(GroupMismatch, match="not a base of the extension"):
+        verify_lift_primitive(cert.extension, z2_generator_cocycle(), cert.alpha)
 
 
 def _certificate_extensions():
@@ -1266,7 +1333,7 @@ def _per_tuple_alpha(ext, omega, witness, tuples=None):
     n = omega.degree
     hom, module = witness.coeffs, omega.coeffs
     sign = 1 if n % 2 == 0 else -1
-    ng = ext.base.order
+    ng, elems = ext.base.order, list(ext.kernel.elements())
     vals = {}
     for tup in tuples or nonid_tuples(ext.order, n - 1):
         pairs = [divmod(i, ng) for i in tup]
@@ -1274,7 +1341,7 @@ def _per_tuple_alpha(ext, omega, witness, tuples=None):
         if 0 in gs or gs not in witness.values:
             continue
         images = hom.images(witness.values[gs])
-        a = ext.kernel.act(ext.base.product(gs), ext.kernel_elements[pairs[-1][0]])
+        a = ext.kernel.act(ext.base.product(gs), elems[pairs[-1][0]])
         out = module.zero()
         for aj, img in zip(a, images):
             if aj:
