@@ -5,7 +5,7 @@ Commands: group, cohomology, cup, d2, extend, trivialize, verify.
 Exit codes:
   0  success
   1  usage error (bad flags, missing/inconsistent inputs)
-  2  group validation failure (identity/inverse/associativity witness)
+  2  group or module validation failure (with witness)
   3  resource limit exceeded (override with --max-entries or COCYCLE_MAX_TUPLES)
      or out of memory
   4  cocycle or compatibility failure (NotACocycle, mismatched inputs,
@@ -13,6 +13,10 @@ Exit codes:
   5  non-torsion value in torsion mode
   6  degree too low for the requested driver
   7  certificate verification failure
+
+Codes 2-6 are the .exit_code of the error class (groupcoh.errors); a
+witness ends the error line once, as in "error: input is not a cocycle:
+witness (1, 1, 1)".
 
 Every run is deterministic: identical inputs produce byte-identical
 files.  A certificate is proved on every tuple, or emitted partial.
@@ -30,25 +34,7 @@ import sys
 
 from .cochains import cochain_from_json, cochain_to_json, cohomology, load_cochain, write_json
 from .cup import cup, d2
-from .errors import (
-    ActionBreaksRelations,
-    ActionNotHomomorphic,
-    BadIdentityAction,
-    DegreeMismatch,
-    DegreeTooLow,
-    GroupMismatch,
-    KernelNotFinite,
-    NoIdentity,
-    NoInverse,
-    NonTorsionValue,
-    NotACocycle,
-    NotAssociative,
-    PairingMismatch,
-    ResourceLimit,
-    SourceNotTorsion,
-    UnknownFamily,
-    WitnessedError,
-)
+from .errors import GroupcohError, UnknownFamily
 from .extensions import build_extension, extension_to_json
 from .groups import builtin_group, group_from_json, group_to_json, json_object, load_group
 from .modules import HomModule, module_from_json, trivial_module
@@ -61,14 +47,6 @@ from .trivialize import (
     verify_certificate,
 )
 
-_GROUP_ERRORS = (NoIdentity, NoInverse, NotAssociative, UnknownFamily)
-_MODULE_ERRORS = (BadIdentityAction, ActionNotHomomorphic, ActionBreaksRelations)
-_MISMATCH_ERRORS = (
-    NotACocycle, GroupMismatch, PairingMismatch, DegreeMismatch, KernelNotFinite,
-    SourceNotTorsion,
-)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -78,12 +56,6 @@ class _Parser(argparse.ArgumentParser):
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _describe(exc: Exception) -> str:
-    if isinstance(exc, WitnessedError) and exc.witness is not None:
-        return f"{exc} [witness: {exc.witness}]"
-    return str(exc)
 
 
 def _load_group_arg(spec: str):
@@ -337,20 +309,12 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except _GROUP_ERRORS as exc:
-        return _fail(2, _describe(exc))
-    except _MODULE_ERRORS as exc:
-        return _fail(2, _describe(exc))
-    except ResourceLimit as exc:
-        return _fail(3, _describe(exc))
+    except GroupcohError as exc:
+        if exc.exit_code is None:
+            raise
+        return _fail(exc.exit_code, str(exc))
     except MemoryError:
         return _fail(3, f"{args.command} ran out of memory (MemoryError)")
-    except _MISMATCH_ERRORS as exc:
-        return _fail(4, _describe(exc))
-    except NonTorsionValue as exc:
-        return _fail(5, _describe(exc))
-    except DegreeTooLow as exc:
-        return _fail(6, _describe(exc))
     except FileNotFoundError as exc:
         return _fail(1, str(exc))
     except (json.JSONDecodeError, KeyError, ValueError) as exc:

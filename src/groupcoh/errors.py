@@ -1,9 +1,15 @@
 """Exception hierarchy. Errors that can point at a concrete counterexample
-carry it in .witness so callers (and the CLI) can print it."""
+carry it in .witness so callers (and the CLI) can print it.
+
+Each class carries in .exit_code the CLI exit code of its failure (see the
+table in `groupcoh.cli`): 2 group or module validation, 3 resource limit,
+4 cocycle or compatibility failure, 5 non-torsion value, 6 degree too low.
+None marks a base class or a defect of the program, which `cli.main`
+re-raises as a traceback."""
 
 
 class GroupcohError(Exception):
-    pass
+    exit_code = None
 
 
 class WitnessedError(GroupcohError):
@@ -13,71 +19,73 @@ class WitnessedError(GroupcohError):
 
 
 class NoIdentity(GroupcohError):
-    pass
+    exit_code = 2
 
 
 class NoInverse(WitnessedError):
-    pass
+    exit_code = 2
 
 
 class NotAssociative(WitnessedError):
-    pass
+    exit_code = 2
 
 
 class UnknownFamily(GroupcohError):
-    pass
+    exit_code = 2
 
 
 class BadIdentityAction(GroupcohError):
-    pass
+    exit_code = 2
 
 
 class ActionNotHomomorphic(WitnessedError):
-    pass
+    exit_code = 2
 
 
 class ActionBreaksRelations(WitnessedError):
-    pass
+    exit_code = 2
 
 
 class SourceNotTorsion(GroupcohError):
-    pass
+    exit_code = 4
 
 
 class KernelNotFinite(GroupcohError):
-    pass
+    exit_code = 4
 
 
 class DegreeMismatch(GroupcohError):
-    pass
+    exit_code = 4
 
 
 class GroupMismatch(GroupcohError):
-    pass
+    exit_code = 4
 
 
 class PairingMismatch(GroupcohError):
-    pass
+    exit_code = 4
 
 
 class NotACocycle(WitnessedError):
-    pass
+    exit_code = 4
 
 
 class NonTorsionValue(WitnessedError):
-    pass
+    exit_code = 5
 
 
 class DegreeTooLow(GroupcohError):
-    pass
+    exit_code = 6
 
 
 class ExponentMismatch(GroupcohError):
-    pass
+    exit_code = 4
 
 
 class ResourceLimit(GroupcohError):
     """.stage, .count and .limit are those of `cochains.check_entries`."""
+
+    exit_code = 3
 
     def __init__(self, message, stage=None, count=None, limit=None):
         super().__init__(message)

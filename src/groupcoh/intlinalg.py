@@ -277,40 +277,30 @@ def _diagonalize_modulo(a: Matrix, moduli: list, n: int, inverse: bool = False):
             [vi[c] for c in perm] if inverse else None, big)
 
 
-def _solve_modulo(a: Matrix, rhs: list, moduli: list, n: int):
-    """Solve a @ x = b modulo per-row moduli, all nonzero, for every
-    column b of rhs (a list of columns), returning one x or None for each.
-    The right-hand sides ride along as columns n, n + 1, ... of one local
-    Smith form U a V = D; y_t solves d_t y_t = (U b)_t modulo N (solvable
-    iff gcd(d_t, N) divides it; rows past the rank need (U b)_t = 0), and
-    x = V y."""
-    pivots, tails, vt, _, big = _diagonalize_modulo(
-        [row + [b[i] for b in rhs] for i, row in enumerate(a)], moduli, n)
-    out = []
-    for c in range(n, n + len(rhs)):
-        x = [0] * n
-        for t, tail in enumerate(tails):
-            # a zero pivot has gcd N with N, which divides b only if b = 0
-            p, b = (pivots[t] if t < len(pivots) else 0), tail.get(c, 0)
-            g = math.gcd(p, big)
-            if b % g:
-                x = None
-                break
-            y = b // g * pow(p // g, -1, big // g) % (big // g) if p else 0
-            if y:
-                for k, v in vt[t].items():
-                    x[k] = (x[k] + y * v) % big
-        out.append(x)
-    return out
-
-
 def solve_with_moduli(a: Matrix, b: list, moduli: list, cols: int = None):
-    """Solve a @ x = b modulo per-row moduli over Z/N by `_solve_modulo`.
-    Returns x or None.  Every modulus must be nonzero; a free (0) one
-    raises ValueError."""
+    """Solve a @ x = b modulo per-row moduli over Z/N, returning x or None.
+    Every modulus must be nonzero; a free (0) one raises ValueError.
+
+    b rides along as column n of one local Smith form U a V = D; y_t
+    solves d_t y_t = (U b)_t modulo N (solvable iff gcd(d_t, N) divides
+    it; rows past the rank need (U b)_t = 0), and x = V y."""
     if not all(moduli):
         raise ValueError("solve_with_moduli needs nonzero moduli")
-    return _solve_modulo(a, [b], moduli, len(a[0]) if a else (cols or 0))[0]
+    n = len(a[0]) if a else (cols or 0)
+    pivots, tails, vt, _, big = _diagonalize_modulo(
+        [row + [b[i]] for i, row in enumerate(a)], moduli, n)
+    x = [0] * n
+    for t, tail in enumerate(tails):
+        # a zero pivot has gcd N with N, which divides b only if b = 0
+        p, bt = (pivots[t] if t < len(pivots) else 0), tail.get(n, 0)
+        g = math.gcd(p, big)
+        if bt % g:
+            return None
+        y = bt // g * pow(p // g, -1, big // g) % (big // g) if p else 0
+        if y:
+            for k, v in vt[t].items():
+                x[k] = (x[k] + y * v) % big
+    return x
 
 
 def cokernel_modulo(gens: list, ambient: int, big: int):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from groupcoh import (
     module_to_json,
     trivial_module,
 )
-from groupcoh import cli
+from groupcoh import cli, errors
 from groupcoh.cli import main
 from groupcoh.cochains import cochain_from_json, max_entries_limit
 from groupcoh.extensions import GroupExtension
@@ -967,6 +968,136 @@ def test_input_object_without_required_field_exit_1(capsys, tmp_path, argv, data
     code, _, err = run(capsys, *argv, write_json(tmp_path / "in.json", data))
     assert code == 1
     assert field in err
+
+
+# -- input branches and exit codes -------------------------------------------
+
+
+def _general_cert_partial_at(capsys, tmp_path, *stages):
+    """The general certificate of omega = 1 at (g, g, g, g) on C2 and
+    trivial Z, with alpha dropped at the top ("") or at the named stages,
+    which also lose gamma."""
+    cert_path = _certificate(capsys, tmp_path, "general")
+    data = json.loads(cert_path.read_text())
+    for stage in stages:
+        node = data["stages"][stage] if stage else data
+        if stage:
+            node["gamma"] = None
+        node.update(alpha=None, partial=True,
+                    verification={"mode": "partial", "seed": 0, "checked": 0})
+    cert_path.write_text(json.dumps(data))
+    return str(cert_path)
+
+
+def _kernel_factors_0(capsys, tmp_path):
+    cert_path = _certificate(capsys, tmp_path, "torsion")
+    _mutate(cert_path, ("kernel", "factors"), [0])
+    return str(cert_path)
+
+
+def _c2_degree_3(tmp_path):
+    g = cyclic_group(2)
+    c = Cochain(g, trivial_module(g, [2]), 3, {(1, 1, 1): (1,)})
+    return write_json(tmp_path / "c3.json", cochain_to_json(c))
+
+
+def _c2_module_file(tmp_path, action):
+    return write_json(tmp_path / "m.json", {"factors": [2], "action": action})
+
+
+PARTIAL_LINES = ["alpha-trivializes: absent (partial certificate)",
+                 "alpha-restriction: absent (partial certificate)"]
+
+
+@pytest.mark.parametrize("make_argv, code, lines", [
+    pytest.param(lambda capsys, tmp: [
+        "cohomology", "--group", write_json(tmp / "c2.json", group_to_json(cyclic_group(2))),
+        "--module", "trivial:2", "--degree", "2"],
+        0, ["H^2 invariant factors: [2]"], id="group-file"),
+    pytest.param(lambda capsys, tmp: [
+        "cohomology", "--group", "cyclic:2", "--module", "trivial:x", "--degree", "2"],
+        2, ["error: bad trivial-module spec 'trivial:x'"], id="trivial-spec-not-int"),
+    pytest.param(lambda capsys, tmp: [
+        "group", "--table", write_json(tmp / "g.json", {"table": [[0, 1], [1, 2]]})],
+        1, ["error: bad input: table entry 2 out of range"], id="table-entry-out-of-range"),
+    pytest.param(lambda capsys, tmp: ["group", "--builtin", "dihedral:0"],
+                 2, ["error: dihedral parameter must be >= 1, got 0"], id="dihedral-0"),
+    pytest.param(lambda capsys, tmp: [
+        "cohomology", "--group", "cyclic:2", "--degree", "2",
+        "--module", _c2_module_file(tmp, {"h": [[1]]})],
+        1, ["error: bad input: module action names an unknown element 'h'"],
+        id="action-unknown-label"),
+    pytest.param(lambda capsys, tmp: [
+        "cohomology", "--group", "cyclic:2", "--degree", "2",
+        "--module", _c2_module_file(tmp, {"g": [[1, 0]]})],
+        1, ["error: bad input: module action of 'g' is not a 1x1 integer matrix: [[1, 0]]"],
+        id="action-not-square"),
+    pytest.param(lambda capsys, tmp: ["verify", _kernel_factors_0(capsys, tmp)],
+                 1, ["error: bad input: certificate field kernel.factors is [0], "
+                     "expected integers >= 1"], id="kernel-factor-0"),
+    pytest.param(lambda capsys, tmp: ["verify", _general_cert_partial_at(capsys, tmp, "stage1")],
+                 1, ["error: bad input: certificate field stages.stage1.gamma is None, but the "
+                     "later stages live on the stage-1 extension"], id="stage1-gamma-null"),
+    pytest.param(lambda capsys, tmp: ["verify", _general_cert_partial_at(capsys, tmp, "stage2")],
+                 1, ["error: bad input: certificate field stages.stage2.gamma is None, but alpha "
+                     "lives on the stage-2 extension"], id="stage2-gamma-null"),
+    pytest.param(lambda capsys, tmp: ["verify", _general_cert_partial_at(capsys, tmp, "")],
+                 7, PARTIAL_LINES + ["verdict: FAIL"], id="general-alpha-null"),
+    pytest.param(lambda capsys, tmp: [
+        "verify", _general_cert_partial_at(capsys, tmp, ""), "--allow-partial"],
+        0, PARTIAL_LINES + ["verdict: pass (partial allowed)"],
+        id="general-alpha-null-allow-partial"),
+    pytest.param(lambda capsys, tmp: [
+        "extend", "--group", "cyclic:2", "--module", "trivial:2", "--cocycle", _c2_degree_3(tmp)],
+        4, ["error: extension cocycle must have degree 2"], id="extend-degree-3"),
+    pytest.param(lambda capsys, tmp: [
+        "d2", "--group", "cyclic:2", "--module", "trivial:2", "--kernel", "trivial:2",
+        "--witness", write_json(tmp / "b.json", {"degree": 1, "values": []}),
+        "--cocycle", _c2_degree_3(tmp)],
+        4, ["error: c must have degree 2"], id="d2-degree-3"),
+])
+def test_input_branch_exit_code_and_lines(capsys, tmp_path, make_argv, code, lines):
+    argv = make_argv(capsys, tmp_path)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert set(lines) <= set((out + err).splitlines())
+
+
+def test_witnessed_failure_prints_its_witness_once(capsys, tmp_path):
+    g = cyclic_group(3)
+    omega = Cochain(g, trivial_module(g, [3]), 2, {(1, 2): (1,)})
+    path = write_json(tmp_path / "omega.json", cochain_to_json(omega))
+    code, _, err = run(capsys, "trivialize", "--group", "cyclic:3", "--module", "trivial:3",
+                       "--cocycle", path, "--degree", "2", "--out", str(tmp_path / "c.json"))
+    assert code == 4
+    assert err == "error: input is not a cocycle: witness (1, 1, 1)\n"
+
+
+def _error_classes(cls=errors.GroupcohError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def _documented_codes(text, pattern):
+    return [int(code) for code in re.findall(pattern, text, re.MULTILINE)]
+
+
+def test_every_error_class_carries_a_documented_exit_code():
+    # a new error kind fails here until it gets a code, which cli.main reads
+    assert errors.GroupcohError.exit_code is None
+    assert errors.WitnessedError.exit_code is None
+    for cls in set(_error_classes()) - {errors.WitnessedError}:
+        if cls is errors.SelfCheckFailed:
+            assert cls.exit_code is None
+        else:
+            assert cls.exit_code in range(2, 7), cls.__name__
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        readme_codes = _documented_codes(fh.read(), r"^\| (\d) \| ")
+    cli_codes = _documented_codes(cli.__doc__.split("Exit codes:")[1], r"^  (\d)  ")
+    assert readme_codes == cli_codes == list(range(8))
 
 
 def test_python_dash_m_groupcoh(tmp_path):
