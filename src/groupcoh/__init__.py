@@ -3,7 +3,6 @@ trivialization in explicit finite abelian extensions."""
 
 from .cochains import (
     Cochain,
-    RationalCochain,
     add_cochains,
     averaging_homotopy,
     coboundary,

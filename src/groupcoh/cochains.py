@@ -1,6 +1,6 @@
 """Normalized cochains, the coboundary operator, cohomology as cocycles
 modulo coboundaries (over Z/N when the coefficients are finite), the
-coboundary-equation solver, and the rational averaging homotopy.
+coboundary-equation solver, and the averaging homotopy.
 
 A degree-n cochain stores a sparse mapping from n-tuples of non-identity
 element indices to coefficient-module elements; tuples touching the
@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import intlinalg as la
@@ -175,14 +174,28 @@ def scale_cochain(n: int, f: Cochain) -> Cochain:
     return Cochain._from_reduced(f.group, m, f.degree, vals)
 
 
-def map_coefficients(f: Cochain, matrix, target: GModule) -> Cochain:
-    """matrix applied to every value of f; target.reduce reduces each
-    image, and the zero ones are dropped."""
+def pick_coordinates(f: Cochain, coords, target: GModule) -> Cochain:
+    """f(t) cut down to its coordinates coords, in order, as a value of
+    target, the zero ones dropped.  The caller guarantees that position k
+    of target has the modulus of coordinate coords[k] of f's coefficients."""
     vals = {}
     for tup, v in f.values.items():
-        w = target.reduce(la.mat_vec(matrix, v))
-        if not target.is_zero(w):
+        w = tuple(v[i] for i in coords)
+        if any(w):
             vals[tup] = w
+    return Cochain._from_reduced(f.group, target, f.degree, vals)
+
+
+def place_coordinates(f: Cochain, coords, target: GModule) -> Cochain:
+    """f(t) placed at the coordinates coords of target, 0 elsewhere; the
+    inverse of `pick_coordinates` on the values it keeps.  The caller
+    guarantees that coords[k] of target has the modulus of position k."""
+    vals = {}
+    for tup, v in f.values.items():
+        w = [0] * target.dim
+        for i, x in zip(coords, v):
+            w[i] = x
+        vals[tup] = tuple(w)
     return Cochain._from_reduced(f.group, target, f.degree, vals)
 
 
@@ -532,16 +545,14 @@ def solve_coboundary(f: Cochain, max_entries=None):
     if not module.is_torsion:
         if first_cocycle_defect(f) is not None:
             return None
-        _, _, pmap, smap = torsion_submodule(module)
-        u = divide_cochain(map_coefficients(sub_cochains(f, coboundary(sol)), pmap.matrix,
-                                            pmap.target), big)
+        _, lattice, _, free = torsion_submodule(module)
+        u = divide_cochain(pick_coordinates(sub_cochains(f, coboundary(sol)), free, lattice), big)
         try:
-            h = averaging_homotopy(u).numerator
+            h = averaging_homotopy(u)
         except NotACocycle as exc:
             raise SelfCheckFailed("solve_coboundary: (f - delta y) / N is no cocycle of "
                                   "M/M_T, though f is a cocycle") from exc
-        sol = add_cochains(sol, map_coefficients(scale_cochain(exponent, h), smap.matrix,
-                                                 module))
+        sol = add_cochains(sol, place_coordinates(scale_cochain(exponent, h), free, module))
     if coboundary_defect(sol, f) is not None:
         if module.is_torsion and first_cocycle_defect(f) is not None:
             return None
@@ -583,8 +594,7 @@ def cohomology(group, module: GModule, n: int, max_entries=None) -> list:
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
-        torsion, _, pmap, _ = torsion_submodule(module)
-        free = pmap.target
+        torsion, free, _, _ = torsion_submodule(module)
         trace = _trace_sum(free)
         rank = trace // group.order
         if trace != rank * group.order or not 0 <= rank <= free.dim:
@@ -656,28 +666,20 @@ def _lattice_cohomology(group, module: GModule, n: int, max_entries=None) -> lis
     return [p for p in pivots if 1 < p < big]
 
 
-# -- rational cochains and the averaging homotopy --------------------------
+# -- the averaging homotopy ------------------------------------------------
 
 
-@dataclass
-class RationalCochain:
-    """numerator / denominator, with an integer-valued numerator cochain."""
-
-    numerator: Cochain
-    denominator: int
-
-    def evaluate(self, tup):
-        return self.numerator.evaluate(tup)
-
-
-def averaging_homotopy(f: Cochain) -> RationalCochain:
+def averaging_homotopy(f: Cochain) -> Cochain:
     """For a cocycle f of degree n >= 1 with free coefficients, the
-    transfer-style primitive h with delta h = f over (1/|G|) Z^r:
-    h(g_1..g_{n-1}) = (-1)^n / |G| * sum_g f(g_1..g_{n-1}, g), the sums
-    read from f's support, so only its (n-1)-prefixes get a value.
-    """
+    integer cochain h with delta h = |G| f, so that h / |G| is a primitive
+    of f over (1/|G|) Z^r (the transfer; Brown, Cohomology of Groups,
+    III.10): h(g_1..g_{n-1}) = (-1)^n sum_g f(g_1..g_{n-1}, g), the sums
+    read from f's support, so only its (n-1)-prefixes get a value.  A
+    torsion coordinate or n = 0 raises ValueError, a non-cocycle
+    NotACocycle with the first tuple where delta f is nonzero; delta h =
+    |G| f is self-checked on the generator rows."""
     module = f.coeffs
-    if any(d != 0 for d in module.factors):
+    if any(module.factors):
         raise ValueError("averaging homotopy needs free coefficients")
     n = f.degree
     if n < 1:
@@ -690,13 +692,13 @@ def averaging_homotopy(f: Cochain) -> RationalCochain:
     sums = {}  # sum_g f(u, g) over the (n-1)-prefixes u of f's support, in order
     for tup, v in sorted(f.values.items()):
         sums[tup[:-1]] = module.add(sums.get(tup[:-1], module.zero()), v)
-    num = Cochain._from_reduced(group, module, n - 1, {
+    h = Cochain._from_reduced(group, module, n - 1, {
         u: module.scale(sign, v) for u, v in sums.items() if not module.is_zero(v)})
-    # delta num - |G| f is a normalized cocycle, f being one: generator rows
-    if coboundary_defect(num, scale_cochain(group.order, f),
+    # delta h - |G| f is a normalized cocycle, f being one: generator rows
+    if coboundary_defect(h, scale_cochain(group.order, f),
                          firsts=greedy_generators(group)) is not None:
         raise SelfCheckFailed("averaging_homotopy: delta h differs from |G| f")
-    return RationalCochain(num, group.order)
+    return h
 
 
 # -- serialization ---------------------------------------------------------

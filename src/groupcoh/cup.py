@@ -119,7 +119,7 @@ def d2(b: Cochain, c: Cochain, max_entries=None) -> Cochain:
         raise PairingMismatch("witness cochain must take values in a Hom-module")
     if c.degree != 2:
         raise PairingMismatch("c must have degree 2")
-    if c.coeffs is not hom.source and c.coeffs.factors != hom.source.factors:
+    if not (c.coeffs is hom.source or c.coeffs.same_ambient(hom.source)):
         raise PairingMismatch("c must be valued in the Hom source")
     defect = first_cocycle_defect(c)
     if defect is not None:

@@ -67,12 +67,6 @@ def mat_vec(a: Matrix, v) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_transpose(a: Matrix, cols: int = None) -> Matrix:
-    if not a:
-        return [[] for _ in range(cols or 0)]
-    return [list(col) for col in zip(*a)]
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, row index (i, k) -> i*len(b)+k."""
     bn = len(b)

@@ -98,7 +98,10 @@ class GModule:
         return math.lcm(*orders) if orders else 1
 
     def same_ambient(self, other) -> bool:
-        return self.factors == other.factors and self.group is other.group
+        """Whether other is this module: the same group and factors, and
+        every g acting as the same map on M."""
+        return (self.group is other.group and self.factors == other.factors
+                and all(_same_map(self, a, b) for a, b in zip(self.action, other.action)))
 
     def __repr__(self):
         return f"GModule(factors={self.factors}, |G|={self.group.order})"
@@ -256,31 +259,21 @@ def invariants(m: GModule):
 
 
 def torsion_submodule(m: GModule):
-    """(M_T, inclusion j, projection p: M -> M/M_T, section s of p).
+    """(M_T, M/M_T, tor, free): the torsion submodule and the free quotient,
+    with the coordinates of M each one keeps, in order: tor those with d_i
+    > 0, free the rest.  A torsion column of rho(g) has zero free rows, so
+    the two diagonal blocks of the action act on M_T and M/M_T.  Inclusion
+    and projection place values at tor and pick those at free; placing
+    them back at free is a basis-aligned section of the projection, not
+    G-equivariant in general (`cochains.place_coordinates`)."""
+    tor = [i for i, d in enumerate(m.factors) if d]
+    free = [i for i, d in enumerate(m.factors) if not d]
 
-    Coordinates split cleanly in invariant-factor form: torsion coordinates
-    are those with d_i > 0.  The section s is basis-aligned and is only an
-    abelian-group splitting, not G-equivariant in general.
-    """
-    tor = [i for i, d in enumerate(m.factors) if d > 0]
-    free = [i for i, d in enumerate(m.factors) if d == 0]
-    t_action = [
-        [[mat[i][j] for j in tor] for i in tor] for mat in m.action
-    ]
-    f_action = [
-        [[mat[i][j] for j in free] for i in free] for mat in m.action
-    ]
-    mt = GModule(m.group, [m.factors[i] for i in tor], t_action, _validate=False)
-    mf = GModule(m.group, [0] * len(free), f_action, _validate=False)
-    jmat = [[1 if (i in tor and tor.index(i) == j) else 0 for j in range(len(tor))]
-            for i in range(m.dim)]
-    pmat = [[1 if j == free[i] else 0 for j in range(m.dim)] for i in range(len(free))]
-    smat = [[1 if (i in free and free.index(i) == j) else 0 for j in range(len(free))]
-            for i in range(m.dim)]
-    jmap = ModuleMap(mt, m, jmat)
-    pmap = ModuleMap(m, mf, pmat)
-    smap = ModuleMap(mf, m, smat)
-    return mt, jmap, pmap, smap
+    def block(coords, factors):
+        action = [[[mat[i][j] for j in coords] for i in coords] for mat in m.action]
+        return GModule(m.group, factors, action, _validate=False)
+
+    return block(tor, [m.factors[i] for i in tor]), block(free, [0] * len(free)), tor, free
 
 
 # -- Hom modules -----------------------------------------------------------

@@ -29,7 +29,6 @@ from . import intlinalg as la
 from .cochains import (
     Cochain,
     MatrixForm,
-    RationalCochain,
     add_cochains,
     averaging_homotopy,
     check_entries,
@@ -42,8 +41,9 @@ from .cochains import (
     first_cocycle_defect,
     json_entries,
     json_int_vector,
-    map_coefficients,
     max_entries_limit,
+    pick_coordinates,
+    place_coordinates,
     scale_cochain,
     sub_cochains,
     write_json,
@@ -398,11 +398,11 @@ def trivialize_torsion(omega: Cochain, max_entries=None) -> TrivializationCertif
 def trivialize_general(omega: Cochain, max_entries=None) -> TrivializationCertificate:
     """Driver for arbitrary finitely generated coefficients, degree >= 3.
 
-    Pipeline: push omega to the free quotient M/M_T, find a rational
-    primitive there by averaging, reduce it mod 1 to a torsion cocycle of
-    degree n-1, kill that in a first extension, correct to an integral
-    primitive, and kill the remaining M_T-valued defect in a second
-    extension stacked on the first.
+    Pipeline: push omega to the free quotient M/M_T, average it to the
+    integer cochain h with delta h = |G| p omega, reduce h mod |G| to a
+    torsion cocycle of degree n-1, kill that in a first extension, correct
+    to an integral primitive, and kill the remaining M_T-valued defect in a
+    second extension stacked on the first.
     """
     n = omega.degree
     if n < 3:
@@ -414,15 +414,11 @@ def trivialize_general(omega: Cochain, max_entries=None) -> TrivializationCertif
     module = omega.coeffs
     q = group.order
 
-    mt, jmap, pmap, smap = torsion_submodule(module)
-    mfree = pmap.target
-    p_omega = map_coefficients(omega, pmap.matrix, mfree)
-    if p_omega.is_zero():
-        h = RationalCochain(Cochain(group, mfree, n - 1), q)
-    else:
-        h = averaging_homotopy(p_omega)
+    mt, mfree, tor, free = torsion_submodule(module)
+    p_omega = pick_coordinates(omega, free, mfree)
+    h = averaging_homotopy(p_omega)
     modq = GModule(group, (q,) * mfree.dim, mfree.action, _validate=False)
-    hbar = Cochain(group, modq, n - 1, h.numerator.values)
+    hbar = Cochain(group, modq, n - 1, h.values)
 
     stage1 = trivialize_torsion(hbar, max_entries)
     if stage1.partial:
@@ -436,7 +432,7 @@ def trivialize_general(omega: Cochain, max_entries=None) -> TrivializationCertif
     # stage 1 is not partial, so alpha is there; its values lie in [0, q)
     # and are nonzero, so they are reduced in the free module too
     rho_lift = Cochain._from_reduced(ext1, mfree_g, n - 2, stage1.alpha.values)
-    pi_h = lift_cochain(ext1, h.numerator, max_entries)
+    pi_h = lift_cochain(ext1, h, max_entries)
     eta = divide_cochain(sub_cochains(pi_h, coboundary(rho_lift, max_entries)), q)
     # delta eta - pi^* p omega is a normalized cocycle (p omega is one, p
     # being a G-map and omega a cocycle): generator rows decide it
@@ -444,16 +440,13 @@ def trivialize_general(omega: Cochain, max_entries=None) -> TrivializationCertif
         raise SelfCheckFailed("trivialize_general: delta eta differs from the free part of pi^* omega")
 
     module_g = module_through_projection(ext1, module)
-    eta_tilde = map_coefficients(eta, smap.matrix, module_g)
+    eta_tilde = place_coordinates(eta, free, module_g)
     beta_m = sub_cochains(pi_omega, coboundary(eta_tilde, max_entries))
-    # the defect lands in the torsion submodule; extract its coordinates
-    jt = la.mat_transpose(jmap.matrix, cols=mt.dim)
-    mt_g = module_through_projection(ext1, mt)
+    # the defect lands in the torsion submodule: its free coordinates are zero
     for tup, v in beta_m.values.items():
-        back = module.reduce(la.mat_vec(jmap.matrix, la.mat_vec(jt, v)))
-        if back != v:
+        if any(v[i] for i in free):
             raise SelfCheckFailed(f"trivialize_general: the defect has a free component at {tup}")
-    beta = map_coefficients(beta_m, jt, mt_g)
+    beta = pick_coordinates(beta_m, tor, module_through_projection(ext1, mt))
 
     stage2 = trivialize_torsion(beta, max_entries)
     if stage2.partial:
@@ -463,8 +456,7 @@ def trivialize_general(omega: Cochain, max_entries=None) -> TrivializationCertif
 
     lifted_eta = lift_cochain(ext2, eta_tilde, max_entries)
     # stage 2 is not partial, so its alpha is there
-    alpha = add_cochains(lifted_eta, map_coefficients(stage2.alpha, jmap.matrix,
-                                                      lifted_eta.coeffs))
+    alpha = add_cochains(lifted_eta, place_coordinates(stage2.alpha, tor, lifted_eta.coeffs))
 
     cert = TrivializationCertificate(
         mode="general", omega=omega,
@@ -686,19 +678,18 @@ def verify_certificate(cert: TrivializationCertificate,
     module = omega.coeffs
     group = omega.group
     q = group.order
-    mt, jmap, pmap, smap = torsion_submodule(module)
-    mfree = pmap.target
-    p_omega = map_coefficients(omega, pmap.matrix, mfree)
+    _, mfree, tor, free = torsion_submodule(module)
+    p_omega = pick_coordinates(omega, free, mfree)
     h = cert.stages["h"]
     # each delta x = f line walks the generator rows once the checks that
     # make delta x - f a normalized cocycle have passed (see
     # `coboundary_defect`), else every row; gated on the entries either way
     limit = max_entries_limit(max_entries)
-    diff = coboundary_defect(h.numerator, scale_cochain(q, p_omega),
+    diff = coboundary_defect(h, scale_cochain(q, p_omega),
                              greedy_generators(group) if defect is None else None, limit)
     checks.append(Check("averaging-primitive", diff is None, witness=diff,
-                        note=f"denominator {h.denominator}"))
-    diff = _first_difference(h.numerator, cert.stages["hbar"])
+                        note=f"denominator {q}"))
+    diff = _first_difference(h, cert.stages["hbar"])
     checks.append(Check("hbar-reduction", diff is None, witness=diff))
 
     stage1 = cert.stages["stage1"]
@@ -718,7 +709,7 @@ def verify_certificate(cert: TrivializationCertificate,
     beta = cert.stages["beta"]
     beta_defect = first_cocycle_defect(beta)
     # delta eta~ = pi^* omega - j beta
-    rhs = sub_cochains(pi_omega, map_coefficients(beta, jmap.matrix, eta_tilde.coeffs))
+    rhs = sub_cochains(pi_omega, place_coordinates(beta, tor, eta_tilde.coeffs))
     diff = coboundary_defect(eta_tilde, rhs, gens1 if beta_defect is None else None, limit)
     checks.append(Check("beta-defect", diff is None, witness=diff))
     checks.append(Check("beta-cocycle", beta_defect is None, witness=beta_defect))
@@ -794,8 +785,8 @@ def _certificate_tree(cert: TrivializationCertificate, leaf, witness, embed_grou
         st = cert.stages
         data["stages"] = {
             "h": {
-                "numerator": leaf(st["h"].numerator),
-                "denominator": st["h"].denominator,
+                "numerator": leaf(st["h"]),
+                "denominator": cert.group.order,
             },
             "stage1": _certificate_tree(st["stage1"], leaf, witness, embed_group=False),
             "eta": leaf(st["eta"]),
@@ -948,11 +939,9 @@ def certificate_from_json(data: dict, group=None, max_entries=None,
                               ("stage2.input", st["stage2"]["input"], n)):
         name = f"{field}stages.{name}"
         _expect_degree(name, _expect_object(name, sub), degree)
-    q = group.order
-    _expect_field(f"{field}stages.h.denominator", st["h"].get("denominator"), q)
-    mt, jmap, pmap, smap = torsion_submodule(module)
-    mfree = pmap.target
-    h = RationalCochain(cochain_from_json(st["h"]["numerator"], group, mfree), q)
+    _expect_field(f"{field}stages.h.denominator", st["h"].get("denominator"), group.order)
+    mfree = torsion_submodule(module)[1]
+    h = cochain_from_json(st["h"]["numerator"], group, mfree)
     stage1 = certificate_from_json(st["stage1"], group=group, max_entries=max_entries,
                                    field=f"{field}stages.stage1.")
     ext1 = stage1.extension

@@ -134,4 +134,5 @@ def hermite_kernel_quotient(a: list, moduli: list, gens: list, rel_moduli: list)
     if route is None:
         return None
     basis, factors, _, lift = route
-    return factors, la.mat_mul(la.mat_transpose(basis, len(rel_moduli)), lift)
+    columns = [list(col) for col in zip(*basis)] or [[] for _ in rel_moduli]
+    return factors, la.mat_mul(columns, lift)

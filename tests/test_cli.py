@@ -325,6 +325,31 @@ def test_trivialize_general_mode(capsys, tmp_path):
     assert "verdict: pass" in out
 
 
+def test_trivialize_general_mode_non_cocycle_exit_4(capsys, tmp_path):
+    g = cyclic_group(3)
+    w = Cochain(g, trivial_module(g, [0]), 3, {(1, 1, 1): (1,), (1, 2, 1): (1,)})
+    path = write_json(tmp_path / "w.json", cochain_to_json(w))
+    code, out, err = run(
+        capsys, "trivialize", "--group", "cyclic:3", "--module", "trivial:0",
+        "--cocycle", path, "--degree", "3", "--mode", "general",
+        "--out", str(tmp_path / "cert.json"),
+    )
+    assert (code, out, err) == (4, "", "error: input is not a cocycle: witness (1, 1, 1, 1)\n")
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_main_reraises_a_self_check_failure(capsys, monkeypatch):
+    """SelfCheckFailed is a defect of the program, not of the input: its
+    exit_code is None, and main lets it end in a traceback."""
+    def broken(args):
+        raise errors.SelfCheckFailed("a self-check failed")
+
+    monkeypatch.setattr(cli, "cmd_group", broken)
+    with pytest.raises(errors.SelfCheckFailed, match="^a self-check failed$"):
+        main(["group", "--builtin", "cyclic:2"])
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_corrupted_exit_7(capsys, tmp_path):
     cocycle = z2_cocycle_file(tmp_path)
     cert_path = tmp_path / "cert.json"

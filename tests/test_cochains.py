@@ -458,8 +458,7 @@ def test_averaging_homotopy_h2_z():
     w = Cochain(z2, zmod, 2, {(1, 1): (1,)})
     assert is_cocycle(w)
     h = averaging_homotopy(w)
-    assert h.denominator == 2
-    assert coboundary(h.numerator) == scale_cochain(2, w)
+    assert coboundary(h) == scale_cochain(2, w)
 
 
 def test_averaging_homotopy_on_coboundary():
@@ -469,14 +468,51 @@ def test_averaging_homotopy_on_coboundary():
     u = random_cochain(rng, g, m, 1)
     f = coboundary(u)
     h = averaging_homotopy(f)
-    assert coboundary(h.numerator) == scale_cochain(g.order, f)
+    assert coboundary(h) == scale_cochain(g.order, f)
 
 
 def test_averaging_homotopy_zero():
     g = cyclic_group(3)
     m = trivial_module(g, [0])
     h = averaging_homotopy(Cochain(g, m, 2))
-    assert h.numerator.is_zero()
+    assert h.is_zero()
+
+
+def test_averaging_homotopy_is_the_integer_sum_over_the_last_slot():
+    """h is an integer cochain of f's coefficients in degree n - 1, h(u) =
+    (-1)^n sum_g f(u, g), and delta h = |G| f: no denominator is carried."""
+    g = symmetric_group(3)
+    m = trivial_module(g, [0, 0])
+    rng = random.Random(37)
+    for n in (1, 2, 3):
+        x = cochain_from_function(g, m, n - 1, lambda t: (rng.randrange(-3, 4),
+                                                          rng.randrange(-3, 4)))
+        f = coboundary(x)
+        h = averaging_homotopy(f)
+        assert type(h) is Cochain and h.coeffs is m and h.degree == n - 1
+        for u in itertools.product(range(1, g.order), repeat=n - 1):
+            want = [sum(f.evaluate(u + (j,))[c] for j in range(g.order)) * (-1) ** n
+                    for c in range(2)]
+            assert h.evaluate(u) == tuple(want)
+        assert coboundary(h) == scale_cochain(g.order, f)
+
+
+def test_averaging_homotopy_input_guards():
+    """Torsion coordinates and degree 0 raise ValueError; a non-cocycle
+    raises NotACocycle with the first tuple where delta f is nonzero."""
+    from groupcoh.errors import NotACocycle
+
+    g = cyclic_group(2)
+    for factors in ([2], [0, 2]):
+        with pytest.raises(ValueError, match="needs free coefficients"):
+            averaging_homotopy(Cochain(g, trivial_module(g, factors), 2))
+    z = trivial_module(g, [0])
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        averaging_homotopy(Cochain(g, z, 0, {(): (1,)}))
+    # delta f (g, g) = f(g) - f(e) + f(g) = 2
+    with pytest.raises(NotACocycle) as info:
+        averaging_homotopy(Cochain(g, z, 1, {(1,): (1,)}))
+    assert info.value.witness == (1, 1)
 
 
 # -- serialization ----------------------------------------------------------
@@ -711,8 +747,8 @@ SELF_CHECK_SCRIPT = textwrap.dedent("""
     # that only the averaging homotopy accounts for
     v = coboundary(cochain_from_function(g, z, 1, lambda t: (5 * (t[0] == 1),)))
     averaging = cochains.averaging_homotopy
-    cochains.averaging_homotopy = lambda f: cochains.RationalCochain(
-        cochains.zero_cochain(f.group, f.coeffs, f.degree - 1), g.order)
+    cochains.averaging_homotopy = lambda f: cochains.zero_cochain(f.group, f.coeffs,
+                                                                  f.degree - 1)
     expect_failure("solve_coboundary over Z", lambda: cochains.solve_coboundary(v))
     cochains.averaging_homotopy = averaging
 

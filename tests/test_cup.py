@@ -229,6 +229,30 @@ def test_d2_requires_cocycle():
         d2(b, bad)
 
 
+def test_cup_and_d2_compare_the_action_of_their_coefficients():
+    """Coefficients that match a pairing in group and factors but not in
+    the action are rejected: the ring pairing of the trivial Z would read
+    x cup y = 1 at (g, g) for x = y = (g -> 1) in Z_sgn, where the
+    equivariant pairing Z_sgn x Z_sgn -> Z gives -1.  Matrices that differ
+    but act as the same map on M are the same module."""
+    g = cyclic_group(2)
+    sign = GModule(g, [0], [[[1]], [[-1]]])
+    x = Cochain(g, sign, 1, {(1,): (1,)})
+    with pytest.raises(PairingMismatch):
+        cup_with_pairing(ring_pairing(trivial_module(g, [0])), x, x)
+    hom = hom_module(trivial_module(g, [4]), trivial_module(g, [4]))
+    b = Cochain(g, hom, 0, {(): hom.from_images([(1,)])})
+    # c(g, g) = 2 is a 2-cocycle of Z/4 with g acting by -1
+    c = Cochain(g, GModule(g, [4], [[[1]], [[-1]]]), 2, {(1, 1): (2,)})
+    assert is_cocycle(c)
+    with pytest.raises(PairingMismatch):
+        d2(b, c)
+    same = GModule(g, [2], [[[1]], [[-1]]])
+    assert same.same_ambient(trivial_module(g, [2]))
+    b = Cochain(g, hom_module(same, same), 0)
+    assert d2(b, Cochain(g, trivial_module(g, [2]), 2)).is_zero()
+
+
 def test_d2_matches_evaluation_cup():
     g = cyclic_group(2)
     a = trivial_module(g, [2])

@@ -38,7 +38,7 @@ from groupcoh import cochains as cochains_module
 from groupcoh import intlinalg as la
 from groupcoh import modules as modules_module
 from groupcoh.cochains import (coboundary_defect, coboundary_matrix, coboundary_value, delta_rows,
-                               divide_cochain, map_coefficients, nonid_tuples)
+                               divide_cochain, nonid_tuples, place_coordinates)
 from groupcoh.errors import (ActionNotHomomorphic, BadIdentityAction, GroupcohError,
                              ResourceLimit)
 from groupcoh.extensions import GroupExtension
@@ -550,8 +550,7 @@ def _random_cocycle(rng, module, n):
     M -> L = M/M_T (e s is a G-map, as e kills M_T), and z_L = delta c / |G|
     the Bockstein of a random (n-1)-cocycle c of L / |G| L."""
     group = module.group
-    mt, jmap, _, smap = torsion_submodule(module)
-    lattice = smap.source
+    mt, lattice, tor, free = torsion_submodule(module)
 
     def combination(basis, m, degree):
         coeffs = [rng.randrange(4) for _ in basis]
@@ -563,14 +562,13 @@ def _random_cocycle(rng, module, n):
     out = Cochain(group, module, n)
     if mt.dim:
         z_t = combination(_cocycle_basis(mt, n), mt, n)
-        out = add_cochains(out, map_coefficients(z_t, jmap.matrix, module))
+        out = add_cochains(out, place_coordinates(z_t, tor, module))
     if lattice.dim:
         reduced = GModule(group, [group.order] * lattice.dim, lattice.action)
         c = combination(_cocycle_basis(reduced, n - 1), lattice, n - 1)
         z_l = divide_cochain(coboundary(c), group.order)
         exponent = math.lcm(1, *mt.factors)
-        out = add_cochains(out, map_coefficients(scale_cochain(exponent, z_l), smap.matrix,
-                                                 module))
+        out = add_cochains(out, place_coordinates(scale_cochain(exponent, z_l), free, module))
     return out
 
 

@@ -280,7 +280,7 @@ def internal_cochains(cert):
     yield cert.omega
     if cert.mode == "general":
         st = cert.stages
-        yield from (st["h"].numerator, st["hbar"], st["eta"], st["eta_tilde"], st["beta"])
+        yield from (st["h"], st["hbar"], st["eta"], st["eta_tilde"], st["beta"])
         yield from internal_cochains(st["stage1"])
         yield from internal_cochains(st["stage2"])
         yield cert.alpha

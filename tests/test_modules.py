@@ -26,6 +26,7 @@ from groupcoh import (
     verify_certificate,
 )
 from groupcoh import intlinalg
+from groupcoh.cochains import pick_coordinates, place_coordinates
 from groupcoh.modules import _validate_module, element_index
 from groupcoh.errors import (
     ActionBreaksRelations,
@@ -149,20 +150,24 @@ def test_invariants_map_is_fixed():
 def test_torsion_submodule_split():
     g = cyclic_group(2)
     m = trivial_module(g, [4, 0])
-    mt, j, p, s = torsion_submodule(m)
+    mt, free_part, tor, free = torsion_submodule(m)
     assert list(mt.factors) == [4]
-    assert list(p.target.factors) == [0]
-    # p o j = 0 and p o s = identity
-    assert p.apply(j.apply((1,))) == (0,)
-    assert p.apply(s.apply((5,))) == (5,)
+    assert list(free_part.factors) == [0]
+    # p o j = 0 and p o s = identity: the coordinates j places at are not
+    # those p picks, and s places at the ones p picks
+    assert (tor, free) == ([0], [1])
+    j = Cochain(g, m, 1, {(1,): (1, 0)})
+    s = place_coordinates(Cochain(g, free_part, 1, {(1,): (5,)}), free, m)
+    assert pick_coordinates(j, free, free_part).is_zero()
+    assert pick_coordinates(s, free, free_part).values == {(1,): (5,)}
 
 
 def test_torsion_submodule_pure_cases():
     g = cyclic_group(2)
-    mt, _, p, _ = torsion_submodule(trivial_module(g, [2, 3]))
-    assert list(mt.factors) == [2, 3] and p.target.dim == 0
-    mt, _, p, _ = torsion_submodule(sign_module(g))
-    assert mt.dim == 0 and p.target.dim == 1
+    mt, free_part, _, _ = torsion_submodule(trivial_module(g, [2, 3]))
+    assert list(mt.factors) == [2, 3] and free_part.dim == 0
+    mt, free_part, _, _ = torsion_submodule(sign_module(g))
+    assert mt.dim == 0 and free_part.dim == 1
 
 
 def count_homs(a_factors, m_factors):
